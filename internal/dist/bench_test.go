@@ -15,26 +15,34 @@ import (
 // plane (frames, CRCs, peer-mesh batch delivery) between in-process
 // shards on loopback TCP. The ns/superstep gap between the two
 // benchmarks is the price of the process split; the shards=2/4/8
-// spread shows how the mesh scales with fan-out. Numbers feed
-// BENCH_ENGINE.json (scripts/bench_engine.sh).
+// spread shows how the mesh scales with fan-out. The -canonical cases
+// at 1/4 shards are what every runtime job executes (Config.Canonical);
+// for these ExactCombiner programs they must match their plain twins in
+// time and in bytes on the wire. Numbers feed BENCH_ENGINE.json
+// (scripts/bench_engine.sh).
 func BenchmarkEngineMessagePlaneDist(b *testing.B) {
 	gspec := GraphSpec{Scale: 12, Seed: 42, Undirected: true, Weighted: true}
+	sweep := []int{2, 4, 8}
 	cases := []struct {
+		name      string
 		pspec     ProgramSpec
 		canonical bool
+		shards    []int
 	}{
-		{ProgramSpec{Name: "pagerank", Iterations: 10}, true},
-		{ProgramSpec{Name: "sssp", Source: 0}, false},
-		{ProgramSpec{Name: "wcc"}, false},
+		{"pagerank", ProgramSpec{Name: "pagerank", Iterations: 10}, false, sweep},
+		{"sssp", ProgramSpec{Name: "sssp", Source: 0}, false, sweep},
+		{"wcc", ProgramSpec{Name: "wcc"}, false, sweep},
+		{"pagerank-canonical", ProgramSpec{Name: "pagerank", Iterations: 10}, true, []int{1, 4}},
+		{"sssp-canonical", ProgramSpec{Name: "sssp", Source: 0}, true, []int{1, 4}},
 	}
 	for _, tc := range cases {
-		for _, shards := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/shards=%d", tc.pspec.Name, shards), func(b *testing.B) {
+		for _, shards := range tc.shards {
+			b.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(b *testing.B) {
 				b.ReportAllocs()
 				var supersteps, frames, bytes int64
 				for i := 0; i < b.N; i++ {
 					rep, err := RunCluster(context.Background(), Config{
-						Job:       fmt.Sprintf("bench-%s-%d", tc.pspec.Name, shards),
+						Job:       fmt.Sprintf("bench-%s-%d", tc.name, shards),
 						Program:   tc.pspec,
 						Graph:     gspec,
 						Canonical: tc.canonical,

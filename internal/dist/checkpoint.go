@@ -59,13 +59,12 @@ var ErrCorruptObject = errors.New("dist: corrupt checkpoint object")
 // ErrNoCheckpoint reports an empty namespace (fresh job).
 var ErrNoCheckpoint = errors.New("dist: no checkpoint available")
 
-// seal appends the magic + CRC32 trailer.
+// seal appends the magic + CRC32 trailer to payload, in place when its
+// capacity allows (callers hand over a buffer they just built).
 func seal(payload []byte) []byte {
-	out := make([]byte, len(payload)+sealTrailerLen)
-	copy(out, payload)
-	binary.LittleEndian.PutUint32(out[len(payload):], distMagic)
-	binary.LittleEndian.PutUint32(out[len(payload)+4:], crc32.ChecksumIEEE(payload))
-	return out
+	crc := crc32.ChecksumIEEE(payload)
+	out := binary.LittleEndian.AppendUint32(payload, distMagic)
+	return binary.LittleEndian.AppendUint32(out, crc)
 }
 
 // unseal validates and strips the trailer.
@@ -125,7 +124,13 @@ type shardBlob struct {
 }
 
 func (b *shardBlob) encode() []byte {
-	var w wbuf
+	// Sized exactly, trailer included: a checkpoint blob is built in one
+	// allocation instead of a growth series plus a sealing copy.
+	size := 13 + 4 + 13*len(b.Vertex) + 4 + 12*len(b.PendDst) + 4 + 8*len(b.AuxVtx) + sealTrailerLen
+	for _, a := range b.Aux {
+		size += len(a)
+	}
+	w := wbuf{b: make([]byte, 0, size)}
 	w.u32(uint32(b.Superstep))
 	w.u32(uint32(b.Shard))
 	w.bool(b.Full)

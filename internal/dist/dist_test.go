@@ -296,8 +296,9 @@ func TestDistGraphColoringAuxRecovery(t *testing.T) {
 }
 
 // TestDistResumeAcrossShardCounts kills a 4-shard session and resumes
-// it with 3 shards: every shard reloads the full 4-blob set and keeps
-// what the new assignment gives it, and the result stays bit-identical.
+// it with 3 shards: every shard reloads the full 4-blob set (with its
+// combined pending inbox) and keeps what the new assignment gives it,
+// and the result stays bit-identical.
 func TestDistResumeAcrossShardCounts(t *testing.T) {
 	pspec := ProgramSpec{Name: "pagerank", Iterations: 10}
 	ref := refRun(t, pspec, true)
@@ -320,6 +321,30 @@ func TestDistResumeAcrossShardCounts(t *testing.T) {
 	var lost *ShardLostError
 	if !errors.As(err, &lost) {
 		t.Fatalf("first session: %v, want ShardLostError", err)
+	}
+	// PageRank is an ExactCombiner, so the canonical blobs carry the
+	// folded inbox: one pending value per vertex, not one per in-edge.
+	pending := 0
+	for shard := 0; shard < 4; shard++ {
+		data, _, err := store.Get(shardBlobKey(cfg.Job, 4, shard))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := decodeShardBlob(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[int32]bool{}
+		for _, d := range blob.PendDst {
+			if seen[d] {
+				t.Fatalf("shard %d blob carries several pending values for vertex %d", shard, d)
+			}
+			seen[d] = true
+		}
+		pending += len(blob.PendDst)
+	}
+	if pending == 0 {
+		t.Fatal("checkpoint at superstep 4 carries no pending messages")
 	}
 	rep, err := RunCluster(context.Background(), cfg, 3, nil)
 	if err != nil {

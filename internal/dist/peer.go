@@ -240,7 +240,8 @@ func (m *peerMesh) writer(link *peerLink) {
 	}
 }
 
-// send queues one batch frame for the link to shard j.
+// send queues one batch frame for the link to shard j. The payload is
+// copied into the frame before send returns; callers may reuse it.
 func (m *peerMesh) send(j int, payload []byte) {
 	m.out[j].q.push(fBatch, payload)
 }

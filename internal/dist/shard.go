@@ -218,13 +218,19 @@ type shardSession struct {
 	// Either path ships to the owning peer as soon as a destination's
 	// staging reaches peerFlushThreshold, overlapping compute with the
 	// send; sentTo counts the shipped frames per peer for the barrier
-	// vote's delivery accounting.
-	accVal []float64
-	accSet []bool
-	staged [][]graph.VertexID
-	outDst [][]int32
-	outVal [][]float64
-	sentTo []uint64
+	// vote's delivery accounting. shipDst/shipVal (the combiner path's
+	// gathered slots) and shipBuf (the encoded batch) are flush scratch:
+	// each is copied onward — into shipBuf, then into the queued frame —
+	// before ship returns, so one set serves every flush.
+	accVal  []float64
+	accSet  []bool
+	staged  [][]graph.VertexID
+	shipDst []int32
+	shipVal []float64
+	shipBuf []byte
+	outDst  [][]int32
+	outVal  [][]float64
+	sentTo  []uint64
 
 	aggNames []string // sorted; registered aggregator names
 	aggSpec  map[string]engine.AggregatorSpec
@@ -426,9 +432,9 @@ func (s *shardSession) init(w welcomeMsg) error {
 			s.owned = append(s.owned, graph.VertexID(v))
 		}
 	}
-	if c, ok := s.prog.(engine.Combiner); ok && !s.canonical {
-		s.comb = c
-	}
+	// Same rule as the in-process kernel: canonical keeps sender-side
+	// combining only for an ExactCombiner.
+	s.comb = engine.SendCombiner(s.prog, s.canonical)
 	if aux, ok := s.prog.(engine.AuxState); ok {
 		// Every shard initialises the whole-graph aux (it is derived
 		// from the topology alone); only owned vertices' entries are
@@ -649,13 +655,15 @@ func (s *shardSession) VoteToHalt(v graph.VertexID) { s.active[v] = false }
 
 // Send implements engine.ContextHost: local messages go straight into
 // the next-parity inbox; remote messages fold into the dense combining
-// slot for their destination (or the raw outbox under canonical mode),
+// slot for their destination (or join the raw outbox when the program
+// has no combiner the mode allows),
 // and ship to the owning peer as soon as the destination's staging
 // fills — compute and communication overlap instead of serialising.
 // A vertex whose slot already shipped simply opens a new slot; the
-// receiver folds the partials with the same Combine, so the split is
-// invisible (and under canonical mode raw terms are sorted at the
-// destination regardless of how they were chunked).
+// receiver folds the partials with the same Combine. Under canonical
+// mode only an ExactCombiner gets slots, so the split cannot change a
+// bit; raw terms are sorted at the destination regardless of how they
+// were chunked.
 func (s *shardSession) Send(dst graph.VertexID, val float64) {
 	to := s.owner[dst]
 	np := (s.superstep + 1) & 1
@@ -734,15 +742,15 @@ func (s *shardSession) shipCombined(to int) {
 	if len(stagedTo) == 0 {
 		return
 	}
-	dsts := make([]int32, len(stagedTo))
-	vals := make([]float64, len(stagedTo))
-	for i, v := range stagedTo {
-		dsts[i] = int32(v)
-		vals[i] = s.accVal[v]
+	dsts, vals := s.shipDst[:0], s.shipVal[:0]
+	for _, v := range stagedTo {
+		dsts = append(dsts, int32(v))
+		vals = append(vals, s.accVal[v])
 		s.accSet[v] = false
 	}
 	s.staged[to] = stagedTo[:0]
 	s.ship(to, dsts, vals)
+	s.shipDst, s.shipVal = dsts, vals
 }
 
 // shipRaw serialises the staged raw message terms for peer `to`.
@@ -766,7 +774,8 @@ func (s *shardSession) ship(to int, dsts []int32, vals []float64) {
 		Dst:       dsts,
 		Val:       vals,
 	}
-	s.mesh.send(to, m.encode())
+	s.shipBuf = m.appendTo(s.shipBuf[:0])
+	s.mesh.send(to, s.shipBuf)
 	s.sentTo[to]++
 }
 
@@ -905,9 +914,10 @@ func (s *shardSession) step(p proceedMsg) error {
 }
 
 // consume returns v's inbox for this superstep and clears it. Under
-// canonical mode the message multiset is sorted ascending, so Compute
-// folds it independently of arrival order — the distributed half of
-// the engine's bit-identity guarantee.
+// canonical mode a raw message multiset is sorted ascending, so Compute
+// folds it independently of arrival order (a combined inbox is one
+// exactly folded value already) — the distributed half of the engine's
+// bit-identity guarantee.
 func (s *shardSession) consume(par int, v graph.VertexID) []float64 {
 	if s.comb != nil {
 		if s.inSet[par][v] {
@@ -998,6 +1008,16 @@ func (s *shardSession) checkpoint(req checkpointMsg) error {
 		Shard:     s.id,
 		Full:      !asDelta,
 		Parent:    int(req.Parent),
+	}
+	if !asDelta {
+		blob.Vertex = make([]int32, 0, len(s.owned))
+		blob.Value = make([]float64, 0, len(s.owned))
+		blob.Active = make([]bool, 0, len(s.owned))
+	}
+	if s.comb != nil {
+		// Every vertex with a folded inbox value is on the worklist.
+		blob.PendDst = make([]int32, 0, len(s.work[par]))
+		blob.PendVal = make([]float64, 0, len(s.work[par]))
 	}
 	var aux []byte
 	for i, v := range s.owned {

@@ -17,10 +17,12 @@
 // and tells every receiver in EndBatches exactly how many batches its
 // superstep must deliver before it may report its frontier.
 //
-// Under canonical mode individual message terms are shipped instead
-// of folded slots and sorted at the destination, making distributed
-// results bit-identical to the in-process engine's canonical runs
-// regardless of shard count, flush timing or peer arrival order.
+// Under canonical mode only an engine.ExactCombiner program ships
+// folded slots (its fold gives the same bits under any split or order);
+// every other program ships individual message terms that are sorted
+// at the destination. Either way distributed results are bit-identical
+// to the in-process engine's canonical runs regardless of shard count,
+// flush timing or peer arrival order.
 //
 // Eviction = killing a shard process. The coordinator declares the
 // shard dead (connection loss or barrier-vote timeout), emits an
@@ -496,9 +498,9 @@ func decodeProceed(p []byte) (proceedMsg, error) {
 
 // batchMsg carries messages sent during superstep S from one shard to
 // another over their direct peer link — the serialised form of the
-// sender's per-destination combining slots (or raw message terms under
-// canonical mode). With the mesh, From/To are redundancy the receiver
-// validates against the link's peer hello and its own id.
+// sender's per-destination combining slots (or raw message terms when
+// the program may not combine). With the mesh, From/To are redundancy
+// the receiver validates against the link's peer hello and its own id.
 type batchMsg struct {
 	Superstep uint32
 	From      uint32
@@ -507,8 +509,12 @@ type batchMsg struct {
 	Val       []float64
 }
 
-func (m batchMsg) encode() []byte {
-	var w wbuf
+func (m batchMsg) encode() []byte { return m.appendTo(nil) }
+
+// appendTo appends the encoded batch to b, so the hot path can encode
+// into a reused buffer.
+func (m batchMsg) appendTo(b []byte) []byte {
+	w := wbuf{b: b}
 	w.u32(m.Superstep)
 	w.u32(m.From)
 	w.u32(m.To)

@@ -13,6 +13,14 @@ import (
 // PageRank implements the classic iterative PageRank ([9] in the
 // paper) for a fixed number of iterations (the paper runs 30).
 // Vertex value = current rank.
+//
+// PageRank is an ExactCombiner although its Combine is a float sum:
+// every share it sends is rounded to a multiple of pageRankQuantum, so
+// all partial sums of one superstep's shares are multiples of the
+// quantum too, stay below pageRankMassBound, and therefore fit a
+// float64 significand — addition never rounds, whatever the fold order,
+// flush split or worker count. The rounding moves a vertex's next rank
+// by at most indegree·quantum/2 per iteration.
 type PageRank struct {
 	Iterations int
 	Damping    float64 // 0 = 0.85
@@ -20,6 +28,27 @@ type PageRank struct {
 
 // Name implements Program.
 func (p *PageRank) Name() string { return "pagerank" }
+
+// The share grid. Shares are non-negative and one superstep's shares
+// total the rank mass (1, up to rounding, for any damping in [0,1]), so
+// any partial sum of them is a multiple of 2^-pageRankQuantumBits below
+// 2^pageRankMassBits.
+const (
+	pageRankQuantumBits = 50
+	pageRankMassBits    = 3
+	pageRankQuantum     = 1.0 / (1 << pageRankQuantumBits)
+	pageRankMassBound   = 1 << pageRankMassBits
+
+	// Such a sum needs quantumBits+massBits significand bits; float64
+	// has 53. This fails to compile if the grid outgrows them.
+	_ = uint(53 - pageRankQuantumBits - pageRankMassBits)
+)
+
+// quantizeShare rounds a rank share to the nearest grid point. Scaling
+// by a power of two is exact, so the only rounding is RoundToEven's.
+func quantizeShare(x float64) float64 {
+	return math.RoundToEven(x*(1<<pageRankQuantumBits)) * pageRankQuantum
+}
 
 func (p *PageRank) damping() float64 {
 	if p.Damping == 0 {
@@ -60,7 +89,7 @@ func (p *PageRank) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 	}
 	if ctx.Superstep() < p.Iterations {
 		if deg := g.Degree(v); deg > 0 {
-			ctx.SendToNeighbors(v, ctx.Value(v)/float64(deg))
+			ctx.SendToNeighbors(v, quantizeShare(ctx.Value(v)/float64(deg)))
 		} else {
 			ctx.Aggregate("dangling", ctx.Value(v))
 		}
@@ -71,6 +100,9 @@ func (p *PageRank) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 
 // Combine implements Combiner: partial rank sums add.
 func (p *PageRank) Combine(a, b float64) float64 { return a + b }
+
+// ExactCombine implements ExactCombiner: sums on the share grid are exact.
+func (p *PageRank) ExactCombine() {}
 
 // SSSP computes single-source shortest paths (the paper's 3-minute
 // benchmark). Vertex value = tentative distance; +Inf = unreached.
@@ -117,6 +149,9 @@ func (s *SSSP) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 // Combine implements Combiner: only the minimum candidate matters.
 func (s *SSSP) Combine(a, b float64) float64 { return math.Min(a, b) }
 
+// ExactCombine implements ExactCombiner: min never rounds.
+func (s *SSSP) ExactCombine() {}
+
 // WCC labels weakly connected components by propagating minimum vertex
 // id (HashMin). Vertex value = component id.
 type WCC struct{}
@@ -149,6 +184,9 @@ func (WCC) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 // Combine implements Combiner.
 func (WCC) Combine(a, b float64) float64 { return math.Min(a, b) }
 
+// ExactCombine implements ExactCombiner: min never rounds.
+func (WCC) ExactCombine() {}
+
 // BFS computes hop distance from a source on an unweighted graph.
 type BFS struct {
 	Source graph.VertexID
@@ -178,6 +216,9 @@ func (b *BFS) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 
 // Combine implements Combiner: any single BFS level message suffices.
 func (b *BFS) Combine(a, x float64) float64 { return math.Min(a, x) }
+
+// ExactCombine implements ExactCombiner: min never rounds.
+func (b *BFS) ExactCombine() {}
 
 // GraphColoring implements Jones–Plassmann greedy coloring, the
 // Pregel-style formulation of the paper's GC benchmark (following

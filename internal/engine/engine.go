@@ -226,6 +226,39 @@ type Combiner interface {
 	Combine(a, b float64) float64
 }
 
+// ExactCombiner marks a Combiner whose Combine is bit-exactly
+// associative and commutative over the values the program sends: every
+// fold order and every split into partial folds yields the same bits.
+// min/max over floats qualify as they are; a float sum qualifies only
+// when the program keeps every term (and every partial sum) on a grid
+// where addition never rounds — see PageRank's share quantum.
+//
+// Declaring it lets Config.Canonical (and dist's Canonical) keep the
+// sender-side combining path: results are bit-identical to the raw
+// sorted path at combiner cost. A program whose Combine rounds (a plain
+// float sum) must not declare it; it keeps the raw path under Canonical.
+type ExactCombiner interface {
+	Combiner
+	// ExactCombine is a marker; it is never called.
+	ExactCombine()
+}
+
+// SendCombiner returns the combiner the message plane may fold with at
+// send time, or nil when every term must travel raw: any Combiner
+// outside canonical mode, only an ExactCombiner inside it. Both BSP
+// kernels (this package's run and internal/dist's shard session) pick
+// their message path with it, so they cannot disagree.
+func SendCombiner(prog Program, canonical bool) Combiner {
+	if !canonical {
+		c, _ := prog.(Combiner)
+		return c
+	}
+	if c, ok := prog.(ExactCombiner); ok {
+		return c
+	}
+	return nil
+}
+
 // AggregatorSpec declares a named aggregator a program uses.
 type AggregatorSpec struct {
 	Name string
@@ -285,17 +318,19 @@ type Config struct {
 	// A nil sink costs nothing on the hot path: no timing, no event
 	// construction, no allocations.
 	Sink obs.Sink
-	// Canonical forces order-invariant reductions: sender-side combining
-	// is disabled, each vertex's message slice is sorted ascending
-	// before Compute, and aggregator contributions are collected and
-	// folded in sorted order at the barrier. Floating-point folds (sums
-	// in particular) then depend only on the multiset of inputs, never
-	// on worker count or delivery order, so results are bit-identical
-	// across any sequence of worker-count changes — the property the
-	// eviction-aware runtime's chaos suite asserts. Messages and
-	// aggregator contributions must not be NaN or -0.0 (sort order
-	// among them is unspecified). Costs one sort per message-receiving
-	// vertex per superstep; leave it off for throughput runs.
+	// Canonical forces order-invariant reductions, so results are
+	// bit-identical across any sequence of worker-count changes — the
+	// property the eviction-aware runtime's chaos suite asserts.
+	// Aggregator contributions are collected and folded in sorted order
+	// at the barrier. Messages of an ExactCombiner program (PageRank,
+	// SSSP, WCC, BFS) keep the sender-side combining path: their fold
+	// is order-invariant by contract, so canonical costs them nothing.
+	// Every other program (no combiner, or a combiner that rounds)
+	// ships raw terms and each vertex's message slice is sorted
+	// ascending before Compute, so its folds depend only on the
+	// multiset of inputs — one sort per message-receiving vertex per
+	// superstep. Messages and aggregator contributions must not be NaN
+	// or -0.0 (sort order among them is unspecified).
 	Canonical bool
 }
 
@@ -529,10 +564,10 @@ func newRun(g *graph.Graph, prog Program, cfg Config) (*run, error) {
 	r.collectSteps = cfg.CollectStepStats
 	r.sink = cfg.Sink
 	r.canonical = cfg.Canonical
-	// Canonical mode needs every message term individually (a send-time
-	// fold is inherently arrival-ordered), so the combiner is bypassed
-	// and messages take the pooled-arena path.
-	if c, ok := prog.(Combiner); ok && !r.canonical {
+	// A send-time fold is arrival-ordered, so canonical mode allows it
+	// only to an ExactCombiner; everything else takes the pooled-arena
+	// path and is sorted per vertex.
+	if c := SendCombiner(prog, r.canonical); c != nil {
 		r.comb = c
 		r.inVal = make([]float64, n)
 		r.inSet = make([]bool, n)

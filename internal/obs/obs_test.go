@@ -103,7 +103,7 @@ func TestSummarizeFoldsLifecycle(t *testing.T) {
 		{Type: EvSpend, USD: 1.0},
 		{Type: EvCheckpoint},
 		{Type: EvDone, Done: true, T: 3600},
-		{Type: EvSuperstep, Active: 10, Messages: 100, Combined: 40, NsStep: 5000},
+		{Type: EvSuperstep, Active: 10, Messages: 100, Combined: 40, NsStep: 5000, WireFrames: 12, WireBytes: 960},
 		{Type: EvRetry, Attempts: 3},
 	}
 	s := Summarize(events)
@@ -112,11 +112,22 @@ func TestSummarizeFoldsLifecycle(t *testing.T) {
 		t.Errorf("sim fold wrong: %+v", s)
 	}
 	if s.Supersteps != 1 || s.Active != 10 || s.Messages != 100 || s.Combined != 40 ||
-		s.EngineNs != 5000 || s.RetryAttempts != 3 {
+		s.EngineNs != 5000 || s.RetryAttempts != 3 || s.WireFrames != 12 || s.WireBytes != 960 {
 		t.Errorf("engine/retry fold wrong: %+v", s)
 	}
-	if out := s.String(); !strings.Contains(out, "evictions   1") {
-		t.Errorf("String() = %q", out)
+	out := s.String()
+	for _, want := range []string{
+		"evictions   1",
+		"100 sent, 40 combined at sender (combining path: 40.0% folded)",
+		"wire        12 frames, 960 bytes",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("String() = %q, missing %q", out, want)
+		}
+	}
+	raw := Summarize([]Event{{Type: EvSuperstep, Messages: 100}}).String()
+	if !strings.Contains(raw, "0 combined at sender (raw path") {
+		t.Errorf("raw-path String() = %q", raw)
 	}
 }
 

@@ -27,6 +27,9 @@ type Summary struct {
 	Messages   int64 // total logical sends
 	Combined   int64 // sends folded at the sender
 	EngineNs   int64 // summed wall time of traced supersteps
+	// Message-plane wire traffic of dist supersteps (0 in-process).
+	WireFrames int64
+	WireBytes  int64
 
 	// Retries across durability paths.
 	RetryAttempts int
@@ -93,6 +96,8 @@ func Summarize(events []Event) Summary {
 			s.Messages += e.Messages
 			s.Combined += e.Combined
 			s.EngineNs += e.NsStep
+			s.WireFrames += e.WireFrames
+			s.WireBytes += e.WireBytes
 		case EvRetry:
 			s.RetryAttempts += e.Attempts
 		}
@@ -126,7 +131,18 @@ func (s Summary) String() string {
 		}
 		fmt.Fprintf(&b, "supersteps  %d (avg %d ns/step)\n", s.Supersteps, avg)
 		fmt.Fprintf(&b, "compute     %d calls\n", s.Active)
-		fmt.Fprintf(&b, "messages    %d sent, %d combined at sender\n", s.Messages, s.Combined)
+		// Folded-vs-sent names the message path: an exact (or
+		// non-canonical) combiner folds at the sender, everything else
+		// ships each term and sorts at the destination.
+		path := "raw path: every term shipped"
+		if s.Combined > 0 {
+			path = fmt.Sprintf("combining path: %.1f%% folded", 100*float64(s.Combined)/float64(s.Messages))
+		}
+		fmt.Fprintf(&b, "messages    %d sent, %d combined at sender (%s)\n", s.Messages, s.Combined, path)
+		if s.WireBytes > 0 {
+			fmt.Fprintf(&b, "wire        %d frames, %d bytes (%d bytes/superstep)\n",
+				s.WireFrames, s.WireBytes, s.WireBytes/int64(s.Supersteps))
+		}
 	}
 	if s.RetryAttempts > 0 {
 		fmt.Fprintf(&b, "retries     %d attempts\n", s.RetryAttempts)

@@ -89,8 +89,11 @@ type Options struct {
 	MaxDecisions int
 	// Canonical forces order-invariant reductions so final values are
 	// bit-identical across any worker-count trajectory (see
-	// engine.Config.Canonical). Required for sum-folding programs like
-	// PageRank to survive reconfiguration bit-exactly.
+	// engine.Config.Canonical). Required for programs with aggregators
+	// or order-sensitive message folds to survive reconfiguration
+	// bit-exactly; engine.ExactCombiner programs (all the bundled
+	// combiner programs) keep sender-side combining under it, the rest
+	// pay one inbox sort per vertex.
 	Canonical bool
 	// BytesPerVertex sizes the parallel checkpoint reload flows priced
 	// by simnet (0 = 64).

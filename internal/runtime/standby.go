@@ -248,6 +248,9 @@ func (d *distDriver) teardownStandby(sb *standbyState) {
 	}
 	sb.cancel()
 	sb.ws.Stop()
-	sb.ws.Wait()
+	// Listener first: the workers connected through its backlog and sit
+	// in a blocking read for a welcome nobody will send. Closing it
+	// resets those connections; Wait before Close never returns.
 	sb.ln.Close()
+	sb.ws.Wait()
 }

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"hourglass/internal/cloud"
 	"hourglass/internal/core"
@@ -387,6 +388,70 @@ func TestExecuteDistStandbyThenUnforewarnedLoss(t *testing.T) {
 	}
 	if rep.RecoveryTime <= 0 {
 		t.Fatalf("RecoveryTime = %v, want > 0 (the second, unforewarned loss recovers cold)", rep.RecoveryTime)
+	}
+	assertStandbyFoldParity(t, sink, rep)
+}
+
+// TestExecuteDistDiscardedStandbyDoesNotHang is the regression test for
+// the teardown deadlock: a forewarned death that never happens leaves a
+// booted standby — workers parked reading a welcome the coordinator will
+// never send — to be discarded when the job finishes under the original
+// session. Teardown must release the listener before waiting for the
+// workers; waiting first blocks forever. The run is bounded so the
+// regression fails instead of wedging the suite.
+func TestExecuteDistDiscardedStandbyDoesNotHang(t *testing.T) {
+	h := getHarness(t, "pagerank")
+	ref := distReference(t)
+	store := cloud.NewDatastore()
+	sink := &listSink{}
+	prov := &scriptedProv{configs: []cloud.Config{
+		onDemandByCount(t, h.env, 8),
+		onDemandByCount(t, h.env, 4),
+	}}
+	launcher := &runtime.LoopbackLauncher{
+		Store: store,
+		DeathAt: func(attempt int) int {
+			if attempt == 0 {
+				return 6 // a false alarm: no ShardOpts hook kills anything
+			}
+			return 0
+		},
+		Logf: t.Logf,
+	}
+	opts := h.distOptions(t, store, "sb-discard", prov, ref.Stats.Supersteps, launcher)
+	opts.Sink = sink
+	opts.WarningWindow = 2000
+
+	type outcome struct {
+		rep runtime.Report
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		rep, err := runtime.ExecuteDist(context.Background(), opts, 0, 200_000)
+		done <- outcome{rep, err}
+	}()
+	var rep runtime.Report
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		rep = o.rep
+	case <-time.After(60 * time.Second):
+		t.Fatal("ExecuteDist did not return: discarding the booted standby deadlocked the driver")
+	}
+	if !rep.Finished {
+		t.Fatal("run did not finish")
+	}
+	assertBitIdentical(t, ref.Values, rep.Values)
+	if rep.Warnings != 1 || rep.WarmCutovers != 0 || rep.StandbyMisses != 1 {
+		t.Fatalf("warnings=%d cutovers=%d misses=%d, want 1/0/1",
+			rep.Warnings, rep.WarmCutovers, rep.StandbyMisses)
+	}
+	if rep.Evictions != 0 || len(rep.ShardCounts) != 1 {
+		t.Fatalf("evictions=%d ShardCounts=%v, want an uninterrupted single deployment",
+			rep.Evictions, rep.ShardCounts)
 	}
 	assertStandbyFoldParity(t, sink, rep)
 }

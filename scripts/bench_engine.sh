@@ -10,7 +10,8 @@
 #   scripts/bench_engine.sh [output.json]   # regenerate BENCH_ENGINE.json
 #   scripts/bench_engine.sh --check [ref]   # regression gate vs committed numbers
 #
-# BENCHTIME (default 2s) controls -benchtime.
+# BENCHTIME (default 2s) controls -benchtime. The JSON header records
+# nproc, GOMAXPROCS and the Go version next to goos/goarch/cpu.
 #
 # The emitted JSON carries three sections: "baseline" holds the frozen
 # pre-message-plane numbers (per-vertex inbox slices, O(V) liveness
@@ -108,13 +109,13 @@ if [[ "${1:-}" == "--check" ]]; then
           refwbytes[f[1]] = f[4]; refdeltab[f[1]] = f[5]
         }
       }
-      printf("%-28s %14s %14s %8s %10s %10s %8s %8s\n",
+      printf("%-34s %14s %14s %8s %10s %10s %8s %8s\n",
              "case", "ns/superstep", "ref", "ratio", "allocs/op", "ref", "ratio", "wbytes")
     }
     {
       name = $1; step = $3; allocs = $5; wbytes = $7; deltab = $9
       if (!(name in refstep)) {
-        printf("%-28s (new case, no reference — skipped)\n", name)
+        printf("%-34s (new case, no reference — skipped)\n", name)
         next
       }
       sr = step / refstep[name]
@@ -139,7 +140,7 @@ if [[ "${1:-}" == "--check" ]]; then
         wr = sprintf("%7.2fx", d)
         if (d > 1.25) { flag = flag " DELTABYTES"; bad = 1 }
       }
-      printf("%-28s %14d %14d %7.2fx %10d %10d %7.2fx %s%s\n",
+      printf("%-34s %14d %14d %7.2fx %10d %10d %7.2fx %s%s\n",
              name, step, refstep[name], sr, allocs, refallocs[name], ar, wr, flag)
       checked++
     }
@@ -164,6 +165,15 @@ echo "$raw" >&2
   printf '{\n'
   printf '  "benchmark": "BenchmarkEngineMessagePlane + BenchmarkEngineMessagePlaneDist",\n'
   printf '  "benchtime": "%s",\n' "$benchtime"
+  # The machine the numbers were taken on: the worker/shard sweeps only
+  # mean something next to the core count they ran against. GOMAXPROCS
+  # is read off the benchmark names (go test appends -N unless N is 1).
+  printf '  "nproc": %s,\n' "$(nproc)"
+  awk '/^Benchmark/ {
+    printf("  \"gomaxprocs\": %s,\n", match($1, /-[0-9]+$/) ? substr($1, RSTART + 1) : 1)
+    exit
+  }' <<<"$raw"
+  printf '  "go": "%s",\n' "$(go env GOVERSION)"
   # run_bench invokes `go test` twice (engine + dist), so each header
   # key appears twice in the raw output — emit only the first of each,
   # or the JSON carries duplicated keys.
