@@ -50,7 +50,7 @@ type standbyState struct {
 // trigger that spawns the standby orchestration goroutine. It returns
 // the forced-checkpoint superstep for the dist config (0 = none) and
 // the armed state (nil = no warning possible for this segment).
-func (d *distDriver) armStandby(ctx context.Context, mon *distMonitor, cs *core.ConfigStats, attempt, evictAfter, remSteps int, secPerStep, nextEvict units.Seconds) (int, *standbyState) {
+func (d *distDriver) armStandby(ctx context.Context, mon *monitor, cs *core.ConfigStats, attempt, evictAfter, remSteps int, secPerStep, nextEvict units.Seconds) (int, *standbyState) {
 	if d.opts.WarningWindow <= 0 {
 		return 0, nil
 	}
@@ -123,32 +123,23 @@ func (d *distDriver) armStandby(ctx context.Context, mon *distMonitor, cs *core.
 // goroutine to keep the EvSpend fold order deterministic.
 func (d *distDriver) startStandby(ctx context.Context, sb *standbyState, cur *core.ConfigStats, warnAt, evProj units.Seconds, projDurable int) {
 	defer close(sb.done)
-	env := d.opts.Env
-	wl := workLeft(d.opts.TotalSupersteps, projDurable)
+	wl := d.workLeft(projDurable)
 	d.rep.Warnings++
-	d.emit(obs.Event{Type: obs.EvWarning, T: float64(warnAt), Job: env.Job.Name,
+	d.emit(obs.Event{Type: obs.EvWarning, T: float64(warnAt), Job: d.env.Job.Name,
 		Config: cur.Config.ID(), WorkLeft: wl, DurSec: float64(d.opts.WarningWindow)})
 
 	// Re-decide for the post-eviction world: the standby takes over at
 	// the projected eviction instant with the projected durable frontier.
-	st := core.State{Now: evProj, WorkLeft: wl, Deadline: d.deadline}
-	d.rep.Decisions++
-	_, cs, err := d.decide(env, st)
+	_, cs, err := d.decide(ctx, core.State{Now: evProj, WorkLeft: wl, Deadline: d.deadline})
 	if err != nil {
 		d.standbyMiss(warnAt, "", err)
 		return
 	}
 	shards := cs.Config.Count
-	avail, err := env.Market.NextAvailable(cs.Config, warnAt)
+	avail, reload, err := d.price(cs, warnAt, projDurable > 0, 0, d.evenSplit(shards))
 	if err != nil {
 		d.standbyMiss(warnAt, cs.Config.ID(), err)
 		return
-	}
-	var reload units.Seconds
-	if projDurable > 0 {
-		reload = d.reloadTime(shards)
-	} else {
-		reload = cs.Load
 	}
 	readyAt := avail + cs.Boot + reload
 	if readyAt > evProj {
@@ -178,7 +169,7 @@ func (d *distDriver) startStandby(ctx context.Context, sb *standbyState, cur *co
 		d.standbyMiss(warnAt, cs.Config.ID(), err)
 		return
 	}
-	d.emit(obs.Event{Type: obs.EvStandby, T: float64(warnAt), Job: env.Job.Name,
+	d.emit(obs.Event{Type: obs.EvStandby, T: float64(warnAt), Job: d.env.Job.Name,
 		Config: cs.Config.ID(), WorkLeft: wl, Ready: true})
 	sb.cs, sb.avail, sb.readyAt, sb.reload = cs, avail, readyAt, reload
 	sb.ln, sb.ws, sb.cancel = ln, ws, cancel
@@ -187,10 +178,10 @@ func (d *distDriver) startStandby(ctx context.Context, sb *standbyState, cur *co
 // standbyMiss records a standby that never became launchable.
 func (d *distDriver) standbyMiss(at units.Seconds, config string, err error) {
 	if err != nil {
-		d.opts.logf("runtime: dist job %q standby infeasible: %v", d.opts.Env.Job.Name, err)
+		d.logf("runtime: dist job %q standby infeasible: %v", d.env.Job.Name, err)
 	}
 	d.rep.StandbyMisses++
-	d.emit(obs.Event{Type: obs.EvStandby, T: float64(at), Job: d.opts.Env.Job.Name,
+	d.emit(obs.Event{Type: obs.EvStandby, T: float64(at), Job: d.env.Job.Name,
 		Config: config, Ready: false})
 }
 
@@ -214,9 +205,8 @@ func (d *distDriver) settleStandby(sb *standbyState, evTime units.Seconds) error
 	}
 	d.rep.IOTime += sb.reload
 	d.rep.WarmCutovers++
-	d.emit(obs.Event{Type: obs.EvCutover, T: float64(evTime), Job: d.opts.Env.Job.Name,
-		Config: sb.cs.Config.ID(), WorkLeft: workLeft(d.opts.TotalSupersteps, d.durable),
-		DurSec: 0})
+	d.emit(obs.Event{Type: obs.EvCutover, T: float64(evTime), Job: d.env.Job.Name,
+		Config: sb.cs.Config.ID(), WorkLeft: d.workLeft(d.durable), DurSec: 0})
 	d.pending = sb
 	return nil
 }
@@ -234,7 +224,7 @@ func (d *distDriver) discardStandby(sb *standbyState, billTo units.Seconds) erro
 		}
 	}
 	d.rep.StandbyMisses++
-	d.emit(obs.Event{Type: obs.EvStandby, T: float64(billTo), Job: d.opts.Env.Job.Name,
+	d.emit(obs.Event{Type: obs.EvStandby, T: float64(billTo), Job: d.env.Job.Name,
 		Config: sb.cs.Config.ID(), Ready: false})
 	return nil
 }
