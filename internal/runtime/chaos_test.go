@@ -113,7 +113,8 @@ func TestChaosEvictionSchedules(t *testing.T) {
 				t.Fatalf("folded cost %v != report %v", sum.CostUSD, float64(rep.Cost))
 			}
 			if sum.Evictions != rep.Evictions || sum.Checkpoints != rep.Checkpoints ||
-				sum.Deploys != rep.Reconfigs || sum.Missed != rep.MissedDeadline {
+				sum.Deploys != rep.Reconfigs || sum.Missed != rep.MissedDeadline ||
+				sum.RecoverySec != float64(rep.RecoveryTime) {
 				t.Fatalf("trace fold mismatch: %+v vs report %+v", sum, rep)
 			}
 

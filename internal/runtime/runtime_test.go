@@ -257,6 +257,9 @@ func TestExecuteTraceFoldMatchesReport(t *testing.T) {
 	if sum.Decisions != rep.Decisions {
 		t.Errorf("folded decisions %d != report %d", sum.Decisions, rep.Decisions)
 	}
+	if sum.RecoverySec != float64(rep.RecoveryTime) {
+		t.Errorf("folded recovery %v != report %v", sum.RecoverySec, float64(rep.RecoveryTime))
+	}
 	if !sum.Finished || sum.Missed != rep.MissedDeadline {
 		t.Errorf("folded done marker finished=%v missed=%v, report missed=%v",
 			sum.Finished, sum.Missed, rep.MissedDeadline)
