@@ -44,7 +44,7 @@ type Event struct {
 
 	// Lifecycle fields (EvDeploy/EvEvict/EvCheckpoint/EvDone/EvSpend).
 	USD    float64 `json:"usd,omitempty"`   // spend delta (EvSpend) or total (EvDone)
-	DurSec float64 `json:"dur_s,omitempty"` // span length (deploy: wait+boot+load)
+	DurSec float64 `json:"dur_s,omitempty"` // span length (deploy: wait+boot+load, from T to the ready instant)
 	Reload bool    `json:"reload,omitempty"`
 	Missed bool    `json:"missed,omitempty"`
 	Done   bool    `json:"done,omitempty"` // job finished (EvDone with Done=false = abandoned)
