@@ -73,9 +73,6 @@ func (b *DistBackend) Admit(spec JobSpec) (units.Seconds, units.Seconds, units.U
 }
 
 // distProgramFor maps a job kind to its distributed program spec.
-// GraphColoring carries aux state the dist plane does not checkpoint,
-// so the GC kind runs WCC under GC admission pricing — the same
-// stand-in the runtime chaos harness uses.
 func distProgramFor(k hourglass.JobKind) (dist.ProgramSpec, error) {
 	switch k {
 	case hourglass.PageRank:
@@ -83,7 +80,7 @@ func distProgramFor(k hourglass.JobKind) (dist.ProgramSpec, error) {
 	case hourglass.SSSP:
 		return dist.ProgramSpec{Name: "sssp", Source: 0}, nil
 	case hourglass.GC:
-		return dist.ProgramSpec{Name: "wcc"}, nil
+		return dist.ProgramSpec{Name: "graphcoloring"}, nil
 	default:
 		return dist.ProgramSpec{}, fmt.Errorf("scheduler: no dist program for job kind %q", k)
 	}

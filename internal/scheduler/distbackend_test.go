@@ -160,35 +160,41 @@ func TestDistBackendKeepsBlobsOnFailure(t *testing.T) {
 
 // TestDistBackendReportsRestartCount is the eviction-count satellite's
 // regression test: the result must report the actual number of
-// restarts, not a hardcoded 1.
+// restarts, not a hardcoded 1. GraphColoring runs as itself, so its
+// per-vertex aux state resumes from the shard blobs after each loss.
 func TestDistBackendReportsRestartCount(t *testing.T) {
-	sys := distTestSystem(t)
-	be := &scheduler.DistBackend{
-		Sys: sys, GraphScale: 8, Logf: t.Logf,
-		ShardOpts: func(attempt, shard int) dist.ShardOptions {
-			var opts dist.ShardOptions
-			if attempt < 2 && shard == 0 {
-				opts.DieAtSuperstep = 3
+	for _, kind := range []hourglass.JobKind{hourglass.PageRank, hourglass.GC} {
+		t.Run(string(kind), func(t *testing.T) {
+			sys := distTestSystem(t)
+			be := &scheduler.DistBackend{
+				Sys: sys, GraphScale: 8, Logf: t.Logf,
+				ShardOpts: func(attempt, shard int) dist.ShardOptions {
+					var opts dist.ShardOptions
+					if attempt < 2 && shard == 0 {
+						opts.DieAtSuperstep = 3
+					}
+					return opts
+				},
 			}
-			return opts
-		},
-	}
-	spec := distTestSpec("t-restarts")
-	deadline, _, _, err := be.Admit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := be.Run(context.Background(), spec, 0, deadline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Finished {
-		t.Fatalf("run did not finish: %+v", res)
-	}
-	if res.Evictions != 2 {
-		t.Fatalf("Evictions = %d, want the 2 scripted restarts", res.Evictions)
-	}
-	if res.Checkpoints == 0 {
-		t.Fatal("no checkpoints recorded")
+			spec := distTestSpec("t-restarts")
+			spec.Kind = kind
+			deadline, _, _, err := be.Admit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := be.Run(context.Background(), spec, 0, deadline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Finished {
+				t.Fatalf("run did not finish: %+v", res)
+			}
+			if res.Evictions != 2 {
+				t.Fatalf("Evictions = %d, want the 2 scripted restarts", res.Evictions)
+			}
+			if res.Checkpoints == 0 {
+				t.Fatal("no checkpoints recorded")
+			}
+		})
 	}
 }
