@@ -79,6 +79,31 @@ func (p *scriptedProv) Decide(core.State) (core.Decision, error) {
 	return core.Decision{Config: c, UseCheckpoints: true}, nil
 }
 
+// deathLauncher is a loopback launcher whose first deployment loses
+// shard 1 while computing superstep dieAt. forewarn announces the death
+// to the driver; kill=false makes the announcement a false alarm.
+func deathLauncher(t *testing.T, store cloud.BlobStore, dieAt int, kill, forewarn bool) *runtime.LoopbackLauncher {
+	l := &runtime.LoopbackLauncher{Store: store, Logf: t.Logf}
+	if kill {
+		l.ShardOpts = func(attempt, shard int) dist.ShardOptions {
+			opts := dist.ShardOptions{Store: store}
+			if attempt == 0 && shard == 1 {
+				opts.DieAtSuperstep = dieAt
+			}
+			return opts
+		}
+	}
+	if forewarn {
+		l.DeathAt = func(attempt int) int {
+			if attempt == 0 {
+				return dieAt
+			}
+			return 0
+		}
+	}
+	return l
+}
+
 func (h *harness) distOptions(t *testing.T, store cloud.BlobStore, job string, prov core.Provisioner, total int, launcher runtime.DistLauncher) runtime.DistOptions {
 	t.Helper()
 	return runtime.DistOptions{
@@ -151,17 +176,7 @@ func TestExecuteDistKillResizesWorkerCount(t *testing.T) {
 		onDemandByCount(t, h.env, 8),
 		onDemandByCount(t, h.env, 4),
 	}}
-	launcher := &runtime.LoopbackLauncher{
-		Store: store,
-		ShardOpts: func(attempt, shard int) dist.ShardOptions {
-			opts := dist.ShardOptions{Store: store}
-			if attempt == 0 && shard == 1 {
-				opts.DieAtSuperstep = 3
-			}
-			return opts
-		},
-		Logf: t.Logf,
-	}
+	launcher := deathLauncher(t, store, 3, true, false)
 	opts := h.distOptions(t, store, "dist-resize", prov, ref.Stats.Supersteps, launcher)
 	opts.Sink = sink
 	// A generous deadline keeps the scripted trajectory out of the
