@@ -220,6 +220,9 @@ func TestEvictionModel(t *testing.T) {
 		if c < prev || c < 0 || c > 1 {
 			t.Fatalf("CDF not monotone: %v at %v after %v", c, u, prev)
 		}
+		if r := em.CDFFor(name)(u); r != c {
+			t.Errorf("CDFFor at %v = %v, CDF = %v", u, r, c)
+		}
 		prev = c
 	}
 	mttf, err := em.MTTF(name)

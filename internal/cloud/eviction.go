@@ -74,7 +74,18 @@ func BuildEvictionModel(traces TraceSet, samplesPerType int) (*EvictionModel, er
 // CDF returns P(evicted before uptime) for the instance type: the
 // fraction of historical samples with uptime-until-eviction ≤ u.
 func (m *EvictionModel) CDF(name string, u units.Seconds) float64 {
+	return sampleCDF(m.samples[name], u)
+}
+
+// CDFFor resolves the instance type's CDF once: CDFFor(name)(u) equals
+// CDF(name, u) without looking the type up again on every call.
+func (m *EvictionModel) CDFFor(name string) func(units.Seconds) float64 {
 	ups := m.samples[name]
+	return func(u units.Seconds) float64 { return sampleCDF(ups, u) }
+}
+
+// sampleCDF is the fraction of the sorted samples ups that are ≤ u.
+func sampleCDF(ups []units.Seconds, u units.Seconds) float64 {
 	if len(ups) == 0 {
 		return 0
 	}
