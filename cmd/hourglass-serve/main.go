@@ -17,11 +17,14 @@
 //	curl -s localhost:8080/debug/trace | tail        # recent trace events
 //	go tool pprof localhost:8080/debug/pprof/profile # CPU profile
 //
-// With -backend=engine each recurrence executes a real vertex program
-// through the eviction-aware runtime (internal/runtime): evictions are
-// injected from the market traces, checkpoints reload across
-// worker-count changes, and a wall-clock watchdog bounds wedged
-// supersteps.
+// With -backend=engine or -backend=dist each recurrence executes a
+// real vertex program through the eviction-aware runtime
+// (internal/runtime): evictions are injected from the market traces,
+// the provisioner re-decides the configuration — and with it the worker
+// count — after every one, and checkpoints reload across worker-count
+// changes. engine runs the in-process engine under a wall-clock
+// watchdog; dist boots a coordinator plus one shard worker per decided
+// machine over loopback TCP.
 package main
 
 import (
@@ -37,6 +40,7 @@ import (
 	"hourglass"
 	"hourglass/internal/admission"
 	"hourglass/internal/cloud"
+	"hourglass/internal/dist"
 	"hourglass/internal/faultinject"
 	"hourglass/internal/obs"
 	"hourglass/internal/scheduler"
@@ -58,15 +62,14 @@ func main() {
 	chaosErr := flag.Float64("chaos-error-rate", 0.2, "probability of a transient store error per op")
 	chaosCorrupt := flag.Float64("chaos-corrupt-rate", 0.05, "probability of durable write corruption per put")
 	chaosLatency := flag.Duration("chaos-latency", 2*time.Second, "max injected (virtual) latency per op")
-	backendName := flag.String("backend", "sim", `recurrence executor: "sim" (trace-driven simulator), "engine" (eviction-aware execution runtime running real vertex programs) or "dist" (coordinator + shard workers over loopback TCP)`)
-	distShards := flag.Int("dist-shards", 4, "shard workers per recurrence (dist backend)")
+	backendName := flag.String("backend", "sim", `recurrence executor: "sim" (trace-driven simulator), "engine" (eviction-aware execution runtime running real vertex programs) or "dist" (the same runtime on coordinator + shard workers over loopback TCP)`)
 	distStore := flag.String("dist-store", "", "checkpoint blob directory for shard state (dist backend; empty = in-memory)")
-	distKillAt := flag.Int("dist-kill-at", 0, "chaos: kill one shard mid-superstep N on every recurrence's first session (dist backend)")
+	distKillAt := flag.Int("dist-kill-at", 0, "chaos: kill one shard mid-superstep N on every recurrence's first deployment (dist backend)")
 	distDeltaChain := flag.Int("dist-delta-chain", 0, "delta checkpoints per full checkpoint, 0 = always full (dist backend)")
 	distBarrier := flag.Duration("dist-barrier-timeout", 0, "coordinator barrier watchdog window, 0 = 30s (dist backend)")
-	engineScale := flag.Int("engine-graph-scale", 10, "RMAT scale of the benchmark graph (engine backend)")
+	engineScale := flag.Int("engine-graph-scale", 10, "RMAT scale of the benchmark graph (engine and dist backends)")
 	engineWatchdog := flag.Duration("engine-watchdog", 30*time.Second, "wall-clock budget per superstep before a wedged run is reloaded (engine backend)")
-	engineRestarts := flag.Int("engine-restart-budget", 8, "restarts before the last-resort on-demand pin (engine backend)")
+	engineRestarts := flag.Int("engine-restart-budget", 8, "restarts before the last-resort on-demand pin (engine and dist backends)")
 	engineChaos := flag.Bool("engine-chaos", false, "inject seeded faults into the engine checkpoint store (engine backend)")
 	admit := flag.Bool("admission", false, "enable the multi-tenant admission gate: price every submission against the market, pack admitted jobs onto shared deployments, queue or reject the rest")
 	admitPool := flag.Int("admission-pool", 16, "max live shared deployments (admission gate)")
@@ -129,15 +132,33 @@ func main() {
 
 	// The recurrence executor: the trace-driven simulator by default, or
 	// the eviction-aware execution runtime (real vertex programs, real
-	// checkpoint reloads across worker-count changes) with -backend=engine.
+	// checkpoint reloads across worker-count changes) on the in-process
+	// engine (-backend=engine) or on shard worker sets (-backend=dist).
 	var backend scheduler.Backend
 	switch *backendName {
 	case "sim":
 		backend = scheduler.SystemBackend{Sys: sys, Sink: sink}
-	case "engine":
-		var ckptStore cloud.BlobStore = cloud.NewDatastore()
-		if *engineChaos {
-			ckptStore = faultinject.Wrap(ckptStore, faultinject.Policy{
+	case "engine", "dist":
+		rb := &scheduler.RuntimeBackend{
+			Sys:            sys,
+			Dist:           *backendName == "dist",
+			Sink:           sink,
+			GraphScale:     *engineScale,
+			RestartBudget:  *engineRestarts,
+			Watchdog:       *engineWatchdog,
+			BarrierTimeout: *distBarrier,
+			DeltaChain:     *distDeltaChain,
+			Logf:           log.Printf,
+		}
+		switch {
+		case rb.Dist && *distStore != "":
+			fsStore, err := cloud.NewFSStore(*distStore)
+			if err != nil {
+				log.Fatalf("opening dist store: %v", err)
+			}
+			rb.Store = fsStore
+		case !rb.Dist && *engineChaos:
+			rb.Store = faultinject.Wrap(cloud.NewDatastore(), faultinject.Policy{
 				Seed:           *chaosSeed,
 				PError:         *chaosErr,
 				PWriteCorrupt:  *chaosCorrupt,
@@ -149,39 +170,19 @@ func main() {
 			log.Printf("engine chaos: checkpoint store faults seed=%d error=%.2f corrupt=%.2f",
 				*chaosSeed, *chaosErr, *chaosCorrupt)
 		}
-		backend = &scheduler.EngineBackend{
-			Sys:           sys,
-			Store:         ckptStore,
-			Sink:          sink,
-			GraphScale:    *engineScale,
-			Watchdog:      *engineWatchdog,
-			RestartBudget: *engineRestarts,
-			Logf:          log.Printf,
-		}
-		log.Printf("engine backend: graph scale %d, watchdog %v, restart budget %d",
-			*engineScale, *engineWatchdog, *engineRestarts)
-	case "dist":
-		var blobStore cloud.BlobStore
-		if *distStore != "" {
-			fsStore, err := cloud.NewFSStore(*distStore)
-			if err != nil {
-				log.Fatalf("opening dist store: %v", err)
+		if rb.Dist && *distKillAt > 0 {
+			kill := *distKillAt
+			rb.ShardOpts = func(attempt, shard int) dist.ShardOptions {
+				var opts dist.ShardOptions
+				if attempt == 0 && shard == 0 {
+					opts.DieAtSuperstep = kill
+				}
+				return opts
 			}
-			blobStore = fsStore
 		}
-		backend = &scheduler.DistBackend{
-			Sys:             sys,
-			Store:           blobStore,
-			Sink:            sink,
-			Shards:          *distShards,
-			GraphScale:      *engineScale,
-			BarrierTimeout:  *distBarrier,
-			DeltaChain:      *distDeltaChain,
-			KillAtSuperstep: *distKillAt,
-			Logf:            log.Printf,
-		}
-		log.Printf("dist backend: %d shards, graph scale %d, delta chain %d, store %q",
-			*distShards, *engineScale, *distDeltaChain, *distStore)
+		backend = rb
+		log.Printf("%s backend: graph scale %d, restart budget %d",
+			*backendName, *engineScale, *engineRestarts)
 	default:
 		log.Fatalf("unknown -backend %q (want sim, engine or dist)", *backendName)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"hourglass/internal/cloud"
@@ -311,5 +312,35 @@ func TestExactECBudgetExhaustsOnLongJob(t *testing.T) {
 func TestInfeasibleSentinel(t *testing.T) {
 	if !math.IsInf(float64(Infeasible), 1) {
 		t.Error("Infeasible must be +Inf")
+	}
+}
+
+func TestDalyIntervalFormula(t *testing.T) {
+	// √(2·8·3600) = 240.
+	got := dalyInterval(8, 3600)
+	if math.Abs(float64(got)-240) > 1e-9 {
+		t.Errorf("interval = %v, want 240", got)
+	}
+}
+
+func TestDalyDegenerate(t *testing.T) {
+	if !math.IsInf(float64(dalyInterval(0, 100)), 1) {
+		t.Error("tSave=0 should never checkpoint")
+	}
+	if !math.IsInf(float64(dalyInterval(10, 0)), 1) {
+		t.Error("mttf=0 should be Inf")
+	}
+}
+
+// Property: the Daly interval grows with both tSave and MTTF.
+func TestQuickDalyMonotone(t *testing.T) {
+	f := func(a uint16, b uint32) bool {
+		s1 := units.Seconds(a%1000 + 1)
+		m1 := units.Seconds(b%100000 + 100)
+		i1 := dalyInterval(s1, m1)
+		return dalyInterval(s1*2, m1) >= i1 && dalyInterval(s1, m1*2) >= i1
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

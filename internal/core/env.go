@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 
-	"hourglass/internal/checkpoint"
 	"hourglass/internal/cloud"
 	"hourglass/internal/perfmodel"
 	"hourglass/internal/units"
@@ -108,7 +107,7 @@ func (e *Env) buildStats(c cloud.Config, lrc cloud.Config) (ConfigStats, error) 
 			return ConfigStats{}, err
 		}
 		cs.MTTF = mttf
-		cs.Ckpt = checkpoint.DalyInterval(cs.Save, mttf)
+		cs.Ckpt = dalyInterval(cs.Save, mttf)
 		avg, err := e.Evictions.AvgSpotPrice(c.Instance.Name)
 		if err != nil {
 			return ConfigStats{}, err
@@ -121,6 +120,18 @@ func (e *Env) buildStats(c cloud.Config, lrc cloud.Config) (ConfigStats, error) 
 		cs.AvgRate = c.OnDemandRate()
 	}
 	return cs, nil
+}
+
+// dalyInterval is the checkpoint interval that minimises expected lost
+// work for a configuration whose checkpoint takes tSave and whose mean
+// time to failure is mttf: Daly's first-order √(2·tSave·MTTF), the
+// paper's t_ckpt (§5.1, following Flint). Degenerate inputs yield +Inf
+// (never checkpoint).
+func dalyInterval(tSave, mttf units.Seconds) units.Seconds {
+	if tSave <= 0 || mttf <= 0 {
+		return units.Seconds(math.Inf(1))
+	}
+	return units.Seconds(math.Sqrt(2 * float64(tSave) * float64(mttf)))
 }
 
 // MarketTrace exposes the price trace backing an instance type.

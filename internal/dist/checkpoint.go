@@ -389,6 +389,17 @@ func loadOneManifest(store cloud.BlobStore, key string) (*manifest, error) {
 	return m, nil
 }
 
+// LatestCheckpoint returns the superstep of the newest restorable
+// checkpoint in job's namespace — the one a new session resumes from —
+// or 0 when there is none.
+func LatestCheckpoint(store cloud.BlobStore, job string) int {
+	m, err := loadLatestManifest(store, job)
+	if err != nil {
+		return 0
+	}
+	return m.Superstep
+}
+
 // loadLatestManifest resolves the newest restorable checkpoint for a
 // job, falling back across older manifests exactly like
 // engine.CheckpointManager.Load: a corrupt pointer, manifest or blob

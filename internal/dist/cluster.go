@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -101,50 +100,4 @@ func RunCluster(ctx context.Context, cfg Config, shards int, shardOpts func(i in
 	// unblocked and exiting.
 	wg.Wait()
 	return rep, err
-}
-
-// ShardPlan maps a recovery attempt (0 = the first session) to the
-// worker count that attempt runs with. Recovery resumes from per-shard
-// checkpoint blobs filtered by the *current* assignment, so successive
-// attempts are free to shrink or grow the cluster — the paper's
-// re-provision-at-a-different-worker-count loop, and the hook the
-// runtime driver uses when the provisioner re-decides after a loss.
-type ShardPlan func(attempt int) int
-
-// FixedShards is the trivial plan: every attempt runs `n` workers.
-func FixedShards(n int) ShardPlan { return func(int) int { return n } }
-
-// ExecuteWithRecovery drives a job to completion across shard losses:
-// each *ShardLostError tears the session down and a fresh one resumes
-// from the newest complete checkpoint in cfg.Store (or from scratch if
-// none was written yet) with plan(attempt) workers. Other errors —
-// including ctx cancellation, which aborts the live session within
-// cfg.BarrierTimeout — and loss beyond maxRestarts abort. Returns the
-// final report and the number of restarts taken.
-func ExecuteWithRecovery(ctx context.Context, cfg Config, plan ShardPlan, maxRestarts int, shardOpts func(attempt, shard int) ShardOptions) (*Report, int, error) {
-	if plan == nil {
-		return nil, 0, errors.New("dist: nil shard plan")
-	}
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, attempt, fmt.Errorf("dist: cancelled before attempt %d: %w", attempt, err)
-		}
-		var perShard func(i int) ShardOptions
-		if shardOpts != nil {
-			a := attempt
-			perShard = func(i int) ShardOptions { return shardOpts(a, i) }
-		}
-		rep, err := RunCluster(ctx, cfg, plan(attempt), perShard)
-		if err == nil {
-			return rep, attempt, nil
-		}
-		var lost *ShardLostError
-		if !errors.As(err, &lost) || attempt >= maxRestarts {
-			return nil, attempt, err
-		}
-		// attempt is 0-based, so the restart about to happen is number
-		// attempt+1 of the maxRestarts the budget allows.
-		cfg.logf("dist: restarting after %v (restart %d of %d, next session %d workers)",
-			err, attempt+1, maxRestarts, plan(attempt+1))
-	}
 }

@@ -168,18 +168,20 @@ func TestDistKillRecovery(t *testing.T) {
 		Store:           store,
 		Sink:            sink,
 	}
-	rep, restarts, err := ExecuteWithRecovery(context.Background(), cfg, FixedShards(4), 2, func(attempt, shard int) ShardOptions {
-		opts := ShardOptions{Store: store}
-		if attempt == 0 && shard == 2 {
+	_, err := RunCluster(context.Background(), cfg, 4, func(i int) ShardOptions {
+		var opts ShardOptions
+		if i == 2 {
 			opts.DieAtSuperstep = 5
 		}
 		return opts
 	})
-	if err != nil {
-		t.Fatalf("recovery failed: %v", err)
+	var lost *ShardLostError
+	if !errors.As(err, &lost) {
+		t.Fatalf("killed session: %v, want ShardLostError", err)
 	}
-	if restarts != 1 {
-		t.Fatalf("%d restarts, want exactly 1", restarts)
+	rep, err := RunCluster(context.Background(), cfg, 4, nil)
+	if err != nil {
+		t.Fatalf("recovery session failed: %v", err)
 	}
 	if !rep.Resumed {
 		t.Fatal("final session did not resume from a checkpoint")
@@ -231,18 +233,20 @@ func TestDistPeerKillRecovery(t *testing.T) {
 		Store:           store,
 		Sink:            sink,
 	}
-	rep, restarts, err := ExecuteWithRecovery(context.Background(), cfg, FixedShards(4), 2, func(attempt, shard int) ShardOptions {
-		opts := ShardOptions{Store: store}
-		if attempt == 0 && shard == 1 {
+	_, err := RunCluster(context.Background(), cfg, 4, func(i int) ShardOptions {
+		var opts ShardOptions
+		if i == 1 {
 			opts.DropPeersAtSuperstep = 5
 		}
 		return opts
 	})
-	if err != nil {
-		t.Fatalf("recovery failed: %v", err)
+	var lost *ShardLostError
+	if !errors.As(err, &lost) {
+		t.Fatalf("peer-killed session: %v, want ShardLostError", err)
 	}
-	if restarts != 1 {
-		t.Fatalf("%d restarts, want exactly 1", restarts)
+	rep, err := RunCluster(context.Background(), cfg, 4, nil)
+	if err != nil {
+		t.Fatalf("recovery session failed: %v", err)
 	}
 	if !rep.Resumed || rep.StartSuperstep != 4 {
 		t.Fatalf("resumed=%v start=%d, want resume at superstep 4", rep.Resumed, rep.StartSuperstep)
@@ -544,20 +548,25 @@ func TestDistRunClusterCancel(t *testing.T) {
 		t.Fatalf("teardown took %v, budget %v", elapsed, cfg.BarrierTimeout)
 	}
 	// RunCluster returning at all proves every shard goroutine exited:
-	// it waits on them. And a recovery loop over the same dead context
-	// must abort before booting anything.
-	_, restarts, rerr := ExecuteWithRecovery(ctx, cfg, FixedShards(3), 4, nil)
-	if rerr == nil || restarts != 0 {
-		t.Fatalf("ExecuteWithRecovery on a cancelled context: restarts=%d err=%v, want immediate abort", restarts, rerr)
+	// it waits on them. And a session over the same dead context must
+	// abort before booting anything — no handshake, no superstep.
+	sink := &captureSink{}
+	cfg.Sink = sink
+	rep, rerr := RunCluster(ctx, cfg, 3, nil)
+	if rep != nil || !errors.Is(rerr, context.Canceled) || errors.As(rerr, &lost) {
+		t.Fatalf("session on a cancelled context: report=%v err=%v, want an immediate cancellation", rep, rerr)
+	}
+	if n := len(sink.byType(obs.EvSuperstep)); n != 0 {
+		t.Fatalf("session on a cancelled context ran %d supersteps", n)
 	}
 }
 
-// TestDistExecuteWithRecoveryReshard drives one job through three
-// sessions at three *different* worker counts — 4, then 3, then 2 —
-// by killing a shard on the first two attempts. The ShardPlan is the
-// tentpole's resize path: each recovery attempt resumes the same blob
-// set under a new assignment, and the final values stay bit-identical.
-func TestDistExecuteWithRecoveryReshard(t *testing.T) {
+// TestDistReshardAcrossSessions drives one job through three sessions
+// at three *different* worker counts — 4, then 3, then 2 — by killing a
+// shard in the first two. Each session resumes the same blob set under
+// a new assignment (the runtime's re-decide-the-worker-count path), and
+// the final values stay bit-identical.
+func TestDistReshardAcrossSessions(t *testing.T) {
 	pspec := ProgramSpec{Name: "pagerank", Iterations: 10}
 	ref := refRun(t, pspec, true)
 	if ref.Stats.Supersteps <= 6 {
@@ -572,31 +581,29 @@ func TestDistExecuteWithRecoveryReshard(t *testing.T) {
 		CheckpointEvery: 2,
 		Store:           store,
 	}
-	counts := []int{4, 3, 2}
-	plan := func(attempt int) int {
-		if attempt >= len(counts) {
-			return counts[len(counts)-1]
+	killAt := func(shard, superstep int) func(int) ShardOptions {
+		return func(i int) ShardOptions {
+			var opts ShardOptions
+			if i == shard {
+				opts.DieAtSuperstep = superstep
+			}
+			return opts
 		}
-		return counts[attempt]
 	}
-	rep, restarts, err := ExecuteWithRecovery(context.Background(), cfg, plan, 3, func(attempt, shard int) ShardOptions {
-		opts := ShardOptions{Store: store}
-		switch {
-		case attempt == 0 && shard == 1:
-			opts.DieAtSuperstep = 3
-		case attempt == 1 && shard == 0:
-			opts.DieAtSuperstep = 5
-		}
-		return opts
-	})
+	// Session 0 dies at superstep 3 (durable: 2); session 1 resumes at
+	// 2 on three shards and dies at 5 (durable: 4); session 2 finishes
+	// from 4 on two.
+	var lost *ShardLostError
+	if _, err := RunCluster(context.Background(), cfg, 4, killAt(1, 3)); !errors.As(err, &lost) {
+		t.Fatalf("session 0 on 4 shards: %v, want ShardLostError", err)
+	}
+	if _, err := RunCluster(context.Background(), cfg, 3, killAt(0, 5)); !errors.As(err, &lost) {
+		t.Fatalf("session 1 on 3 shards: %v, want ShardLostError", err)
+	}
+	rep, err := RunCluster(context.Background(), cfg, 2, nil)
 	if err != nil {
-		t.Fatalf("resharded recovery failed: %v", err)
+		t.Fatalf("session 2 on 2 shards: %v", err)
 	}
-	if restarts != 2 {
-		t.Fatalf("%d restarts, want exactly 2", restarts)
-	}
-	// Attempt 0 died at superstep 3 (durable: 2), attempt 1 resumed at
-	// 2 and died at 5 (durable: 4), attempt 2 finished from 4.
 	if !rep.Resumed || rep.StartSuperstep != 4 {
 		t.Fatalf("resumed=%v start=%d, want final session resuming at superstep 4", rep.Resumed, rep.StartSuperstep)
 	}

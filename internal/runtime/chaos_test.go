@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"hourglass/internal/cloud"
+	"hourglass/internal/core"
 	"hourglass/internal/engine"
 	"hourglass/internal/faultinject"
 	"hourglass/internal/obs"
@@ -144,36 +145,81 @@ func TestChaosEvictionSchedules(t *testing.T) {
 }
 
 // TestChaosEvictionMidSave pins the eviction-during-checkpoint race
-// deterministically: a store slow enough that every save overlaps the
-// next price crossing forces the rollback path, and the run must still
-// finish bit-identical.
+// deterministically on the inputs of the exec_evict_mid_save golden
+// trajectory: saves slowed by up to 600 virtual seconds, at an offset
+// where a price crossing lands inside one. The trace must show the
+// eviction after the segment's last superstep and before its save
+// sealed, and the run must still finish bit-identical.
 func TestChaosEvictionMidSave(t *testing.T) {
 	h := getHarness(t, "wcc")
-	// Pure latency, no errors: saves take up to 30 virtual seconds,
-	// widening the eviction window without failing any operation.
-	store := faultinject.Wrap(cloud.NewDatastore(), faultinject.Policy{
-		Seed: 77, MaxLatency: 30,
-	})
-	found := false
-	for i := int64(0); i < 24 && !found; i++ {
-		rng := rand.New(rand.NewSource(900 + i))
-		start := units.Seconds(rng.Float64() * float64(h.horizon-h.relDl))
-		opts := h.options(t, store, fmt.Sprintf("midsave/%d", i), h.provisioner(t))
-		rep, err := runtime.Execute(context.Background(), opts, start, start+h.relDl)
-		if err != nil {
-			t.Fatalf("offset %d: %v", i, err)
+	rng := rand.New(rand.NewSource(904))
+	start := units.Seconds(rng.Float64() * float64(h.horizon-h.relDl))
+	store := faultinject.Wrap(cloud.NewDatastore(), faultinject.Policy{Seed: 77, MaxLatency: 600})
+	sink := &listSink{}
+	opts := h.options(t, store, "midsave", h.provisioner(t))
+	opts.Sink = sink
+	rep, err := runtime.Execute(context.Background(), opts, start, start+h.relDl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Finished {
+		t.Fatal("did not finish")
+	}
+	assertBitIdentical(t, h.ref, rep.Values)
+
+	// Walk the trace to the first eviction, tracking the segment it
+	// interrupted — its deployment, the supersteps it completed and
+	// whether a save sealed — and on to the redeploy that followed.
+	var deploy, evict obs.Event
+	steps, lastStep, sealed := 0, 0, false
+	for _, e := range sink.snapshot() {
+		if evict.Type == "" {
+			switch e.Type {
+			case obs.EvDeploy:
+				deploy, steps, sealed = e, 0, false
+			case obs.EvCheckpoint:
+				steps, sealed = 0, true
+			case obs.EvSuperstep:
+				steps++
+				lastStep = e.Superstep
+			case obs.EvEvict:
+				evict = e
+			}
+			continue
 		}
-		if !rep.Finished {
-			t.Fatalf("offset %d: did not finish", i)
+		if e.Type != obs.EvDeploy {
+			continue
 		}
-		assertBitIdentical(t, h.ref, rep.Values)
-		if rep.Evictions > 0 {
-			found = true
+		// The segment computed through lastStep and paused to save it.
+		// The eviction lands after that superstep ends, while the driver
+		// still counts the old frontier as durable — the save never
+		// sealed — yet the redeploy reloads lastStep: the save was under
+		// way when the machines went.
+		cs := configStats(t, h, evict.Config)
+		segEnd := deploy.T + deploy.DurSec + float64(steps)*float64(cs.Exec)/float64(h.total)
+		switch {
+		case steps == 0 || evict.T <= segEnd:
+			t.Fatalf("eviction at %v lands before the segment's last superstep (%d done) ends at %v", evict.T, steps, segEnd)
+		case sealed || evict.WorkLeft != deploy.WorkLeft:
+			t.Fatalf("eviction at %v lands after the save sealed (work left %v, deployed at %v)", evict.T, evict.WorkLeft, deploy.WorkLeft)
+		case !e.Reload || e.WorkLeft != float64(h.total-lastStep)/float64(h.total):
+			t.Fatalf("redeploy %+v does not reload superstep %d: the eviction did not interrupt its save", e, lastStep)
+		}
+		return
+	}
+	t.Fatal("no eviction followed by a redeploy in the trace")
+}
+
+// configStats looks up the harness env's stats for a configuration id.
+func configStats(t *testing.T, h *harness, id string) *core.ConfigStats {
+	t.Helper()
+	for i := range h.env.Stats {
+		if h.env.Stats[i].Config.ID() == id {
+			return &h.env.Stats[i]
 		}
 	}
-	if !found {
-		t.Skip("no eviction landed in 24 offsets — market too calm for this seed")
-	}
+	t.Fatalf("no configuration %q in the env", id)
+	return nil
 }
 
 // TestChaosWatchdogTimeBound asserts the wall-clock guarantee the

@@ -262,9 +262,9 @@ type DistOptions struct {
 	Program dist.ProgramSpec
 	Graph   dist.GraphSpec
 	// Store holds per-shard checkpoint blobs and manifests (required).
-	// It must be reachable by every worker the Launcher boots, and the
-	// Job namespace must be clean at the first deployment — a stale
-	// checkpoint there would be resumed from.
+	// It must be reachable by every worker the Launcher boots. A
+	// checkpoint already in the Job namespace — a failed earlier run's —
+	// is resumed as a recovery, the way Execute resumes its Manager's.
 	Store cloud.BlobStore
 	// Job namespaces the checkpoint keys in Store (required).
 	Job string
@@ -356,7 +356,8 @@ func ExecuteDist(ctx context.Context, opts DistOptions, start, deadline units.Se
 	d := &distDriver{opts: &opts, loop: newLoop(loop{env: opts.Env, prov: opts.Prov,
 		sink: opts.Sink, logger: opts.Logf, total: opts.TotalSupersteps,
 		restartBudget: opts.RestartBudget, maxDecisions: opts.MaxDecisions,
-		bytesPerVertex: opts.BytesPerVertex, net: opts.Net}, start, deadline)}
+		bytesPerVertex: opts.BytesPerVertex, net: opts.Net}, start, deadline),
+		durable: dist.LatestCheckpoint(opts.Store, opts.Job)}
 	return d.run(ctx)
 }
 

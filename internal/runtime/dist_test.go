@@ -302,6 +302,59 @@ func TestExecuteDistCancelStopsCluster(t *testing.T) {
 	}
 }
 
+// cancelAtCheckpointSink cancels a context at the first sealed
+// checkpoint.
+type cancelAtCheckpointSink struct {
+	cancel context.CancelFunc
+	once   sync.Once
+}
+
+func (s *cancelAtCheckpointSink) Emit(e obs.Event) {
+	if e.Type == obs.EvCheckpoint {
+		s.once.Do(s.cancel)
+	}
+}
+
+// TestExecuteDistResumesLeftoverCheckpoint: a run cancelled after its
+// first checkpoint leaves the blobs in its namespace, and a second
+// ExecuteDist on that namespace resumes them as a recovery — the way
+// Execute resumes its Manager's — instead of billing a fresh start.
+func TestExecuteDistResumesLeftoverCheckpoint(t *testing.T) {
+	h := getHarness(t, "pagerank")
+	ref := distReference(t)
+	store := cloud.NewDatastore()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := h.distOptions(t, store, "dist-leftover", &core.OnDemandOnly{Env: h.env},
+		ref.Stats.Supersteps, &runtime.LoopbackLauncher{Store: store, Logf: t.Logf})
+	opts.Sink = &cancelAtCheckpointSink{cancel: cancel}
+	if _, err := runtime.ExecuteDist(ctx, opts, 0, h.relDl); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+
+	sink := &listSink{}
+	opts.Sink = sink
+	rep, err := runtime.ExecuteDist(context.Background(), opts, 0, h.relDl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Finished {
+		t.Fatal("resumed run did not finish")
+	}
+	if rep.RecoveryTime <= 0 {
+		t.Fatalf("RecoveryTime = %v, want the resume billed as a recovery", rep.RecoveryTime)
+	}
+	for _, e := range sink.snapshot() {
+		if e.Type == obs.EvDeploy {
+			if !e.Reload || e.WorkLeft >= 1 {
+				t.Fatalf("first deploy %+v, want a reload with work already done", e)
+			}
+			break
+		}
+	}
+	assertBitIdentical(t, ref.Values, rep.Values)
+}
+
 // buildShardBinaryRT compiles cmd/hourglass-shard for the process
 // launcher integration test.
 func buildShardBinaryRT(t *testing.T) string {

@@ -67,18 +67,11 @@ func (b SystemBackend) Estimate(spec JobSpec, deadline, at units.Seconds) (admis
 	return systemEstimate(b.Sys, b.Sink, spec, deadline, at)
 }
 
-// Estimate implements Estimator: engine recurrences are priced by the
+// Estimate implements Estimator: runtime recurrences are priced by the
 // same env as simulated ones.
-func (b *EngineBackend) Estimate(spec JobSpec, deadline, at units.Seconds) (admission.Estimate, error) {
-	return systemEstimate(b.Sys, b.Sink, spec, deadline, at)
-}
-
-// Estimate implements Estimator: dist recurrences are priced by the
-// same env as simulated ones.
-func (b *DistBackend) Estimate(spec JobSpec, deadline, at units.Seconds) (admission.Estimate, error) {
+func (b *RuntimeBackend) Estimate(spec JobSpec, deadline, at units.Seconds) (admission.Estimate, error) {
 	return systemEstimate(b.Sys, b.Sink, spec, deadline, at)
 }
 
 var _ Estimator = SystemBackend{}
-var _ Estimator = (*EngineBackend)(nil)
-var _ Estimator = (*DistBackend)(nil)
+var _ Estimator = (*RuntimeBackend)(nil)
