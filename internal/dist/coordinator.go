@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
 	"hourglass/internal/engine"
 	"hourglass/internal/obs"
@@ -201,7 +202,7 @@ type session struct {
 	// lastCkpt is the newest manifest this session knows is sealed (the
 	// resumed one, then each one checkpointAll seals) — the candidate
 	// parent for the next delta.
-	lastCkpt *manifest
+	lastCkpt *ckpt.Manifest
 }
 
 // RunCoordinator drives one session over conns (conn i = shard i):
@@ -301,8 +302,8 @@ func (s *session) prepare() error {
 }
 
 // viewPairs snapshots the reduced aggregator values, name-sorted.
-func (s *session) viewPairs() aggPairs {
-	a := aggPairs{
+func (s *session) viewPairs() ckpt.Aggs {
+	a := ckpt.Aggs{
 		Names: s.aggNames,
 		Vals:  make([]float64, len(s.aggNames)),
 	}
@@ -432,6 +433,12 @@ func (s *session) gather(typ byte, phase string, final bool) ([][]byte, error) {
 			}
 			return nil, s.lost(ev.shard, ev.err)
 		}
+		if ev.typ == fPeerLost {
+			// Blame the peer the shard lost, not the messenger.
+			if m, derr := decodePeerLost(ev.payload); derr == nil && int(m.Peer) < s.shards && int(m.Peer) != ev.shard {
+				return nil, s.lost(int(m.Peer), fmt.Errorf("dist: shard %d lost its link to this shard: %s", ev.shard, m.Err))
+			}
+		}
 		if ev.typ != typ {
 			return nil, s.lost(ev.shard, fmt.Errorf("dist: frame type %d while gathering %s", ev.typ, phase))
 		}
@@ -457,20 +464,20 @@ func (s *session) run() (*Report, error) {
 	// validates, or a fresh start.
 	start := 0
 	var blobKeys []string
-	if m, err := loadLatestManifest(s.cfg.Store, s.cfg.Job); err == nil {
-		if m.Program != s.progJSON || m.Graph != s.graphJS || m.Canonical != s.cfg.Canonical {
+	if c, err := ckpt.Latest(s.cfg.Store, s.cfg.Job); err == nil {
+		if c.Program != s.progJSON || c.Graph != s.graphJS || c.Canonical != s.cfg.Canonical {
 			return nil, fmt.Errorf("dist: checkpoint for job %q belongs to a different computation", s.cfg.Job)
 		}
-		start = m.Superstep
-		blobKeys = m.chainKeys
-		s.lastCkpt = m
-		for i, name := range m.Aggs.Names {
+		start = c.Superstep
+		blobKeys = c.Keys
+		s.lastCkpt = c.Manifest
+		for i, name := range c.Aggs.Names {
 			if _, ok := s.aggSpec[name]; ok {
-				s.view[name] = m.Aggs.Vals[i]
+				s.view[name] = c.Aggs.Vals[i]
 			}
 		}
 		s.report.Resumed = true
-	} else if !errors.Is(err, ErrNoCheckpoint) {
+	} else if !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		return nil, err
 	}
 	s.superstep = start
@@ -754,14 +761,14 @@ func (s *session) foldAggs(barriers []barrierMsg) {
 // stays a delta.
 func (s *session) checkpointAll(R int) error {
 	delta := s.cfg.DeltaChain > 0 && s.lastCkpt != nil &&
-		s.lastCkpt.Chain < s.cfg.DeltaChain && s.lastCkpt.Chain < maxChainDepth-1
+		s.lastCkpt.Chain < s.cfg.DeltaChain && s.lastCkpt.Chain < ckpt.MaxChainDepth-1
 	var parent uint32
 	if delta {
 		parent = uint32(s.lastCkpt.Superstep)
 	}
 	keys := make([]string, s.shards)
 	for i := range keys {
-		keys[i] = shardBlobKey(s.cfg.Job, R, i)
+		keys[i] = ckpt.BlobKey(s.cfg.Job, R, i)
 		s.queues[i].push(fCheckpoint, checkpointMsg{
 			Superstep: uint32(R), Key: keys[i], Delta: delta, Parent: parent,
 		}.encode())
@@ -785,7 +792,7 @@ func (s *session) checkpointAll(R int) error {
 		}
 		totalBytes += ack.Bytes
 	}
-	m := &manifest{
+	m := &ckpt.Manifest{
 		Job:       s.cfg.Job,
 		Superstep: R,
 		Shards:    s.shards,
@@ -799,15 +806,10 @@ func (s *session) checkpointAll(R int) error {
 	if delta {
 		m.Parent = s.lastCkpt.Superstep
 		m.Chain = s.lastCkpt.Chain + 1
-		m.ParentCRC = s.lastCkpt.selfCRC
+		m.ParentCRC = s.lastCkpt.CRC
 	}
-	mk := manifestKey(s.cfg.Job, R)
-	if _, err := s.cfg.Store.Put(mk, m.encodeSealed()); err != nil {
-		s.cfg.logf("dist: manifest write at superstep %d failed: %v", R, err)
-		return nil
-	}
-	if _, err := s.cfg.Store.Put(latestPointerKey(s.cfg.Job), []byte(mk)); err != nil {
-		s.cfg.logf("dist: latest pointer write at superstep %d failed: %v", R, err)
+	if err := ckpt.Commit(s.cfg.Store, m); err != nil {
+		s.cfg.logf("dist: sealing checkpoint at superstep %d failed: %v", R, err)
 		return nil
 	}
 	s.lastCkpt = m
@@ -835,5 +837,16 @@ func (s *session) checkpointAll(R int) error {
 
 // ClearJob removes every checkpoint object a job left in the store.
 func ClearJob(store cloud.BlobStore, job string) error {
-	return clearNamespace(store, job)
+	return ckpt.Clear(store, job)
+}
+
+// LatestCheckpoint returns the superstep of the newest restorable
+// checkpoint in job's namespace — the one a new session resumes from —
+// or 0 when there is none.
+func LatestCheckpoint(store cloud.BlobStore, job string) int {
+	c, err := ckpt.Latest(store, job)
+	if err != nil {
+		return 0
+	}
+	return c.Superstep
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"testing"
 
+	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
 	"hourglass/internal/obs"
 )
@@ -140,7 +141,7 @@ func TestDistDeltaCorruptMidChain(t *testing.T) {
 	// Chain on disk: full@1 ← δ@2 ← δ@3 ← δ@4. Corrupt the δ@3 blob of
 	// shard 0: manifests 4 and 3 become unrestorable, manifest 2 stays
 	// valid.
-	key := shardBlobKey(cfg.Job, 3, 0)
+	key := ckpt.BlobKey(cfg.Job, 3, 0)
 	data, _, err := store.Get(key)
 	if err != nil {
 		t.Fatalf("mid-chain blob missing: %v", err)
@@ -186,7 +187,7 @@ func TestDistDeltaCorruptFullRoot(t *testing.T) {
 	if !errors.As(err, &lost) {
 		t.Fatalf("first session: %v, want ShardLostError", err)
 	}
-	key := shardBlobKey(cfg.Job, 1, 0)
+	key := ckpt.BlobKey(cfg.Job, 1, 0)
 	data, _, err := store.Get(key)
 	if err != nil {
 		t.Fatalf("root blob missing: %v", err)

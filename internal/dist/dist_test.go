@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
 	"hourglass/internal/engine"
 	"hourglass/internal/obs"
@@ -330,11 +331,11 @@ func TestDistResumeAcrossShardCounts(t *testing.T) {
 	// folded inbox: one pending value per vertex, not one per in-edge.
 	pending := 0
 	for shard := 0; shard < 4; shard++ {
-		data, _, err := store.Get(shardBlobKey(cfg.Job, 4, shard))
+		data, _, err := store.Get(ckpt.BlobKey(cfg.Job, 4, shard))
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := decodeShardBlob(data)
+		blob, err := ckpt.DecodeBlob(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +438,7 @@ func TestDistCheckpointFallback(t *testing.T) {
 		t.Fatalf("first session: %v, want ShardLostError", err)
 	}
 	// Corrupt one blob of the superstep-4 checkpoint.
-	key := shardBlobKey(cfg.Job, 4, 0)
+	key := ckpt.BlobKey(cfg.Job, 4, 0)
 	data, _, err := store.Get(key)
 	if err != nil {
 		t.Fatalf("checkpoint blob missing: %v", err)

@@ -47,7 +47,7 @@ type peerMesh struct {
 	out  []*peerLink // by shard id, nil for self
 
 	in   chan batchMsg
-	errc chan error
+	errc chan peerFault
 	quit chan struct{}
 	wg   sync.WaitGroup
 
@@ -65,8 +65,16 @@ type peerMesh struct {
 // peerLink is one outbound connection: frames pushed to q are written
 // and flushed in bursts by a goroutine owned by the mesh.
 type peerLink struct {
+	to   int
 	conn net.Conn
 	q    *frameQueue
+}
+
+// peerFault is an asynchronous mesh error and the peer whose link
+// failed (-1 when no peer is known yet).
+type peerFault struct {
+	peer int
+	err  error
 }
 
 // newPeerMesh opens the peer listener. It is called before the hello
@@ -83,7 +91,7 @@ func newPeerMesh(listenAddr string) (*peerMesh, error) {
 	return &peerMesh{
 		ln:   ln,
 		in:   make(chan batchMsg, 256),
-		errc: make(chan error, 1),
+		errc: make(chan peerFault, 1),
 		quit: make(chan struct{}),
 	}, nil
 }
@@ -127,7 +135,7 @@ func (m *peerMesh) connect(ctx context.Context, self int, peers []string) error 
 			conn.Close()
 			return fmt.Errorf("dist: shard %d peer hello to %d: %w", self, j, err)
 		}
-		link := &peerLink{conn: conn, q: newFrameQueue()}
+		link := &peerLink{to: j, conn: conn, q: newFrameQueue()}
 		m.out[j] = link
 		m.wg.Add(1)
 		go m.writer(link)
@@ -147,24 +155,24 @@ func (m *peerMesh) accept() {
 		}
 		if err := conn.SetReadDeadline(time.Now().Add(peerHelloTimeout)); err != nil {
 			conn.Close()
-			m.fail(fmt.Errorf("dist: shard %d arming peer hello deadline: %w", m.self, err))
+			m.fail(-1, fmt.Errorf("dist: shard %d arming peer hello deadline: %w", m.self, err))
 			continue
 		}
 		typ, payload, _, err := readFrame(conn)
 		if err != nil || typ != fPeerHello {
 			conn.Close()
-			m.fail(fmt.Errorf("dist: shard %d inbound peer link without hello (type %d, err %v)", m.self, typ, err))
+			m.fail(-1, fmt.Errorf("dist: shard %d inbound peer link without hello (type %d, err %v)", m.self, typ, err))
 			continue
 		}
 		h, err := decodePeerHello(payload)
 		if err != nil || h.Version != wireVersion {
 			conn.Close()
-			m.fail(fmt.Errorf("dist: shard %d inbound peer hello version %d: %v", m.self, h.Version, err))
+			m.fail(-1, fmt.Errorf("dist: shard %d inbound peer hello version %d: %v", m.self, h.Version, err))
 			continue
 		}
 		if err := conn.SetReadDeadline(time.Time{}); err != nil {
 			conn.Close()
-			m.fail(fmt.Errorf("dist: shard %d clearing peer hello deadline: %w", m.self, err))
+			m.fail(-1, fmt.Errorf("dist: shard %d clearing peer hello deadline: %w", m.self, err))
 			continue
 		}
 		m.mu.Lock()
@@ -188,22 +196,22 @@ func (m *peerMesh) reader(conn net.Conn, from int) {
 	for {
 		typ, payload, size, err := readFrame(br)
 		if err != nil {
-			m.fail(fmt.Errorf("dist: shard %d peer link from %d: %w", m.self, from, err))
+			m.fail(from, fmt.Errorf("dist: shard %d peer link from %d: %w", m.self, from, err))
 			return
 		}
 		m.frames.Add(1)
 		m.bytes.Add(int64(size))
 		if typ != fBatch {
-			m.fail(fmt.Errorf("dist: shard %d: frame type %d on peer link from %d", m.self, typ, from))
+			m.fail(from, fmt.Errorf("dist: shard %d: frame type %d on peer link from %d", m.self, typ, from))
 			return
 		}
 		b, err := decodeBatch(payload)
 		if err != nil {
-			m.fail(err)
+			m.fail(from, err)
 			return
 		}
 		if int(b.From) != from {
-			m.fail(fmt.Errorf("dist: batch claims sender %d on peer link from %d", b.From, from))
+			m.fail(from, fmt.Errorf("dist: batch claims sender %d on peer link from %d", b.From, from))
 			return
 		}
 		select {
@@ -227,14 +235,14 @@ func (m *peerMesh) writer(link *peerLink) {
 		}
 		for _, f := range frames {
 			if _, err := bw.Write(f); err != nil {
-				m.fail(fmt.Errorf("dist: shard %d peer write: %w", m.self, err))
+				m.fail(link.to, fmt.Errorf("dist: shard %d peer write to %d: %w", m.self, link.to, err))
 				return
 			}
 			m.frames.Add(1)
 			m.bytes.Add(int64(len(f)))
 		}
 		if err := bw.Flush(); err != nil {
-			m.fail(fmt.Errorf("dist: shard %d peer flush: %w", m.self, err))
+			m.fail(link.to, fmt.Errorf("dist: shard %d peer flush to %d: %w", m.self, link.to, err))
 			return
 		}
 	}
@@ -250,7 +258,7 @@ func (m *peerMesh) send(j int, payload []byte) {
 // are dropped so a clean session end does not masquerade as a loss.
 // Errors after dropConns are NOT dropped — the chaos hook exists to
 // make the dead data plane surface.
-func (m *peerMesh) fail(err error) {
+func (m *peerMesh) fail(peer int, err error) {
 	m.mu.Lock()
 	suppress := m.closed
 	m.mu.Unlock()
@@ -258,7 +266,7 @@ func (m *peerMesh) fail(err error) {
 		return
 	}
 	select {
-	case m.errc <- err:
+	case m.errc <- peerFault{peer, err}:
 	default:
 	}
 }

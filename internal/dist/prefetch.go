@@ -3,6 +3,7 @@ package dist
 import (
 	"sync"
 
+	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
 	"hourglass/internal/units"
 )
@@ -30,12 +31,12 @@ func newPrefetchStore(inner cloud.BlobStore) *prefetchStore {
 // effort: a job with no checkpoint yet, or any read failure, leaves
 // the cache partially filled and the session falls back to cold reads.
 func (p *prefetchStore) warm(job string) {
-	m, err := loadLatestManifest(p.BlobStore, job)
+	c, err := ckpt.Latest(p.BlobStore, job)
 	if err != nil {
 		return
 	}
-	keys := append([]string(nil), m.chainKeys...)
-	keys = append(keys, manifestKey(job, m.Superstep))
+	keys := append([]string(nil), c.Keys...)
+	keys = append(keys, ckpt.ManifestKey(job, c.Superstep))
 	var wg sync.WaitGroup
 	for _, k := range keys {
 		wg.Add(1)

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
 	"hourglass/internal/engine"
 	"hourglass/internal/graph"
@@ -435,16 +436,12 @@ func (s *shardSession) init(w welcomeMsg) error {
 	// Same rule as the in-process kernel: canonical keeps sender-side
 	// combining only for an ExactCombiner.
 	s.comb = engine.SendCombiner(s.prog, s.canonical)
-	if aux, ok := s.prog.(engine.AuxState); ok {
+	if aux, ok := s.prog.(engine.VertexAux); ok {
 		// Every shard initialises the whole-graph aux (it is derived
 		// from the topology alone); only owned vertices' entries are
-		// ever mutated or checkpointed here, per-vertex via VertexAux.
-		va, ok := s.prog.(engine.VertexAux)
-		if !ok {
-			return fmt.Errorf("dist: program %q carries aux state without per-vertex access", s.prog.Name())
-		}
+		// ever mutated or checkpointed here.
 		aux.InitAux(s.g)
-		s.aux = va
+		s.aux = aux
 	}
 
 	s.values = make([]float64, n)
@@ -517,7 +514,7 @@ func (s *shardSession) init(w welcomeMsg) error {
 	// superstep's are live, so they apply only from blobs written at
 	// `start`; worklist enqueues wait until the overlay has settled
 	// every owned vertex's final activity.
-	blobs := make([]*shardBlob, len(w.BlobKeys))
+	blobs := make([]*ckpt.Blob, len(w.BlobKeys))
 	errs := make([]error, len(w.BlobKeys))
 	var wg sync.WaitGroup
 	for bi, key := range w.BlobKeys {
@@ -529,7 +526,7 @@ func (s *shardSession) init(w welcomeMsg) error {
 				errs[bi] = fmt.Errorf("dist: shard %d loading blob %q: %w", s.id, key, err)
 				return
 			}
-			blob, err := decodeShardBlob(data)
+			blob, err := ckpt.DecodeBlob(data)
 			if err != nil {
 				errs[bi] = fmt.Errorf("dist: shard %d blob %q: %w", s.id, key, err)
 				return
@@ -725,7 +722,7 @@ func (s *shardSession) AggregatedValue(name string) float64 {
 }
 
 // setAggView overlays coordinator-reduced aggregator values.
-func (s *shardSession) setAggView(a aggPairs) {
+func (s *shardSession) setAggView(a ckpt.Aggs) {
 	for i, name := range a.Names {
 		if _, ok := s.aggSpec[name]; ok {
 			s.aggView[name] = a.Vals[i]
@@ -904,13 +901,36 @@ func (s *shardSession) step(p proceedMsg) error {
 			if haveEnd && arrived > expect {
 				return fmt.Errorf("dist: shard %d: %d batches for superstep %d, expected %d", s.id, arrived, S, expect)
 			}
-		case err := <-s.mesh.errc:
-			return fmt.Errorf("dist: shard %d: peer plane failed during superstep %d: %w", s.id, S, err)
+		case f := <-s.mesh.errc:
+			return s.peerLost(S, f)
 		case <-s.runCtx.Done():
 			return fmt.Errorf("dist: shard %d inbox drain cancelled during superstep %d: %w", s.id, S, s.runCtx.Err())
 		}
 	}
 	return s.sendInboxed(S+1, len(s.work[npar]))
+}
+
+// peerLost handles a failed peer link: the shard names the peer to the
+// coordinator, which blames that peer, and keeps its own links open
+// until the coordinator ends the session. Hanging up instead would
+// fail this shard's other links too and race its disconnect against
+// the dead peer's, leaving the coordinator to blame whichever
+// disconnect it reads first.
+func (s *shardSession) peerLost(S int, f peerFault) error {
+	err := fmt.Errorf("dist: shard %d: peer plane failed during superstep %d: %w", s.id, S, f.err)
+	if f.peer < 0 || s.send(fPeerLost, peerLostMsg{Peer: uint32(f.peer), Err: f.err.Error()}.encode()) != nil || s.flush() != nil {
+		return err
+	}
+	for {
+		select {
+		case fr := <-s.coordIn:
+			if fr.err != nil {
+				return err
+			}
+		case <-s.runCtx.Done():
+			return err
+		}
+	}
 }
 
 // consume returns v's inbox for this superstep and clears it. Under
@@ -1003,7 +1023,7 @@ func (s *shardSession) sendBarrier(S int) error {
 func (s *shardSession) checkpoint(req checkpointMsg) error {
 	par := int(req.Superstep) & 1
 	asDelta := req.Delta && s.baseStep >= 0 && s.baseStep == int(req.Parent)
-	blob := &shardBlob{
+	blob := &ckpt.Blob{
 		Superstep: int(req.Superstep),
 		Shard:     s.id,
 		Full:      !asDelta,
@@ -1051,7 +1071,7 @@ func (s *shardSession) checkpoint(req checkpointMsg) error {
 			}
 		}
 	}
-	data := blob.encode()
+	data := blob.Encode()
 	ack := checkpointAckMsg{Superstep: req.Superstep, Bytes: uint64(len(data)), Full: req.Delta && !asDelta}
 	if _, err := s.opts.Store.Put(req.Key, data); err != nil {
 		ack.Err = err.Error()

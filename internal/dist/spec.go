@@ -13,11 +13,10 @@ import (
 // the wire: the coordinator and every shard instantiate their own copy
 // from the same spec, so program state never has to be serialised.
 //
-// Programs with engine.AuxState are supported when they also implement
-// engine.VertexAux: each shard initialises the whole-graph aux from
-// the topology, and the owned vertices' entries travel per-vertex in
-// the checkpoint blobs (GraphColoring). An aux program without the
-// per-vertex split is still rejected.
+// Programs with engine.VertexAux state are supported: each shard
+// initialises the whole-graph aux from the topology, and the owned
+// vertices' entries travel per-vertex in the checkpoint blobs
+// (GraphColoring).
 type ProgramSpec struct {
 	Name       string  `json:"name"`
 	Iterations int     `json:"iterations,omitempty"` // pagerank
@@ -45,11 +44,6 @@ func (s ProgramSpec) New() (engine.Program, error) {
 		p = &engine.GraphColoring{}
 	default:
 		return nil, fmt.Errorf("dist: unknown program %q", s.Name)
-	}
-	if _, ok := p.(engine.AuxState); ok {
-		if _, ok := p.(engine.VertexAux); !ok {
-			return nil, fmt.Errorf("dist: program %q carries aux state without per-vertex access, unsupported in distributed mode", s.Name)
-		}
 	}
 	return p, nil
 }

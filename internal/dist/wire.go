@@ -39,7 +39,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
+
+	"hourglass/internal/ckpt"
 )
 
 // wireVersion gates the handshake: a coordinator and shard disagree
@@ -52,7 +53,9 @@ import (
 // Version 4 adds delta checkpoints: checkpoint requests carry the
 // delta flag and parent superstep, acks report whether the shard
 // wrote a full blob instead.
-const wireVersion = 4
+// Version 5 adds the peer-lost report: a shard whose peer link fails
+// names that peer to the coordinator instead of hanging up.
+const wireVersion = 5
 
 // MaxFrameBytes bounds a single frame's payload. Batches are chunked
 // well below this (batchChunk); the bound exists so a corrupt length
@@ -77,6 +80,7 @@ const (
 	fCheckpointAck = 9  // shard → coordinator: blob written (or error)
 	fValues        = 10 // shard → coordinator: final owned vertex values
 	fPeerHello     = 11 // shard → shard: opens a peer connection (version + dialer id)
+	fPeerLost      = 12 // shard → coordinator: my link to this peer failed
 )
 
 // frameHeaderLen is the fixed per-frame overhead: u32 length, u8 type
@@ -165,182 +169,6 @@ func DecodeFrame(b []byte) (typ byte, payload []byte, rest []byte, err error) {
 	return typ, payload, b[total:], nil
 }
 
-// wbuf appends primitive values in the wire's little-endian layout.
-type wbuf struct{ b []byte }
-
-func (w *wbuf) u8(v uint8) { w.b = append(w.b, v) }
-func (w *wbuf) u32(v uint32) {
-	w.b = binary.LittleEndian.AppendUint32(w.b, v)
-}
-func (w *wbuf) u64(v uint64) {
-	w.b = binary.LittleEndian.AppendUint64(w.b, v)
-}
-func (w *wbuf) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *wbuf) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *wbuf) str(s string) {
-	w.u32(uint32(len(s)))
-	w.b = append(w.b, s...)
-}
-func (w *wbuf) i32s(v []int32) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.u32(uint32(x))
-	}
-}
-func (w *wbuf) f64s(v []float64) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.f64(x)
-	}
-}
-func (w *wbuf) u64s(v []uint64) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.u64(x)
-	}
-}
-func (w *wbuf) strs(v []string) {
-	w.u32(uint32(len(v)))
-	for _, s := range v {
-		w.str(s)
-	}
-}
-
-// rbuf consumes primitive values with bounds checks everywhere: a
-// truncated or hostile payload latches err and yields zero values, it
-// never panics and never allocates more than the remaining input could
-// justify.
-type rbuf struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *rbuf) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated %s at offset %d", ErrCorruptFrame, what, r.off)
-	}
-}
-
-func (r *rbuf) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail("u8")
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *rbuf) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail("u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *rbuf) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail("u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *rbuf) f64() float64   { return math.Float64frombits(r.u64()) }
-func (r *rbuf) bool() bool     { return r.u8() != 0 }
-func (r *rbuf) remaining() int { return len(r.b) - r.off }
-
-func (r *rbuf) str() string {
-	n := r.u32()
-	if r.err != nil || int(n) > r.remaining() {
-		r.fail("string")
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-func (r *rbuf) i32s() []int32 {
-	n := r.u32()
-	if r.err != nil || int(n) > r.remaining()/4 {
-		r.fail("[]int32")
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(r.b[r.off:]))
-		r.off += 4
-	}
-	return out
-}
-
-func (r *rbuf) f64s() []float64 {
-	n := r.u32()
-	if r.err != nil || int(n) > r.remaining()/8 {
-		r.fail("[]float64")
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-		r.off += 8
-	}
-	return out
-}
-
-func (r *rbuf) u64s() []uint64 {
-	n := r.u32()
-	if r.err != nil || int(n) > r.remaining()/8 {
-		r.fail("[]uint64")
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(r.b[r.off:])
-		r.off += 8
-	}
-	return out
-}
-
-func (r *rbuf) strs() []string {
-	n := r.u32()
-	// Each entry costs at least the 4-byte length prefix.
-	if r.err != nil || int(n) > r.remaining()/4+1 {
-		r.fail("[]string")
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		out = append(out, r.str())
-	}
-	return out
-}
-
-// finish rejects payloads with trailing garbage, so a frame either
-// decodes exactly or not at all.
-func (r *rbuf) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorruptFrame, len(r.b)-r.off)
-	}
-	return nil
-}
-
 // helloMsg opens a shard's coordinator connection. PeerAddr is the
 // shard's peer-mesh listener: the coordinator collects every hello's
 // address and redistributes the full list in the welcomes, which is
@@ -355,17 +183,17 @@ type helloMsg struct {
 }
 
 func (m helloMsg) encode() []byte {
-	var w wbuf
-	w.u32(m.Version)
-	w.str(m.PeerAddr)
-	w.str(m.Proc)
-	return w.b
+	var w ckpt.Enc
+	w.U32(m.Version)
+	w.Str(m.PeerAddr)
+	w.Str(m.Proc)
+	return w.B
 }
 
 func decodeHello(p []byte) (helloMsg, error) {
-	r := rbuf{b: p}
-	m := helloMsg{Version: r.u32(), PeerAddr: r.str(), Proc: r.str()}
-	return m, r.finish()
+	r := ckpt.NewDec(p)
+	m := helloMsg{Version: r.U32(), PeerAddr: r.Str(), Proc: r.Str()}
+	return m, r.Finish()
 }
 
 // peerHelloMsg opens a shard-to-shard connection: the dialer
@@ -378,46 +206,16 @@ type peerHelloMsg struct {
 }
 
 func (m peerHelloMsg) encode() []byte {
-	var w wbuf
-	w.u32(m.Version)
-	w.u32(m.From)
-	return w.b
+	var w ckpt.Enc
+	w.U32(m.Version)
+	w.U32(m.From)
+	return w.B
 }
 
 func decodePeerHello(p []byte) (peerHelloMsg, error) {
-	r := rbuf{b: p}
-	m := peerHelloMsg{Version: r.u32(), From: r.u32()}
-	return m, r.finish()
-}
-
-// aggPairs is a name-parallel value list. Names are sorted by the
-// sender so identical state always serialises to identical bytes.
-type aggPairs struct {
-	Names []string
-	Vals  []float64
-}
-
-func (w *wbuf) aggs(a aggPairs) {
-	w.u32(uint32(len(a.Names)))
-	for i, name := range a.Names {
-		w.str(name)
-		w.f64(a.Vals[i])
-	}
-}
-
-func (r *rbuf) aggs() aggPairs {
-	n := r.u32()
-	// Each entry costs at least 12 bytes (empty name + f64).
-	if r.err != nil || int(n) > r.remaining()/12+1 {
-		r.fail("aggregator pairs")
-		return aggPairs{}
-	}
-	a := aggPairs{Names: make([]string, 0, n), Vals: make([]float64, 0, n)}
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		a.Names = append(a.Names, r.str())
-		a.Vals = append(a.Vals, r.f64())
-	}
-	return a
+	r := ckpt.NewDec(p)
+	m := peerHelloMsg{Version: r.U32(), From: r.U32()}
+	return m, r.Finish()
 }
 
 // welcomeMsg hands a shard everything it needs to (re)build its state:
@@ -434,43 +232,43 @@ type welcomeMsg struct {
 	Program   string // ProgramSpec JSON
 	Graph     string // GraphSpec JSON
 	Assign    []int32
-	Aggs      aggPairs
+	Aggs      ckpt.Aggs
 	BlobKeys  []string // resume blobs (empty = fresh start)
 	Peers     []string // peer listener address per shard id
 }
 
 func (m welcomeMsg) encode() []byte {
-	var w wbuf
-	w.u32(m.Version)
-	w.u32(m.Shard)
-	w.u32(m.Shards)
-	w.bool(m.Canonical)
-	w.u32(m.Start)
-	w.str(m.Program)
-	w.str(m.Graph)
-	w.i32s(m.Assign)
-	w.aggs(m.Aggs)
-	w.strs(m.BlobKeys)
-	w.strs(m.Peers)
-	return w.b
+	var w ckpt.Enc
+	w.U32(m.Version)
+	w.U32(m.Shard)
+	w.U32(m.Shards)
+	w.Bool(m.Canonical)
+	w.U32(m.Start)
+	w.Str(m.Program)
+	w.Str(m.Graph)
+	w.I32s(m.Assign)
+	w.Aggs(m.Aggs)
+	w.Strs(m.BlobKeys)
+	w.Strs(m.Peers)
+	return w.B
 }
 
 func decodeWelcome(p []byte) (welcomeMsg, error) {
-	r := rbuf{b: p}
+	r := ckpt.NewDec(p)
 	m := welcomeMsg{
-		Version:   r.u32(),
-		Shard:     r.u32(),
-		Shards:    r.u32(),
-		Canonical: r.bool(),
-		Start:     r.u32(),
-		Program:   r.str(),
-		Graph:     r.str(),
-		Assign:    r.i32s(),
-		Aggs:      r.aggs(),
-		BlobKeys:  r.strs(),
-		Peers:     r.strs(),
+		Version:   r.U32(),
+		Shard:     r.U32(),
+		Shards:    r.U32(),
+		Canonical: r.Bool(),
+		Start:     r.U32(),
+		Program:   r.Str(),
+		Graph:     r.Str(),
+		Assign:    r.I32s(),
+		Aggs:      r.Aggs(),
+		BlobKeys:  r.Strs(),
+		Peers:     r.Strs(),
 	}
-	return m, r.finish()
+	return m, r.Finish()
 }
 
 // proceedMsg starts superstep S on every shard (or, with Halt set,
@@ -479,21 +277,21 @@ func decodeWelcome(p []byte) (welcomeMsg, error) {
 type proceedMsg struct {
 	Superstep uint32
 	Halt      bool
-	Aggs      aggPairs
+	Aggs      ckpt.Aggs
 }
 
 func (m proceedMsg) encode() []byte {
-	var w wbuf
-	w.u32(m.Superstep)
-	w.bool(m.Halt)
-	w.aggs(m.Aggs)
-	return w.b
+	var w ckpt.Enc
+	w.U32(m.Superstep)
+	w.Bool(m.Halt)
+	w.Aggs(m.Aggs)
+	return w.B
 }
 
 func decodeProceed(p []byte) (proceedMsg, error) {
-	r := rbuf{b: p}
-	m := proceedMsg{Superstep: r.u32(), Halt: r.bool(), Aggs: r.aggs()}
-	return m, r.finish()
+	r := ckpt.NewDec(p)
+	m := proceedMsg{Superstep: r.U32(), Halt: r.Bool(), Aggs: r.Aggs()}
+	return m, r.Finish()
 }
 
 // batchMsg carries messages sent during superstep S from one shard to
@@ -514,25 +312,25 @@ func (m batchMsg) encode() []byte { return m.appendTo(nil) }
 // appendTo appends the encoded batch to b, so the hot path can encode
 // into a reused buffer.
 func (m batchMsg) appendTo(b []byte) []byte {
-	w := wbuf{b: b}
-	w.u32(m.Superstep)
-	w.u32(m.From)
-	w.u32(m.To)
-	w.i32s(m.Dst)
-	w.f64s(m.Val)
-	return w.b
+	w := ckpt.Enc{B: b}
+	w.U32(m.Superstep)
+	w.U32(m.From)
+	w.U32(m.To)
+	w.I32s(m.Dst)
+	w.F64s(m.Val)
+	return w.B
 }
 
 func decodeBatch(p []byte) (batchMsg, error) {
-	r := rbuf{b: p}
+	r := ckpt.NewDec(p)
 	m := batchMsg{
-		Superstep: r.u32(),
-		From:      r.u32(),
-		To:        r.u32(),
-		Dst:       r.i32s(),
-		Val:       r.f64s(),
+		Superstep: r.U32(),
+		From:      r.U32(),
+		To:        r.U32(),
+		Dst:       r.I32s(),
+		Val:       r.F64s(),
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return m, err
 	}
 	if len(m.Dst) != len(m.Val) {
@@ -562,43 +360,43 @@ type barrierMsg struct {
 }
 
 func (m barrierMsg) encode() []byte {
-	var w wbuf
-	w.u32(m.Superstep)
-	w.u64(m.Sent)
-	w.u64(m.Calls)
-	w.u64(m.Combined)
-	w.u64(m.Remote)
-	w.u64s(m.SentTo)
-	w.u32(uint32(len(m.AggNames)))
+	var w ckpt.Enc
+	w.U32(m.Superstep)
+	w.U64(m.Sent)
+	w.U64(m.Calls)
+	w.U64(m.Combined)
+	w.U64(m.Remote)
+	w.U64s(m.SentTo)
+	w.U32(uint32(len(m.AggNames)))
 	for i, name := range m.AggNames {
-		w.str(name)
-		w.f64s(m.Contribs[i])
+		w.Str(name)
+		w.F64s(m.Contribs[i])
 	}
-	return w.b
+	return w.B
 }
 
 func decodeBarrier(p []byte) (barrierMsg, error) {
-	r := rbuf{b: p}
+	r := ckpt.NewDec(p)
 	m := barrierMsg{
-		Superstep: r.u32(),
-		Sent:      r.u64(),
-		Calls:     r.u64(),
-		Combined:  r.u64(),
-		Remote:    r.u64(),
-		SentTo:    r.u64s(),
+		Superstep: r.U32(),
+		Sent:      r.U64(),
+		Calls:     r.U64(),
+		Combined:  r.U64(),
+		Remote:    r.U64(),
+		SentTo:    r.U64s(),
 	}
-	n := r.u32()
-	if r.err != nil || int(n) > r.remaining()/8+1 {
-		r.fail("aggregator contributions")
-		return m, r.finish()
+	n := r.U32()
+	if r.Err() != nil || int(n) > r.Remaining()/8+1 {
+		r.Fail("aggregator contributions")
+		return m, r.Finish()
 	}
 	m.AggNames = make([]string, 0, n)
 	m.Contribs = make([][]float64, 0, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		m.AggNames = append(m.AggNames, r.str())
-		m.Contribs = append(m.Contribs, r.f64s())
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		m.AggNames = append(m.AggNames, r.Str())
+		m.Contribs = append(m.Contribs, r.F64s())
 	}
-	return m, r.finish()
+	return m, r.Finish()
 }
 
 // endBatchesMsg tells a shard every peer has voted for superstep S and
@@ -612,16 +410,16 @@ type endBatchesMsg struct {
 }
 
 func (m endBatchesMsg) encode() []byte {
-	var w wbuf
-	w.u32(m.Superstep)
-	w.u64(m.Expect)
-	return w.b
+	var w ckpt.Enc
+	w.U32(m.Superstep)
+	w.U64(m.Expect)
+	return w.B
 }
 
 func decodeEndBatches(p []byte) (endBatchesMsg, error) {
-	r := rbuf{b: p}
-	m := endBatchesMsg{Superstep: r.u32(), Expect: r.u64()}
-	return m, r.finish()
+	r := ckpt.NewDec(p)
+	m := endBatchesMsg{Superstep: r.U32(), Expect: r.U64()}
+	return m, r.Finish()
 }
 
 // inboxedMsg reports a shard's frontier for the *upcoming* superstep
@@ -639,18 +437,18 @@ type inboxedMsg struct {
 }
 
 func (m inboxedMsg) encode() []byte {
-	var w wbuf
-	w.u32(m.Superstep)
-	w.u64(m.Frontier)
-	w.u64(m.PeerFrames)
-	w.u64(m.PeerBytes)
-	return w.b
+	var w ckpt.Enc
+	w.U32(m.Superstep)
+	w.U64(m.Frontier)
+	w.U64(m.PeerFrames)
+	w.U64(m.PeerBytes)
+	return w.B
 }
 
 func decodeInboxed(p []byte) (inboxedMsg, error) {
-	r := rbuf{b: p}
-	m := inboxedMsg{Superstep: r.u32(), Frontier: r.u64(), PeerFrames: r.u64(), PeerBytes: r.u64()}
-	return m, r.finish()
+	r := ckpt.NewDec(p)
+	m := inboxedMsg{Superstep: r.U32(), Frontier: r.U64(), PeerFrames: r.U64(), PeerBytes: r.U64()}
+	return m, r.Finish()
 }
 
 // checkpointMsg asks a shard to persist its partition state for a
@@ -666,20 +464,20 @@ type checkpointMsg struct {
 }
 
 func (m checkpointMsg) encode() []byte {
-	var w wbuf
-	w.u32(m.Superstep)
-	w.str(m.Key)
-	w.bool(m.Delta)
-	w.u32(m.Parent)
-	return w.b
+	var w ckpt.Enc
+	w.U32(m.Superstep)
+	w.Str(m.Key)
+	w.Bool(m.Delta)
+	w.U32(m.Parent)
+	return w.B
 }
 
 func decodeCheckpoint(p []byte) (checkpointMsg, error) {
-	r := rbuf{b: p}
-	m := checkpointMsg{Superstep: r.u32(), Key: r.str()}
-	m.Delta = r.bool()
-	m.Parent = r.u32()
-	return m, r.finish()
+	r := ckpt.NewDec(p)
+	m := checkpointMsg{Superstep: r.U32(), Key: r.Str()}
+	m.Delta = r.Bool()
+	m.Parent = r.U32()
+	return m, r.Finish()
 }
 
 // checkpointAckMsg confirms (or fails) a shard's blob write. Full
@@ -693,19 +491,19 @@ type checkpointAckMsg struct {
 }
 
 func (m checkpointAckMsg) encode() []byte {
-	var w wbuf
-	w.u32(m.Superstep)
-	w.u64(m.Bytes)
-	w.str(m.Err)
-	w.bool(m.Full)
-	return w.b
+	var w ckpt.Enc
+	w.U32(m.Superstep)
+	w.U64(m.Bytes)
+	w.Str(m.Err)
+	w.Bool(m.Full)
+	return w.B
 }
 
 func decodeCheckpointAck(p []byte) (checkpointAckMsg, error) {
-	r := rbuf{b: p}
-	m := checkpointAckMsg{Superstep: r.u32(), Bytes: r.u64(), Err: r.str()}
-	m.Full = r.bool()
-	return m, r.finish()
+	r := ckpt.NewDec(p)
+	m := checkpointAckMsg{Superstep: r.U32(), Bytes: r.U64(), Err: r.Str()}
+	m.Full = r.Bool()
+	return m, r.Finish()
 }
 
 // valuesMsg returns a shard's owned final vertex values after halt.
@@ -715,20 +513,41 @@ type valuesMsg struct {
 }
 
 func (m valuesMsg) encode() []byte {
-	var w wbuf
-	w.i32s(m.Vertex)
-	w.f64s(m.Val)
-	return w.b
+	var w ckpt.Enc
+	w.I32s(m.Vertex)
+	w.F64s(m.Val)
+	return w.B
 }
 
 func decodeValues(p []byte) (valuesMsg, error) {
-	r := rbuf{b: p}
-	m := valuesMsg{Vertex: r.i32s(), Val: r.f64s()}
-	if err := r.finish(); err != nil {
+	r := ckpt.NewDec(p)
+	m := valuesMsg{Vertex: r.I32s(), Val: r.F64s()}
+	if err := r.Finish(); err != nil {
 		return m, err
 	}
 	if len(m.Vertex) != len(m.Val) {
 		return m, fmt.Errorf("%w: values with %d vertices, %d values", ErrCorruptFrame, len(m.Vertex), len(m.Val))
 	}
 	return m, nil
+}
+
+// peerLostMsg is a shard's report that its link to Peer failed. The
+// coordinator blames Peer rather than the reporter, whose own links
+// stay up until the session ends.
+type peerLostMsg struct {
+	Peer uint32
+	Err  string
+}
+
+func (m peerLostMsg) encode() []byte {
+	var w ckpt.Enc
+	w.U32(m.Peer)
+	w.Str(m.Err)
+	return w.B
+}
+
+func decodePeerLost(p []byte) (peerLostMsg, error) {
+	r := ckpt.NewDec(p)
+	m := peerLostMsg{Peer: r.U32(), Err: r.Str()}
+	return m, r.Finish()
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"hourglass/internal/ckpt"
 )
 
 // TestFrameRoundTrip drives every message type through its encoder,
@@ -19,8 +21,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		Program:   `{"name":"pagerank","iterations":10}`,
 		Graph:     `{"scale":8,"seed":7}`,
 		Assign:    []int32{0, 1, 2, 3, 0, 1},
-		Aggs:      aggPairs{Names: []string{"dangling"}, Vals: []float64{0.25}},
-		BlobKeys:  []string{"dist/j/ckpt/00000006/shard-000", "dist/j/ckpt/00000006/shard-001"},
+		Aggs:      ckpt.Aggs{Names: []string{"dangling"}, Vals: []float64{0.25}},
+		BlobKeys:  []string{"ckpt/j/step/00000006/shard-000", "ckpt/j/step/00000006/shard-001"},
 		Peers:     []string{"127.0.0.1:4001", "127.0.0.1:4002", "127.0.0.1:4003", "127.0.0.1:4004"},
 	}
 	var buf bytes.Buffer
@@ -143,12 +145,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(appendFrame(nil, fEndBatches, endBatchesMsg{Superstep: 4, Expect: 17}.encode()))
 	f.Add(appendFrame(nil, fInboxed, inboxedMsg{Superstep: 4, Frontier: 8, PeerFrames: 3, PeerBytes: 2048}.encode()))
 	f.Add(appendFrame(nil, fBarrier, barrierMsg{Superstep: 1, SentTo: []uint64{0, 2}}.encode()))
-	f.Add(appendFrame(nil, fProceed, proceedMsg{Superstep: 3, Aggs: aggPairs{Names: []string{"x"}, Vals: []float64{1}}}.encode()))
+	f.Add(appendFrame(nil, fProceed, proceedMsg{Superstep: 3, Aggs: ckpt.Aggs{Names: []string{"x"}, Vals: []float64{1}}}.encode()))
 	f.Add(appendFrame(nil, fBatch, batchMsg{Superstep: 1, From: 0, To: 1, Dst: []int32{4}, Val: []float64{0.5}}.encode()))
 	f.Add(appendFrame(nil, fBarrier, barrierMsg{Superstep: 2, AggNames: []string{"a"}, Contribs: [][]float64{{1}}}.encode()))
 	f.Add(appendFrame(nil, fWelcome, welcomeMsg{Version: 1, Shards: 2, Assign: []int32{0, 1}}.encode()))
 	f.Add(appendFrame(nil, fValues, valuesMsg{Vertex: []int32{0}, Val: []float64{3}}.encode()))
-	f.Add(appendFrame(nil, fCheckpoint, checkpointMsg{Superstep: 2, Key: "dist/j/ckpt/00000002/shard-000"}.encode()))
+	f.Add(appendFrame(nil, fCheckpoint, checkpointMsg{Superstep: 2, Key: "ckpt/j/step/00000002/shard-000"}.encode()))
+	f.Add(appendFrame(nil, fPeerLost, peerLostMsg{Peer: 3, Err: "EOF"}.encode()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, rest, err := DecodeFrame(data)
@@ -183,6 +186,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, _ = decodeCheckpoint(payload)
 		case fCheckpointAck:
 			_, _ = decodeCheckpointAck(payload)
+		case fPeerLost:
+			_, _ = decodePeerLost(payload)
 		case fValues:
 			if m, err := decodeValues(payload); err == nil && len(m.Vertex) != len(m.Val) {
 				t.Fatal("values decoded with mismatched lengths")

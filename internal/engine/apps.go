@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -229,7 +228,7 @@ func (b *BFS) ExactCombine() {}
 //
 // GraphColoring keeps auxiliary per-vertex state (the set of colors
 // taken by neighbours and the count of uncolored higher-priority
-// neighbours), exercising the engine's AuxState checkpoint path.
+// neighbours), exercising the engine's VertexAux checkpoint path.
 type GraphColoring struct {
 	// neighborColors[v] marks colors already taken around v.
 	neighborColors []map[int32]bool
@@ -257,7 +256,7 @@ func (c *GraphColoring) Init(g *graph.Graph, v graph.VertexID) (float64, bool) {
 	return -1, true
 }
 
-// InitAux implements AuxState.
+// InitAux implements VertexAux.
 func (c *GraphColoring) InitAux(g *graph.Graph) {
 	n := g.NumVertices()
 	c.neighborColors = make([]map[int32]bool, n)
@@ -309,63 +308,6 @@ func (c *GraphColoring) Compute(ctx *Context, v graph.VertexID, msgs []float64) 
 	// Still waiting on higher-priority neighbours; stay active only via
 	// incoming messages.
 	ctx.VoteToHalt(v)
-}
-
-// MarshalAux implements AuxState.
-func (c *GraphColoring) MarshalAux() ([]byte, error) {
-	var buf bytes.Buffer
-	n := len(c.pendingHigher)
-	if err := binary.Write(&buf, binary.LittleEndian, uint64(n)); err != nil {
-		return nil, err
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, c.pendingHigher); err != nil {
-		return nil, err
-	}
-	for v := 0; v < n; v++ {
-		colors := make([]int32, 0, len(c.neighborColors[v]))
-		for col := range c.neighborColors[v] {
-			colors = append(colors, col)
-		}
-		if err := binary.Write(&buf, binary.LittleEndian, uint32(len(colors))); err != nil {
-			return nil, err
-		}
-		if err := binary.Write(&buf, binary.LittleEndian, colors); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalAux implements AuxState.
-func (c *GraphColoring) UnmarshalAux(b []byte) error {
-	r := bytes.NewReader(b)
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return err
-	}
-	c.pendingHigher = make([]int32, n)
-	if err := binary.Read(r, binary.LittleEndian, &c.pendingHigher); err != nil {
-		return err
-	}
-	c.neighborColors = make([]map[int32]bool, n)
-	for v := uint64(0); v < n; v++ {
-		var k uint32
-		if err := binary.Read(r, binary.LittleEndian, &k); err != nil {
-			return err
-		}
-		if k == 0 {
-			continue
-		}
-		colors := make([]int32, k)
-		if err := binary.Read(r, binary.LittleEndian, &colors); err != nil {
-			return err
-		}
-		c.neighborColors[v] = make(map[int32]bool, k)
-		for _, col := range colors {
-			c.neighborColors[v][col] = true
-		}
-	}
-	return nil
 }
 
 // MarshalVertexAux implements VertexAux: v's pending-higher count and

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"encoding/binary"
+	"fmt"
+
 	"hourglass/internal/graph"
 )
 
@@ -82,7 +85,7 @@ func (c *KCore) Init(g *graph.Graph, v graph.VertexID) (float64, bool) {
 	return 1, true
 }
 
-// InitAux implements AuxState (per-vertex survival bookkeeping).
+// InitAux implements VertexAux (per-vertex survival bookkeeping).
 func (c *KCore) InitAux(g *graph.Graph) {
 	n := g.NumVertices()
 	c.remaining = make([]int32, n)
@@ -113,30 +116,23 @@ func (c *KCore) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 	ctx.VoteToHalt(v)
 }
 
-// MarshalAux implements AuxState.
-func (c *KCore) MarshalAux() ([]byte, error) {
-	buf := make([]byte, 0, len(c.remaining)*5)
-	for i, r := range c.remaining {
-		buf = append(buf, byte(r), byte(r>>8), byte(r>>16), byte(r>>24))
-		if c.alive[i] {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+// MarshalVertexAux implements VertexAux: v's surviving-neighbour
+// count and membership flag.
+func (c *KCore) MarshalVertexAux(v graph.VertexID) []byte {
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, 5), uint32(c.remaining[v]))
+	if c.alive[v] {
+		return append(b, 1)
 	}
-	return buf, nil
+	return append(b, 0)
 }
 
-// UnmarshalAux implements AuxState.
-func (c *KCore) UnmarshalAux(b []byte) error {
-	n := len(b) / 5
-	c.remaining = make([]int32, n)
-	c.alive = make([]bool, n)
-	for i := 0; i < n; i++ {
-		off := i * 5
-		c.remaining[i] = int32(b[off]) | int32(b[off+1])<<8 | int32(b[off+2])<<16 | int32(b[off+3])<<24
-		c.alive[i] = b[off+4] == 1
+// UnmarshalVertexAux implements VertexAux.
+func (c *KCore) UnmarshalVertexAux(v graph.VertexID, b []byte) error {
+	if len(b) != 5 {
+		return fmt.Errorf("engine: kcore vertex aux blob is %d bytes", len(b))
 	}
+	c.remaining[v] = int32(binary.LittleEndian.Uint32(b))
+	c.alive[v] = b[4] == 1
 	return nil
 }
 

@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 
+	"hourglass/internal/ckpt"
 	"hourglass/internal/graph"
 )
 
@@ -15,6 +13,8 @@ import (
 // state, so it can be restored on a deployment with a different number
 // of workers and a different partitioning — the property that lets
 // Hourglass recover from evictions onto arbitrary configurations (§6).
+// Durably it is one full shard blob of the checkpoint plane
+// (internal/ckpt), the format the distributed shards write too.
 type Snapshot struct {
 	Program     string
 	Superstep   int
@@ -25,17 +25,17 @@ type Snapshot struct {
 	// inbox of the superstep the snapshot resumes into).
 	Pending   []Message
 	AggValues map[string]float64
-	// Aux carries program-specific per-vertex state (AuxState).
-	Aux []byte
+	// Aux is each vertex's auxiliary state, indexed by vertex
+	// (VertexAux programs; nil otherwise).
+	Aux [][]byte
 }
 
 // snapshot captures the current barrier state of a run. Pending holds
 // the delivered-but-unconsumed inbox: with a combiner that is the one
 // folded value per messaged vertex (checkpoints shrink accordingly);
 // otherwise the vertex's arena slice in arrival order. Entries are
-// sorted by destination so the wire layout matches the historical
-// vertex-ascending order.
-func (r *run) snapshot() (*Snapshot, error) {
+// sorted by destination so the blob layout is vertex-ascending.
+func (r *run) snapshot() *Snapshot {
 	s := &Snapshot{
 		Program:     r.prog.Name(),
 		Superstep:   r.superstep,
@@ -62,184 +62,99 @@ func (r *run) snapshot() (*Snapshot, error) {
 	for name, agg := range r.aggs {
 		s.AggValues[name] = agg.value
 	}
-	if aux, ok := r.prog.(AuxState); ok {
-		b, err := aux.MarshalAux()
-		if err != nil {
-			return nil, fmt.Errorf("engine: aux snapshot: %w", err)
+	if aux, ok := r.prog.(VertexAux); ok {
+		s.Aux = make([][]byte, s.NumVertices)
+		for v := range s.Aux {
+			s.Aux[v] = aux.MarshalVertexAux(graph.VertexID(v))
 		}
-		s.Aux = b
 	}
-	return s, nil
+	return s
 }
 
-const snapshotMagic = uint32(0x48474350) // "HGCP"
-
-// WriteTo serialises the snapshot (checkpoint upload to the datastore).
-func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	bw := &countingWriter{w: bufio.NewWriter(w)}
-	write := func(v any) {
-		if bw.err == nil {
-			bw.err = binary.Write(bw, binary.LittleEndian, v)
-		}
+// blob is the snapshot as one full checkpoint blob.
+func (s *Snapshot) blob() *ckpt.Blob {
+	b := &ckpt.Blob{
+		Superstep: s.Superstep,
+		Full:      true,
+		Vertex:    make([]int32, s.NumVertices),
+		Value:     s.Values,
+		Active:    s.Active,
+		PendDst:   make([]int32, len(s.Pending)),
+		PendVal:   make([]float64, len(s.Pending)),
 	}
-	write(snapshotMagic)
-	writeString(bw, write, s.Program)
-	write(uint32(s.Superstep))
-	write(uint64(s.NumVertices))
-	write(s.Values)
-	active := make([]uint8, len(s.Active))
-	for i, a := range s.Active {
-		if a {
-			active[i] = 1
-		}
+	for v := range b.Vertex {
+		b.Vertex[v] = int32(v)
 	}
-	write(active)
-	write(uint64(len(s.Pending)))
-	for _, m := range s.Pending {
-		write(int32(m.Dst))
-		write(m.Val)
+	for i, m := range s.Pending {
+		b.PendDst[i], b.PendVal[i] = int32(m.Dst), m.Val
 	}
-	write(uint32(len(s.AggValues)))
-	for name, v := range s.AggValues {
-		writeString(bw, write, name)
-		write(v)
+	if s.Aux != nil {
+		b.AuxVtx, b.Aux = b.Vertex, s.Aux
 	}
-	write(uint64(len(s.Aux)))
-	if bw.err == nil && len(s.Aux) > 0 {
-		_, bw.err = bw.Write(s.Aux)
-	}
-	if bw.err == nil {
-		bw.err = bw.w.(*bufio.Writer).Flush()
-	}
-	return bw.n, bw.err
-}
-
-func writeString(bw *countingWriter, write func(any), s string) {
-	write(uint32(len(s)))
-	if bw.err == nil {
-		_, bw.err = bw.Write([]byte(s))
-	}
-}
-
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// ReadSnapshot deserialises a checkpoint written by WriteTo.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	var magic uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return nil, err
-	}
-	if magic != snapshotMagic {
-		return nil, fmt.Errorf("engine: bad checkpoint magic %#x", magic)
-	}
-	s := &Snapshot{AggValues: map[string]float64{}}
-	var err error
-	if s.Program, err = readString(br); err != nil {
-		return nil, err
-	}
-	var step uint32
-	if err := binary.Read(br, binary.LittleEndian, &step); err != nil {
-		return nil, err
-	}
-	s.Superstep = int(step)
-	var nv uint64
-	if err := binary.Read(br, binary.LittleEndian, &nv); err != nil {
-		return nil, err
-	}
-	s.NumVertices = int(nv)
-	s.Values = make([]float64, nv)
-	if err := binary.Read(br, binary.LittleEndian, &s.Values); err != nil {
-		return nil, err
-	}
-	activeRaw := make([]uint8, nv)
-	if err := binary.Read(br, binary.LittleEndian, &activeRaw); err != nil {
-		return nil, err
-	}
-	s.Active = make([]bool, nv)
-	for i, a := range activeRaw {
-		s.Active[i] = a != 0
-	}
-	var np uint64
-	if err := binary.Read(br, binary.LittleEndian, &np); err != nil {
-		return nil, err
-	}
-	s.Pending = make([]Message, np)
-	for i := range s.Pending {
-		var dst int32
-		var val float64
-		if err := binary.Read(br, binary.LittleEndian, &dst); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, &val); err != nil {
-			return nil, err
-		}
-		s.Pending[i] = Message{graph.VertexID(dst), val}
-	}
-	var na uint32
-	if err := binary.Read(br, binary.LittleEndian, &na); err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < na; i++ {
-		name, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		var v float64
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-			return nil, err
-		}
-		s.AggValues[name] = v
-	}
-	var nx uint64
-	if err := binary.Read(br, binary.LittleEndian, &nx); err != nil {
-		return nil, err
-	}
-	if nx > 0 {
-		s.Aux = make([]byte, nx)
-		if _, err := io.ReadFull(br, s.Aux); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-func readString(br io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-// SizeBytes estimates the serialised size without writing (used by the
-// perf model to price a checkpoint upload).
-func (s *Snapshot) SizeBytes() int64 {
-	b := int64(4 + 4 + len(s.Program) + 4 + 8)
-	b += int64(len(s.Values)) * 8
-	b += int64(len(s.Active))
-	b += 8 + int64(len(s.Pending))*12
-	b += 4
-	for name := range s.AggValues {
-		b += int64(4+len(name)) + 8
-	}
-	b += 8 + int64(len(s.Aux))
 	return b
 }
+
+// manifest seals the snapshot's blob stored under key.
+func (s *Snapshot) manifest(job, key string) *ckpt.Manifest {
+	m := &ckpt.Manifest{Job: job, Superstep: s.Superstep, Shards: 1, Program: s.Program,
+		BlobKeys: []string{key}, Parent: -1}
+	for name := range s.AggValues {
+		m.Aggs.Names = append(m.Aggs.Names, name)
+	}
+	sort.Strings(m.Aggs.Names)
+	for _, name := range m.Aggs.Names {
+		m.Aggs.Vals = append(m.Aggs.Vals, s.AggValues[name])
+	}
+	return m
+}
+
+// snapshotOf rebuilds a snapshot from a restored checkpoint: the
+// chain's blobs overlay oldest-first (the full root names every
+// vertex), and only blobs written at the resume superstep contribute
+// pending messages.
+func snapshotOf(c *ckpt.Checkpoint) (*Snapshot, error) {
+	s := &Snapshot{Program: c.Program, Superstep: c.Superstep, AggValues: map[string]float64{}}
+	for i, name := range c.Aggs.Names {
+		s.AggValues[name] = c.Aggs.Vals[i]
+	}
+	for _, b := range c.Blobs {
+		for _, v := range b.Vertex {
+			s.NumVertices = max(s.NumVertices, int(v)+1)
+		}
+	}
+	s.Values = make([]float64, s.NumVertices)
+	s.Active = make([]bool, s.NumVertices)
+	for bi, b := range c.Blobs {
+		if !inRange(s.NumVertices, b.Vertex) || !inRange(s.NumVertices, b.PendDst) || !inRange(s.NumVertices, b.AuxVtx) {
+			return nil, fmt.Errorf("engine: checkpoint blob %q names a vertex outside 0..%d", c.Keys[bi], s.NumVertices-1)
+		}
+		for i, v := range b.Vertex {
+			s.Values[v], s.Active[v] = b.Value[i], b.Active[i]
+		}
+		for i, v := range b.AuxVtx {
+			if s.Aux == nil {
+				s.Aux = make([][]byte, s.NumVertices)
+			}
+			s.Aux[v] = b.Aux[i]
+		}
+		if b.Superstep == c.Superstep {
+			for i, d := range b.PendDst {
+				s.Pending = append(s.Pending, Message{graph.VertexID(d), b.PendVal[i]})
+			}
+		}
+	}
+	return s, nil
+}
+
+func inRange(n int, vs []int32) bool {
+	for _, v := range vs {
+		if v < 0 || int(v) >= n {
+			return false
+		}
+	}
+	return true
+}
+
+// SizeBytes is the size of the sealed blob Save uploads (used by the
+// perf model to price a checkpoint upload).
+func (s *Snapshot) SizeBytes() int64 { return int64(s.blob().Size()) }

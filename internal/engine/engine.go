@@ -273,24 +273,16 @@ type Aggregators interface {
 	Aggregators() []AggregatorSpec
 }
 
-// AuxState is implemented by programs with per-vertex state beyond the
-// single float64 value; the engine includes it in checkpoints.
-type AuxState interface {
+// VertexAux is implemented by programs with per-vertex state beyond
+// the single float64 value. Checkpoints carry it per vertex, so a
+// resume — possibly under a different worker or shard count, each
+// shard checkpointing only its owned vertices — overlays the entries
+// onto a fresh InitAux. Marshalling must be deterministic (identical
+// state → identical bytes) so checkpoints stay bit-identical across
+// runs.
+type VertexAux interface {
 	// InitAux sizes the auxiliary state for the graph.
 	InitAux(g *graph.Graph)
-	// MarshalAux / UnmarshalAux serialise the state for checkpoints.
-	MarshalAux() ([]byte, error)
-	UnmarshalAux([]byte) error
-}
-
-// VertexAux is implemented by AuxState programs whose auxiliary state
-// decomposes per vertex. Distributed shards require it: each shard
-// checkpoints only its owned vertices' entries, and a resume — possibly
-// under a different shard count — overlays them onto a fresh InitAux.
-// Marshalling must be deterministic (identical state → identical bytes)
-// so checkpoints stay bit-identical across runs.
-type VertexAux interface {
-	AuxState
 	// MarshalVertexAux serialises one vertex's auxiliary state.
 	MarshalVertexAux(v graph.VertexID) []byte
 	// UnmarshalVertexAux restores one vertex's auxiliary state onto
@@ -478,7 +470,7 @@ func RunCtx(ctx context.Context, g *graph.Graph, prog Program, cfg Config) (Resu
 			r.enqueue(graph.VertexID(v))
 		}
 	}
-	if aux, ok := prog.(AuxState); ok {
+	if aux, ok := prog.(VertexAux); ok {
 		aux.InitAux(g)
 	}
 	r.promote()
@@ -522,10 +514,15 @@ func ResumeCtx(ctx context.Context, g *graph.Graph, prog Program, snap *Snapshot
 		}
 	}
 	r.superstep = snap.Superstep
-	if aux, ok := prog.(AuxState); ok {
+	if aux, ok := prog.(VertexAux); ok {
 		aux.InitAux(g)
-		if err := aux.UnmarshalAux(snap.Aux); err != nil {
-			return Result{}, fmt.Errorf("engine: aux restore: %w", err)
+		if len(snap.Aux) != g.NumVertices() {
+			return Result{}, fmt.Errorf("engine: snapshot carries aux state for %d of %d vertices", len(snap.Aux), g.NumVertices())
+		}
+		for v, b := range snap.Aux {
+			if err := aux.UnmarshalVertexAux(graph.VertexID(v), b); err != nil {
+				return Result{}, fmt.Errorf("engine: aux restore: %w", err)
+			}
 		}
 	}
 	r.promote()
@@ -704,11 +701,7 @@ func (r *run) loop(stopAfter, maxSupersteps int) (Result, error) {
 			return Result{}, fmt.Errorf("engine: %s exceeded %d supersteps", r.prog.Name(), maxSupersteps)
 		}
 		if stopAfter > 0 && steps >= stopAfter {
-			snap, err := r.snapshot()
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Values: r.values, Stats: r.stats(), StepStats: r.stepStats, Snapshot: snap}, ErrPaused
+			return Result{Values: r.values, Stats: r.stats(), StepStats: r.stepStats, Snapshot: r.snapshot()}, ErrPaused
 		}
 		r.step()
 		steps++

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
+	"hourglass/internal/ckpt"
+	"hourglass/internal/cloud"
 	"hourglass/internal/graph"
 )
 
@@ -305,12 +308,12 @@ func TestResumeGraphColoringWithAuxState(t *testing.T) {
 	if !errors.Is(err, ErrPaused) {
 		t.Fatalf("expected pause, got %v", err)
 	}
-	// Round-trip the snapshot through the binary codec too.
-	var buf bytes.Buffer
-	if _, err := res.Snapshot.WriteTo(&buf); err != nil {
+	// Round-trip the snapshot through the durable checkpoint format too.
+	m := &CheckpointManager{Store: cloud.NewDatastore(), Job: "gc/aux"}
+	if _, err := m.Save(res.Snapshot); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ReadSnapshot(&buf)
+	snap, _, err := m.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,27 +359,28 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		Values:      []float64{0.25, 0.75},
 		Active:      []bool{true, false},
 		Pending:     []Message{{0, 1.5}, {1, 2.5}},
-		AggValues:   map[string]float64{"sum": 4.2},
-		Aux:         []byte{9, 8, 7},
+		AggValues:   map[string]float64{"sum": 4.2, "max": 1},
+		Aux:         [][]byte{{9, 8, 7}, {}},
 	}
-	var buf bytes.Buffer
-	n, err := s.WriteTo(&buf)
+	store := cloud.NewDatastore()
+	m := &CheckpointManager{Store: store, Job: "codec/pr"}
+	if _, err := m.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	blob, _, err := store.Get(ckpt.BlobKey(m.Job, s.Superstep, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+	if s.SizeBytes() != int64(len(blob)) {
+		t.Errorf("SizeBytes = %d, Save wrote a %d-byte blob", s.SizeBytes(), len(blob))
 	}
-	if s.SizeBytes() != n {
-		t.Errorf("SizeBytes = %d, actual %d", s.SizeBytes(), n)
-	}
-	back, err := ReadSnapshot(&buf)
+	back, _, err := m.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Program != s.Program || back.Superstep != s.Superstep ||
-		back.NumVertices != s.NumVertices || len(back.Pending) != 2 ||
-		back.AggValues["sum"] != 4.2 || !bytes.Equal(back.Aux, s.Aux) {
+		back.NumVertices != s.NumVertices || !reflect.DeepEqual(back.Pending, s.Pending) ||
+		!reflect.DeepEqual(back.AggValues, s.AggValues) || !bytes.Equal(back.Aux[0], s.Aux[0]) || len(back.Aux[1]) != 0 {
 		t.Errorf("round trip mismatch: %+v", back)
 	}
 	if back.Values[1] != 0.75 || back.Active[0] != true || back.Active[1] != false {
@@ -384,9 +388,27 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotBadMagic: a blob whose trailer magic is wrong is not a
+// checkpoint, so Load skips it and finds nothing to restore.
 func TestSnapshotBadMagic(t *testing.T) {
-	if _, err := ReadSnapshot(bytes.NewReader([]byte{0, 1, 2, 3})); err == nil {
-		t.Fatal("expected bad-magic error")
+	if _, err := ckpt.DecodeBlob([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("expected a corrupt-object error, got %v", err)
+	}
+	store := cloud.NewDatastore()
+	m := &CheckpointManager{Store: store, Job: "magic/pr"}
+	res, err := Run(graph.Path(4), &PageRank{Iterations: 8}, Config{Workers: 1, StopAfter: 2})
+	if !errors.Is(err, ErrPaused) {
+		t.Fatal(err)
+	}
+	if _, err := m.Save(res.Snapshot); err != nil {
+		t.Fatal(err)
+	}
+	key := ckpt.BlobKey(m.Job, res.Snapshot.Superstep, 0)
+	blob, _, _ := store.Get(key)
+	blob[len(blob)-8] ^= 0xFF // first byte of the trailer magic
+	store.Put(key, blob)
+	if _, _, err := m.Load(); !errors.Is(err, ckpt.ErrNoCheckpoint) {
+		t.Fatalf("bad-magic blob restored: err = %v", err)
 	}
 }
 

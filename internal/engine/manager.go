@@ -1,16 +1,12 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"log"
-	"sort"
-	"strings"
 	"sync"
 
+	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
 	"hourglass/internal/graph"
 	"hourglass/internal/units"
@@ -23,9 +19,11 @@ import (
 // system failure"). Keys are namespaced per job so recurrent executions
 // coexist.
 //
-// The store is allowed to misbehave (see internal/faultinject): every
-// blob is sealed with a CRC32 trailer over the codec frames, transient
-// store errors are retried with exponential backoff + jitter, and a
+// The objects are those of the checkpoint plane (internal/ckpt) that
+// the distributed shards write too: a snapshot is one full shard blob
+// sealed by a manifest and the job's latest pointer. The store is
+// allowed to misbehave (see internal/faultinject): transient store
+// errors are retried with exponential backoff + jitter, and a
 // corrupted or partial checkpoint is detected and *skipped* — Load
 // falls back to the newest older checkpoint that validates instead of
 // silently restoring garbage.
@@ -54,16 +52,6 @@ func (m *CheckpointManager) logf(format string, args ...any) {
 	log.Printf(format, args...)
 }
 
-// key is the datastore object name for a superstep's checkpoint.
-func (m *CheckpointManager) key(superstep int) string {
-	return fmt.Sprintf("ckpt/%s/%08d", m.Job, superstep)
-}
-
-// latestKey tracks the most recent complete checkpoint.
-func (m *CheckpointManager) latestKey() string {
-	return fmt.Sprintf("ckpt/%s/latest", m.Job)
-}
-
 // retrier resolves the configured or default backoff policy.
 func (m *CheckpointManager) retrier() *cloud.Retrier {
 	if m.Retry != nil {
@@ -80,200 +68,89 @@ func (m *CheckpointManager) retrier() *cloud.Retrier {
 	return m.defaultRetry
 }
 
-// putRetry uploads a blob, retrying transient store errors. The
-// returned time includes the transfer plus backoff delays — even on
-// failure, so callers can bill the virtual time burned by the
-// exhausted retry budget.
-func (m *CheckpointManager) putRetry(key string, data []byte) (units.Seconds, error) {
+// retryStore is the manager's view of the store for one Save or Load:
+// every Put and Get is retried under the manager's policy, and the
+// transfer plus backoff time of each — failed and corrupt objects
+// included — is added to spent, the virtual I/O time the caller bills.
+type retryStore struct {
+	cloud.BlobStore
+	retry *cloud.Retrier
+
+	mu    sync.Mutex
+	spent units.Seconds
+}
+
+func (m *CheckpointManager) store() *retryStore {
+	return &retryStore{BlobStore: m.Store, retry: m.retrier()}
+}
+
+func (s *retryStore) bill(t units.Seconds) units.Seconds {
+	s.mu.Lock()
+	s.spent += t
+	s.mu.Unlock()
+	return t
+}
+
+func (s *retryStore) Put(key string, data []byte) (units.Seconds, error) {
 	var xfer units.Seconds
-	delay, err := m.retrier().Do(func() error {
-		t, err := m.Store.Put(key, data)
+	delay, err := s.retry.Do(func() error {
+		t, err := s.BlobStore.Put(key, data)
 		xfer = t
 		return err
 	})
 	if err != nil {
-		return xfer + delay, fmt.Errorf("engine: checkpoint upload %q: %w", key, err)
+		err = fmt.Errorf("engine: checkpoint upload %q: %w", key, err)
 	}
-	return xfer + delay, nil
+	return s.bill(xfer + delay), err
 }
 
-// getRetry downloads a blob, retrying transient store errors.
-func (m *CheckpointManager) getRetry(key string) ([]byte, units.Seconds, error) {
+func (s *retryStore) Get(key string) ([]byte, units.Seconds, error) {
 	var blob []byte
 	var xfer units.Seconds
-	delay, err := m.retrier().Do(func() error {
-		b, t, err := m.Store.Get(key)
+	delay, err := s.retry.Do(func() error {
+		b, t, err := s.BlobStore.Get(key)
 		blob, xfer = b, t
 		return err
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return blob, xfer + delay, nil
+	return blob, s.bill(xfer + delay), err
 }
 
-// frameMagic seals the CRC trailer ("HGCR").
-const frameMagic = uint32(0x48474352)
-
-// frameTrailerLen is the sealFrame overhead in bytes.
-const frameTrailerLen = 8
-
-// ErrCorruptCheckpoint reports a checkpoint blob whose CRC32 trailer
-// is missing, truncated, or does not match the codec frames.
-var ErrCorruptCheckpoint = errors.New("engine: corrupt checkpoint frame")
-
-// sealFrame appends a magic + CRC32 (IEEE) trailer over the payload.
-func sealFrame(payload []byte) []byte {
-	out := make([]byte, len(payload)+frameTrailerLen)
-	copy(out, payload)
-	binary.LittleEndian.PutUint32(out[len(payload):], frameMagic)
-	binary.LittleEndian.PutUint32(out[len(payload)+4:], crc32.ChecksumIEEE(payload))
-	return out
-}
-
-// openFrame validates and strips the trailer, failing with
-// ErrCorruptCheckpoint on any mismatch (truncation included).
-func openFrame(blob []byte) ([]byte, error) {
-	if len(blob) < frameTrailerLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrCorruptCheckpoint, len(blob))
-	}
-	payload, trailer := blob[:len(blob)-frameTrailerLen], blob[len(blob)-frameTrailerLen:]
-	if binary.LittleEndian.Uint32(trailer[:4]) != frameMagic {
-		return nil, fmt.Errorf("%w: bad trailer magic", ErrCorruptCheckpoint)
-	}
-	if binary.LittleEndian.Uint32(trailer[4:]) != crc32.ChecksumIEEE(payload) {
-		return nil, fmt.Errorf("%w: CRC32 mismatch", ErrCorruptCheckpoint)
-	}
-	return payload, nil
-}
-
-// Save uploads a snapshot sealed with a CRC32 trailer and advances the
-// latest pointer, returning the virtual upload time (retry backoff
-// included). Transient store errors are retried; only an exhausted
-// retry budget fails the save. The returned time is meaningful even on
-// failure: it covers whatever uploads and backoff delays were spent
-// before giving up, so callers can bill the partial progress.
+// Save uploads a snapshot as one full blob, seals it with a manifest
+// and advances the latest pointer, returning the virtual upload time
+// (retry backoff included). Transient store errors are retried; only
+// an exhausted retry budget fails the save. The returned time is
+// meaningful even on failure: it covers whatever uploads and backoff
+// delays were spent before giving up, so callers can bill the partial
+// progress.
 func (m *CheckpointManager) Save(s *Snapshot) (units.Seconds, error) {
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		return 0, err
+	st := m.store()
+	key := ckpt.BlobKey(m.Job, s.Superstep, 0)
+	_, err := st.Put(key, s.blob().Encode())
+	if err == nil {
+		err = ckpt.Commit(st, s.manifest(m.Job, key))
 	}
-	t0, err := m.putRetry(m.key(s.Superstep), sealFrame(buf.Bytes()))
-	if err != nil {
-		return t0, err
-	}
-	t1, err := m.putRetry(m.latestKey(), []byte(m.key(s.Superstep)))
-	if err != nil {
-		return t0 + t1, err
-	}
-	return t0 + t1, nil
-}
-
-// ErrNoCheckpoint reports an empty namespace (fresh job).
-var ErrNoCheckpoint = errors.New("engine: no checkpoint available")
-
-// loadKey fetches and validates one checkpoint object.
-func (m *CheckpointManager) loadKey(key string) (*Snapshot, units.Seconds, error) {
-	blob, t, err := m.getRetry(key)
-	if err != nil {
-		return nil, 0, err
-	}
-	payload, err := openFrame(blob)
-	if err != nil {
-		return nil, 0, err
-	}
-	snap, err := ReadSnapshot(bytes.NewReader(payload))
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
-	}
-	return snap, t, nil
+	return st.spent, err
 }
 
 // Load fetches the most recent checkpoint that validates, with its
-// download time. A corrupted or dangling latest checkpoint is skipped:
-// Load scans older checkpoints in the namespace (newest first) and
-// restores the first intact one. Only a namespace with no restorable
-// checkpoint at all returns ErrNoCheckpoint.
+// download time. A corrupted or dangling latest checkpoint is skipped
+// in favour of the newest older one that validates (ckpt.Latest); only
+// a namespace with no restorable checkpoint at all returns
+// ckpt.ErrNoCheckpoint.
 func (m *CheckpointManager) Load() (*Snapshot, units.Seconds, error) {
-	// A cleanly absent pointer means "fresh job" (or a completed one —
-	// Clear deletes the whole namespace, and even if some blob deletes
-	// failed, leftovers must NOT be resurrected by the fallback scan).
-	if !m.Store.Exists(m.latestKey()) {
-		return nil, 0, ErrNoCheckpoint
-	}
-	var total units.Seconds
-	skip := ""
-	if ptr, t, err := m.getRetry(m.latestKey()); err == nil {
-		total += t
-		skip = string(ptr)
-		snap, t1, err := m.loadKey(skip)
-		if err == nil {
-			return snap, total + t1, nil
-		}
-	}
-	// The pointer or its target is unreadable or corrupt: fall back to
-	// the newest older checkpoint that validates.
-	snap, t, err := m.scanFallback(skip)
+	st := m.store()
+	c, err := ckpt.Latest(st, m.Job)
 	if err != nil {
 		return nil, 0, err
 	}
-	return snap, total + t, nil
+	snap, err := snapshotOf(c)
+	return snap, st.spent, err
 }
 
-// scanFallback walks the job's checkpoint objects newest-first,
-// skipping the already-rejected key, and returns the first that
-// validates.
-func (m *CheckpointManager) scanFallback(skip string) (*Snapshot, units.Seconds, error) {
-	prefix := fmt.Sprintf("ckpt/%s/", m.Job)
-	latest := m.latestKey()
-	var candidates []string
-	for _, k := range m.Store.Keys() {
-		if !strings.HasPrefix(k, prefix) || k == latest || k == skip {
-			continue
-		}
-		candidates = append(candidates, k)
-	}
-	// Keys embed the zero-padded superstep, so lexicographic descending
-	// order is newest-first.
-	sort.Sort(sort.Reverse(sort.StringSlice(candidates)))
-	var total units.Seconds
-	for _, k := range candidates {
-		snap, t, err := m.loadKey(k)
-		total += t
-		if err != nil {
-			continue
-		}
-		return snap, total, nil
-	}
-	return nil, 0, ErrNoCheckpoint
-}
-
-// Clear removes the latest pointer AND every numbered checkpoint blob
-// in the job's namespace. Deleting only the pointer is not enough for
-// recurrent jobs: the next execution of the same job writes fresh
-// checkpoints under the same namespace, and if its latest pointer is
-// ever damaged, Load's fallback scan walks the namespace newest-first
-// — where a leftover high-superstep blob from the PREVIOUS execution
-// would win and resurrect stale state. Delete failures are collected
-// and returned (never swallowed) so callers can log them; the
-// namespace may then still hold blobs, which is why RunDurable logs
-// rather than ignores the error.
-func (m *CheckpointManager) Clear() error {
-	var errs []error
-	if err := m.Store.Delete(m.latestKey()); err != nil {
-		errs = append(errs, fmt.Errorf("engine: clear %q: %w", m.latestKey(), err))
-	}
-	prefix := fmt.Sprintf("ckpt/%s/", m.Job)
-	for _, k := range m.Store.Keys() {
-		if !strings.HasPrefix(k, prefix) || k == m.latestKey() {
-			continue
-		}
-		if err := m.Store.Delete(k); err != nil {
-			errs = append(errs, fmt.Errorf("engine: clear %q: %w", k, err))
-		}
-	}
-	return errors.Join(errs...)
-}
+// Clear removes every checkpoint object in the job's namespace (see
+// ckpt.Clear). Delete failures are returned, never swallowed, so
+// callers can log them: the namespace may then still hold blobs.
+func (m *CheckpointManager) Clear() error { return ckpt.Clear(m.Store, m.Job) }
 
 // RunDurable executes prog with periodic durable checkpoints every
 // `every` supersteps, resuming from the latest checkpoint if one
@@ -291,7 +168,7 @@ func (m *CheckpointManager) RunDurable(g *graph.Graph, prog Program, cfg Config,
 	var ioTime units.Seconds
 	snap, loadTime, err := m.Load()
 	switch {
-	case errors.Is(err, ErrNoCheckpoint):
+	case errors.Is(err, ckpt.ErrNoCheckpoint):
 		// Fresh start.
 	case err != nil:
 		return Result{}, 0, err

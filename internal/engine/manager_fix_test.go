@@ -122,9 +122,9 @@ func TestRunDurableReturnsIOTimeOnSaveFailure(t *testing.T) {
 	inner := faultinject.Wrap(cloud.NewDatastore(), faultinject.Policy{
 		Seed: 7, MaxLatency: 0.2,
 	})
-	// A save is two Puts (blob + latest pointer): the first checkpoint
-	// succeeds, the second fails.
-	store := &failAfterStore{BlobStore: inner, allow: 2}
+	// A save is three Puts (blob, manifest, latest pointer): the first
+	// checkpoint succeeds, the second fails.
+	store := &failAfterStore{BlobStore: inner, allow: 3}
 	m := &CheckpointManager{Store: store, Job: "quota/pr"}
 	g := undirectedRMAT(8, 23)
 

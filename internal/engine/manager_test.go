@@ -2,9 +2,9 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
+	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
 	"hourglass/internal/faultinject"
 	"hourglass/internal/graph"
@@ -38,7 +38,7 @@ func TestCheckpointManagerSaveLoad(t *testing.T) {
 
 func TestCheckpointManagerNoCheckpoint(t *testing.T) {
 	m := &CheckpointManager{Store: cloud.NewDatastore(), Job: "empty"}
-	if _, _, err := m.Load(); !errors.Is(err, ErrNoCheckpoint) {
+	if _, _, err := m.Load(); !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		t.Fatalf("expected ErrNoCheckpoint, got %v", err)
 	}
 }
@@ -93,7 +93,7 @@ func TestRunDurableSurvivesFullFailure(t *testing.T) {
 		}
 	}
 	// Completion clears the latest pointer.
-	if _, _, err := m2.Load(); !errors.Is(err, ErrNoCheckpoint) {
+	if _, _, err := m2.Load(); !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		t.Error("latest pointer not cleared after completion")
 	}
 }
@@ -159,7 +159,7 @@ func TestLoadSkipsCorruptLatestAndFallsBack(t *testing.T) {
 	}
 
 	// Corrupt the newest checkpoint blob in the durable store.
-	key := fmt.Sprintf("ckpt/%s/%08d", m.Job, res2.Snapshot.Superstep)
+	key := ckpt.BlobKey(m.Job, res2.Snapshot.Superstep, 0)
 	blob, _, err := store.Get(key)
 	if err != nil {
 		t.Fatal(err)
@@ -188,9 +188,9 @@ func TestLoadAllCorruptReturnsNoCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Truncate the only checkpoint below its trailer.
-	key := fmt.Sprintf("ckpt/%s/%08d", m.Job, res.Snapshot.Superstep)
+	key := ckpt.BlobKey(m.Job, res.Snapshot.Superstep, 0)
 	store.Put(key, []byte{1, 2, 3})
-	if _, _, err := m.Load(); !errors.Is(err, ErrNoCheckpoint) {
+	if _, _, err := m.Load(); !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		t.Fatalf("corrupt-only namespace: err = %v, want ErrNoCheckpoint", err)
 	}
 }
@@ -207,7 +207,7 @@ func TestLoadDanglingPointerFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Scribble the latest pointer so it dangles.
-	store.Put(fmt.Sprintf("ckpt/%s/latest", m.Job), []byte("ckpt/dangle/pr/99999999"))
+	store.Put(ckpt.PointerKey(m.Job), []byte(ckpt.ManifestKey(m.Job, 99999999)))
 	snap, _, err := m.Load()
 	if err != nil {
 		t.Fatalf("dangling pointer not recovered: %v", err)
@@ -217,12 +217,26 @@ func TestLoadDanglingPointerFallsBack(t *testing.T) {
 	}
 }
 
+// TestFrameRoundTripAndCorruptionDetection checks the seal every
+// checkpoint object carries: a saved blob decodes back exactly, and a
+// truncated, shifted or bit-flipped copy is rejected as corrupt.
 func TestFrameRoundTripAndCorruptionDetection(t *testing.T) {
-	payload := []byte("the quick brown fox")
-	sealed := sealFrame(payload)
-	back, err := openFrame(sealed)
-	if err != nil || string(back) != string(payload) {
-		t.Fatalf("round trip: %q, %v", back, err)
+	store := cloud.NewDatastore()
+	m := &CheckpointManager{Store: store, Job: "seal/pr"}
+	res, err := Run(undirectedRMAT(6, 3), &PageRank{Iterations: 8}, Config{Workers: 2, StopAfter: 2})
+	if !errors.Is(err, ErrPaused) {
+		t.Fatal(err)
+	}
+	if _, err := m.Save(res.Snapshot); err != nil {
+		t.Fatal(err)
+	}
+	sealed, _, err := store.Get(ckpt.BlobKey(m.Job, res.Snapshot.Superstep, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ckpt.DecodeBlob(sealed)
+	if err != nil || back.Superstep != res.Snapshot.Superstep || len(back.Value) != res.Snapshot.NumVertices {
+		t.Fatalf("round trip: %+v, %v", back, err)
 	}
 	for _, tc := range [][]byte{
 		nil,
@@ -230,13 +244,13 @@ func TestFrameRoundTripAndCorruptionDetection(t *testing.T) {
 		sealed[:len(sealed)-1],       // truncated
 		append([]byte{0}, sealed...), // shifted
 	} {
-		if _, err := openFrame(tc); !errors.Is(err, ErrCorruptCheckpoint) {
-			t.Errorf("blob %v accepted (err=%v)", tc, err)
+		if _, err := ckpt.DecodeBlob(tc); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("blob of %d bytes accepted (err=%v)", len(tc), err)
 		}
 	}
 	flipped := append([]byte(nil), sealed...)
 	flipped[5] ^= 1
-	if _, err := openFrame(flipped); !errors.Is(err, ErrCorruptCheckpoint) {
+	if _, err := ckpt.DecodeBlob(flipped); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Errorf("bit flip accepted (err=%v)", err)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"hourglass"
+	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
 	"hourglass/internal/core"
 	"hourglass/internal/engine"
@@ -145,7 +146,7 @@ func TestChaosEngineCrashReloadCycles(t *testing.T) {
 						m = &engine.CheckpointManager{Store: store, Job: m.Job}
 						loaded, _, err := m.Load()
 						switch {
-						case errors.Is(err, engine.ErrNoCheckpoint):
+						case errors.Is(err, ckpt.ErrNoCheckpoint):
 							snap = nil // every checkpoint corrupted: start over
 						case err != nil:
 							t.Fatalf("load: %v", err)

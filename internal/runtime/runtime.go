@@ -37,6 +37,7 @@ import (
 	"math"
 	"time"
 
+	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
 	"hourglass/internal/core"
 	"hourglass/internal/engine"
@@ -256,7 +257,7 @@ func (d *driver) redeploy(cs *core.ConfigStats) error {
 	}
 	d.assign = assign.Assign
 	snap, fetch, lerr := d.opts.Manager.Load()
-	if lerr != nil && !errors.Is(lerr, engine.ErrNoCheckpoint) {
+	if lerr != nil && !errors.Is(lerr, ckpt.ErrNoCheckpoint) {
 		return fmt.Errorf("runtime: checkpoint reload: %w", lerr)
 	}
 	perWorker := make([]int64, workers)

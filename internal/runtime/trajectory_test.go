@@ -108,8 +108,9 @@ func TestGoldenTrajectories(t *testing.T) {
 			execScenario(t, sink, "pagerank", cloud.NewDatastore(), 0)
 		}},
 		// Chaos schedule 5065 under seeded store faults: two market
-		// evictions, a re-decision onto another configuration, and a
-		// redeploy that finds no readable checkpoint and starts fresh.
+		// evictions, a re-decision onto another configuration, and
+		// redeploys that find no readable checkpoint and start fresh,
+		// so the last resort finishes past the deadline.
 		{"exec_chaos_5065", func(t *testing.T, sink obs.Sink) {
 			const seed = 5065
 			h := getHarness(t, "wcc")

@@ -147,6 +147,29 @@ func TestSubmitDuplicateIsTypedConflict(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsPathLikeID: a job ID becomes a checkpoint namespace,
+// so one with "/" could nest inside another job's and one with ".."
+// would be refused by a file store on every write. Both are 400s.
+func TestSubmitRejectsPathLikeID(t *testing.T) {
+	c := newTestController(t, &stubBackend{}, NewVirtualClock(epoch), nil)
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	for _, id := range []string{"x/y", "x..y", ".."} {
+		body := `{"id":"` + id + `","kind":"pagerank","strategy":"hourglass","slack":0.5,"period":"1m","runs":1}`
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit with id %q: status %d, want 400", id, resp.StatusCode)
+		}
+	}
+	if jobs := c.List(); len(jobs) != 0 {
+		t.Fatalf("%d jobs admitted, want none", len(jobs))
+	}
+}
+
 func TestRestoreSkipsCorruptSnapshot(t *testing.T) {
 	// Regression: a scribbled state object used to fail New outright.
 	// A daemon must detect the damage and boot with an empty table.

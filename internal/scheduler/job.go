@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"hourglass"
@@ -80,6 +81,10 @@ func (s JobSpec) TenantOrDefault() string {
 // Validate admission-checks a spec so nothing invalid ever reaches
 // the scheduling loop.
 func (s JobSpec) Validate() error {
+	// The ID names the job's checkpoint namespace and store keys.
+	if strings.Contains(s.ID, "/") || strings.Contains(s.ID, "..") {
+		return fmt.Errorf("scheduler: job id %q must not contain \"/\" or \"..\"", s.ID)
+	}
 	if _, err := hourglass.ParseJobKind(string(s.Kind)); err != nil {
 		return err
 	}
