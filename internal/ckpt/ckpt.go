@@ -10,7 +10,7 @@
 //
 //	ckpt/<job>/step/<superstep %08d>/shard-<i %03d>   per-shard state blob
 //	ckpt/<job>/step/<superstep %08d>/manifest         sealed manifest
-//	ckpt/<job>/latest                                 → newest manifest key
+//	ckpt/<job>/latest                                 copy of the newest manifest
 //
 // A checkpoint is a set of shard blobs (vertex values, activity, the
 // pending inbox of the resume superstep and per-vertex aux state),
@@ -89,6 +89,14 @@ func unseal(blob []byte) ([]byte, error) {
 	return payload, nil
 }
 
+// Verify reports whether data is an intact sealed object. Readers that
+// can afford to re-read use it to tell a damaged transfer, which a
+// second read may not repeat, from a good one.
+func Verify(data []byte) error {
+	_, err := unseal(data)
+	return err
+}
+
 // PointerKey tracks a job's newest sealed manifest.
 func PointerKey(job string) string { return "ckpt/" + job + "/latest" }
 
@@ -111,6 +119,25 @@ var ownKey = regexp.MustCompile(`^(latest|step/[0-9]{8,}/(manifest|shard-[0-9]{3
 func owns(job, key string) bool {
 	rest, ok := strings.CutPrefix(key, "ckpt/"+job+"/")
 	return ok && ownKey.MatchString(rest)
+}
+
+// Keys that binaries before the one-plane layout wrote, matched like
+// ownKey below "ckpt/<job>/" (the engine's blobs) and "dist/<job>/"
+// (the dist plane's pointer, manifests and blobs). Restores never read
+// them; Clear deletes them so they do not outlive the job in a
+// persistent store.
+var (
+	legacyEngineKey = regexp.MustCompile(`^[0-9]{8,}$`)
+	legacyDistKey   = regexp.MustCompile(`^(latest|ckpt/[0-9]{8,}/(manifest|shard-[0-9]{3,}))$`)
+)
+
+// ownsLegacy reports whether key is an old-layout key of job.
+func ownsLegacy(job, key string) bool {
+	if rest, ok := strings.CutPrefix(key, "ckpt/"+job+"/"); ok {
+		return legacyEngineKey.MatchString(rest)
+	}
+	rest, ok := strings.CutPrefix(key, "dist/"+job+"/")
+	return ok && legacyDistKey.MatchString(rest)
 }
 
 // jobKeys returns the store keys in job's namespace.
@@ -323,13 +350,17 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 }
 
 // Commit seals a checkpoint whose blobs are all stored: it writes the
-// manifest, then flips the job's latest pointer to it.
+// manifest, then flips the job's latest pointer to it. The pointer is a
+// second copy of the sealed manifest, not a key: a save whose manifest
+// object is damaged in the store is still restored through its
+// pointer, and one whose pointer is damaged through the fallback scan,
+// so the manifest is not a second point of failure beside the blobs.
 func Commit(store cloud.BlobStore, m *Manifest) error {
-	key := ManifestKey(m.Job, m.Superstep)
-	if _, err := store.Put(key, m.Encode()); err != nil {
+	data := m.Encode()
+	if _, err := store.Put(ManifestKey(m.Job, m.Superstep), data); err != nil {
 		return err
 	}
-	_, err := store.Put(PointerKey(m.Job), []byte(key))
+	_, err := store.Put(PointerKey(m.Job), data)
 	return err
 }
 
@@ -345,22 +376,18 @@ type Checkpoint struct {
 // Latest resolves the newest restorable checkpoint in job's namespace,
 // reading every object once on the way. The latest pointer's manifest
 // wins when it and its whole chain validate; otherwise every manifest
-// of the namespace is tried newest-first — the pointer's own target
-// included, since its read may have been damaged in transit — and the
-// first that validates is restored. A namespace without a pointer, or
-// with nothing restorable, returns ErrNoCheckpoint: a cleanly absent
-// pointer means a fresh (or cleared) job, whose leftovers must not be
-// resurrected.
+// of the namespace is tried newest-first — the pointer's own
+// checkpoint included, since a read may have been damaged in transit —
+// and the first that validates is restored. A namespace without a
+// pointer, or with nothing restorable, returns ErrNoCheckpoint: a
+// cleanly absent pointer means a fresh (or cleared) job, whose
+// leftovers must not be resurrected.
 func Latest(store cloud.BlobStore, job string) (*Checkpoint, error) {
 	if !store.Exists(PointerKey(job)) {
 		return nil, ErrNoCheckpoint
 	}
-	// The pointer is trusted only to name one of the job's own
-	// manifests.
-	if ptr, _, err := store.Get(PointerKey(job)); err == nil && owns(job, string(ptr)) && strings.HasSuffix(string(ptr), "/manifest") {
-		if c, err := resolve(store, job, string(ptr)); err == nil {
-			return c, nil
-		}
+	if c, err := resolve(store, job, PointerKey(job)); err == nil {
+		return c, nil
 	}
 	// Keys embed the zero-padded superstep, so lexicographic descending
 	// order is newest-first.
@@ -379,9 +406,10 @@ func Latest(store cloud.BlobStore, job string) (*Checkpoint, error) {
 	return nil, ErrNoCheckpoint
 }
 
-// resolve loads the manifest at key and, for a delta, its whole parent
-// chain, checking each link's ParentCRC against the actual parent
-// payload and every referenced blob's seal and structure.
+// resolve loads the manifest at key (a manifest key or the latest
+// pointer) and, for a delta, its whole parent chain, checking each
+// link's ParentCRC against the actual parent payload and every
+// referenced blob's seal and structure.
 func resolve(store cloud.BlobStore, job, key string) (*Checkpoint, error) {
 	m, blobs, err := loadManifest(store, job, key)
 	if err != nil {
@@ -425,6 +453,7 @@ func loadManifest(store cloud.BlobStore, job, key string) (*Manifest, []*Blob, e
 	if err != nil {
 		return nil, nil, err
 	}
+	// A manifest (or pointer) is trusted only for its own job's blobs.
 	if m.Job != job {
 		return nil, nil, fmt.Errorf("%w: manifest %q belongs to job %q", ErrCorrupt, key, m.Job)
 	}
@@ -452,7 +481,8 @@ func loadManifest(store cloud.BlobStore, job, key string) (*Manifest, []*Blob, e
 }
 
 // Clear deletes job's latest pointer and every checkpoint object in
-// its namespace — and nothing of any other job's. Deleting only the
+// its namespace, old-layout keys included — and nothing of any other
+// job's. Deleting only the
 // pointer is not enough for recurrent jobs: a later execution writes
 // fresh checkpoints under the same namespace, and if its pointer is
 // ever damaged the fallback scan would let a leftover high-superstep
@@ -462,7 +492,13 @@ func Clear(store cloud.BlobStore, job string) error {
 	var errs []error
 	// Keys come sorted, so the pointer ("latest" < "step/...") goes
 	// first: a clear that fails halfway leaves no pointer to leftovers.
-	for _, k := range jobKeys(store, job) {
+	keys := jobKeys(store, job)
+	for _, k := range store.Keys() {
+		if ownsLegacy(job, k) {
+			keys = append(keys, k)
+		}
+	}
+	for _, k := range keys {
 		if err := store.Delete(k); err != nil {
 			errs = append(errs, fmt.Errorf("ckpt: clear %q: %w", k, err))
 		}

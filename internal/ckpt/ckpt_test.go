@@ -1,9 +1,11 @@
 package ckpt_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"sort"
 	"strings"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"hourglass/internal/dist"
 	"hourglass/internal/engine"
 	"hourglass/internal/graph"
+	"hourglass/internal/units"
 )
 
 // pausedSnapshot runs PageRank on a small graph for steps supersteps.
@@ -103,6 +106,40 @@ func TestNamespacesDoNotNest(t *testing.T) {
 	}
 }
 
+// TestClearRemovesLegacyKeys: keys of the layouts written before the
+// one-plane format are never restored, and Clear deletes exactly the
+// job's own, so they do not leak in a persistent store.
+func TestClearRemovesLegacyKeys(t *testing.T) {
+	store := cloud.NewDatastore()
+	own := []string{
+		"ckpt/old/latest", "ckpt/old/00000003",
+		"dist/old/latest", "dist/old/ckpt/00000003/manifest", "dist/old/ckpt/00000003/shard-000",
+	}
+	others := []string{
+		"ckpt/old/x/latest", "ckpt/old/x/00000003", "dist/old/x/latest",
+		"dist/old/x/ckpt/00000003/manifest", "dist/old-2/latest", "ckpt/old-2/00000003",
+	}
+	for _, k := range append(append([]string(nil), own...), others...) {
+		store.Put(k, []byte("written by an older binary"))
+	}
+	m := &engine.CheckpointManager{Store: store, Job: "old"}
+	if _, _, err := m.Load(); !errors.Is(err, ckpt.ErrNoCheckpoint) {
+		t.Fatalf("Load over old-layout keys: %v, want ErrNoCheckpoint", err)
+	}
+	if err := m.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if got := keysOf(store, ""); strings.Join(got, ",") != strings.Join(sortedCopy(others), ",") {
+		t.Fatalf("after Clear the store holds %v, want exactly %v", got, sortedCopy(others))
+	}
+}
+
+func sortedCopy(s []string) []string {
+	out := append([]string(nil), s...)
+	sort.Strings(out)
+	return out
+}
+
 // reversion rewrites the manifest stored under key as format version v,
 // resealed so that only the version is wrong.
 func reversion(t *testing.T, store cloud.BlobStore, key string, v uint32) {
@@ -133,13 +170,16 @@ func TestManifestFormatVersion(t *testing.T) {
 		t.Fatalf("untouched manifest: %v", err)
 	}
 
+	// The latest pointer is a copy of the newest manifest, so a binary
+	// of another format version would have written both.
 	reversion(t, store, ckpt.ManifestKey("versioned", 4), ckpt.FormatVersion+1)
+	reversion(t, store, ckpt.PointerKey("versioned"), ckpt.FormatVersion+1)
 	if _, err := ckpt.DecodeManifest(mustGet(t, store, ckpt.ManifestKey("versioned", 4))); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("foreign-version manifest decoded: %v", err)
 	}
 	snap, _, err := m.Load()
 	if err != nil || snap.Superstep != 2 {
-		t.Fatalf("Load = %v, %v; want the fallback to superstep 2", snap, err)
+		t.Fatalf("Load = %v, %v; want the fallback to superstep 2", snap != nil, err)
 	}
 
 	reversion(t, store, ckpt.ManifestKey("versioned", 2), ckpt.FormatVersion-1)
@@ -152,6 +192,96 @@ func TestManifestFormatVersion(t *testing.T) {
 	g := graph.RMAT(graph.DefaultRMAT(6, 5))
 	if _, _, err := m.RunDurable(g, &engine.PageRank{Iterations: 12}, engine.Config{Workers: 2}, 5); err != nil {
 		t.Fatalf("RunDurable over foreign-version manifests: %v, want a fresh start", err)
+	}
+}
+
+// damage flips one byte of the object stored under key.
+func damage(t *testing.T, store cloud.BlobStore, key string) {
+	t.Helper()
+	data := append([]byte(nil), mustGet(t, store, key)...)
+	data[len(data)/2] ^= 0xFF
+	store.Put(key, data)
+}
+
+// TestPointerIsAManifestCopy: the latest pointer holds a second copy of
+// the newest manifest, so damage to the manifest object or to the
+// pointer alone still restores the newest checkpoint, through either
+// reader; only damage to both falls back to the older one.
+func TestPointerIsAManifestCopy(t *testing.T) {
+	const job = "copies"
+	for _, tc := range []struct {
+		name    string
+		damaged []string
+		want    int
+	}{
+		{"manifest", []string{ckpt.ManifestKey(job, 4)}, 4},
+		{"pointer", []string{ckpt.PointerKey(job)}, 4},
+		{"both", []string{ckpt.ManifestKey(job, 4), ckpt.PointerKey(job)}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := cloud.NewDatastore()
+			m := &engine.CheckpointManager{Store: store, Job: job}
+			for _, steps := range []int{2, 4} {
+				if _, err := m.Save(pausedSnapshot(t, steps)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(mustGet(t, store, ckpt.PointerKey(job)), mustGet(t, store, ckpt.ManifestKey(job, 4))) {
+				t.Fatal("the latest pointer is not a copy of the newest manifest")
+			}
+			for _, k := range tc.damaged {
+				damage(t, store, k)
+			}
+			if snap, _, err := m.Load(); err != nil || snap.Superstep != tc.want {
+				t.Fatalf("manager Load: superstep %v, %v; want %d", snap != nil && snap.Superstep == tc.want, err, tc.want)
+			}
+			if got := dist.LatestCheckpoint(store, job); got != tc.want {
+				t.Fatalf("dist.LatestCheckpoint = %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// firstReadDamaged returns a damaged copy on the first Get of every
+// key, as a transfer that goes wrong once would.
+type firstReadDamaged struct {
+	cloud.BlobStore
+	read map[string]bool
+}
+
+func (s *firstReadDamaged) Get(key string) ([]byte, units.Seconds, error) {
+	data, t, err := s.BlobStore.Get(key)
+	if err == nil && !s.read[key] {
+		s.read[key] = true
+		data = append([]byte(nil), data...)
+		data[0] ^= 0xFF
+	}
+	return data, t, err
+}
+
+// TestManagerRereadsDamagedReads: the manager re-reads an object whose
+// seal fails under its retry policy, so a damaged transfer of every
+// object still restores the newest checkpoint, and the re-reads are
+// billed.
+func TestManagerRereadsDamagedReads(t *testing.T) {
+	base := cloud.NewDatastore()
+	m := &engine.CheckpointManager{Store: base, Job: "reread"}
+	for _, steps := range []int{2, 4} {
+		if _, err := m.Save(pausedSnapshot(t, steps)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, clean, err := m.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = &engine.CheckpointManager{Store: &firstReadDamaged{BlobStore: base, read: map[string]bool{}}, Job: "reread"}
+	snap, spent, err := m.Load()
+	if err != nil || snap.Superstep != 4 {
+		t.Fatalf("Load over damaged reads: %v, %v; want superstep 4", snap != nil, err)
+	}
+	if spent <= clean {
+		t.Fatalf("re-reads billed %v, not more than a clean load's %v", spent, clean)
 	}
 }
 

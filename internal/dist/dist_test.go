@@ -235,8 +235,9 @@ func TestDistPeerKillRecovery(t *testing.T) {
 		Sink:            sink,
 	}
 	_, err := RunCluster(context.Background(), cfg, 4, func(i int) ShardOptions {
-		var opts ShardOptions
+		opts := ShardOptions{Proc: fmt.Sprintf("worker-%d", i)}
 		if i == 1 {
+			opts.Proc = "partitioned"
 			opts.DropPeersAtSuperstep = 5
 		}
 		return opts
@@ -244,6 +245,14 @@ func TestDistPeerKillRecovery(t *testing.T) {
 	var lost *ShardLostError
 	if !errors.As(err, &lost) {
 		t.Fatalf("peer-killed session: %v, want ShardLostError", err)
+	}
+	// The partitioned worker is to blame, not a peer whose link to it
+	// failed. Shard ids follow accept order, so the worker is told
+	// apart by its announced process identity.
+	for _, e := range sink.byType(obs.EvShardEvict) {
+		if e.Proc != "partitioned" {
+			t.Errorf("shard-evict names %q (shard %d), want the partitioned worker (%s)", e.Proc, e.Shard, e.Err)
+		}
 	}
 	rep, err := RunCluster(context.Background(), cfg, 4, nil)
 	if err != nil {

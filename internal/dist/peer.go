@@ -71,7 +71,8 @@ type peerLink struct {
 }
 
 // peerFault is an asynchronous mesh error and the peer whose link
-// failed (-1 when no peer is known yet).
+// failed (-1 when no peer is known yet, or when this shard severed its
+// own links).
 type peerFault struct {
 	peer int
 	err  error
@@ -257,13 +258,17 @@ func (m *peerMesh) send(j int, payload []byte) {
 // fail records the first asynchronous mesh error; errors after close()
 // are dropped so a clean session end does not masquerade as a loss.
 // Errors after dropConns are NOT dropped — the chaos hook exists to
-// make the dead data plane surface.
+// make the dead data plane surface — but they name no peer: this shard
+// severed its own links, so no peer is to blame.
 func (m *peerMesh) fail(peer int, err error) {
 	m.mu.Lock()
-	suppress := m.closed
+	suppress, dropped := m.closed, m.dropped
 	m.mu.Unlock()
 	if suppress {
 		return
+	}
+	if dropped {
+		peer = -1
 	}
 	select {
 	case m.errc <- peerFault{peer, err}:

@@ -915,7 +915,9 @@ func (s *shardSession) step(p proceedMsg) error {
 // until the coordinator ends the session. Hanging up instead would
 // fail this shard's other links too and race its disconnect against
 // the dead peer's, leaving the coordinator to blame whichever
-// disconnect it reads first.
+// disconnect it reads first. A fault that names no peer — among them
+// every fault of a shard that severed its own links — hangs up, so the
+// blame falls on this shard.
 func (s *shardSession) peerLost(S int, f peerFault) error {
 	err := fmt.Errorf("dist: shard %d: peer plane failed during superstep %d: %w", s.id, S, f.err)
 	if f.peer < 0 || s.send(fPeerLost, peerLostMsg{Peer: uint32(f.peer), Err: f.err.Error()}.encode()) != nil || s.flush() != nil {

@@ -95,6 +95,16 @@ var (
 	ErrCorruptFrame = errors.New("dist: corrupt frame")
 )
 
+// finish ends a payload decode on the shared codec, reporting a short
+// or overlong payload as a corrupt frame (the error wraps
+// ckpt.ErrCorrupt too).
+func finish(r *ckpt.Dec) error {
+	if err := r.Finish(); err != nil {
+		return fmt.Errorf("%w: %w", ErrCorruptFrame, err)
+	}
+	return nil
+}
+
 // appendFrame encodes one frame onto dst.
 func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 	var hdr [5]byte
@@ -193,7 +203,7 @@ func (m helloMsg) encode() []byte {
 func decodeHello(p []byte) (helloMsg, error) {
 	r := ckpt.NewDec(p)
 	m := helloMsg{Version: r.U32(), PeerAddr: r.Str(), Proc: r.Str()}
-	return m, r.Finish()
+	return m, finish(r)
 }
 
 // peerHelloMsg opens a shard-to-shard connection: the dialer
@@ -215,7 +225,7 @@ func (m peerHelloMsg) encode() []byte {
 func decodePeerHello(p []byte) (peerHelloMsg, error) {
 	r := ckpt.NewDec(p)
 	m := peerHelloMsg{Version: r.U32(), From: r.U32()}
-	return m, r.Finish()
+	return m, finish(r)
 }
 
 // welcomeMsg hands a shard everything it needs to (re)build its state:
@@ -268,7 +278,7 @@ func decodeWelcome(p []byte) (welcomeMsg, error) {
 		BlobKeys:  r.Strs(),
 		Peers:     r.Strs(),
 	}
-	return m, r.Finish()
+	return m, finish(r)
 }
 
 // proceedMsg starts superstep S on every shard (or, with Halt set,
@@ -291,7 +301,7 @@ func (m proceedMsg) encode() []byte {
 func decodeProceed(p []byte) (proceedMsg, error) {
 	r := ckpt.NewDec(p)
 	m := proceedMsg{Superstep: r.U32(), Halt: r.Bool(), Aggs: r.Aggs()}
-	return m, r.Finish()
+	return m, finish(r)
 }
 
 // batchMsg carries messages sent during superstep S from one shard to
@@ -330,7 +340,7 @@ func decodeBatch(p []byte) (batchMsg, error) {
 		Dst:       r.I32s(),
 		Val:       r.F64s(),
 	}
-	if err := r.Finish(); err != nil {
+	if err := finish(r); err != nil {
 		return m, err
 	}
 	if len(m.Dst) != len(m.Val) {
@@ -388,7 +398,7 @@ func decodeBarrier(p []byte) (barrierMsg, error) {
 	n := r.U32()
 	if r.Err() != nil || int(n) > r.Remaining()/8+1 {
 		r.Fail("aggregator contributions")
-		return m, r.Finish()
+		return m, finish(r)
 	}
 	m.AggNames = make([]string, 0, n)
 	m.Contribs = make([][]float64, 0, n)
@@ -396,7 +406,7 @@ func decodeBarrier(p []byte) (barrierMsg, error) {
 		m.AggNames = append(m.AggNames, r.Str())
 		m.Contribs = append(m.Contribs, r.F64s())
 	}
-	return m, r.Finish()
+	return m, finish(r)
 }
 
 // endBatchesMsg tells a shard every peer has voted for superstep S and
@@ -419,7 +429,7 @@ func (m endBatchesMsg) encode() []byte {
 func decodeEndBatches(p []byte) (endBatchesMsg, error) {
 	r := ckpt.NewDec(p)
 	m := endBatchesMsg{Superstep: r.U32(), Expect: r.U64()}
-	return m, r.Finish()
+	return m, finish(r)
 }
 
 // inboxedMsg reports a shard's frontier for the *upcoming* superstep
@@ -448,7 +458,7 @@ func (m inboxedMsg) encode() []byte {
 func decodeInboxed(p []byte) (inboxedMsg, error) {
 	r := ckpt.NewDec(p)
 	m := inboxedMsg{Superstep: r.U32(), Frontier: r.U64(), PeerFrames: r.U64(), PeerBytes: r.U64()}
-	return m, r.Finish()
+	return m, finish(r)
 }
 
 // checkpointMsg asks a shard to persist its partition state for a
@@ -477,7 +487,7 @@ func decodeCheckpoint(p []byte) (checkpointMsg, error) {
 	m := checkpointMsg{Superstep: r.U32(), Key: r.Str()}
 	m.Delta = r.Bool()
 	m.Parent = r.U32()
-	return m, r.Finish()
+	return m, finish(r)
 }
 
 // checkpointAckMsg confirms (or fails) a shard's blob write. Full
@@ -503,7 +513,7 @@ func decodeCheckpointAck(p []byte) (checkpointAckMsg, error) {
 	r := ckpt.NewDec(p)
 	m := checkpointAckMsg{Superstep: r.U32(), Bytes: r.U64(), Err: r.Str()}
 	m.Full = r.Bool()
-	return m, r.Finish()
+	return m, finish(r)
 }
 
 // valuesMsg returns a shard's owned final vertex values after halt.
@@ -522,7 +532,7 @@ func (m valuesMsg) encode() []byte {
 func decodeValues(p []byte) (valuesMsg, error) {
 	r := ckpt.NewDec(p)
 	m := valuesMsg{Vertex: r.I32s(), Val: r.F64s()}
-	if err := r.Finish(); err != nil {
+	if err := finish(r); err != nil {
 		return m, err
 	}
 	if len(m.Vertex) != len(m.Val) {
@@ -549,5 +559,5 @@ func (m peerLostMsg) encode() []byte {
 func decodePeerLost(p []byte) (peerLostMsg, error) {
 	r := ckpt.NewDec(p)
 	m := peerLostMsg{Peer: r.U32(), Err: r.Str()}
-	return m, r.Finish()
+	return m, finish(r)
 }

@@ -133,6 +133,39 @@ func TestFrameCorruption(t *testing.T) {
 	}
 }
 
+// TestPayloadDecodeErrorsAreCorruptFrames: a payload cut short or
+// followed by trailing bytes fails every message decoder with
+// ErrCorruptFrame.
+func TestPayloadDecodeErrorsAreCorruptFrames(t *testing.T) {
+	decoders := map[string]struct {
+		payload []byte
+		decode  func([]byte) error
+	}{
+		"hello":         {helloMsg{Version: wireVersion, PeerAddr: "a"}.encode(), func(p []byte) error { _, err := decodeHello(p); return err }},
+		"peerHello":     {peerHelloMsg{Version: wireVersion, From: 1}.encode(), func(p []byte) error { _, err := decodePeerHello(p); return err }},
+		"welcome":       {welcomeMsg{Shards: 2, Assign: []int32{0, 1}}.encode(), func(p []byte) error { _, err := decodeWelcome(p); return err }},
+		"proceed":       {proceedMsg{Superstep: 3}.encode(), func(p []byte) error { _, err := decodeProceed(p); return err }},
+		"batch":         {batchMsg{Dst: []int32{4}, Val: []float64{0.5}}.encode(), func(p []byte) error { _, err := decodeBatch(p); return err }},
+		"barrier":       {barrierMsg{AggNames: []string{"a"}, Contribs: [][]float64{{1}}}.encode(), func(p []byte) error { _, err := decodeBarrier(p); return err }},
+		"endBatches":    {endBatchesMsg{Superstep: 4, Expect: 17}.encode(), func(p []byte) error { _, err := decodeEndBatches(p); return err }},
+		"inboxed":       {inboxedMsg{Superstep: 4}.encode(), func(p []byte) error { _, err := decodeInboxed(p); return err }},
+		"checkpoint":    {checkpointMsg{Superstep: 2, Key: "k"}.encode(), func(p []byte) error { _, err := decodeCheckpoint(p); return err }},
+		"checkpointAck": {checkpointAckMsg{Superstep: 2, Bytes: 9}.encode(), func(p []byte) error { _, err := decodeCheckpointAck(p); return err }},
+		"values":        {valuesMsg{Vertex: []int32{0}, Val: []float64{3}}.encode(), func(p []byte) error { _, err := decodeValues(p); return err }},
+		"peerLost":      {peerLostMsg{Peer: 3, Err: "EOF"}.encode(), func(p []byte) error { _, err := decodePeerLost(p); return err }},
+	}
+	for name, d := range decoders {
+		if err := d.decode(d.payload); err != nil {
+			t.Fatalf("%s: intact payload: %v", name, err)
+		}
+		for _, bad := range [][]byte{d.payload[:len(d.payload)-1], append(append([]byte(nil), d.payload...), 0)} {
+			if err := d.decode(bad); !errors.Is(err, ErrCorruptFrame) {
+				t.Errorf("%s: %d-byte payload: %v, want ErrCorruptFrame", name, len(bad), err)
+			}
+		}
+	}
+}
+
 // FuzzDecodeFrame asserts the stream decoder never panics and never
 // over-reads: whatever the input, it either fails or consumes exactly
 // one well-formed frame. Message decoders run on every successfully

@@ -69,9 +69,11 @@ func (m *CheckpointManager) retrier() *cloud.Retrier {
 }
 
 // retryStore is the manager's view of the store for one Save or Load:
-// every Put and Get is retried under the manager's policy, and the
-// transfer plus backoff time of each — failed and corrupt objects
-// included — is added to spent, the virtual I/O time the caller bills.
+// every Put and Get is retried under the manager's policy — a Get whose
+// object fails its seal too, since a damaged read is often transient —
+// and the transfer plus backoff time of each, failed and corrupt
+// objects included, is added to spent, the virtual I/O time the caller
+// bills.
 type retryStore struct {
 	cloud.BlobStore
 	retry *cloud.Retrier
@@ -110,6 +112,9 @@ func (s *retryStore) Get(key string) ([]byte, units.Seconds, error) {
 	delay, err := s.retry.Do(func() error {
 		b, t, err := s.BlobStore.Get(key)
 		blob, xfer = b, t
+		if err == nil {
+			err = ckpt.Verify(b)
+		}
 		return err
 	})
 	return blob, s.bill(xfer + delay), err
