@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,9 +177,7 @@ type session struct {
 	n        int
 	assign   []int32
 
-	aggNames []string
-	aggSpec  map[string]engine.AggregatorSpec
-	view     map[string]float64
+	aggs *engine.Aggregates
 
 	conns  []net.Conn
 	queues []*frameQueue
@@ -288,29 +285,8 @@ func (s *session) prepare() error {
 			s.assign[v] = int32(v % s.shards)
 		}
 	}
-	s.aggSpec = map[string]engine.AggregatorSpec{}
-	s.view = map[string]float64{}
-	if a, ok := s.prog.(engine.Aggregators); ok {
-		for _, spec := range a.Aggregators() {
-			s.aggSpec[spec.Name] = spec
-			s.view[spec.Name] = spec.Identity
-			s.aggNames = append(s.aggNames, spec.Name)
-		}
-		sort.Strings(s.aggNames)
-	}
+	s.aggs = engine.NewAggregates(s.prog)
 	return nil
-}
-
-// viewPairs snapshots the reduced aggregator values, name-sorted.
-func (s *session) viewPairs() ckpt.Aggs {
-	a := ckpt.Aggs{
-		Names: s.aggNames,
-		Vals:  make([]float64, len(s.aggNames)),
-	}
-	for i, name := range s.aggNames {
-		a.Vals[i] = s.view[name]
-	}
-	return a
 }
 
 // reader pumps one shard's connection to the main loop. The data plane
@@ -471,11 +447,7 @@ func (s *session) run() (*Report, error) {
 		start = c.Superstep
 		blobKeys = c.Keys
 		s.lastCkpt = c.Manifest
-		for i, name := range c.Aggs.Names {
-			if _, ok := s.aggSpec[name]; ok {
-				s.view[name] = c.Aggs.Vals[i]
-			}
-		}
+		s.aggs.Set(c.Aggs)
 		s.report.Resumed = true
 	} else if !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		return nil, err
@@ -526,7 +498,7 @@ func (s *session) run() (*Report, error) {
 			Program:   s.progJSON,
 			Graph:     s.graphJS,
 			Assign:    s.assign,
-			Aggs:      s.viewPairs(),
+			Aggs:      s.aggs.Values(),
 			BlobKeys:  blobKeys,
 			Peers:     peers,
 		}
@@ -554,13 +526,14 @@ func (s *session) run() (*Report, error) {
 			return nil, fmt.Errorf("dist: exceeded %d supersteps without halting", maxSteps)
 		}
 		wf0, wb0 := s.wireFrames.Load(), s.wireBytes.Load()
-		s.broadcast(fProceed, proceedMsg{Superstep: uint32(S), Aggs: s.viewPairs()}.encode())
+		s.broadcast(fProceed, proceedMsg{Superstep: uint32(S), Aggs: s.aggs.Values()}.encode())
 
 		votes, err := s.gather(fBarrier, "barrier vote", false)
 		if err != nil {
 			return nil, err
 		}
 		barriers := make([]barrierMsg, s.shards)
+		contribs := make([][][]float64, s.shards)
 		var stepSent, stepCalls, stepComb, stepRemote int64
 		for i, p := range votes {
 			b, derr := decodeBarrier(p)
@@ -574,12 +547,18 @@ func (s *session) run() (*Report, error) {
 				return nil, s.lost(i, fmt.Errorf("dist: barrier names %d peers for %d shards", len(b.SentTo), s.shards))
 			}
 			barriers[i] = b
+			contribs[i] = make([][]float64, len(s.aggs.Names()))
+			for k, name := range b.AggNames {
+				if a := s.aggs.Index(name); a >= 0 {
+					contribs[i][a] = b.Contribs[k]
+				}
+			}
 			stepSent += int64(b.Sent)
 			stepCalls += int64(b.Calls)
 			stepComb += int64(b.Combined)
 			stepRemote += int64(b.Remote)
 		}
-		s.foldAggs(barriers)
+		s.aggs.Fold(s.cfg.Canonical, contribs)
 		s.report.Stats.MessagesSent += stepSent
 		s.report.Stats.ComputeCalls += stepCalls
 		s.report.Stats.RemoteMessages += stepRemote
@@ -629,7 +608,7 @@ func (s *session) run() (*Report, error) {
 	}
 
 	// Halt: collect the final values.
-	s.broadcast(fProceed, proceedMsg{Superstep: uint32(S), Halt: true, Aggs: s.viewPairs()}.encode())
+	s.broadcast(fProceed, proceedMsg{Superstep: uint32(S), Halt: true, Aggs: s.aggs.Values()}.encode())
 	valueFrames, err := s.gather(fValues, "final values", true)
 	if err != nil {
 		return nil, err
@@ -691,61 +670,6 @@ func (s *session) awaitFrontier(superstep int) (uint64, error) {
 	return frontier, nil
 }
 
-// foldAggs reduces the shards' barrier contributions exactly like the
-// engine's barrier fold: canonical merges every raw term and folds
-// value-sorted; otherwise one partial per shard folds in shard order.
-// Values are recomputed each superstep (identity when nothing
-// contributed), never carried over.
-func (s *session) foldAggs(barriers []barrierMsg) {
-	if len(s.aggNames) == 0 {
-		return
-	}
-	if s.cfg.Canonical {
-		merged := map[string][]float64{}
-		for _, b := range barriers {
-			for i, name := range b.AggNames {
-				if _, ok := s.aggSpec[name]; ok {
-					merged[name] = append(merged[name], b.Contribs[i]...)
-				}
-			}
-		}
-		for _, name := range s.aggNames {
-			spec := s.aggSpec[name]
-			lst := merged[name]
-			sort.Float64s(lst)
-			val := spec.Identity
-			for i, c := range lst {
-				if i == 0 {
-					val = c
-				} else {
-					val = spec.Reduce(val, c)
-				}
-			}
-			s.view[name] = val
-		}
-		return
-	}
-	for _, name := range s.aggNames {
-		spec := s.aggSpec[name]
-		val := spec.Identity
-		contributed := false
-		for _, b := range barriers {
-			for i, n2 := range b.AggNames {
-				if n2 != name || len(b.Contribs[i]) == 0 {
-					continue
-				}
-				if contributed {
-					val = spec.Reduce(val, b.Contribs[i][0])
-				} else {
-					val = b.Contribs[i][0]
-					contributed = true
-				}
-			}
-		}
-		s.view[name] = val
-	}
-}
-
 // checkpointAll runs one checkpoint round for a resume into superstep
 // R: every shard writes its blob, and once every ack is in the
 // coordinator seals the set with a manifest and flips the latest
@@ -799,7 +723,7 @@ func (s *session) checkpointAll(R int) error {
 		Program:   s.progJSON,
 		Graph:     s.graphJS,
 		Canonical: s.cfg.Canonical,
-		Aggs:      s.viewPairs(),
+		Aggs:      s.aggs.Values(),
 		BlobKeys:  keys,
 		Parent:    -1,
 	}

@@ -45,6 +45,14 @@ var testGraph = GraphSpec{Scale: 8, Seed: 7, Undirected: true, Weighted: true}
 // refRun executes the single-process engine reference.
 func refRun(t *testing.T, pspec ProgramSpec, canonical bool) engine.Result {
 	t.Helper()
+	return refRunOn(t, pspec, canonical, 4, nil)
+}
+
+// refRunOn executes the single-process engine on workers partitions
+// under the default v mod workers assignment — the one a cluster of
+// that many shards uses — reporting supersteps to sink.
+func refRunOn(t *testing.T, pspec ProgramSpec, canonical bool, workers int, sink obs.Sink) engine.Result {
+	t.Helper()
 	g, err := testGraph.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +61,7 @@ func refRun(t *testing.T, pspec ProgramSpec, canonical bool) engine.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Run(g, prog, engine.Config{Workers: 4, Canonical: canonical})
+	res, err := engine.Run(g, prog, engine.Config{Workers: workers, Canonical: canonical, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +149,28 @@ func TestDistBitIdentity(t *testing.T) {
 				// frame may ever reach the coordinator.
 				if rep.CoordBatchFrames != 0 {
 					t.Errorf("%d shards: %d batch frames routed through the coordinator, want 0", shards, rep.CoordBatchFrames)
+				}
+				if shards == 1 {
+					continue
+				}
+				// Same kernel, same v mod n partitions: the in-process run
+				// on as many workers must count the same work per superstep
+				// and the same cross-partition traffic.
+				local := &captureSink{}
+				same := refRunOn(t, tc.pspec, tc.canonical, shards, local)
+				if rep.Stats.RemoteMessages != same.Stats.RemoteMessages {
+					t.Errorf("%d shards: %d remote messages, engine on %d workers %d", shards, rep.Stats.RemoteMessages, shards, same.Stats.RemoteMessages)
+				}
+				want := local.byType(obs.EvSuperstep)
+				if len(want) != len(steps) {
+					t.Fatalf("%d shards: %d superstep events, engine on %d workers %d", shards, len(steps), shards, len(want))
+				}
+				for i, e := range steps {
+					w := want[i]
+					if e.Superstep != w.Superstep || e.Active != w.Active || e.Messages != w.Messages || e.Combined != w.Combined {
+						t.Errorf("%d shards: superstep %d active/messages/combined %d/%d/%d, engine %d: %d/%d/%d",
+							shards, e.Superstep, e.Active, e.Messages, e.Combined, w.Superstep, w.Active, w.Messages, w.Combined)
+					}
 				}
 			}
 		})

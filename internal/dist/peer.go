@@ -38,8 +38,8 @@ var peerDialPolicy = cloud.RetryPolicy{Attempts: 6, Base: 0.1, Factor: 2, Jitter
 // arrival channel the session's superstep drain consumes.
 //
 // Incoming batches are decoded on the per-link reader goroutines and
-// handed to the single consumer through in; the fold into the
-// parity-indexed inbox stays on the session goroutine, so ingestion
+// handed to the single consumer through in; delivery into the
+// partition's inbox stays on the session goroutine, so ingestion
 // needs no locks while read+decode still overlap compute.
 type peerMesh struct {
 	self int

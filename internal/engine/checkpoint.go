@@ -30,43 +30,26 @@ type Snapshot struct {
 	Aux [][]byte
 }
 
-// snapshot captures the current barrier state of a run. Pending holds
-// the delivered-but-unconsumed inbox: with a combiner that is the one
-// folded value per messaged vertex (checkpoints shrink accordingly);
-// otherwise the vertex's arena slice in arrival order. Entries are
-// sorted by destination so the blob layout is vertex-ascending.
+// snapshot captures the run's barrier state: the kernel's full blob
+// (every vertex, pending messages vertex-ascending in arrival order)
+// plus the reduced aggregator values.
 func (r *run) snapshot() *Snapshot {
+	b := r.export(r.superstep)
 	s := &Snapshot{
 		Program:     r.prog.Name(),
 		Superstep:   r.superstep,
-		NumVertices: r.g.NumVertices(),
-		Values:      append([]float64(nil), r.values...),
-		Active:      append([]bool(nil), r.active...),
+		NumVertices: len(b.Vertex),
+		Values:      b.Value,
+		Active:      b.Active,
 		AggValues:   map[string]float64{},
+		Aux:         b.Aux,
 	}
-	for _, w := range r.workers {
-		for _, v := range w.cur {
-			if r.comb != nil {
-				if r.inSet[v] {
-					s.Pending = append(s.Pending, Message{v, r.inVal[v]})
-				}
-			} else if n := r.msgLen[v]; n > 0 {
-				end := r.msgEnd[v]
-				for _, val := range w.arena[end-n : end] {
-					s.Pending = append(s.Pending, Message{v, val})
-				}
-			}
-		}
+	for i, d := range b.PendDst {
+		s.Pending = append(s.Pending, Message{graph.VertexID(d), b.PendVal[i]})
 	}
-	sort.SliceStable(s.Pending, func(i, j int) bool { return s.Pending[i].Dst < s.Pending[j].Dst })
-	for name, agg := range r.aggs {
-		s.AggValues[name] = agg.value
-	}
-	if aux, ok := r.prog.(VertexAux); ok {
-		s.Aux = make([][]byte, s.NumVertices)
-		for v := range s.Aux {
-			s.Aux[v] = aux.MarshalVertexAux(graph.VertexID(v))
-		}
+	agg := r.aggs.Values()
+	for i, name := range agg.Names {
+		s.AggValues[name] = agg.Vals[i]
 	}
 	return s
 }
@@ -96,16 +79,21 @@ func (s *Snapshot) blob() *ckpt.Blob {
 
 // manifest seals the snapshot's blob stored under key.
 func (s *Snapshot) manifest(job, key string) *ckpt.Manifest {
-	m := &ckpt.Manifest{Job: job, Superstep: s.Superstep, Shards: 1, Program: s.Program,
-		BlobKeys: []string{key}, Parent: -1}
+	return &ckpt.Manifest{Job: job, Superstep: s.Superstep, Shards: 1, Program: s.Program,
+		BlobKeys: []string{key}, Parent: -1, Aggs: s.aggs()}
+}
+
+// aggs is AggValues name-sorted.
+func (s *Snapshot) aggs() ckpt.Aggs {
+	var a ckpt.Aggs
 	for name := range s.AggValues {
-		m.Aggs.Names = append(m.Aggs.Names, name)
+		a.Names = append(a.Names, name)
 	}
-	sort.Strings(m.Aggs.Names)
-	for _, name := range m.Aggs.Names {
-		m.Aggs.Vals = append(m.Aggs.Vals, s.AggValues[name])
+	sort.Strings(a.Names)
+	for _, name := range a.Names {
+		a.Vals = append(a.Vals, s.AggValues[name])
 	}
-	return m
+	return a
 }
 
 // snapshotOf rebuilds a snapshot from a restored checkpoint: the
@@ -144,15 +132,6 @@ func snapshotOf(c *ckpt.Checkpoint) (*Snapshot, error) {
 		}
 	}
 	return s, nil
-}
-
-func inRange(n int, vs []int32) bool {
-	for _, v := range vs {
-		if v < 0 || int(v) >= n {
-			return false
-		}
-	}
-	return true
 }
 
 // SizeBytes is the size of the sealed blob Save uploads (used by the

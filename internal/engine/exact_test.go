@@ -262,10 +262,10 @@ func (p *roundingSum) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 // stays bit-identical across worker counts; outside Canonical it
 // combines as before.
 func TestUnmarkedFloatSumKeepsSortedPath(t *testing.T) {
-	if SendCombiner(&roundingSum{}, true) != nil {
+	if sendCombiner(&roundingSum{}, true) != nil {
 		t.Fatal("canonical mode combines at the sender without the ExactCombiner marker")
 	}
-	if SendCombiner(&roundingSum{}, false) == nil {
+	if sendCombiner(&roundingSum{}, false) == nil {
 		t.Fatal("non-canonical mode ignores the Combiner")
 	}
 	g := exactGraph()

@@ -123,11 +123,12 @@ func TestPauseResumeEquivalence(t *testing.T) {
 func TestWorklistComputesExactFrontier(t *testing.T) {
 	n := 64
 	g := graph.Path(n)
-	res := runOK(t, g, &SSSP{Source: 0}, Config{Workers: 4, CollectStepStats: true})
-	if len(res.StepStats) != n+1 {
-		t.Fatalf("got %d supersteps, want %d", len(res.StepStats), n+1)
+	sink := &captureSink{}
+	res := runOK(t, g, &SSSP{Source: 0}, Config{Workers: 4, Sink: sink})
+	if len(sink.events) != n+1 {
+		t.Fatalf("got %d supersteps, want %d", len(sink.events), n+1)
 	}
-	for i, st := range res.StepStats {
+	for i, st := range sink.events {
 		want := int64(2)
 		if i <= 1 || i == n {
 			want = 1
@@ -162,17 +163,18 @@ func TestHaltedVertexReawakensOnce(t *testing.T) {
 		{"pooled", &uncombined{WCC{}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res := runOK(t, g, tc.prog, Config{Workers: 4, CollectStepStats: true})
+			sink := &captureSink{}
+			res := runOK(t, g, tc.prog, Config{Workers: 4, Sink: sink})
 			if res.Values[0] != 0 {
 				t.Fatalf("component[0] = %v, want 0", res.Values[0])
 			}
 			// Superstep 0 computes all 9 vertices; superstep 1 computes
 			// vertex 0 once (a single worklist entry despite in-degree 8).
-			if res.StepStats[0].Active != 9 {
-				t.Errorf("superstep 0 computed %d vertices, want 9", res.StepStats[0].Active)
+			if sink.events[0].Active != 9 {
+				t.Errorf("superstep 0 computed %d vertices, want 9", sink.events[0].Active)
 			}
-			if res.StepStats[1].Active != 1 {
-				t.Errorf("superstep 1 computed %d vertices, want 1", res.StepStats[1].Active)
+			if sink.events[1].Active != 1 {
+				t.Errorf("superstep 1 computed %d vertices, want 1", sink.events[1].Active)
 			}
 		})
 	}
