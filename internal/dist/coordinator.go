@@ -38,11 +38,13 @@ type Config struct {
 	// manifest, shrinking t_save at the price of a bounded restore
 	// chain.
 	DeltaChain int
-	// ForceCheckpointAt, when > 0, checkpoints after that superstep
-	// even off the CheckpointEvery cadence — the warm-standby driver
-	// sets it to the projected eviction boundary so the final save
-	// lands inside the warning window.
-	ForceCheckpointAt int
+	// CheckpointAt, when non-nil, is the caller's plan hook: it is
+	// called at every barrier the job continues past and the
+	// CheckpointEvery cadence does not checkpoint, after that
+	// superstep's EvSuperstep; true checkpoints there. It runs on the
+	// session's goroutine, so a caller may stop the session from it (or
+	// from Sink) by cancelling ctx: no shard proceeds past that barrier.
+	CheckpointAt func(superstep int) bool
 	// MaxSupersteps aborts runaway sessions (0 = 10_000).
 	MaxSupersteps int
 	// BarrierTimeout is the watchdog: a shard that delivers no expected
@@ -598,8 +600,7 @@ func (s *session) run() (*Report, error) {
 		}
 
 		onCadence := s.cfg.CheckpointEvery > 0 && (S+1-start)%s.cfg.CheckpointEvery == 0
-		forced := s.cfg.ForceCheckpointAt > 0 && S+1 == s.cfg.ForceCheckpointAt
-		if (onCadence || forced) && frontier > 0 {
+		if frontier > 0 && (onCadence || s.cfg.CheckpointAt != nil && s.cfg.CheckpointAt(S+1)) {
 			if err := s.checkpointAll(S + 1); err != nil {
 				return nil, err
 			}

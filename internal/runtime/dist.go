@@ -6,21 +6,24 @@
 // the coordinator at its next barrier wait and every shard worker at
 // its next frame wait or inbox drain — then re-decides the worker
 // count and boots a *new* process set that resumes from the per-shard
-// checkpoint blobs at the new shard count. Decisions, deploy billing,
-// eviction races, the last-resort fallback and the finish are the
-// driver core in loop.go, the same code Execute runs; this file holds
-// only the dist substrate — launchers, the coordinator session and the
-// durable frontier read off sealed checkpoints — with warm standby in
-// standby.go. The dist plan is the one place the two drivers still
-// decide differently; distDriver.segment documents how.
+// checkpoint blobs at the new shard count. Decisions, the segment
+// plan, deploy and boundary billing, eviction races, the last-resort
+// fallback and the finish are the driver core in loop.go, the same code
+// Execute runs; this file holds only the dist substrate — launchers,
+// the coordinator session and the boundaries it reaches at its
+// barriers — with warm standby in standby.go.
+//
+// A session is not a segment: at each plan boundary the coordinator
+// stops at its barrier while the driver bills the segment and its save
+// and consults the provisioner with the deployment live. A KeepCurrent
+// decision keeps the process set running in place; any other one tears
+// it down and boots the decided configuration.
 //
 // Process sets come from a DistLauncher: LoopbackLauncher runs shards
 // as goroutines in this process (unit tests, one-machine deployments),
 // ProcessLauncher execs real hourglass-shard worker processes
 // (integration; a killed process is indistinguishable from a spot
-// eviction). Either way the driver never keeps a deployment across a
-// decision point — with the workers gone, KeepCurrent has nothing to
-// keep, so every decision is a fresh boot billed like one.
+// eviction).
 package runtime
 
 import (
@@ -57,30 +60,20 @@ type WorkerSet interface {
 
 // DistLauncher boots worker sets for the dist driver. Launch is called
 // once per deployment with the coordinator address the workers must
-// dial, the worker count this deployment runs at, and the 0-based
+// dial, the worker count this deployment runs at, the 0-based
 // deployment number (the chaos seam: tests key fault injection off
-// attempt/shard). Workers must exit when ctx is cancelled.
+// attempt/shard) and, for a warm standby, the job whose newest
+// checkpoint chain the workers prefetch while the primary session is
+// still running (dist.ShardOptions.PrefetchJob; "" = none). Workers
+// must exit when ctx is cancelled.
+//
+// DeathWarning reports the absolute superstep a worker of deployment
+// attempt is scheduled to die in (a chaos -die-at injection, a cloud
+// rebalance notice), so the driver can arm a warm standby for real
+// worker losses exactly like forecast market evictions; 0 = none.
 type DistLauncher interface {
-	Launch(ctx context.Context, addr string, shards, attempt int) (WorkerSet, error)
-}
-
-// WarningSource is an optional DistLauncher extension: a launcher that
-// knows a worker of deployment `attempt` is scheduled to die (a chaos
-// -die-at injection, a cloud rebalance notice) reports the absolute
-// superstep the death lands in, so the driver can arm a warm standby
-// for real worker losses exactly like forecast market evictions.
-// Return 0 for "no scheduled death".
-type WarningSource interface {
+	Launch(ctx context.Context, addr string, shards, attempt int, prefetchJob string) (WorkerSet, error)
 	DeathWarning(attempt int) int
-}
-
-// StandbyLauncher is an optional DistLauncher extension: the driver
-// boots warm-standby worker sets through it so the workers prefetch the
-// job's newest checkpoint chain (dist.ShardOptions.PrefetchJob) while
-// the primary session is still running. Launchers without it still get
-// warm boots, just cold first reads.
-type StandbyLauncher interface {
-	LaunchStandby(ctx context.Context, addr string, shards, attempt int, prefetchJob string) (WorkerSet, error)
 }
 
 // LoopbackLauncher runs shard workers as goroutines in this process,
@@ -103,25 +96,18 @@ type LoopbackLauncher struct {
 	DeathAt func(attempt int) int
 }
 
-// Launch implements DistLauncher.
-func (l *LoopbackLauncher) Launch(ctx context.Context, addr string, shards, attempt int) (WorkerSet, error) {
-	return l.launch(ctx, addr, shards, attempt, "")
-}
+// DeathWarning implements DistLauncher.
+func (l *LoopbackLauncher) DeathWarning(attempt int) int { return deathWarning(l.DeathAt, attempt) }
 
-// LaunchStandby implements StandbyLauncher.
-func (l *LoopbackLauncher) LaunchStandby(ctx context.Context, addr string, shards, attempt int, prefetchJob string) (WorkerSet, error) {
-	return l.launch(ctx, addr, shards, attempt, prefetchJob)
-}
-
-// DeathWarning implements WarningSource.
-func (l *LoopbackLauncher) DeathWarning(attempt int) int {
-	if l.DeathAt == nil {
+func deathWarning(deathAt func(attempt int) int, attempt int) int {
+	if deathAt == nil {
 		return 0
 	}
-	return l.DeathAt(attempt)
+	return deathAt(attempt)
 }
 
-func (l *LoopbackLauncher) launch(ctx context.Context, addr string, shards, attempt int, prefetchJob string) (WorkerSet, error) {
+// Launch implements DistLauncher.
+func (l *LoopbackLauncher) Launch(ctx context.Context, addr string, shards, attempt int, prefetchJob string) (WorkerSet, error) {
 	wctx, cancel := context.WithCancel(ctx)
 	ws := &loopbackSet{cancel: cancel, ids: make([]string, shards)}
 	for i := 0; i < shards; i++ {
@@ -179,31 +165,17 @@ type ProcessLauncher struct {
 	// seam for -die-at style fault injection.
 	ExtraArgs func(attempt, shard int) []string
 	// DeathAt, when non-nil, forewarns the driver of scheduled worker
-	// deaths (see WarningSource); wire it to the schedule ExtraArgs
+	// deaths (see DistLauncher); wire it to the schedule ExtraArgs
 	// passes via -die-at.
 	DeathAt func(attempt int) int
 }
 
-// Launch implements DistLauncher.
-func (l *ProcessLauncher) Launch(ctx context.Context, addr string, shards, attempt int) (WorkerSet, error) {
-	return l.launch(ctx, addr, shards, attempt, "")
-}
+// DeathWarning implements DistLauncher.
+func (l *ProcessLauncher) DeathWarning(attempt int) int { return deathWarning(l.DeathAt, attempt) }
 
-// LaunchStandby implements StandbyLauncher: standby workers get
-// -prefetch-job so they warm their blob cache before the handshake.
-func (l *ProcessLauncher) LaunchStandby(ctx context.Context, addr string, shards, attempt int, prefetchJob string) (WorkerSet, error) {
-	return l.launch(ctx, addr, shards, attempt, prefetchJob)
-}
-
-// DeathWarning implements WarningSource.
-func (l *ProcessLauncher) DeathWarning(attempt int) int {
-	if l.DeathAt == nil {
-		return 0
-	}
-	return l.DeathAt(attempt)
-}
-
-func (l *ProcessLauncher) launch(ctx context.Context, addr string, shards, attempt int, prefetchJob string) (WorkerSet, error) {
+// Launch implements DistLauncher: standby workers get -prefetch-job so
+// they warm their blob cache before the handshake.
+func (l *ProcessLauncher) Launch(ctx context.Context, addr string, shards, attempt int, prefetchJob string) (WorkerSet, error) {
 	ws := &processSet{}
 	for i := 0; i < shards; i++ {
 		args := []string{"-coordinator", addr, "-store", l.StoreDir, "-once"}
@@ -254,8 +226,8 @@ type DistOptions struct {
 	// per-config stats (required). A decision's Config.Count is the
 	// worker count its process set boots with.
 	Env *core.Env
-	// Prov decides the configuration after every eviction and loss
-	// (required).
+	// Prov decides the configuration after every eviction, loss and
+	// checkpoint boundary (required).
 	Prov core.Provisioner
 	// Program and Graph are the specs every process instantiates
 	// (required: Program.Name non-empty).
@@ -275,17 +247,14 @@ type DistOptions struct {
 	// (required > 0).
 	TotalSupersteps int
 
-	// CheckpointEvery is the dist checkpoint interval in supersteps
-	// (0 = 2). It applies to every session whatever the provisioner
-	// decided: the dist plan ignores the decision's UseCheckpoints and
-	// MaxRun, and bills no t_save for these cadence checkpoints (see
-	// distDriver.segment). That is a gap, not a durability rule — it is
-	// why ExecuteDist can run a spot set past its useful interval and
-	// miss a deadline (finding 1 in bench/README.md).
+	// CheckpointEvery checkpoints after this many supersteps when the
+	// provisioner asks for checkpointing (0 = derive from the config's
+	// Daly interval), exactly as Options.CheckpointEvery: both drivers
+	// follow one plan (see loop.plan).
 	CheckpointEvery int
 	// WarningWindow is the eviction advance notice: the driver learns
 	// of an upcoming eviction (or scheduled worker death, see
-	// WarningSource) WarningWindow virtual seconds early, arms a warm
+	// DistLauncher) WarningWindow virtual seconds early, arms a warm
 	// standby cluster that boots and prefetches concurrently with the
 	// doomed session, and — when the window fits a checkpoint save —
 	// forces one final checkpoint at the eviction boundary so the
@@ -350,54 +319,60 @@ func ExecuteDist(ctx context.Context, opts DistOptions, start, deadline units.Se
 	if err := opts.validate(); err != nil {
 		return Report{}, err
 	}
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = 2
-	}
 	d := &distDriver{opts: &opts, loop: newLoop(loop{env: opts.Env, prov: opts.Prov,
-		sink: opts.Sink, logger: opts.Logf, total: opts.TotalSupersteps,
+		sink: opts.Sink, logger: opts.Logf, total: opts.TotalSupersteps, every: opts.CheckpointEvery,
 		restartBudget: opts.RestartBudget, maxDecisions: opts.MaxDecisions,
-		bytesPerVertex: opts.BytesPerVertex, net: opts.Net}, start, deadline),
-		durable: dist.LatestCheckpoint(opts.Store, opts.Job)}
+		bytesPerVertex: opts.BytesPerVertex, net: opts.Net}, start, deadline)}
 	return d.run(ctx)
 }
 
 // distDriver carries the mutable state of one ExecuteDist call.
 type distDriver struct {
 	*loop
-	opts    *DistOptions
-	durable int // newest durable checkpoint superstep (0 = none)
+	opts *DistOptions
+	// durable is the superstep of the checkpoint the live deployment
+	// resumed or sealed last (0 = none).
+	durable int
 
-	// pending is a warm standby adopted at the last eviction: the next
-	// run-loop iteration runs its session over the pre-booted listener
-	// and worker set instead of deciding and deploying afresh.
+	// next is a deployment decided already — at a boundary of the last
+	// session, or at the warning of the standby adopted at the last
+	// eviction (pending): the next run-loop iteration boots it, or runs
+	// its session over the pre-booted listener and worker set, without
+	// deciding again.
+	next    *choice
 	pending *standbyState
+}
+
+// choice is a decision and the configuration it deploys.
+type choice struct {
+	dec core.Decision
+	cs  *core.ConfigStats
 }
 
 func (d *distDriver) run(ctx context.Context) (Report, error) {
 	for attempt := 0; ; attempt++ {
-		sb := d.pending
-		d.pending = nil
-		var cs *core.ConfigStats
+		// A deployment resumes — and is billed and planned from — the
+		// newest sealed checkpoint in the store.
+		d.durable = dist.LatestCheckpoint(d.opts.Store, d.opts.Job)
+		c, sb := d.next, d.pending
+		d.next, d.pending = nil, nil
 		var err error
-		if sb != nil {
+		switch {
+		case sb != nil:
 			// Warm cutover: the decision was made at the warning (and
 			// counted there), the set is booted and prefetched — go
 			// straight to the session.
-			if cs, err = sb.cs, d.guard(ctx); err != nil {
+			if err = d.guard(ctx); err != nil {
 				d.teardownStandby(sb)
 			}
-		} else {
-			// No live deployment survives a dist decision point (the
-			// process set is gone), so Current is always nil and every
-			// decision boots fresh. The rest of the decision is dropped;
-			// segment says which parts and why.
-			_, cs, err = d.decide(ctx, core.State{Now: d.t, WorkLeft: d.workLeft(d.durable),
-				Deadline: d.deadline})
+		case c == nil:
+			c = &choice{}
+			c.dec, c.cs, _, err = d.consult(ctx, nil, 0, d.durable)
 		}
 		if err != nil {
 			return d.rep, err
 		}
-		done, err := d.segment(ctx, cs, attempt, sb)
+		done, err := d.segment(ctx, *c, attempt, sb)
 		if err != nil || done {
 			return d.rep, err
 		}
@@ -418,12 +393,15 @@ func (d *distDriver) evenSplit(workers int) []int64 {
 	return perWorker
 }
 
-// segment runs one dist session under cs, folding the outcome into the
+// segment deploys c and runs its session, folding the outcome into the
 // report. With warm == nil it boots a fresh process set (billing wait +
 // boot + load); with a warm standby it adopts the pre-booted listener
-// and worker set at zero additional downtime. It returns done=true when
-// the job finished (successfully or not recoverably).
-func (d *distDriver) segment(ctx context.Context, cs *core.ConfigStats, attempt int, warm *standbyState) (bool, error) {
+// and worker set at zero additional downtime. The session runs as long
+// as the plan's boundaries keep the deployment (see distSession). It
+// returns done=true when the job finished (successfully or not
+// recoverably).
+func (d *distDriver) segment(ctx context.Context, c choice, attempt int, warm *standbyState) (bool, error) {
+	cs := c.cs
 	var deploy obs.Event
 	if warm == nil {
 		var err error
@@ -436,88 +414,82 @@ func (d *distDriver) segment(ctx context.Context, cs *core.ConfigStats, attempt 
 		// billed through the eviction instant at adoption and the clock
 		// is already that instant, so the deploy span — the recovery
 		// downtime — is zero.
-		d.rep.Reconfigs++
 		deploy = d.deployEvent(cs, d.t, d.durable, d.durable > 0)
 	}
 	d.rep.ShardCounts = append(d.rep.ShardCounts, cs.Config.Count)
 
-	// The dist plan, the one place ExecuteDist still decides differently
-	// from Execute (planSteps): the session runs every remaining
-	// superstep on cs. It ignores the decision's MaxRun and
-	// UseCheckpoints, seals a checkpoint every CheckpointEvery
-	// supersteps regardless, and bills no t_save for those cadence
-	// checkpoints. Running a transient configuration past its useful
-	// interval is how ExecuteDist misses deadlines the simulator meets
-	// (finding 1 in bench/README.md).
-	remSteps := max(d.opts.TotalSupersteps-d.durable, 1)
-	nextEvict := d.evictor.Next(cs.Config, d.t)
-	evictAfter, evicted, err := d.forecast(cs, nextEvict, remSteps, d.durable)
-	if evicted || err != nil {
+	s := &distSession{d: d, ctx: ctx, choice: c, attempt: attempt, bootAt: d.t,
+		done: d.durable, billed: d.durable}
+	var rep *dist.Report
+	var runErr error
+	if s.arm(true) {
+		rep, runErr = d.session(ctx, s, deploy, warm)
+	} else {
 		// Evicted before one superstep would complete: not worth running
 		// the cluster at all.
 		d.teardownStandby(warm)
-		return false, err
 	}
-	secPerStep := d.stepTime(cs)
-	mon := &monitor{forward: d.sink, evictAfter: evictAfter}
-	forceCkptAt, sbArm := d.armStandby(ctx, mon, cs, attempt, evictAfter, remSteps, secPerStep, nextEvict)
-
-	rep, runErr := d.session(ctx, cs, attempt, mon, forceCkptAt, deploy, warm)
-	segEnd := d.t + units.Seconds(float64(mon.stepsDone())*float64(secPerStep))
-
-	// If the warning fired, a standby orchestration goroutine ran (or is
-	// still running) concurrently with the session; join it before
-	// touching the report.
-	var sb *standbyState
-	if sbArm != nil && mon.warnFired() {
-		<-sbArm.done
-		sb = sbArm
-	}
-	// Whatever ended the session, its sealed checkpoints are durable.
-	d.commitDurable(mon)
-
-	at := nextEvict
+	segEnd := d.segEnd(cs, s.done-s.billed)
+	sb, at, err := s.sb, s.nextEvict, s.err
 	var lost *dist.ShardLostError
 	switch {
+	case err != nil:
+		// Billing or deciding failed inside the session.
+	case s.next != nil:
+		// A boundary decided on another configuration: the session is
+		// billed through that boundary, and a standby never pays out.
+		d.next = s.next
+		return false, d.discardStandby(sb, d.t)
+	case s.evicted:
+		// The eviction won a boundary's save, or landed before the next
+		// superstep could complete, or stopped the session at its
+		// superstep boundary: billed and recorded already. Progress past
+		// the durable frontier is gone with the processes.
+		return false, d.settleStandby(sb, at)
 	case runErr == nil:
-		done, err := d.finish(cs, segEnd, nextEvict, d.durable, rep.Values, rep.Stats,
-			func() error { return dist.ClearJob(d.opts.Store, d.opts.Job) })
-		switch {
-		case err != nil:
-			d.teardownStandby(sb)
-			return false, err
-		case done:
-			// The job finished under the doomed session after all; the
-			// standby was insurance that never paid out.
-			return true, d.discardStandby(sb, d.t)
+		var done bool
+		if done, err = d.finish(cs, segEnd, at, d.durable, rep.Values, rep.Stats,
+			func() error { return dist.ClearJob(d.opts.Store, d.opts.Job) }); err == nil {
+			if done {
+				// The job finished under the doomed session after all;
+				// the standby was insurance that never paid out.
+				return true, d.discardStandby(sb, d.t)
+			}
+			// Evicted computing the tail or writing the output: a ready
+			// standby still takes over.
+			return false, d.settleStandby(sb, at)
 		}
-		// Evicted computing the tail or writing the output (finish
-		// recorded the eviction at nextEvict): a ready standby still
-		// takes over.
-		return false, d.settleStandby(sb, nextEvict)
 	case ctx.Err() != nil:
-		d.teardownStandby(sb)
-		return false, fmt.Errorf("runtime: dist run cancelled mid-session: %w", ctx.Err())
-	case mon.tripped():
-		// Injected eviction: the machines ran (and are billed) up to the
-		// price crossing; progress past the durable frontier is gone with
-		// the processes.
+		err = fmt.Errorf("runtime: dist run cancelled mid-session: %w", ctx.Err())
 	case errors.As(runErr, &lost):
 		// A worker actually died (chaos hook, killed process): bill the
 		// supersteps that did complete, then go back around — the next
 		// decision is free to pick a different worker count and the next
 		// session resumes the blobs at that count. A forewarned death
-		// (WarningSource) may have a standby ready.
-		at = segEnd
+		// (DistLauncher.DeathWarning) may have a standby ready.
+		if _, err = d.billUntil(cs, never, segEnd, d.durable); err == nil {
+			return false, d.settleStandby(sb, segEnd)
+		}
 	default:
-		d.teardownStandby(sb)
-		return false, runErr
+		err = runErr
 	}
-	if _, err := d.billUntil(cs, never, at, d.durable); err != nil {
-		d.teardownStandby(sb)
-		return false, err
+	d.teardownStandby(sb)
+	return false, err
+}
+
+// launch opens a coordinator listener and boots a worker set that
+// dials it.
+func (d *distDriver) launch(ctx context.Context, shards, attempt int, prefetchJob string) (net.Listener, WorkerSet, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, fmt.Errorf("runtime: dist coordinator listener: %w", err)
 	}
-	return false, d.settleStandby(sb, at)
+	ws, err := d.opts.Launcher.Launch(ctx, ln.Addr().String(), shards, attempt, prefetchJob)
+	if err != nil {
+		ln.Close()
+		return nil, nil, fmt.Errorf("runtime: launching %d workers: %w", shards, err)
+	}
+	return ln, ws, nil
 }
 
 // session runs one coordinator session over a worker set — freshly
@@ -526,44 +498,37 @@ func (d *distDriver) segment(ctx context.Context, cs *core.ConfigStats, attempt 
 // Whatever the outcome, the set is torn down and waited for before
 // returning: the next deployment must never race a straggler from this
 // one.
-func (d *distDriver) session(ctx context.Context, cs *core.ConfigStats, attempt int, mon *monitor, forceCkptAt int, deploy obs.Event, warm *standbyState) (*dist.Report, error) {
-	shards := cs.Config.Count
+func (d *distDriver) session(ctx context.Context, s *distSession, deploy obs.Event, warm *standbyState) (*dist.Report, error) {
+	shards := s.cs.Config.Count
 	segCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	mon.cancel = cancel
+	s.cancel = cancel
 	var ln net.Listener
 	var ws WorkerSet
 	if warm != nil {
 		ln, ws = warm.ln, warm.ws
 		defer warm.cancel()
-		defer ln.Close()
 	} else {
 		var err error
-		ln, err = net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("runtime: dist coordinator listener: %w", err)
-		}
-		defer ln.Close()
-		ws, err = d.opts.Launcher.Launch(segCtx, ln.Addr().String(), shards, attempt)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: launching %d workers: %w", shards, err)
+		if ln, ws, err = d.launch(segCtx, shards, s.attempt, ""); err != nil {
+			return nil, err
 		}
 	}
+	defer ln.Close()
 	deploy.Proc = strings.Join(ws.IDs(), ",")
 	d.emit(deploy)
 	cfg := dist.Config{
-		Job:               d.opts.Job,
-		Program:           d.opts.Program,
-		Graph:             d.opts.Graph,
-		Canonical:         true,
-		CheckpointEvery:   d.opts.CheckpointEvery,
-		DeltaChain:        d.opts.DeltaChain,
-		ForceCheckpointAt: forceCkptAt,
-		MaxSupersteps:     d.opts.MaxSupersteps,
-		BarrierTimeout:    d.opts.BarrierTimeout,
-		Store:             d.opts.Store,
-		Sink:              mon,
-		Logf:              d.opts.Logf,
+		Job:            d.opts.Job,
+		Program:        d.opts.Program,
+		Graph:          d.opts.Graph,
+		Canonical:      true,
+		DeltaChain:     d.opts.DeltaChain,
+		CheckpointAt:   s.checkpointAt,
+		MaxSupersteps:  d.opts.MaxSupersteps,
+		BarrierTimeout: d.opts.BarrierTimeout,
+		Store:          d.opts.Store,
+		Sink:           s,
+		Logf:           d.opts.Logf,
 	}
 	rep, runErr := dist.AcceptAndRun(segCtx, ln, shards, cfg)
 	cancel()
@@ -572,11 +537,173 @@ func (d *distDriver) session(ctx context.Context, cs *core.ConfigStats, attempt 
 	return rep, runErr
 }
 
-// commitDurable folds a session's checkpoint progress into the driver:
-// the durable frontier only ever advances (a later session resuming an
-// older manifest would have found the newer one first).
-func (d *distDriver) commitDurable(mon *monitor) {
-	durable, ckpts := mon.progress()
-	d.rep.Checkpoints += ckpts
-	d.durable = max(d.durable, durable)
+// distSession is one deployment's live process set and the plan of its
+// running segment. The coordinator runs on the driver goroutine and
+// calls Emit and checkpointAt synchronously at every barrier, so the
+// loop's boundary steps — bill, record, re-decide — and the warning
+// that arms a standby all run on that one goroutine.
+//
+// At the plan's boundary the driver consults the provisioner with the
+// deployment live. On KeepCurrent the session runs on in place under
+// the new plan, its eviction bound and warning re-derived from the
+// clock (billed saves move it; a kept deployment's bid crossing does
+// not); any other decision stops the session at that barrier, and the
+// next run-loop iteration boots the decided configuration.
+type distSession struct {
+	d   *distDriver
+	ctx context.Context // the run's: decisions and standbys outlive the session
+	choice
+	attempt int
+	bootAt  units.Seconds
+	cancel  context.CancelFunc
+
+	done          int  // supersteps computed (absolute)
+	billed        int  // superstep the clock has billed compute through
+	planEnd       int  // the plan's boundary (0 = run to completion)
+	checkpointing bool // the plan seals a checkpoint at planEnd
+	saveAt        int  // a requested save that has not sealed (0 = none)
+	nextEvict     units.Seconds
+	evictAt       int // injected eviction: stop after this superstep (0 = none)
+
+	// Warm standby (WarningWindow > 0), re-derived with the segment; see
+	// armWarning.
+	sb       *standbyState // armed by the warning (nil = not fired)
+	warnAt   int           // fire the warning after this superstep (0 = never)
+	forceAt  int           // forced in-window save (0 = none)
+	warmTrip bool          // the eviction stops the session at forceAt
+
+	// Why the driver stopped the session, if it did.
+	stopped, evicted bool
+	next             *choice // a boundary decided on another deployment
+	err              error
+}
+
+// Emit is the coordinator's sink.
+func (s *distSession) Emit(e obs.Event) {
+	if e.Type == obs.EvCheckpoint {
+		s.close(e.Superstep, true, &e)
+		return
+	}
+	s.d.emit(e)
+	if e.Type != obs.EvSuperstep || s.stopped {
+		return
+	}
+	if s.saveAt > 0 {
+		// The save requested at the last barrier never sealed (a blob
+		// write or the manifest failed): its time is billed, the
+		// durable frontier stays put.
+		s.close(s.saveAt, true, nil)
+	}
+	s.done = e.Superstep
+	if !s.stopped && s.sb == nil && s.warnAt > 0 && s.done >= s.warnAt {
+		s.warn()
+	}
+	// In warm mode the eviction stops the session once the forced save
+	// at its boundary seals (see close); the superstep after it is the
+	// safety net should that save never seal.
+	if !s.stopped && s.evictAt > 0 && s.done >= s.evictAt && !(s.warmTrip && s.done == s.evictAt) {
+		s.evict()
+	}
+}
+
+// checkpointAt is the coordinator's plan hook, called at every barrier
+// the job continues past: it asks for a checkpoint where the plan ends
+// its segment with one and at the forced in-window save, and closes a
+// segment the plan ends without one.
+func (s *distSession) checkpointAt(x int) bool {
+	save := !s.stopped && (x == s.forceAt || x == s.planEnd && s.checkpointing)
+	if save {
+		s.saveAt = x
+	} else if !s.stopped && x == s.planEnd {
+		s.close(x, false, nil)
+	}
+	return save
+}
+
+// close is the loop's boundary at superstep x: bill the compute since
+// the last boundary and, with save, the t_save the provisioner priced,
+// racing the eviction; record the checkpoint sealed, if any; then
+// re-decide at the plan's boundary, or stop at the warm eviction's
+// forced save, or re-derive the rest of the segment from the clock.
+// A checkpoint that lost its save to the eviction is still recorded:
+// it is sealed in the store, and the next deployment resumes it.
+func (s *distSession) close(x int, save bool, sealed *obs.Event) {
+	d := s.d
+	var ioSave units.Seconds
+	if save {
+		ioSave = s.cs.Save
+	}
+	evicted, err := d.boundary(s.cs, d.segEnd(s.cs, x-s.billed), ioSave, s.nextEvict, save, d.durable)
+	s.billed, s.saveAt = x, 0
+	if sealed != nil {
+		d.durable = x
+		d.record(*sealed)
+	}
+	switch {
+	case err != nil || evicted:
+		s.stop(evicted, err)
+	case x == s.planEnd:
+		dec, cs, keep, err := d.consult(s.ctx, s.cs, s.bootAt, s.done)
+		switch {
+		case err != nil:
+			s.stop(false, err)
+		case keep:
+			s.dec = dec
+			s.arm(true)
+		default:
+			s.next = &choice{dec: dec, cs: cs}
+			s.stop(false, nil)
+		}
+	case s.warmTrip && x == s.forceAt:
+		s.evict()
+	default:
+		s.arm(false)
+	}
+}
+
+// arm re-derives the segment from the clock at the in-memory frontier:
+// with replan, the plan of the session's decision; always, the eviction
+// forecast and the warning. It returns false when the eviction lands
+// before one more superstep can complete (billed and recorded then).
+func (s *distSession) arm(replan bool) bool {
+	d := s.d
+	if replan {
+		steps, checkpointing := d.plan(s.dec, s.cs, s.done)
+		s.planEnd, s.checkpointing = s.done+steps, checkpointing
+		if steps >= d.total-s.done {
+			s.planEnd = 0 // the last segment runs to completion
+		}
+	}
+	s.nextEvict = d.evictor.Next(s.cs.Config, d.t)
+	segSteps := max(d.total-s.done, 1)
+	if s.planEnd > 0 {
+		segSteps = s.planEnd - s.done
+	}
+	evictAfter, evicted, err := d.forecast(s.cs, s.nextEvict, segSteps, d.durable)
+	if err != nil || evicted {
+		s.stop(evicted, err)
+		return false
+	}
+	s.evictAt = 0
+	if evictAfter > 0 {
+		s.evictAt = s.done + evictAfter
+	}
+	s.armWarning()
+	return true
+}
+
+// evict stops the session at the injected eviction: the machines ran,
+// and are billed, up to the price crossing.
+func (s *distSession) evict() {
+	_, err := s.d.billUntil(s.cs, never, s.nextEvict, s.d.durable)
+	s.stop(true, err)
+}
+
+// stop ends the session at this barrier — the coordinator checks its
+// context before telling any shard to proceed — recording why.
+func (s *distSession) stop(evicted bool, err error) {
+	s.stopped, s.evicted, s.err = true, evicted, err
+	if s.cancel != nil {
+		s.cancel()
+	}
 }

@@ -59,8 +59,10 @@ func onDemandByCount(t *testing.T, env *core.Env, count int) cloud.Config {
 	return cloud.Config{}
 }
 
-// scriptedProv replays a fixed configuration sequence, one per
-// decision, holding the last entry forever.
+// scriptedProv replays a fixed configuration sequence, one per fresh
+// decision, holding the last entry forever. Consulted with a live
+// deployment (a checkpoint boundary), it keeps that deployment, so the
+// script advances only where a deployment was lost.
 type scriptedProv struct {
 	mu      sync.Mutex
 	configs []cloud.Config
@@ -69,7 +71,10 @@ type scriptedProv struct {
 
 func (p *scriptedProv) Name() string { return "scripted" }
 
-func (p *scriptedProv) Decide(core.State) (core.Decision, error) {
+func (p *scriptedProv) Decide(s core.State) (core.Decision, error) {
+	if s.Current != nil {
+		return core.Decision{Config: *s.Current, KeepCurrent: true, UseCheckpoints: true}, nil
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	c := p.configs[p.i]
@@ -319,13 +324,15 @@ func (s *cancelAtCheckpointSink) Emit(e obs.Event) {
 // first checkpoint leaves the blobs in its namespace, and a second
 // ExecuteDist on that namespace resumes them as a recovery — the way
 // Execute resumes its Manager's — instead of billing a fresh start.
+// The provisioner asks for checkpoints: an OnDemandOnly decision
+// writes none.
 func TestExecuteDistResumesLeftoverCheckpoint(t *testing.T) {
 	h := getHarness(t, "pagerank")
 	ref := distReference(t)
 	store := cloud.NewDatastore()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := h.distOptions(t, store, "dist-leftover", &core.OnDemandOnly{Env: h.env},
+	opts := h.distOptions(t, store, "dist-leftover", &scriptedProv{configs: []cloud.Config{onDemandByCount(t, h.env, 4)}},
 		ref.Stats.Supersteps, &runtime.LoopbackLauncher{Store: store, Logf: t.Logf})
 	opts.Sink = &cancelAtCheckpointSink{cancel: cancel}
 	if _, err := runtime.ExecuteDist(ctx, opts, 0, h.relDl); !errors.Is(err, context.Canceled) {

@@ -4,9 +4,11 @@
 // (shard process sets) each hold one loop and add only what their
 // substrate needs: running, pausing and checkpointing an engine, or
 // launching, warming and tearing down worker sets. Every accounting
-// rule — what a decision costs, how a deployment is billed, when an
-// eviction wins a race, how a finished job is reported — lives here, so
-// fixing one fixes it for both drivers.
+// rule lives here, so fixing one fixes it for both drivers: what a
+// decision costs, how a decision bounds the segment after it (plan),
+// how a segment and its save are billed against the eviction
+// (boundary), how a live deployment is re-decided (consult), how a
+// deployment is billed, and how a finished job is reported.
 
 package runtime
 
@@ -15,7 +17,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"sync"
 
 	"hourglass/internal/cloud"
 	"hourglass/internal/core"
@@ -38,6 +39,7 @@ type loop struct {
 	sink           obs.Sink
 	logger         func(format string, args ...any)
 	total          int // expected supersteps: the denominator of w(t)
+	every          int // checkpoint cadence in supersteps (0 = Daly interval)
 	restartBudget  int
 	maxDecisions   int
 	bytesPerVertex int64
@@ -84,8 +86,11 @@ func (l *loop) emit(e obs.Event) {
 
 // spend bills a machine-time interval on the market and emits the
 // matching EvSpend, in accumulation order so obs.Summarize folds the
-// trace back to rep.Cost bit-exactly.
+// trace back to rep.Cost bit-exactly. An empty interval bills nothing.
 func (l *loop) spend(c cloud.Config, from, to units.Seconds) error {
+	if from == to {
+		return nil
+	}
 	cost, err := l.env.Market.Cost(c, from, to)
 	if err != nil {
 		return err
@@ -109,6 +114,11 @@ func (l *loop) workLeft(doneSteps int) float64 {
 // stepTime is the virtual duration of one superstep on cs.
 func (l *loop) stepTime(cs *core.ConfigStats) units.Seconds {
 	return units.Seconds(float64(cs.Exec) / float64(l.total))
+}
+
+// segEnd is the instant n more supersteps on cs complete.
+func (l *loop) segEnd(cs *core.ConfigStats, n int) units.Seconds {
+	return l.t + units.Seconds(float64(n)*float64(l.stepTime(cs)))
 }
 
 // guard stops the loop on a provisioner livelock or a cancelled run.
@@ -158,6 +168,68 @@ func (l *loop) decide(ctx context.Context, st core.State) (core.Decision, *core.
 	return dec, &env.LRC, nil
 }
 
+// consult is a decision point: the provisioner sees the clock, the work
+// left after done supersteps and, when cur is live (booted at bootAt),
+// that deployment and its uptime. keep reports that the decision keeps
+// cur running in place.
+func (l *loop) consult(ctx context.Context, cur *core.ConfigStats, bootAt units.Seconds, done int) (dec core.Decision, cs *core.ConfigStats, keep bool, err error) {
+	st := core.State{Now: l.t, WorkLeft: l.workLeft(done), Deadline: l.deadline}
+	if cur != nil {
+		st.Current, st.Uptime = &cur.Config, l.t-bootAt
+	}
+	if dec, cs, err = l.decide(ctx, st); err != nil {
+		return dec, cs, false, err
+	}
+	return dec, cs, cur != nil && dec.KeepCurrent && cur.Config.ID() == cs.Config.ID(), nil
+}
+
+// plan maps a decision on cs to the segment that starts after done
+// supersteps: at most segSteps supersteps — the remaining work, capped
+// by the checkpoint cadence when the provisioner wants checkpoints and
+// by its planned useful interval MaxRun — ending in a checkpoint when
+// checkpointing. A segment that covers the remaining work is the last
+// one and runs to completion.
+func (l *loop) plan(dec core.Decision, cs *core.ConfigStats, done int) (segSteps int, checkpointing bool) {
+	secPerStep := l.stepTime(cs)
+	segSteps = max(l.total-done, 1)
+	if dec.UseCheckpoints {
+		every := l.every
+		if every <= 0 && !math.IsInf(float64(cs.Ckpt), 1) {
+			every = max(int(float64(cs.Ckpt)/float64(secPerStep)), 1)
+		}
+		if every >= 1 {
+			checkpointing = true
+			segSteps = min(segSteps, every)
+		}
+	}
+	if dec.MaxRun > 0 {
+		segSteps = min(segSteps, max(int(float64(dec.MaxRun)/float64(secPerStep)), 1))
+	}
+	return segSteps, checkpointing
+}
+
+// boundary closes a segment that paused at segEnd with cs still
+// running: it bills the segment and, when the plan checkpoints, the
+// save of ioSave seconds after it, racing the eviction at nextEvict (a
+// bare segment cannot lose the race: its forecast fits). evicted=true
+// means the eviction won, billed and recorded with durable supersteps
+// durable; the deployment is gone and the caller must redeploy.
+// Otherwise a caller whose save sealed records it (see record).
+func (l *loop) boundary(cs *core.ConfigStats, segEnd, ioSave, nextEvict units.Seconds, checkpointing bool, durable int) (evicted bool, err error) {
+	if !checkpointing {
+		_, err := l.billUntil(cs, segEnd, never, 0)
+		return false, err
+	}
+	l.rep.IOTime += ioSave
+	return l.billUntil(cs, segEnd+ioSave, nextEvict, durable)
+}
+
+// record counts a sealed checkpoint and emits its EvCheckpoint.
+func (l *loop) record(e obs.Event) {
+	l.rep.Checkpoints++
+	l.emit(e)
+}
+
 // price quotes a fresh deployment of cs requested at `from`: when the
 // market can supply it, and the load I/O after boot — the profiled input
 // load on a fresh start or, resuming a durable checkpoint, its fetch
@@ -203,7 +275,6 @@ func (l *loop) deploy(cs *core.ConfigStats, resumed bool, fetch units.Seconds, p
 	if err := l.spend(cs.Config, avail, readyAt); err != nil {
 		return obs.Event{}, err
 	}
-	l.rep.Reconfigs++
 	if resumed {
 		l.rep.RecoveryTime += readyAt - start
 	}
@@ -211,9 +282,10 @@ func (l *loop) deploy(cs *core.ConfigStats, resumed bool, fetch units.Seconds, p
 	return l.deployEvent(cs, start, done, resumed), nil
 }
 
-// deployEvent is the EvDeploy of a deployment of cs requested at start
-// and ready now.
+// deployEvent counts a deployment of cs requested at start and ready
+// now, and returns its EvDeploy.
 func (l *loop) deployEvent(cs *core.ConfigStats, start units.Seconds, done int, resumed bool) obs.Event {
+	l.rep.Reconfigs++
 	return obs.Event{Type: obs.EvDeploy, T: float64(start), Job: l.env.Job.Name,
 		Config: cs.Config.ID(), WorkLeft: l.workLeft(done),
 		DurSec: float64(l.t - start), Reload: resumed}
@@ -225,12 +297,7 @@ func (l *loop) deployEvent(cs *core.ConfigStats, start units.Seconds, done int, 
 // evicted=true when it lands before the first one does, in which case
 // the eviction is already billed and recorded (see billUntil).
 func (l *loop) forecast(cs *core.ConfigStats, nextEvict units.Seconds, segSteps, done int) (evictAfter int, evicted bool, err error) {
-	stepsToEvict := math.MaxInt
-	if !math.IsInf(float64(nextEvict), 1) {
-		if ratio := float64(nextEvict-l.t) / float64(l.stepTime(cs)); ratio < 1e12 {
-			stepsToEvict = int(ratio)
-		}
-	}
+	stepsToEvict := l.stepsBefore(cs, nextEvict)
 	if stepsToEvict <= 0 {
 		evicted, err = l.billUntil(cs, never, nextEvict, done)
 		return 0, evicted, err
@@ -239,6 +306,17 @@ func (l *loop) forecast(cs *core.ConfigStats, nextEvict units.Seconds, segSteps,
 		evictAfter = stepsToEvict
 	}
 	return evictAfter, false, nil
+}
+
+// stepsBefore is how many whole supersteps on cs complete between the
+// clock and at (math.MaxInt when at is out of reach).
+func (l *loop) stepsBefore(cs *core.ConfigStats, at units.Seconds) int {
+	if !math.IsInf(float64(at), 1) {
+		if ratio := float64(at-l.t) / float64(l.stepTime(cs)); ratio < 1e12 {
+			return int(ratio)
+		}
+	}
+	return math.MaxInt
 }
 
 // billUntil bills cs from the clock to end and advances the clock there,
@@ -283,114 +361,4 @@ func (l *loop) finish(cs *core.ConfigStats, segEnd, nextEvict units.Seconds, dur
 		Config: cs.Config.ID(), Done: true,
 		Missed: l.rep.MissedDeadline, USD: float64(l.rep.Cost)})
 	return true, nil
-}
-
-// monitor is the engine or coordinator sink of one segment: it forwards
-// events, counts the segment's supersteps and sealed checkpoints, feeds
-// the in-process watchdog, fires the eviction warning, and cancels the
-// segment at the injected eviction boundary. Both engines emit
-// EvSuperstep synchronously at the superstep barrier — the coordinator
-// before sealing that boundary's checkpoint — so "evict after N
-// supersteps" is deterministic: the segment stops before superstep N+1
-// and a dist checkpoint at N never becomes durable, exactly a machine
-// loss at that instant.
-//
-// In warm mode (warmBoundary > 0, set when the warning window fits one
-// final save) the cancellation moves to the EvCheckpoint the
-// coordinator emits after sealing the forced boundary checkpoint: the
-// session still stops before superstep N+1 starts, but the boundary's
-// state is durable — the in-window save. If that save never seals, the
-// EvSuperstep for N+1 is the safety net.
-type monitor struct {
-	forward      obs.Sink
-	cancel       context.CancelFunc
-	evictAfter   int           // cancel after this many supersteps (0 = never)
-	warmBoundary int           // absolute superstep of the forced in-window save (0 = reactive)
-	warnAfter    int           // fire onWarn after this many supersteps (0 = never)
-	onWarn       func()        // must not block: spawn, don't orchestrate
-	feed         chan struct{} // watchdog heartbeat, one per superstep (nil = none)
-
-	mu          sync.Mutex
-	steps       int // supersteps completed this segment
-	durable     int // newest sealed checkpoint superstep this segment
-	checkpoints int
-	evicted     bool
-	warned      bool
-}
-
-func (m *monitor) Emit(e obs.Event) {
-	switch e.Type {
-	case obs.EvSuperstep:
-		m.mu.Lock()
-		m.steps++
-		limit := m.evictAfter
-		if m.warmBoundary > 0 {
-			limit = m.evictAfter + 1
-		}
-		trip := m.evictAfter > 0 && m.steps >= limit && !m.evicted
-		if trip {
-			m.evicted = true
-		}
-		warn := m.warnAfter > 0 && m.steps >= m.warnAfter && !m.warned
-		if warn {
-			m.warned = true
-		}
-		m.mu.Unlock()
-		select {
-		case m.feed <- struct{}{}:
-		default:
-		}
-		if warn && m.onWarn != nil {
-			m.onWarn()
-		}
-		if trip {
-			m.cancel()
-		}
-	case obs.EvCheckpoint:
-		m.mu.Lock()
-		if e.Superstep > m.durable {
-			m.durable = e.Superstep
-		}
-		m.checkpoints++
-		trip := m.warmBoundary > 0 && e.Superstep >= m.warmBoundary && !m.evicted
-		if trip {
-			m.evicted = true
-		}
-		m.mu.Unlock()
-		if trip {
-			m.cancel()
-		}
-	}
-	if m.forward != nil {
-		m.forward.Emit(e)
-	}
-}
-
-// warnFired reports whether the eviction warning fired this segment.
-func (m *monitor) warnFired() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.warned
-}
-
-// stepsDone reports the supersteps completed this segment.
-func (m *monitor) stepsDone() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.steps
-}
-
-// tripped reports whether this monitor cancelled the segment at the
-// injected eviction boundary.
-func (m *monitor) tripped() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.evicted
-}
-
-// progress returns the segment's durable frontier and checkpoint count.
-func (m *monitor) progress() (durable, checkpoints int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.durable, m.checkpoints
 }

@@ -1,0 +1,280 @@
+package runtime_test
+
+// One plan for both drivers: a decision bounds the segment that follows
+// it (MaxRun, the checkpoint cadence), UseCheckpoints decides whether
+// that segment ends in a checkpoint, and every checkpoint's save is
+// billed. ExecuteDist re-decides at those boundaries with the worker
+// set live, keeping it in place or cutting over.
+
+import (
+	"context"
+	"math"
+	"sync"
+	"testing"
+
+	"hourglass/internal/cloud"
+	"hourglass/internal/core"
+	"hourglass/internal/obs"
+	"hourglass/internal/runtime"
+)
+
+// recordingProv records every decision its provisioner returns, in
+// order: the trace's non-last-resort EvDecision events, one for one.
+type recordingProv struct {
+	core.Provisioner
+	mu   sync.Mutex
+	decs []core.Decision
+}
+
+func (p *recordingProv) Decide(s core.State) (core.Decision, error) {
+	dec, err := p.Provisioner.Decide(s)
+	if err == nil {
+		p.mu.Lock()
+		p.decs = append(p.decs, dec)
+		p.mu.Unlock()
+	}
+	return dec, err
+}
+
+// assertPlanHeld walks a driver's event stream decision by decision:
+// the supersteps a transient decision runs before the next decision or
+// eviction stay within its MaxRun and its checkpoint cadence, a
+// decision without checkpoints is followed by none, and every sealed
+// checkpoint comes right after the EvSpend that billed its save.
+func assertPlanHeld(t *testing.T, env *core.Env, events []obs.Event, decs []core.Decision, total, every int) {
+	t.Helper()
+	stats := map[string]*core.ConfigStats{}
+	for i := range env.Stats {
+		stats[env.Stats[i].Config.ID()] = &env.Stats[i]
+	}
+	var cur *core.Decision
+	steps, next, transient := 0, 0, 0
+	closeSegment := func() {
+		if cur == nil || !cur.Config.Transient {
+			return
+		}
+		transient++
+		cs := stats[cur.Config.ID()]
+		if cur.MaxRun > 0 {
+			stepTime := float64(cs.Exec) / float64(total)
+			if bound := max(1, int(math.Floor(float64(cur.MaxRun)/stepTime))); steps > bound {
+				t.Errorf("decision %d (%s) ran %d supersteps past MaxRun %.0fs = %d supersteps",
+					next-1, cur.Config.ID(), steps, float64(cur.MaxRun), bound)
+			}
+		}
+		if cur.UseCheckpoints && steps > every {
+			t.Errorf("decision %d (%s) ran %d supersteps past the checkpoint cadence %d",
+				next-1, cur.Config.ID(), steps, every)
+		}
+	}
+	var prev obs.Event
+	for _, e := range events {
+		switch e.Type {
+		case obs.EvDecision:
+			closeSegment()
+			cur, steps = nil, 0
+			if e.LastResort {
+				break
+			}
+			if next >= len(decs) {
+				t.Fatalf("EvDecision %d without a provisioner decision", next)
+			}
+			if decs[next].Config.ID() != e.Config {
+				t.Fatalf("EvDecision %d names %s, the provisioner decided %s", next, e.Config, decs[next].Config.ID())
+			}
+			cur = &decs[next]
+			next++
+		case obs.EvEvict:
+			closeSegment()
+			cur, steps = nil, 0
+		case obs.EvSuperstep:
+			steps++
+		case obs.EvCheckpoint:
+			if cur != nil && !cur.UseCheckpoints {
+				t.Errorf("checkpoint at superstep %d after decision %d (%s) asked for none",
+					e.Superstep, next-1, cur.Config.ID())
+			}
+			if prev.Type != obs.EvSpend {
+				t.Errorf("checkpoint at superstep %d follows %s, not the EvSpend of its save", e.Superstep, prev.Type)
+			}
+		}
+		prev = e
+	}
+	closeSegment()
+	if next != len(decs) {
+		t.Errorf("%d provisioner decisions, %d in the trace", len(decs), next)
+	}
+	if transient == 0 {
+		t.Fatal("no transient decision: the scenario no longer starts on spot")
+	}
+}
+
+// TestPlanHoldsOnBothDrivers runs the slack-aware provisioner from a
+// spot start through both drivers and holds each to the plan its
+// decisions set.
+func TestPlanHoldsOnBothDrivers(t *testing.T) {
+	h := getHarness(t, "pagerank")
+	for _, dist := range []bool{false, true} {
+		name := "Execute"
+		if dist {
+			name = "ExecuteDist"
+		}
+		t.Run(name, func(t *testing.T) {
+			prov := &recordingProv{Provisioner: h.provisioner(t)}
+			sink := &listSink{}
+			store := cloud.NewDatastore()
+			var rep runtime.Report
+			var err error
+			total := h.total
+			if dist {
+				ref := distReference(t)
+				total = ref.Stats.Supersteps
+				opts := h.distOptions(t, store, "plan-dist", prov, total,
+					&runtime.LoopbackLauncher{Store: store, Logf: t.Logf})
+				opts.Sink = sink
+				rep, err = runtime.ExecuteDist(context.Background(), opts, 0, h.relDl)
+				if err == nil {
+					assertBitIdentical(t, ref.Values, rep.Values)
+				}
+			} else {
+				opts := h.options(t, store, "plan-exec", prov)
+				opts.Watchdog = 0
+				opts.Sink = sink
+				rep, err = runtime.Execute(context.Background(), opts, 0, h.relDl)
+				if err == nil {
+					assertBitIdentical(t, h.ref, rep.Values)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Finished {
+				t.Fatal("run did not finish")
+			}
+			prov.mu.Lock()
+			decs := append([]core.Decision(nil), prov.decs...)
+			prov.mu.Unlock()
+			assertPlanHeld(t, h.env, sink.snapshot(), decs, total, 2)
+		})
+	}
+}
+
+// switchProv decides from on a fresh start, switches to to at the first
+// boundary it sees with from live, and keeps whatever is live after
+// that. Every decision asks for checkpoints.
+type switchProv struct {
+	from, to cloud.Config
+}
+
+func (p *switchProv) Name() string { return "switch" }
+
+func (p *switchProv) Decide(s core.State) (core.Decision, error) {
+	switch {
+	case s.Current == nil:
+		return core.Decision{Config: p.from, UseCheckpoints: true}, nil
+	case s.Current.ID() == p.from.ID():
+		return core.Decision{Config: p.to, UseCheckpoints: true}, nil
+	}
+	return core.Decision{Config: *s.Current, KeepCurrent: true, UseCheckpoints: true}, nil
+}
+
+// TestExecuteDistKeepsInPlaceAndCutsOver: a boundary decision that
+// keeps the deployment keeps its worker set running — one process set,
+// one deploy, one decision per boundary plus the first — and one that
+// switches configuration boots exactly one new set, which resumes the
+// checkpoint just sealed without deciding again.
+func TestExecuteDistKeepsInPlaceAndCutsOver(t *testing.T) {
+	h := getHarness(t, "pagerank")
+	ref := distReference(t)
+	total := ref.Stats.Supersteps
+	od8, od4 := onDemandByCount(t, h.env, 8), onDemandByCount(t, h.env, 4)
+	run := func(t *testing.T, job string, prov core.Provisioner) (runtime.Report, []obs.Event) {
+		t.Helper()
+		store := cloud.NewDatastore()
+		sink := &listSink{}
+		opts := h.distOptions(t, store, job, prov, total, &runtime.LoopbackLauncher{Store: store, Logf: t.Logf})
+		opts.Sink = sink
+		rep, err := runtime.ExecuteDist(context.Background(), opts, 0, 200_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Finished {
+			t.Fatal("run did not finish")
+		}
+		assertBitIdentical(t, ref.Values, rep.Values)
+		return rep, sink.snapshot()
+	}
+	count := func(events []obs.Event, typ string) int {
+		n := 0
+		for _, e := range events {
+			if e.Type == typ {
+				n++
+			}
+		}
+		return n
+	}
+
+	t.Run("keep", func(t *testing.T) {
+		rep, events := run(t, "keep-in-place", &scriptedProv{configs: []cloud.Config{od8}})
+		if len(rep.ShardCounts) != 1 || rep.Reconfigs != 1 || count(events, obs.EvDeploy) != 1 {
+			t.Fatalf("ShardCounts %v, %d reconfigs, %d deploys: want one process set for the whole run",
+				rep.ShardCounts, rep.Reconfigs, count(events, obs.EvDeploy))
+		}
+		// Every boundary of this plan seals a checkpoint.
+		boundaries := count(events, obs.EvCheckpoint)
+		if boundaries == 0 {
+			t.Fatal("no boundary reached")
+		}
+		if got := count(events, obs.EvDecision); got != boundaries+1 || rep.Decisions != got {
+			t.Fatalf("%d decisions (report %d) for %d boundaries, want one per boundary plus the first",
+				got, rep.Decisions, boundaries)
+		}
+	})
+
+	t.Run("cutover", func(t *testing.T) {
+		rep, events := run(t, "cut-over", &switchProv{from: od8, to: od4})
+		if len(rep.ShardCounts) != 2 || rep.ShardCounts[0] != 8 || rep.ShardCounts[1] != 4 {
+			t.Fatalf("ShardCounts = %v, want [8 4]", rep.ShardCounts)
+		}
+		if rep.Evictions != 0 {
+			t.Fatalf("%d evictions on an on-demand script", rep.Evictions)
+		}
+		var sealed, deploys int
+		var last obs.Event // the decision before the second deploy
+		for _, e := range events {
+			switch e.Type {
+			case obs.EvCheckpoint:
+				if deploys == 1 {
+					sealed = e.Superstep
+				}
+			case obs.EvDecision:
+				last = e
+			case obs.EvDeploy:
+				deploys++
+				if deploys != 2 {
+					break
+				}
+				if last.Keep || last.Config != od4.ID() {
+					t.Fatalf("second deploy follows decision %+v, want the switch to %s", last, od4.ID())
+				}
+				want := float64(total-sealed) / float64(total)
+				if sealed == 0 || !e.Reload || e.WorkLeft != want {
+					t.Fatalf("second deploy %+v, want a reload of the checkpoint just sealed at superstep %d", e, sealed)
+				}
+			}
+		}
+		if decisions := count(events, obs.EvDecision); decisions != rep.Decisions {
+			t.Fatalf("%d decision events for %d decisions", decisions, rep.Decisions)
+		}
+		nonKeep := 0
+		for _, e := range events {
+			if e.Type == obs.EvDecision && !e.Keep {
+				nonKeep++
+			}
+		}
+		if nonKeep != 2 || deploys != 2 {
+			t.Fatalf("%d decisions that keep nothing and %d deploys, want 2 and 2: the new set must boot without a second decision",
+				nonKeep, deploys)
+		}
+	})
+}

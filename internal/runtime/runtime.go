@@ -16,11 +16,12 @@
 // restart budget is spent — the driver falls back to the last-resort
 // on-demand configuration, exactly the paper's §5 guarantee.
 //
-// The decide / deploy / bill / evict accounting is the driver core in
-// loop.go, shared with ExecuteDist; this file holds what only the
-// in-process substrate needs: the engine run and resume, the segment
-// plan, checkpoint saves, the watchdog and the snapshot a KeepCurrent
-// decision keeps.
+// The decide / plan / deploy / bill / evict accounting is the driver
+// core in loop.go, shared with ExecuteDist: both drivers bound each
+// segment by the same plan and close it at the same boundary. This
+// file holds what only the in-process substrate needs: the engine run
+// and resume, checkpoint saves, the watchdog and the snapshot a
+// KeepCurrent decision keeps.
 //
 // Time is split across two clocks. Compute, boot, load and save are
 // *virtual* seconds priced by the perfmodel/market, so a multi-hour
@@ -34,11 +35,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"hourglass/internal/ckpt"
-	"hourglass/internal/cloud"
 	"hourglass/internal/core"
 	"hourglass/internal/engine"
 	"hourglass/internal/graph"
@@ -205,7 +204,7 @@ func Execute(ctx context.Context, opts Options, start, deadline units.Seconds) (
 		opts.WatchdogGrace = 100 * time.Millisecond
 	}
 	d := &driver{opts: &opts, loop: newLoop(loop{env: opts.Env, prov: opts.Prov,
-		sink: opts.Sink, logger: opts.Logf, total: opts.TotalSupersteps,
+		sink: opts.Sink, logger: opts.Logf, total: opts.TotalSupersteps, every: opts.CheckpointEvery,
 		restartBudget: opts.RestartBudget, maxDecisions: opts.MaxDecisions,
 		bytesPerVertex: opts.BytesPerVertex, net: opts.Net}, start, deadline)}
 	return d.run(ctx)
@@ -217,18 +216,11 @@ func (d *driver) run(ctx context.Context) (Report, error) {
 		if d.snapLive != nil {
 			doneSteps = d.snapLive.Superstep
 		}
-		var curCfg *cloud.Config
-		uptime := units.Seconds(0)
-		if d.cur != nil {
-			curCfg = &d.cur.Config
-			uptime = d.t - d.bootAt
-		}
-		dec, cs, err := d.decide(ctx, core.State{Now: d.t, WorkLeft: d.workLeft(doneSteps),
-			Deadline: d.deadline, Current: curCfg, Uptime: uptime})
+		dec, cs, keep, err := d.consult(ctx, d.cur, d.bootAt, doneSteps)
 		if err != nil {
 			return d.rep, err
 		}
-		if d.cur == nil || !dec.KeepCurrent || d.cur.Config.ID() != cs.Config.ID() {
+		if !keep {
 			if err := d.redeploy(cs); err != nil {
 				return d.rep, err
 			}
@@ -277,41 +269,6 @@ func (d *driver) redeploy(cs *core.ConfigStats) error {
 	return nil
 }
 
-// planSteps bounds the next engine segment in supersteps: remaining
-// work, capped by the checkpoint interval (when the provisioner wants
-// checkpoints) and by the provisioner's planned useful interval.
-func (d *driver) planSteps(dec core.Decision, cs *core.ConfigStats, secPerStep units.Seconds, doneSteps int) (segSteps int, checkpointing bool) {
-	remSteps := d.opts.TotalSupersteps - doneSteps
-	if remSteps < 1 {
-		remSteps = 1
-	}
-	segSteps = remSteps
-	if dec.UseCheckpoints {
-		every := d.opts.CheckpointEvery
-		if every <= 0 && !math.IsInf(float64(cs.Ckpt), 1) {
-			every = int(float64(cs.Ckpt) / float64(secPerStep))
-			if every < 1 {
-				every = 1
-			}
-		}
-		if every >= 1 {
-			checkpointing = true
-			if every < segSteps {
-				segSteps = every
-			}
-		}
-	}
-	if dec.MaxRun > 0 {
-		if cap := int(float64(dec.MaxRun) / float64(secPerStep)); cap < segSteps {
-			if cap < 1 {
-				cap = 1
-			}
-			segSteps = cap
-		}
-	}
-	return segSteps, checkpointing
-}
-
 // segment runs one engine segment under the live deployment and folds
 // its outcome into the report. It returns done=true when the job
 // finished (successfully or not recoverable).
@@ -325,8 +282,7 @@ func (d *driver) segment(ctx context.Context, dec core.Decision, cs *core.Config
 	if snap != nil {
 		doneSteps = snap.Superstep
 	}
-	secPerStep := d.stepTime(cs)
-	segSteps, checkpointing := d.planSteps(dec, cs, secPerStep, doneSteps)
+	segSteps, checkpointing := d.plan(dec, cs, doneSteps)
 	evictAfter, evicted, err := d.forecast(cs, nextEvict, segSteps, doneSteps)
 	if evicted || err != nil {
 		return false, err
@@ -334,7 +290,7 @@ func (d *driver) segment(ctx context.Context, dec core.Decision, cs *core.Config
 
 	res, runErr, wedged := d.runEngine(ctx, snap, segSteps, evictAfter, cs)
 	actual := max(res.Stats.Supersteps-doneSteps, 0)
-	segEnd := d.t + units.Seconds(float64(actual)*float64(secPerStep))
+	segEnd := d.segEnd(cs, actual)
 	switch {
 	case runErr == nil:
 		return d.finish(cs, segEnd, nextEvict, doneSteps, res.Values, res.Stats, d.opts.Manager.Clear)
@@ -368,40 +324,34 @@ func (d *driver) segment(ctx context.Context, dec core.Decision, cs *core.Config
 // durability it tries to make the snapshot durable, racing the
 // eviction: a save that fails (store faults) keeps the in-memory
 // snapshot and the old durable frontier; a save interrupted by the
-// eviction loses both.
+// eviction loses both. (The blob may still have landed; if a later
+// reload finds it, all downstream accounting derives from the
+// actually-loaded superstep, so the trajectory stays internally
+// consistent — the race only ever under-promises progress.)
 func (d *driver) checkpoint(snap *engine.Snapshot, cs *core.ConfigStats, segEnd, nextEvict units.Seconds, doneSteps int, checkpointing bool) error {
-	if !checkpointing {
-		// The provisioner bounded the interval (MaxRun) without asking
-		// for durability: bill the segment and go back for a decision
-		// with the in-memory snapshot intact.
-		d.snapLive, d.cur = snap, cs
-		_, err := d.billUntil(cs, segEnd, never, 0)
-		return err
+	var ioSave units.Seconds
+	var serr error
+	if checkpointing {
+		ioSave, serr = d.opts.Manager.Save(snap)
 	}
-	ioSave, serr := d.opts.Manager.Save(snap)
-	d.rep.IOTime += ioSave
-	// Evicted mid-save: billed only up to the price crossing, the
-	// checkpoint does not advance the durable frontier, and the
-	// in-memory state is gone with the machines. (The blob may still
-	// have landed; if a later reload finds it, all downstream accounting
-	// derives from the actually-loaded superstep, so the trajectory
-	// stays internally consistent — the race only ever under-promises
-	// progress.)
-	if evicted, err := d.billUntil(cs, segEnd+ioSave, nextEvict, doneSteps); err != nil || evicted {
+	if evicted, err := d.boundary(cs, segEnd, ioSave, nextEvict, checkpointing, doneSteps); err != nil || evicted {
 		return err
 	}
 	d.snapLive, d.cur = snap, cs
-	if serr != nil {
+	switch {
+	case !checkpointing:
+		// The provisioner bounded the interval (MaxRun) without asking
+		// for durability: back for a decision with the snapshot intact.
+	case serr != nil:
 		// Partial progress is billed (the failed uploads and backoff are
 		// in ioSave) but the durable frontier stays put: a later
 		// eviction rolls back further. The run itself continues on the
 		// intact in-memory state.
 		d.logf("runtime: job %q checkpoint at superstep %d failed: %v", d.env.Job.Name, snap.Superstep, serr)
-		return nil
+	default:
+		d.record(obs.Event{Type: obs.EvCheckpoint, T: float64(d.t), Job: d.env.Job.Name,
+			Config: cs.Config.ID(), WorkLeft: d.workLeft(snap.Superstep)})
 	}
-	d.rep.Checkpoints++
-	d.emit(obs.Event{Type: obs.EvCheckpoint, T: float64(d.t), Job: d.env.Job.Name,
-		Config: cs.Config.ID(), WorkLeft: d.workLeft(snap.Superstep)})
 	return nil
 }
 
@@ -448,7 +398,6 @@ func (d *driver) runEngine(ctx context.Context, snap *engine.Snapshot, segSteps,
 		ch <- outcome{res, err}
 	}()
 
-	wedged := false
 	if d.opts.Watchdog > 0 {
 	watch:
 		for {
@@ -460,7 +409,6 @@ func (d *driver) runEngine(ctx context.Context, snap *engine.Snapshot, segSteps,
 			case <-mon.feed:
 				timer.Stop() // superstep completed in time; re-arm
 			case <-timer.C:
-				wedged = true
 				cancel()
 				break watch
 			}
@@ -483,8 +431,35 @@ func (d *driver) runEngine(ctx context.Context, snap *engine.Snapshot, segSteps,
 		}
 	}
 	out := <-ch
-	if mon.tripped() && errors.Is(out.err, engine.ErrInterrupted) {
-		return out.res, out.err, false
+	return out.res, out.err, false
+}
+
+// monitor is the engine sink of one segment: it forwards events,
+// feeds the watchdog and cancels the segment at the injected eviction
+// boundary. The engine emits EvSuperstep synchronously at the
+// superstep barrier, from its one run-loop goroutine, so "evict after
+// N supersteps" is deterministic: the segment stops before superstep
+// N+1, exactly a machine loss at that instant.
+type monitor struct {
+	forward    obs.Sink
+	cancel     context.CancelFunc
+	evictAfter int           // cancel after this many supersteps (0 = never)
+	feed       chan struct{} // watchdog heartbeat, one per superstep
+	steps      int           // supersteps completed this segment
+}
+
+func (m *monitor) Emit(e obs.Event) {
+	if e.Type == obs.EvSuperstep {
+		m.steps++
+		select {
+		case m.feed <- struct{}{}:
+		default:
+		}
+		if m.steps == m.evictAfter {
+			m.cancel()
+		}
 	}
-	return out.res, out.err, wedged
+	if m.forward != nil {
+		m.forward.Emit(e)
+	}
 }

@@ -3,11 +3,12 @@
 // crossing, or from a launcher that forewarns a scheduled worker death
 // — it re-decides the fallback configuration immediately and boots the
 // next coordinator listener and worker set *concurrently* with the
-// still-running doomed session. The standby workers prefetch the
-// newest checkpoint chain into a read-through cache while they wait for
-// the coordinator to accept, and when the window also fits one
-// checkpoint save the doomed session is forced to seal a final
-// checkpoint at the eviction boundary. At the eviction instant the
+// still-running doomed session. The projection is re-derived at every
+// boundary the session survives, since billed saves move the clock.
+// The standby workers prefetch the newest checkpoint chain into a
+// read-through cache while they wait for the coordinator to accept,
+// and when the window also fits one checkpoint save the doomed session
+// is forced to seal a final checkpoint at the eviction boundary. At the eviction instant the
 // driver cuts over: the standby's wait + boot + reload all happened
 // inside the window, overlapped with paid-for compute, so the recovery
 // downtime on the virtual clock is zero and the resume point is within
@@ -27,152 +28,106 @@ import (
 	"hourglass/internal/units"
 )
 
-// standbyState is one armed standby. The orchestration goroutine owns
-// every field until it closes done; afterwards the driver goroutine
-// owns them. A standby that never became launchable leaves ws nil.
+// standbyState is one armed standby. A standby that never became
+// launchable leaves ws nil.
 type standbyState struct {
-	done chan struct{}
-
-	cs      *core.ConfigStats
+	choice
 	avail   units.Seconds // market availability of the standby set
 	readyAt units.Seconds // avail + boot + prefetch: earliest cutover
 	reload  units.Seconds // prefetch I/O priced into readyAt
 	ln      net.Listener
 	ws      WorkerSet
 	cancel  context.CancelFunc
-	attempt int
 }
 
-// armStandby wires the warning machinery into a session about to start:
-// it projects the interruption boundary (injected market eviction,
-// forewarned worker death, whichever lands first), decides whether the
-// window fits a final in-window save, and hands the monitor a warning
-// trigger that spawns the standby orchestration goroutine. It returns
-// the forced-checkpoint superstep for the dist config (0 = none) and
-// the armed state (nil = no warning possible for this segment).
-func (d *distDriver) armStandby(ctx context.Context, mon *monitor, cs *core.ConfigStats, attempt, evictAfter, remSteps int, secPerStep, nextEvict units.Seconds) (int, *standbyState) {
-	if d.opts.WarningWindow <= 0 {
-		return 0, nil
+// interruption projects, from the clock, the live session's
+// interruption — the injected market eviction or a forewarned worker
+// death, whichever lands first: its boundary as an absolute superstep
+// (0 = none before the job ends), the virtual instant the machines
+// disappear, and whether it is the market's.
+func (s *distSession) interruption() (boundary int, at units.Seconds, market bool) {
+	d := s.d
+	at = s.nextEvict
+	if k := d.stepsBefore(s.cs, at); k < d.total-s.billed {
+		boundary, market = s.billed+k, true
 	}
-	// The interruption boundary in session supersteps, and the virtual
-	// instant the machines disappear.
-	boundary := evictAfter
-	evProj := nextEvict
-	if ws, ok := d.opts.Launcher.(WarningSource); ok {
-		if die := ws.DeathWarning(attempt); die > 0 {
-			// The worker dies while computing absolute superstep `die`,
-			// so the session completes die-1 supersteps past the durable
-			// frontier.
-			deathSteps := die - 1 - d.durable
-			if deathSteps >= 1 && deathSteps < remSteps && (boundary == 0 || deathSteps < boundary) {
-				boundary = deathSteps
-				evProj = d.t + units.Seconds(float64(deathSteps)*float64(secPerStep))
-			}
-		}
+	// The worker dies while computing superstep die, after die-1.
+	if die := d.opts.Launcher.DeathWarning(s.attempt) - 1; die > s.billed && die < d.total && (boundary == 0 || die < boundary) {
+		boundary, at, market = die, d.segEnd(s.cs, die-s.billed), false
 	}
-	if boundary <= 0 {
-		return 0, nil
-	}
-
-	warnSteps := int(math.Ceil(float64(d.opts.WarningWindow) / float64(secPerStep)))
-	if warnSteps < 1 {
-		warnSteps = 1
-	}
-	warnAfter := boundary - warnSteps
-	if warnAfter < 1 {
-		warnAfter = 1
-	}
-	warnAt := evProj - d.opts.WarningWindow
-	if warnAt < d.t {
-		warnAt = d.t
-	}
-
-	// When the window fits one save, force a final checkpoint at the
-	// boundary: the standby resumes from the eviction instant itself
-	// instead of the last cadence checkpoint.
-	forceCkptAt := 0
-	projDurable := d.durable
-	if d.opts.WarningWindow >= cs.Save {
-		forceCkptAt = d.durable + boundary
-		projDurable = d.durable + boundary
-		if evictAfter > 0 && boundary == evictAfter {
-			// Injected eviction: the monitor must let the forced save
-			// seal before cancelling. A forewarned death needs no monitor
-			// trip — the loss itself ends the session.
-			mon.warmBoundary = forceCkptAt
-		}
-	} else if every := d.opts.CheckpointEvery; every > 0 {
-		// Reactive durability: project the last cadence checkpoint that
-		// seals strictly before the boundary.
-		projDurable = d.durable + (boundary-1)/every*every
-	}
-
-	sb := &standbyState{done: make(chan struct{}), attempt: attempt + 1}
-	mon.warnAfter = warnAfter
-	mon.onWarn = func() {
-		go d.startStandby(ctx, sb, cs, warnAt, evProj, projDurable)
-	}
-	return forceCkptAt, sb
+	return boundary, at, market
 }
 
-// startStandby is the orchestration goroutine behind a fired warning.
-// It runs concurrently with the doomed session; the driver goroutine is
-// parked inside dist.AcceptAndRun and joins on sb.done before reading
-// the report again, so the report mutations here are unsynchronized by
-// design. Billing is deferred to cutover/discard time on the driver
-// goroutine to keep the EvSpend fold order deterministic.
-func (d *distDriver) startStandby(ctx context.Context, sb *standbyState, cur *core.ConfigStats, warnAt, evProj units.Seconds, projDurable int) {
-	defer close(sb.done)
-	wl := d.workLeft(projDurable)
+// armWarning arms the warning WarningWindow ahead of the projected
+// interruption. When the window fits one save, it also forces a final
+// checkpoint at the interruption's boundary: the standby then resumes
+// from the interruption itself instead of the plan's last checkpoint.
+// A market eviction stops the session once that save seals (see
+// distSession.close); a forewarned death needs no stop — the loss
+// itself ends the session.
+func (s *distSession) armWarning() {
+	d := s.d
+	s.warnAt, s.forceAt, s.warmTrip = 0, 0, false
+	boundary, _, market := s.interruption()
+	if d.opts.WarningWindow <= 0 || boundary == 0 {
+		return
+	}
+	warnSteps := max(int(math.Ceil(float64(d.opts.WarningWindow)/float64(d.stepTime(s.cs)))), 1)
+	s.warnAt = max(boundary-warnSteps, s.done+1)
+	if d.opts.WarningWindow >= s.cs.Save {
+		s.forceAt, s.warmTrip = boundary, market
+	}
+}
+
+// warn fires the warning: it re-decides for the post-eviction world —
+// the standby takes over at the projected interruption instant with the
+// projected durable frontier — and boots the standby set concurrently
+// with the doomed session. It runs on the coordinator goroutine like
+// every other loop step; Launch only starts the workers, whose boot and
+// prefetch overlap the session. Billing is deferred to cutover or
+// discard time.
+func (s *distSession) warn() {
+	d := s.d
+	boundary, evProj, _ := s.interruption()
+	warnAt := max(evProj-d.opts.WarningWindow, d.t)
+	durable := d.durable
+	if s.forceAt > 0 {
+		durable = s.forceAt
+	} else if s.checkpointing && s.planEnd > 0 && s.planEnd < boundary {
+		durable = s.planEnd // reactive: the plan's checkpoint seals first
+	}
+	sb := &standbyState{}
+	s.sb = sb
+	wl := d.workLeft(durable)
 	d.rep.Warnings++
 	d.emit(obs.Event{Type: obs.EvWarning, T: float64(warnAt), Job: d.env.Job.Name,
-		Config: cur.Config.ID(), WorkLeft: wl, DurSec: float64(d.opts.WarningWindow)})
+		Config: s.cs.Config.ID(), WorkLeft: wl, DurSec: float64(d.opts.WarningWindow)})
 
-	// Re-decide for the post-eviction world: the standby takes over at
-	// the projected eviction instant with the projected durable frontier.
-	_, cs, err := d.decide(ctx, core.State{Now: evProj, WorkLeft: wl, Deadline: d.deadline})
+	dec, cs, err := d.decide(s.ctx, core.State{Now: evProj, WorkLeft: wl, Deadline: d.deadline})
 	if err != nil {
 		d.standbyMiss(warnAt, "", err)
 		return
 	}
-	shards := cs.Config.Count
-	avail, reload, err := d.price(cs, warnAt, projDurable > 0, 0, d.evenSplit(shards))
-	if err != nil {
-		d.standbyMiss(warnAt, cs.Config.ID(), err)
-		return
-	}
+	avail, reload, err := d.price(cs, warnAt, durable > 0, 0, d.evenSplit(cs.Config.Count))
 	readyAt := avail + cs.Boot + reload
-	if readyAt > evProj {
-		// The fallback machines cannot be up before the primaries die:
-		// booting them would buy nothing over reactive recovery.
-		d.standbyMiss(warnAt, cs.Config.ID(), nil)
-		return
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		d.standbyMiss(warnAt, cs.Config.ID(), err)
-		return
-	}
-	// The standby outlives the doomed segment's context by design: tie
+	// The standby outlives the doomed session's context by design: tie
 	// it to the run context and cancel at adoption or discard.
-	sbCtx, cancel := context.WithCancel(ctx)
-	var ws WorkerSet
-	if sl, ok := d.opts.Launcher.(StandbyLauncher); ok {
-		ws, err = sl.LaunchStandby(sbCtx, ln.Addr().String(), shards, sb.attempt, d.opts.Job)
-	} else {
-		ws, err = d.opts.Launcher.Launch(sbCtx, ln.Addr().String(), shards, sb.attempt)
+	sbCtx, cancel := context.WithCancel(s.ctx)
+	if err == nil && readyAt <= evProj {
+		sb.ln, sb.ws, err = d.launch(sbCtx, cs.Config.Count, s.attempt+1, d.opts.Job)
 	}
-	if err != nil {
+	if sb.ws == nil {
+		// Not launchable, or the fallback machines cannot be up before
+		// the primaries die: booting them would buy nothing over
+		// reactive recovery.
 		cancel()
-		ln.Close()
 		d.standbyMiss(warnAt, cs.Config.ID(), err)
 		return
 	}
 	d.emit(obs.Event{Type: obs.EvStandby, T: float64(warnAt), Job: d.env.Job.Name,
 		Config: cs.Config.ID(), WorkLeft: wl, Ready: true})
-	sb.cs, sb.avail, sb.readyAt, sb.reload = cs, avail, readyAt, reload
-	sb.ln, sb.ws, sb.cancel = ln, ws, cancel
+	sb.choice, sb.cancel = choice{dec: dec, cs: cs}, cancel
+	sb.avail, sb.readyAt, sb.reload = avail, readyAt, reload
 }
 
 // standbyMiss records a standby that never became launchable.
@@ -207,7 +162,7 @@ func (d *distDriver) settleStandby(sb *standbyState, evTime units.Seconds) error
 	d.rep.WarmCutovers++
 	d.emit(obs.Event{Type: obs.EvCutover, T: float64(evTime), Job: d.env.Job.Name,
 		Config: sb.cs.Config.ID(), WorkLeft: d.workLeft(d.durable), DurSec: 0})
-	d.pending = sb
+	d.next, d.pending = &sb.choice, sb
 	return nil
 }
 

@@ -98,8 +98,8 @@ func assertStandbyFoldParity(t *testing.T, sink *listSink, rep runtime.Report) o
 // acceptance test on the death path: the launcher forewarns that a
 // worker of the first deployment (8 shards) dies at superstep 6, so the
 // driver arms a standby at the fallback count (4 shards), forces a
-// final checkpoint at the boundary (superstep 5 — off the every-2
-// cadence, provable only via ForceCheckpointAt), boots and prefetches
+// final checkpoint at the boundary (superstep 5 — off the plan's every-2
+// boundaries, provable only via the forced save), boots and prefetches
 // the standby concurrently with the doomed session, and cuts over at
 // the loss instant with zero recovery downtime. Delta checkpointing is
 // on, so the cutover also proves chained-manifest resume through the
@@ -162,7 +162,7 @@ func TestExecuteDistWarmCutoverOnForewarnedDeath(t *testing.T) {
 		t.Error("no checkpoint sealed at superstep 5: the forced in-window save never happened")
 	}
 	if deltaSaves < 2 {
-		t.Errorf("%d delta saves, want >= 2 (cadence 2,4 full+delta chain before the boundary)", deltaSaves)
+		t.Errorf("%d delta saves, want >= 2 (plan checkpoints 2,4 full+delta chain before the boundary)", deltaSaves)
 	}
 	if len(cutovers) != 1 {
 		t.Fatalf("%d cutover events, want 1", len(cutovers))
@@ -232,8 +232,8 @@ func TestExecuteDistWarmCutoverOnMarketEviction(t *testing.T) {
 		t.Fatalf("RecoveryTime = %v, want 0 (every eviction was a warm cutover)", rep.RecoveryTime)
 	}
 	// Warm mode must have sealed the forced checkpoint at the eviction
-	// boundary itself — strictly past what the every-2 cadence alone
-	// could guarantee durable.
+	// boundary itself — strictly past what the plan's every-2
+	// boundaries alone could guarantee durable.
 	sealedAtBoundary := false
 	for _, e := range sink.snapshot() {
 		if e.Type == obs.EvCheckpoint && e.Superstep == boundary {

@@ -231,19 +231,29 @@ func TestControllerDistRecurrenceFollowsDecisions(t *testing.T) {
 	}
 	events := sink.events()
 	var decisions, deploys []obs.Event
+	kept, live := 0, ""
 	for _, e := range events {
 		switch e.Type {
 		case obs.EvDecision:
-			decisions = append(decisions, e)
+			if !e.Keep {
+				decisions = append(decisions, e)
+				continue
+			}
+			// A boundary decision that keeps the live set boots nothing.
+			kept++
+			if e.Config != live {
+				t.Fatalf("decision keeps %s while %s runs", e.Config, live)
+			}
 		case obs.EvDeploy:
 			deploys = append(deploys, e)
+			live = e.Config
 		}
 	}
-	if len(decisions) != rec.Decisions {
-		t.Fatalf("%d decision events for %d decisions", len(decisions), rec.Decisions)
+	if len(decisions)+kept != rec.Decisions {
+		t.Fatalf("%d decision events for %d decisions", len(decisions)+kept, rec.Decisions)
 	}
 	if len(deploys) != len(decisions) || len(deploys) != rec.Reconfigs {
-		t.Fatalf("%d deploys for %d decisions and %d reconfigs: every dist decision boots a fresh set",
+		t.Fatalf("%d deploys for %d decisions that keep nothing and %d reconfigs: every such dist decision boots a fresh set",
 			len(deploys), len(decisions), rec.Reconfigs)
 	}
 	var shardCounts []int
