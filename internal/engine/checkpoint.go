@@ -30,10 +30,10 @@ type Snapshot struct {
 	Aux [][]byte
 }
 
-// snapshot captures the run's barrier state: the kernel's full blob
+// Snapshot captures the run's barrier state: the kernel's full blob
 // (every vertex, pending messages vertex-ascending in arrival order)
 // plus the reduced aggregator values.
-func (r *run) snapshot() *Snapshot {
+func (r *Execution) Snapshot() *Snapshot {
 	b := r.export(r.superstep)
 	s := &Snapshot{
 		Program:     r.prog.Name(),

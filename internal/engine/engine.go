@@ -281,17 +281,24 @@ type Result struct {
 	Snapshot *Snapshot
 }
 
-// run is one in-process execution: N partitions over one kernel.
-type run struct {
+// Execution is one live in-process run — N partitions over one kernel
+// — standing at a superstep barrier. Step runs it one superstep at a
+// time; between Steps the caller may checkpoint it (Snapshot) or drop
+// it. RunCtx and ResumeCtx step one to the end; the runtime driver keeps
+// one live across its plan boundaries, and RunDurable checkpoints one
+// at its cadence.
+type Execution struct {
 	*kernel
-	superstep int
-	stats     Stats
-	sink      obs.Sink
-	contribs  [][][]float64 // each partition's Contribs, for the barrier fold
-	wg        sync.WaitGroup
+	superstep     int
+	maxSupersteps int
+	stats         Stats
+	sink          obs.Sink
+	contribs      [][][]float64 // each partition's Contribs, for the barrier fold
+	wg            sync.WaitGroup
 
-	// done aborts the run when closed (RunCtx/ResumeCtx); aborted is
-	// set by whichever goroutine observes the cancellation first.
+	// done aborts the run when closed (the ctx of Start/StartFrom);
+	// aborted is set by whichever goroutine observes the cancellation
+	// first.
 	done    <-chan struct{}
 	aborted atomic.Bool
 }
@@ -302,17 +309,14 @@ func Run(g *graph.Graph, prog Program, cfg Config) (Result, error) {
 }
 
 // RunCtx is Run with cancellation: once ctx is done the engine abandons
-// the in-flight superstep (partitions poll every 256 vertices, the
-// driver loop polls at every barrier) and returns ErrInterrupted. The
-// eviction signal of the runtime driver (internal/runtime) arrives
-// through this path.
+// the in-flight superstep (partitions poll every 256 vertices, Step
+// polls at every barrier) and returns ErrInterrupted.
 func RunCtx(ctx context.Context, g *graph.Graph, prog Program, cfg Config) (Result, error) {
-	r, err := newRun(ctx, g, prog, cfg)
+	r, err := Start(ctx, g, prog, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	r.init()
-	return r.loop(cfg.StopAfter, cfg.MaxSupersteps)
+	return r.finish(cfg.StopAfter)
 }
 
 // Resume continues a paused or checkpointed execution. The config may
@@ -324,32 +328,53 @@ func Resume(g *graph.Graph, prog Program, snap *Snapshot, cfg Config) (Result, e
 
 // ResumeCtx is Resume with cancellation (see RunCtx).
 func ResumeCtx(ctx context.Context, g *graph.Graph, prog Program, snap *Snapshot, cfg Config) (Result, error) {
-	if snap == nil {
-		return Result{}, errors.New("engine: nil snapshot")
-	}
-	if snap.NumVertices != g.NumVertices() {
-		return Result{}, fmt.Errorf("engine: snapshot for %d vertices, graph has %d", snap.NumVertices, g.NumVertices())
-	}
-	if snap.Program != prog.Name() {
-		return Result{}, fmt.Errorf("engine: snapshot of %q cannot resume %q", snap.Program, prog.Name())
-	}
-	if _, ok := prog.(VertexAux); ok && len(snap.Aux) != g.NumVertices() {
-		return Result{}, fmt.Errorf("engine: snapshot carries aux state for %d of %d vertices", len(snap.Aux), g.NumVertices())
-	}
-	r, err := newRun(ctx, g, prog, cfg)
+	r, err := StartFrom(ctx, g, prog, snap, cfg)
 	if err != nil {
 		return Result{}, err
 	}
+	return r.finish(cfg.StopAfter)
+}
+
+// Start prepares prog on g under cfg from scratch, standing at the
+// barrier before superstep 0. Cancelling ctx interrupts it (see
+// RunCtx). cfg.StopAfter is RunCtx's; Step ignores it.
+func Start(ctx context.Context, g *graph.Graph, prog Program, cfg Config) (*Execution, error) {
+	r, err := newRun(ctx, g, prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.init()
+	return r, nil
+}
+
+// StartFrom is Start at the barrier snap was taken at (see Resume).
+func StartFrom(ctx context.Context, g *graph.Graph, prog Program, snap *Snapshot, cfg Config) (*Execution, error) {
+	if snap == nil {
+		return nil, errors.New("engine: nil snapshot")
+	}
+	if snap.NumVertices != g.NumVertices() {
+		return nil, fmt.Errorf("engine: snapshot for %d vertices, graph has %d", snap.NumVertices, g.NumVertices())
+	}
+	if snap.Program != prog.Name() {
+		return nil, fmt.Errorf("engine: snapshot of %q cannot resume %q", snap.Program, prog.Name())
+	}
+	if _, ok := prog.(VertexAux); ok && len(snap.Aux) != g.NumVertices() {
+		return nil, fmt.Errorf("engine: snapshot carries aux state for %d of %d vertices", len(snap.Aux), g.NumVertices())
+	}
+	r, err := newRun(ctx, g, prog, cfg)
+	if err != nil {
+		return nil, err
+	}
 	if err := r.restore([]*ckpt.Blob{snap.blob()}, snap.Superstep); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	r.aggs.Set(snap.aggs())
 	r.superstep = snap.Superstep
 	r.stats.Supersteps = snap.Superstep
-	return r.loop(cfg.StopAfter, cfg.MaxSupersteps)
+	return r, nil
 }
 
-func newRun(ctx context.Context, g *graph.Graph, prog Program, cfg Config) (*run, error) {
+func newRun(ctx context.Context, g *graph.Graph, prog Program, cfg Config) (*Execution, error) {
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("engine: workers = %d", cfg.Workers)
 	}
@@ -364,7 +389,10 @@ func newRun(ctx context.Context, g *graph.Graph, prog Program, cfg Config) (*run
 	if err != nil {
 		return nil, err
 	}
-	r := &run{kernel: k, sink: cfg.Sink, done: ctx.Done()}
+	r := &Execution{kernel: k, maxSupersteps: cfg.MaxSupersteps, sink: cfg.Sink, done: ctx.Done()}
+	if r.maxSupersteps == 0 {
+		r.maxSupersteps = 10_000
+	}
 	for _, p := range k.parts {
 		r.contribs = append(r.contribs, p.contrib)
 	}
@@ -379,45 +407,64 @@ func sequence(n int) []int {
 	return ids
 }
 
-// loop drives supersteps until quiescence, pause, or the step limit.
-// A superstep is two waves over the partitions: compute in parallel,
-// then the barrier hand-off, where each goroutine takes the slices
-// every partition staged for its own vertices, in partition order —
-// so inbox state, worklist appends and sender slot clears never race.
-func (r *run) loop(stopAfter, maxSupersteps int) (Result, error) {
-	if maxSupersteps == 0 {
-		maxSupersteps = 10_000
-	}
+// finish steps the run until it is quiescent, fails, or has run
+// stopAfter supersteps with work left (0 = no limit): then it pauses
+// with a resumable snapshot.
+func (r *Execution) finish(stopAfter int) (Result, error) {
 	for steps := 0; ; steps++ {
-		if !r.anyWork() {
-			return Result{Values: r.values, Stats: r.stats}, nil
+		if stopAfter > 0 && steps >= stopAfter && r.anyWork() {
+			return Result{Values: r.values, Stats: r.stats, Snapshot: r.Snapshot()}, ErrPaused
 		}
-		if r.interrupted() {
-			return Result{Stats: r.stats}, ErrInterrupted
+		more, err := r.Step()
+		switch {
+		case err != nil:
+			return Result{Stats: r.stats}, err
+		case !more:
+			return r.Result(), nil
 		}
-		if r.superstep >= maxSupersteps {
-			return Result{}, fmt.Errorf("engine: %s exceeded %d supersteps", r.prog.Name(), maxSupersteps)
-		}
-		if stopAfter > 0 && steps >= stopAfter {
-			return Result{Values: r.values, Stats: r.stats, Snapshot: r.snapshot()}, ErrPaused
-		}
-		var start time.Time
-		if r.sink != nil {
-			start = time.Now()
-		}
-		r.parallel((*run).compute)
-		if r.aborted.Load() {
-			// A partition saw the cancellation mid-superstep: the step's
-			// partial state is inconsistent and discarded.
-			return Result{Stats: r.stats}, ErrInterrupted
-		}
-		r.parallel((*run).handOff)
-		r.account(start)
 	}
 }
 
+// Step runs the superstep after the barrier the run stands at and
+// reports whether the run goes on past the barrier it reaches. It
+// returns false once the run is quiescent — Result then holds its
+// output, and further Steps run nothing — or when it fails:
+// ErrInterrupted once ctx is done, or the superstep limit. A superstep
+// is two waves over the partitions: compute in parallel, then the
+// barrier hand-off, where each goroutine takes the slices every
+// partition staged for its own vertices, in partition order — so inbox
+// state, worklist appends and sender slot clears never race.
+func (r *Execution) Step() (bool, error) {
+	switch {
+	case !r.anyWork():
+		return false, nil
+	case r.interrupted():
+		return false, ErrInterrupted
+	case r.superstep >= r.maxSupersteps:
+		return false, fmt.Errorf("engine: %s exceeded %d supersteps", r.prog.Name(), r.maxSupersteps)
+	}
+	var start time.Time
+	if r.sink != nil {
+		start = time.Now()
+	}
+	r.parallel((*Execution).compute)
+	if r.aborted.Load() {
+		// A partition saw the cancellation mid-superstep: the step's
+		// partial state is inconsistent and discarded.
+		return false, ErrInterrupted
+	}
+	r.parallel((*Execution).handOff)
+	r.account(start)
+	return r.anyWork(), nil
+}
+
+// Result is the run's vertex values and stats at its barrier — the
+// output once Step reported it quiescent. For a run started from a
+// snapshot the stats count from there (see Stats).
+func (r *Execution) Result() Result { return Result{Values: r.values, Stats: r.stats} }
+
 // parallel runs f on every partition at once and waits for them.
-func (r *run) parallel(f func(r *run, p *Partition)) {
+func (r *Execution) parallel(f func(r *Execution, p *Partition)) {
 	for _, p := range r.parts {
 		r.wg.Add(1)
 		go func(p *Partition) {
@@ -430,7 +477,7 @@ func (r *run) parallel(f func(r *run, p *Partition)) {
 
 // compute runs p's worklist, polling for cancellation every 256
 // vertices.
-func (r *run) compute(p *Partition) {
+func (r *Execution) compute(p *Partition) {
 	for left := p.Begin(r.superstep); left > 0; left = p.Compute(256) {
 		if r.done != nil && r.interrupted() {
 			return
@@ -439,7 +486,7 @@ func (r *run) compute(p *Partition) {
 }
 
 // handOff gives dp every partition's outbox for it, then frees them.
-func (r *run) handOff(dp *Partition) {
+func (r *Execution) handOff(dp *Partition) {
 	for _, sp := range r.parts {
 		dp.Deliver(sp.Outbox(dp.id))
 	}
@@ -451,7 +498,7 @@ func (r *run) handOff(dp *Partition) {
 
 // interrupted reports (and latches) whether the run's context was
 // cancelled.
-func (r *run) interrupted() bool {
+func (r *Execution) interrupted() bool {
 	select {
 	case <-r.done:
 		r.aborted.Store(true)
@@ -463,7 +510,7 @@ func (r *run) interrupted() bool {
 
 // anyWork reports whether any partition has queued vertices —
 // O(partitions), not O(vertices).
-func (r *run) anyWork() bool {
+func (r *Execution) anyWork() bool {
 	for _, p := range r.parts {
 		if p.Frontier() > 0 {
 			return true
@@ -474,7 +521,7 @@ func (r *run) anyWork() bool {
 
 // account closes a superstep begun at start: the partitions' tallies
 // join the run's stats, the aggregators fold, and the sink hears of it.
-func (r *run) account(start time.Time) {
+func (r *Execution) account(start time.Time) {
 	var step Tally
 	var arena int64
 	for _, p := range r.parts {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -157,55 +158,48 @@ func (m *CheckpointManager) Load() (*Snapshot, units.Seconds, error) {
 // callers can log them: the namespace may then still hold blobs.
 func (m *CheckpointManager) Clear() error { return ckpt.Clear(m.Store, m.Job) }
 
-// RunDurable executes prog with periodic durable checkpoints every
-// `every` supersteps, resuming from the latest checkpoint if one
-// exists. It is the full execution loop of the paper's Figure 2 at the
-// engine level: run → checkpoint → (crash?) → reload → continue. The
-// returned virtual I/O time is the sum of checkpoint uploads (compute
-// time is the caller's concern — the perfmodel prices it). On a save
-// failure, the I/O time already spent — including the failed save's
-// partial uploads and exhausted retry backoff — is returned alongside
-// the error so callers can bill the partial progress.
+// RunDurable executes prog with a durable checkpoint every `every`
+// supersteps, resuming from the latest checkpoint if one exists. It is
+// the full execution loop of the paper's Figure 2 at the engine level:
+// run → checkpoint → (crash?) → reload → continue. One live run steps
+// through the whole job; each checkpoint saves its barrier. The
+// returned virtual I/O time is the sum of the checkpoint load and
+// uploads (compute time is the caller's concern — the perfmodel prices
+// it). On a save failure, the I/O time already spent — including the
+// failed save's partial uploads and exhausted retry backoff — is
+// returned alongside the error so callers can bill the partial
+// progress.
 func (m *CheckpointManager) RunDurable(g *graph.Graph, prog Program, cfg Config, every int) (Result, units.Seconds, error) {
 	if every <= 0 {
 		return Result{}, 0, fmt.Errorf("engine: checkpoint interval %d", every)
 	}
-	var ioTime units.Seconds
-	snap, loadTime, err := m.Load()
+	snap, ioTime, err := m.Load()
+	var r *Execution
 	switch {
 	case errors.Is(err, ckpt.ErrNoCheckpoint):
-		// Fresh start.
-	case err != nil:
-		return Result{}, 0, err
-	default:
-		ioTime += loadTime
+		r, err = Start(context.Background(), g, prog, cfg)
+	case err == nil:
+		r, err = StartFrom(context.Background(), g, prog, snap, cfg)
 	}
-
-	for {
-		runCfg := cfg
-		runCfg.StopAfter = every
-		var res Result
-		var err error
-		if snap == nil {
-			res, err = Run(g, prog, runCfg)
-		} else {
-			res, err = Resume(g, prog, snap, runCfg)
-		}
+	if err != nil {
+		return Result{}, ioTime, err
+	}
+	for steps := 1; ; steps++ {
+		more, err := r.Step()
 		switch {
-		case err == nil:
+		case err != nil:
+			return Result{}, ioTime, err
+		case !more:
 			if cerr := m.Clear(); cerr != nil {
 				m.logf("engine: checkpoint GC for job %q incomplete: %v", m.Job, cerr)
 			}
-			return res, ioTime, nil
-		case errors.Is(err, ErrPaused):
-			saveTime, serr := m.Save(res.Snapshot)
+			return r.Result(), ioTime, nil
+		case steps%every == 0:
+			saveTime, serr := m.Save(r.Snapshot())
 			ioTime += saveTime
 			if serr != nil {
 				return Result{}, ioTime, serr
 			}
-			snap = res.Snapshot
-		default:
-			return Result{}, ioTime, err
 		}
 	}
 }

@@ -1,23 +1,17 @@
 // Runtime-driven distributed clusters: ExecuteDist is Execute's
 // sibling for the multi-process BSP engine (internal/dist). Where
-// Execute abandons an in-process engine segment and Resumes from an
-// engine checkpoint, ExecuteDist tears down a whole process set — an
-// eviction or re-decision cancels the segment context, which unwinds
-// the coordinator at its next barrier wait and every shard worker at
-// its next frame wait or inbox drain — then re-decides the worker
-// count and boots a *new* process set that resumes from the per-shard
-// checkpoint blobs at the new shard count. Decisions, the segment
-// plan, deploy and boundary billing, eviction races, the last-resort
-// fallback and the finish are the driver core in loop.go, the same code
-// Execute runs; this file holds only the dist substrate — launchers,
-// the coordinator session and the boundaries it reaches at its
-// barriers — with warm standby in standby.go.
-//
-// A session is not a segment: at each plan boundary the coordinator
-// stops at its barrier while the driver bills the segment and its save
-// and consults the provisioner with the deployment live. A KeepCurrent
-// decision keeps the process set running in place; any other one tears
-// it down and boots the decided configuration.
+// Execute steps an in-process engine run, ExecuteDist runs a whole
+// process set — an eviction or re-decision cancels the session
+// context, which unwinds the coordinator at its next barrier wait and
+// every shard worker at its next frame wait or inbox drain — then
+// re-decides the worker count and boots a *new* process set that
+// resumes from the per-shard checkpoint blobs at the new shard count.
+// The run loop, the session and its plan boundaries, deploy and
+// boundary billing, eviction races, the last-resort fallback and the
+// finish are the driver core in loop.go, the same code Execute runs;
+// this file holds only the dist substrate — launchers and the
+// coordinator session that feeds the session its barriers — with warm
+// standby in standby.go.
 //
 // Process sets come from a DistLauncher: LoopbackLauncher runs shards
 // as goroutines in this process (unit tests, one-machine deployments),
@@ -39,6 +33,7 @@ import (
 	"hourglass/internal/cloud"
 	"hourglass/internal/core"
 	"hourglass/internal/dist"
+	"hourglass/internal/engine"
 	"hourglass/internal/obs"
 	"hourglass/internal/simnet"
 	"hourglass/internal/units"
@@ -323,61 +318,35 @@ func ExecuteDist(ctx context.Context, opts DistOptions, start, deadline units.Se
 		sink: opts.Sink, logger: opts.Logf, total: opts.TotalSupersteps, every: opts.CheckpointEvery,
 		restartBudget: opts.RestartBudget, maxDecisions: opts.MaxDecisions,
 		bytesPerVertex: opts.BytesPerVertex, net: opts.Net}, start, deadline)}
-	return d.run(ctx)
+	return d.drive(ctx, d)
 }
 
-// distDriver carries the mutable state of one ExecuteDist call.
+// distDriver is the dist substrate of one ExecuteDist call.
 type distDriver struct {
 	*loop
 	opts *DistOptions
-	// durable is the superstep of the checkpoint the live deployment
-	// resumed or sealed last (0 = none).
-	durable int
-
-	// next is a deployment decided already — at a boundary of the last
-	// session, or at the warning of the standby adopted at the last
-	// eviction (pending): the next run-loop iteration boots it, or runs
-	// its session over the pre-booted listener and worker set, without
-	// deciding again.
-	next    *choice
-	pending *standbyState
 }
 
-// choice is a decision and the configuration it deploys.
-type choice struct {
-	dec core.Decision
-	cs  *core.ConfigStats
+// frontier implements substrate: a deployment resumes — and is billed
+// and planned from — the newest sealed checkpoint in the store.
+func (d *distDriver) frontier() (int, error) {
+	return dist.LatestCheckpoint(d.opts.Store, d.opts.Job), nil
 }
 
-func (d *distDriver) run(ctx context.Context) (Report, error) {
-	for attempt := 0; ; attempt++ {
-		// A deployment resumes — and is billed and planned from — the
-		// newest sealed checkpoint in the store.
-		d.durable = dist.LatestCheckpoint(d.opts.Store, d.opts.Job)
-		c, sb := d.next, d.pending
-		d.next, d.pending = nil, nil
-		var err error
-		switch {
-		case sb != nil:
-			// Warm cutover: the decision was made at the warning (and
-			// counted there), the set is booted and prefetched — go
-			// straight to the session.
-			if err = d.guard(ctx); err != nil {
-				d.teardownStandby(sb)
-			}
-		case c == nil:
-			c = &choice{}
-			c.dec, c.cs, _, err = d.consult(ctx, nil, 0, d.durable)
-		}
-		if err != nil {
-			return d.rep, err
-		}
-		done, err := d.segment(ctx, *c, attempt, sb)
-		if err != nil || done {
-			return d.rep, err
-		}
+// boot implements substrate. A fresh process set bills wait + boot +
+// load; a warm cutover's boot and reload were paid inside the warning
+// window, overlapped with the doomed session: the standby was billed
+// through the eviction instant at adoption and the clock is already
+// that instant, so the deploy span — the recovery downtime — is zero.
+func (d *distDriver) boot(cs *core.ConfigStats, durable int, warm *standbyState) (obs.Event, error) {
+	d.rep.ShardCounts = append(d.rep.ShardCounts, cs.Config.Count)
+	if warm != nil {
+		return d.deployEvent(cs, d.t, durable, durable > 0), nil
 	}
+	return d.deploy(cs, durable > 0, 0, d.evenSplit(cs.Config.Count), durable)
 }
+
+func (d *distDriver) clear() error { return dist.ClearJob(d.opts.Store, d.opts.Job) }
 
 // evenSplit is the dist plane's per-worker vertex count: shards own
 // vertices round-robin, so shares are even to within one vertex.
@@ -391,90 +360,6 @@ func (d *distDriver) evenSplit(workers int) []int64 {
 		}
 	}
 	return perWorker
-}
-
-// segment deploys c and runs its session, folding the outcome into the
-// report. With warm == nil it boots a fresh process set (billing wait +
-// boot + load); with a warm standby it adopts the pre-booted listener
-// and worker set at zero additional downtime. The session runs as long
-// as the plan's boundaries keep the deployment (see distSession). It
-// returns done=true when the job finished (successfully or not
-// recoverably).
-func (d *distDriver) segment(ctx context.Context, c choice, attempt int, warm *standbyState) (bool, error) {
-	cs := c.cs
-	var deploy obs.Event
-	if warm == nil {
-		var err error
-		if deploy, err = d.deploy(cs, d.durable > 0, 0, d.evenSplit(cs.Config.Count), d.durable); err != nil {
-			return false, err
-		}
-	} else {
-		// A warm cutover's boot and reload were paid inside the warning
-		// window, overlapped with the doomed session: the standby was
-		// billed through the eviction instant at adoption and the clock
-		// is already that instant, so the deploy span — the recovery
-		// downtime — is zero.
-		deploy = d.deployEvent(cs, d.t, d.durable, d.durable > 0)
-	}
-	d.rep.ShardCounts = append(d.rep.ShardCounts, cs.Config.Count)
-
-	s := &distSession{d: d, ctx: ctx, choice: c, attempt: attempt, bootAt: d.t,
-		done: d.durable, billed: d.durable}
-	var rep *dist.Report
-	var runErr error
-	if s.arm(true) {
-		rep, runErr = d.session(ctx, s, deploy, warm)
-	} else {
-		// Evicted before one superstep would complete: not worth running
-		// the cluster at all.
-		d.teardownStandby(warm)
-	}
-	segEnd := d.segEnd(cs, s.done-s.billed)
-	sb, at, err := s.sb, s.nextEvict, s.err
-	var lost *dist.ShardLostError
-	switch {
-	case err != nil:
-		// Billing or deciding failed inside the session.
-	case s.next != nil:
-		// A boundary decided on another configuration: the session is
-		// billed through that boundary, and a standby never pays out.
-		d.next = s.next
-		return false, d.discardStandby(sb, d.t)
-	case s.evicted:
-		// The eviction won a boundary's save, or landed before the next
-		// superstep could complete, or stopped the session at its
-		// superstep boundary: billed and recorded already. Progress past
-		// the durable frontier is gone with the processes.
-		return false, d.settleStandby(sb, at)
-	case runErr == nil:
-		var done bool
-		if done, err = d.finish(cs, segEnd, at, d.durable, rep.Values, rep.Stats,
-			func() error { return dist.ClearJob(d.opts.Store, d.opts.Job) }); err == nil {
-			if done {
-				// The job finished under the doomed session after all;
-				// the standby was insurance that never paid out.
-				return true, d.discardStandby(sb, d.t)
-			}
-			// Evicted computing the tail or writing the output: a ready
-			// standby still takes over.
-			return false, d.settleStandby(sb, at)
-		}
-	case ctx.Err() != nil:
-		err = fmt.Errorf("runtime: dist run cancelled mid-session: %w", ctx.Err())
-	case errors.As(runErr, &lost):
-		// A worker actually died (chaos hook, killed process): bill the
-		// supersteps that did complete, then go back around — the next
-		// decision is free to pick a different worker count and the next
-		// session resumes the blobs at that count. A forewarned death
-		// (DistLauncher.DeathWarning) may have a standby ready.
-		if _, err = d.billUntil(cs, never, segEnd, d.durable); err == nil {
-			return false, d.settleStandby(sb, segEnd)
-		}
-	default:
-		err = runErr
-	}
-	d.teardownStandby(sb)
-	return false, err
 }
 
 // launch opens a coordinator listener and boots a worker set that
@@ -492,15 +377,16 @@ func (d *distDriver) launch(ctx context.Context, shards, attempt int, prefetchJo
 	return ln, ws, nil
 }
 
-// session runs one coordinator session over a worker set — freshly
-// launched, or adopted from a warm standby — and emits the deployment's
-// EvDeploy, stamped with the worker identities, once the set is up.
-// Whatever the outcome, the set is torn down and waited for before
-// returning: the next deployment must never race a straggler from this
-// one.
-func (d *distDriver) session(ctx context.Context, s *distSession, deploy obs.Event, warm *standbyState) (*dist.Report, error) {
+// run implements substrate: one coordinator session over a worker set
+// — freshly launched, or adopted from a warm standby — that emits the
+// deployment's EvDeploy, stamped with the worker identities, once the
+// set is up. The coordinator runs on this goroutine and calls the
+// session's Emit and checkpointAt at every barrier. Whatever the
+// outcome, the set is torn down and waited for before returning: the
+// next deployment must never race a straggler from this one.
+func (d *distDriver) run(s *session, deploy obs.Event, warm *standbyState) ([]float64, engine.Stats, error) {
 	shards := s.cs.Config.Count
-	segCtx, cancel := context.WithCancel(ctx)
+	segCtx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
 	s.cancel = cancel
 	var ln net.Listener
@@ -511,7 +397,7 @@ func (d *distDriver) session(ctx context.Context, s *distSession, deploy obs.Eve
 	} else {
 		var err error
 		if ln, ws, err = d.launch(segCtx, shards, s.attempt, ""); err != nil {
-			return nil, err
+			return nil, engine.Stats{}, err
 		}
 	}
 	defer ln.Close()
@@ -534,176 +420,18 @@ func (d *distDriver) session(ctx context.Context, s *distSession, deploy obs.Eve
 	cancel()
 	ws.Stop()
 	ws.Wait()
-	return rep, runErr
-}
-
-// distSession is one deployment's live process set and the plan of its
-// running segment. The coordinator runs on the driver goroutine and
-// calls Emit and checkpointAt synchronously at every barrier, so the
-// loop's boundary steps — bill, record, re-decide — and the warning
-// that arms a standby all run on that one goroutine.
-//
-// At the plan's boundary the driver consults the provisioner with the
-// deployment live. On KeepCurrent the session runs on in place under
-// the new plan, its eviction bound and warning re-derived from the
-// clock (billed saves move it; a kept deployment's bid crossing does
-// not); any other decision stops the session at that barrier, and the
-// next run-loop iteration boots the decided configuration.
-type distSession struct {
-	d   *distDriver
-	ctx context.Context // the run's: decisions and standbys outlive the session
-	choice
-	attempt int
-	bootAt  units.Seconds
-	cancel  context.CancelFunc
-
-	done          int  // supersteps computed (absolute)
-	billed        int  // superstep the clock has billed compute through
-	planEnd       int  // the plan's boundary (0 = run to completion)
-	checkpointing bool // the plan seals a checkpoint at planEnd
-	saveAt        int  // a requested save that has not sealed (0 = none)
-	nextEvict     units.Seconds
-	evictAt       int // injected eviction: stop after this superstep (0 = none)
-
-	// Warm standby (WarningWindow > 0), re-derived with the segment; see
-	// armWarning.
-	sb       *standbyState // armed by the warning (nil = not fired)
-	warnAt   int           // fire the warning after this superstep (0 = never)
-	forceAt  int           // forced in-window save (0 = none)
-	warmTrip bool          // the eviction stops the session at forceAt
-
-	// Why the driver stopped the session, if it did.
-	stopped, evicted bool
-	next             *choice // a boundary decided on another deployment
-	err              error
-}
-
-// Emit is the coordinator's sink.
-func (s *distSession) Emit(e obs.Event) {
-	if e.Type == obs.EvCheckpoint {
-		s.close(e.Superstep, true, &e)
-		return
-	}
-	s.d.emit(e)
-	if e.Type != obs.EvSuperstep || s.stopped {
-		return
-	}
-	if s.saveAt > 0 {
-		// The save requested at the last barrier never sealed (a blob
-		// write or the manifest failed): its time is billed, the
-		// durable frontier stays put.
-		s.close(s.saveAt, true, nil)
-	}
-	s.done = e.Superstep
-	if !s.stopped && s.sb == nil && s.warnAt > 0 && s.done >= s.warnAt {
-		s.warn()
-	}
-	// In warm mode the eviction stops the session once the forced save
-	// at its boundary seals (see close); the superstep after it is the
-	// safety net should that save never seal.
-	if !s.stopped && s.evictAt > 0 && s.done >= s.evictAt && !(s.warmTrip && s.done == s.evictAt) {
-		s.evict()
-	}
-}
-
-// checkpointAt is the coordinator's plan hook, called at every barrier
-// the job continues past: it asks for a checkpoint where the plan ends
-// its segment with one and at the forced in-window save, and closes a
-// segment the plan ends without one.
-func (s *distSession) checkpointAt(x int) bool {
-	save := !s.stopped && (x == s.forceAt || x == s.planEnd && s.checkpointing)
-	if save {
-		s.saveAt = x
-	} else if !s.stopped && x == s.planEnd {
-		s.close(x, false, nil)
-	}
-	return save
-}
-
-// close is the loop's boundary at superstep x: bill the compute since
-// the last boundary and, with save, the t_save the provisioner priced,
-// racing the eviction; record the checkpoint sealed, if any; then
-// re-decide at the plan's boundary, or stop at the warm eviction's
-// forced save, or re-derive the rest of the segment from the clock.
-// A checkpoint that lost its save to the eviction is still recorded:
-// it is sealed in the store, and the next deployment resumes it.
-func (s *distSession) close(x int, save bool, sealed *obs.Event) {
-	d := s.d
-	var ioSave units.Seconds
-	if save {
-		ioSave = s.cs.Save
-	}
-	evicted, err := d.boundary(s.cs, d.segEnd(s.cs, x-s.billed), ioSave, s.nextEvict, save, d.durable)
-	s.billed, s.saveAt = x, 0
-	if sealed != nil {
-		d.durable = x
-		d.record(*sealed)
-	}
+	var lost *dist.ShardLostError
 	switch {
-	case err != nil || evicted:
-		s.stop(evicted, err)
-	case x == s.planEnd:
-		dec, cs, keep, err := d.consult(s.ctx, s.cs, s.bootAt, s.done)
-		switch {
-		case err != nil:
-			s.stop(false, err)
-		case keep:
-			s.dec = dec
-			s.arm(true)
-		default:
-			s.next = &choice{dec: dec, cs: cs}
-			s.stop(false, nil)
-		}
-	case s.warmTrip && x == s.forceAt:
-		s.evict()
-	default:
-		s.arm(false)
+	case errors.As(runErr, &lost) && !s.stopped && s.ctx.Err() == nil:
+		// A worker actually died (chaos hook, killed process): bill the
+		// supersteps that did complete, then go back around — the next
+		// decision is free to pick a different worker count and the next
+		// session resumes the blobs at that count. A forewarned death
+		// (DistLauncher.DeathWarning) may have a standby ready.
+		s.lose(d.segEnd(s.cs, s.done-s.billed))
+		return nil, engine.Stats{}, nil
+	case runErr != nil:
+		return nil, engine.Stats{}, runErr
 	}
-}
-
-// arm re-derives the segment from the clock at the in-memory frontier:
-// with replan, the plan of the session's decision; always, the eviction
-// forecast and the warning. It returns false when the eviction lands
-// before one more superstep can complete (billed and recorded then).
-func (s *distSession) arm(replan bool) bool {
-	d := s.d
-	if replan {
-		steps, checkpointing := d.plan(s.dec, s.cs, s.done)
-		s.planEnd, s.checkpointing = s.done+steps, checkpointing
-		if steps >= d.total-s.done {
-			s.planEnd = 0 // the last segment runs to completion
-		}
-	}
-	s.nextEvict = d.evictor.Next(s.cs.Config, d.t)
-	segSteps := max(d.total-s.done, 1)
-	if s.planEnd > 0 {
-		segSteps = s.planEnd - s.done
-	}
-	evictAfter, evicted, err := d.forecast(s.cs, s.nextEvict, segSteps, d.durable)
-	if err != nil || evicted {
-		s.stop(evicted, err)
-		return false
-	}
-	s.evictAt = 0
-	if evictAfter > 0 {
-		s.evictAt = s.done + evictAfter
-	}
-	s.armWarning()
-	return true
-}
-
-// evict stops the session at the injected eviction: the machines ran,
-// and are billed, up to the price crossing.
-func (s *distSession) evict() {
-	_, err := s.d.billUntil(s.cs, never, s.nextEvict, s.d.durable)
-	s.stop(true, err)
-}
-
-// stop ends the session at this barrier — the coordinator checks its
-// context before telling any shard to proceed — recording why.
-func (s *distSession) stop(evicted bool, err error) {
-	s.stopped, s.evicted, s.err = true, evicted, err
-	if s.cancel != nil {
-		s.cancel()
-	}
+	return rep.Values, rep.Stats, nil
 }

@@ -1,14 +1,24 @@
 // The driver core: the paper's Figure 2 loop — decide → deploy →
 // compute → checkpoint → (evict → re-decide)* — written once for both
 // execution substrates. Execute (the in-process engine) and ExecuteDist
-// (shard process sets) each hold one loop and add only what their
-// substrate needs: running, pausing and checkpointing an engine, or
-// launching, warming and tearing down worker sets. Every accounting
-// rule lives here, so fixing one fixes it for both drivers: what a
-// decision costs, how a decision bounds the segment after it (plan),
-// how a segment and its save are billed against the eviction
-// (boundary), how a live deployment is re-decided (consult), how a
-// deployment is billed, and how a finished job is reported.
+// (shard process sets) run the same loop (drive) over the same session
+// and add only what their substrate needs (see substrate): reading the
+// durable frontier, booting a deployment and running it — an engine
+// stepped under a watchdog, or a coordinator over a worker set. Every
+// accounting rule lives here, so fixing one fixes it for both drivers:
+// what a decision costs, how a decision bounds the segment after it
+// (plan), how a segment and its save are billed against the eviction
+// (session.close), how a live deployment is re-decided (consult), how
+// a deployment is billed, and how a finished job is reported.
+//
+// A session is not a segment: at each plan boundary the running
+// deployment stops at its superstep barrier — the engine between two
+// Steps, the coordinator at its barrier — while the driver bills the
+// segment and its save and consults the provisioner with the
+// deployment live. A KeepCurrent decision keeps the deployment running
+// in place, the same engine run or the same process set; any other one
+// ends the session, and the next deployment boots the decided
+// configuration from the durable frontier.
 
 package runtime
 
@@ -49,6 +59,20 @@ type loop struct {
 	deadline units.Seconds
 	rep      Report
 	t        units.Seconds // virtual clock
+
+	// next is a deployment decided already — at a boundary of the last
+	// session, or at the warning of the standby adopted at the last
+	// eviction (pending): the next run-loop iteration boots it, or runs
+	// its session over the pre-booted listener and worker set, without
+	// deciding again.
+	next    *choice
+	pending *standbyState
+}
+
+// choice is a decision and the configuration it deploys.
+type choice struct {
+	dec core.Decision
+	cs  *core.ConfigStats
 }
 
 // newLoop fills the defaults of the shared options and starts the clock.
@@ -208,28 +232,6 @@ func (l *loop) plan(dec core.Decision, cs *core.ConfigStats, done int) (segSteps
 	return segSteps, checkpointing
 }
 
-// boundary closes a segment that paused at segEnd with cs still
-// running: it bills the segment and, when the plan checkpoints, the
-// save of ioSave seconds after it, racing the eviction at nextEvict (a
-// bare segment cannot lose the race: its forecast fits). evicted=true
-// means the eviction won, billed and recorded with durable supersteps
-// durable; the deployment is gone and the caller must redeploy.
-// Otherwise a caller whose save sealed records it (see record).
-func (l *loop) boundary(cs *core.ConfigStats, segEnd, ioSave, nextEvict units.Seconds, checkpointing bool, durable int) (evicted bool, err error) {
-	if !checkpointing {
-		_, err := l.billUntil(cs, segEnd, never, 0)
-		return false, err
-	}
-	l.rep.IOTime += ioSave
-	return l.billUntil(cs, segEnd+ioSave, nextEvict, durable)
-}
-
-// record counts a sealed checkpoint and emits its EvCheckpoint.
-func (l *loop) record(e obs.Event) {
-	l.rep.Checkpoints++
-	l.emit(e)
-}
-
 // price quotes a fresh deployment of cs requested at `from`: when the
 // market can supply it, and the load I/O after boot — the profiled input
 // load on a fresh start or, resuming a durable checkpoint, its fetch
@@ -361,4 +363,294 @@ func (l *loop) finish(cs *core.ConfigStats, segEnd, nextEvict units.Seconds, dur
 		Config: cs.Config.ID(), Done: true,
 		Missed: l.rep.MissedDeadline, USD: float64(l.rep.Cost)})
 	return true, nil
+}
+
+// A substrate is what one driver runs its sessions on: the in-process
+// engine (driver) or shard process sets (distDriver).
+type substrate interface {
+	// frontier reads the durable frontier: the superstep of the newest
+	// checkpoint a new deployment resumes (0 = none).
+	frontier() (int, error)
+	// boot bills a deployment of cs resuming superstep durable — or
+	// adopts the warm standby that decided it — and returns its EvDeploy.
+	boot(cs *core.ConfigStats, durable int, warm *standbyState) (obs.Event, error)
+	// run emits deploy once the deployment is up, then runs s over it
+	// until the job finishes (returning its output) or s stops. Every
+	// barrier reaches s on the calling goroutine.
+	run(s *session, deploy obs.Event, warm *standbyState) ([]float64, engine.Stats, error)
+	// clear removes the job's checkpoints once its output is durable.
+	clear() error
+}
+
+// drive is the Figure 2 loop: read the durable frontier; take the
+// decision the last session carried over, or consult; then deploy it,
+// run its session and settle how that ended.
+func (l *loop) drive(ctx context.Context, sub substrate) (Report, error) {
+	for attempt := 0; ; attempt++ {
+		durable, err := sub.frontier()
+		if err != nil {
+			return l.rep, err
+		}
+		c, sb := l.next, l.pending
+		l.next, l.pending = nil, nil
+		switch {
+		case sb != nil:
+			// Warm cutover: the decision was made at the warning (and
+			// counted there), the set is booted and prefetched — go
+			// straight to the session.
+			err = l.guard(ctx)
+		case c == nil:
+			// Execute still decides as if nothing were done here.
+			from := durable
+			if _, inProcess := sub.(*driver); inProcess {
+				from = 0
+			}
+			c = &choice{}
+			c.dec, c.cs, _, err = l.consult(ctx, nil, 0, from)
+		}
+		if err != nil {
+			sb.teardown()
+			return l.rep, err
+		}
+		if done, err := l.session(ctx, sub, *c, attempt, durable, sb); err != nil || done {
+			return l.rep, err
+		}
+	}
+}
+
+// session deploys c from the durable frontier, runs its session and
+// folds the outcome into the report. It returns done=true when the job
+// finished.
+func (l *loop) session(ctx context.Context, sub substrate, c choice, attempt, durable int, warm *standbyState) (bool, error) {
+	cs := c.cs
+	deploy, err := sub.boot(cs, durable, warm)
+	if err != nil {
+		warm.teardown()
+		return false, err
+	}
+	s := &session{l: l, sub: sub, ctx: ctx, choice: c, attempt: attempt, bootAt: l.t,
+		durable: durable, done: durable, billed: durable}
+	var values []float64
+	var stats engine.Stats
+	var runErr error
+	if s.arm(true) {
+		values, stats, runErr = sub.run(s, deploy, warm)
+	} else {
+		// Evicted before one superstep would complete: not worth running
+		// the deployment at all.
+		l.emit(deploy)
+		warm.teardown()
+	}
+	switch {
+	case s.err != nil:
+		// Billing or deciding failed inside the session.
+		err = s.err
+	case s.next != nil:
+		// A boundary decided on another configuration: the session is
+		// billed through that boundary, and a standby never pays out.
+		l.next = s.next
+		return false, s.discardStandby(l.t)
+	case s.lost:
+		// Evicted, a worker died or the watchdog gave up: billed and
+		// recorded already. Progress past the durable frontier is gone
+		// with the deployment.
+		return false, s.settleStandby()
+	case runErr == nil:
+		var done bool
+		if done, err = l.finish(cs, l.segEnd(cs, s.done-s.billed), s.nextEvict, s.durable,
+			values, stats, sub.clear); err == nil {
+			if done {
+				// The job finished under the doomed session after all;
+				// the standby was insurance that never paid out.
+				return true, s.discardStandby(l.t)
+			}
+			// Evicted computing the tail or writing the output: a ready
+			// standby still takes over.
+			return false, s.settleStandby()
+		}
+	case ctx.Err() != nil:
+		err = fmt.Errorf("runtime: cancelled mid-session: %w", ctx.Err())
+	default:
+		err = runErr
+	}
+	s.sb.teardown()
+	return false, err
+}
+
+// session is one deployment's live run and the plan of its running
+// segment. The substrate feeds it every barrier on one goroutine —
+// Emit for each superstep and sealed checkpoint, checkpointAt at every
+// barrier the job continues past — so the loop's boundary steps (bill,
+// record, re-decide) and the warning that arms a standby all run there.
+//
+// At the plan's boundary the driver consults the provisioner with the
+// deployment live. On KeepCurrent the session runs on in place under
+// the new plan, its eviction bound and warning re-derived from the
+// clock (billed saves move it; a kept deployment's bid crossing does
+// not); any other decision stops the session at that barrier, and the
+// next run-loop iteration boots the decided configuration.
+type session struct {
+	l   *loop
+	sub substrate
+	ctx context.Context // the run's: decisions and standbys outlive the session
+	choice
+	attempt int
+	bootAt  units.Seconds
+	cancel  context.CancelFunc
+
+	durable       int  // superstep of the checkpoint resumed or sealed last (0 = none)
+	done          int  // supersteps computed (absolute)
+	billed        int  // superstep the clock has billed compute through
+	planEnd       int  // the plan's boundary (0 = run to completion)
+	checkpointing bool // the plan seals a checkpoint at planEnd
+	saveAt        int  // a requested save that has not sealed (0 = none)
+	nextEvict     units.Seconds
+	evictAt       int // injected eviction: stop after this superstep (0 = none)
+
+	// Warm standby (ExecuteDist with WarningWindow > 0), re-derived with
+	// the segment; see armWarning.
+	sb       *standbyState // armed by the warning (nil = not fired)
+	warnAt   int           // fire the warning after this superstep (0 = never)
+	forceAt  int           // forced in-window save (0 = none)
+	warmTrip bool          // the eviction stops the session at forceAt
+
+	// Why the driver stopped the session, if it did.
+	stopped, lost bool
+	next          *choice // a boundary decided on another deployment
+	err           error
+}
+
+// Emit is the deployment's sink.
+func (s *session) Emit(e obs.Event) {
+	if e.Type == obs.EvCheckpoint {
+		s.close(e.Superstep, true, s.cs.Save, func() obs.Event { return e })
+		return
+	}
+	s.l.emit(e)
+	if e.Type != obs.EvSuperstep || s.stopped {
+		return
+	}
+	if s.saveAt > 0 {
+		// The save requested at the last barrier never sealed (a blob
+		// write or the manifest failed): its time is billed, the
+		// durable frontier stays put.
+		s.close(s.saveAt, true, s.cs.Save, nil)
+	}
+	s.done = e.Superstep
+	if !s.stopped && s.sb == nil && s.warnAt > 0 && s.done >= s.warnAt {
+		s.warn()
+	}
+	// In warm mode the eviction stops the session once the forced save
+	// at its boundary seals (see close); the superstep after it is the
+	// safety net should that save never seal.
+	if !s.stopped && s.evictAt > 0 && s.done >= s.evictAt && !(s.warmTrip && s.done == s.evictAt) {
+		s.lose(s.nextEvict)
+	}
+}
+
+// checkpointAt is the plan hook, called at every barrier the job
+// continues past: it asks for a checkpoint where the plan ends its
+// segment with one and at the forced in-window save, and closes a
+// segment the plan ends without one.
+func (s *session) checkpointAt(x int) bool {
+	save := !s.stopped && (x == s.forceAt || x == s.planEnd && s.checkpointing)
+	if save {
+		s.saveAt = x
+	} else if !s.stopped && x == s.planEnd {
+		s.close(x, false, 0, nil)
+	}
+	return save
+}
+
+// close is the loop's boundary at superstep x: bill the compute since
+// the last boundary and, with save, the save of ioSave seconds after
+// it, racing the eviction; record the checkpoint sealed, if any — the
+// event sealed returns once the boundary is billed; then re-decide at
+// the plan's boundary, or stop at the warm eviction's forced save, or
+// re-derive the rest of the segment from the clock. A checkpoint that
+// lost its save to the eviction is still recorded: it is sealed in the
+// store, and the next deployment resumes it.
+func (s *session) close(x int, save bool, ioSave units.Seconds, sealed func() obs.Event) {
+	l := s.l
+	end, at := l.segEnd(s.cs, x-s.billed), never // a bare segment cannot lose the race: its forecast fits
+	if save {
+		l.rep.IOTime += ioSave
+		end, at = end+ioSave, s.nextEvict
+	}
+	lost, err := l.billUntil(s.cs, end, at, s.durable)
+	s.billed, s.saveAt = x, 0
+	if sealed != nil {
+		s.durable = x
+		l.rep.Checkpoints++
+		l.emit(sealed())
+	}
+	switch {
+	case err != nil || lost:
+		s.stop(lost, err)
+	case x == s.planEnd:
+		dec, cs, keep, err := l.consult(s.ctx, s.cs, s.bootAt, s.done)
+		switch {
+		case err != nil:
+			s.stop(false, err)
+		case keep:
+			s.dec = dec
+			s.arm(true)
+		default:
+			s.next = &choice{dec: dec, cs: cs}
+			s.stop(false, nil)
+		}
+	case s.warmTrip && x == s.forceAt:
+		s.lose(s.nextEvict)
+	default:
+		s.arm(false)
+	}
+}
+
+// arm re-derives the segment from the clock at the in-memory frontier:
+// with replan, the plan of the session's decision; always, the eviction
+// forecast and the warning. It returns false when the eviction lands
+// before one more superstep can complete (billed and recorded then).
+func (s *session) arm(replan bool) bool {
+	l := s.l
+	if replan {
+		steps, checkpointing := l.plan(s.dec, s.cs, s.done)
+		s.planEnd, s.checkpointing = s.done+steps, checkpointing
+		if steps >= l.total-s.done {
+			s.planEnd = 0 // the last segment runs to completion
+		}
+	}
+	s.nextEvict = l.evictor.Next(s.cs.Config, l.t)
+	segSteps := max(l.total-s.done, 1)
+	if s.planEnd > 0 {
+		segSteps = s.planEnd - s.done
+	}
+	evictAfter, evicted, err := l.forecast(s.cs, s.nextEvict, segSteps, s.durable)
+	if err != nil || evicted {
+		s.stop(evicted, err)
+		return false
+	}
+	s.evictAt = 0
+	if evictAfter > 0 {
+		s.evictAt = s.done + evictAfter
+	}
+	s.armWarning()
+	return true
+}
+
+// lose stops the session at the instant at the deployment is lost — the
+// injected eviction, or a worker's death: the machines ran, and are
+// billed, up to it.
+func (s *session) lose(at units.Seconds) {
+	s.nextEvict = at
+	_, err := s.l.billUntil(s.cs, never, at, s.durable)
+	s.stop(true, err)
+}
+
+// stop ends the session at this barrier — the deployment checks its
+// context before it runs another superstep — recording why.
+func (s *session) stop(lost bool, err error) {
+	s.stopped, s.lost, s.err = true, lost, err
+	if s.cancel != nil {
+		s.cancel()
+	}
 }

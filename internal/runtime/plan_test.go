@@ -3,8 +3,8 @@ package runtime_test
 // One plan for both drivers: a decision bounds the segment that follows
 // it (MaxRun, the checkpoint cadence), UseCheckpoints decides whether
 // that segment ends in a checkpoint, and every checkpoint's save is
-// billed. ExecuteDist re-decides at those boundaries with the worker
-// set live, keeping it in place or cutting over.
+// billed. Both drivers re-decide at those boundaries with the
+// deployment live, keeping it in place or cutting over.
 
 import (
 	"context"
@@ -14,6 +14,7 @@ import (
 
 	"hourglass/internal/cloud"
 	"hourglass/internal/core"
+	"hourglass/internal/engine"
 	"hourglass/internal/obs"
 	"hourglass/internal/runtime"
 )
@@ -178,32 +179,15 @@ func (p *switchProv) Decide(s core.State) (core.Decision, error) {
 	return core.Decision{Config: *s.Current, KeepCurrent: true, UseCheckpoints: true}, nil
 }
 
-// TestExecuteDistKeepsInPlaceAndCutsOver: a boundary decision that
-// keeps the deployment keeps its worker set running — one process set,
-// one deploy, one decision per boundary plus the first — and one that
-// switches configuration boots exactly one new set, which resumes the
-// checkpoint just sealed without deciding again.
-func TestExecuteDistKeepsInPlaceAndCutsOver(t *testing.T) {
+// TestExecuteKeepsInPlaceAndCutsOver, on both drivers: a boundary
+// decision that keeps the deployment keeps it running — one engine run
+// or one process set, one deploy, one decision per boundary plus the
+// first, and engine stats equal to the uninterrupted run's — and one
+// that switches configuration boots exactly one new deployment, which
+// resumes the checkpoint just sealed without deciding again.
+func TestExecuteKeepsInPlaceAndCutsOver(t *testing.T) {
 	h := getHarness(t, "pagerank")
-	ref := distReference(t)
-	total := ref.Stats.Supersteps
 	od8, od4 := onDemandByCount(t, h.env, 8), onDemandByCount(t, h.env, 4)
-	run := func(t *testing.T, job string, prov core.Provisioner) (runtime.Report, []obs.Event) {
-		t.Helper()
-		store := cloud.NewDatastore()
-		sink := &listSink{}
-		opts := h.distOptions(t, store, job, prov, total, &runtime.LoopbackLauncher{Store: store, Logf: t.Logf})
-		opts.Sink = sink
-		rep, err := runtime.ExecuteDist(context.Background(), opts, 0, 200_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Finished {
-			t.Fatal("run did not finish")
-		}
-		assertBitIdentical(t, ref.Values, rep.Values)
-		return rep, sink.snapshot()
-	}
 	count := func(events []obs.Event, typ string) int {
 		n := 0
 		for _, e := range events {
@@ -213,68 +197,114 @@ func TestExecuteDistKeepsInPlaceAndCutsOver(t *testing.T) {
 		}
 		return n
 	}
+	for _, dist := range []bool{false, true} {
+		name := "Execute"
+		ref, err := engine.Run(h.g, h.fresh(), engine.Config{Workers: 4, Canonical: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dist {
+			name = "ExecuteDist"
+			ref = distReference(t)
+		}
+		total := ref.Stats.Supersteps
+		run := func(t *testing.T, job string, prov core.Provisioner) (runtime.Report, []obs.Event) {
+			t.Helper()
+			store := cloud.NewDatastore()
+			sink := &listSink{}
+			var rep runtime.Report
+			var err error
+			if dist {
+				opts := h.distOptions(t, store, job, prov, total, &runtime.LoopbackLauncher{Store: store, Logf: t.Logf})
+				opts.Sink = sink
+				rep, err = runtime.ExecuteDist(context.Background(), opts, 0, 200_000)
+			} else {
+				opts := h.options(t, store, job, prov)
+				opts.Sink = sink
+				rep, err = runtime.Execute(context.Background(), opts, 0, 200_000)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Finished {
+				t.Fatal("run did not finish")
+			}
+			assertBitIdentical(t, ref.Values, rep.Values)
+			return rep, sink.snapshot()
+		}
 
-	t.Run("keep", func(t *testing.T) {
-		rep, events := run(t, "keep-in-place", &scriptedProv{configs: []cloud.Config{od8}})
-		if len(rep.ShardCounts) != 1 || rep.Reconfigs != 1 || count(events, obs.EvDeploy) != 1 {
-			t.Fatalf("ShardCounts %v, %d reconfigs, %d deploys: want one process set for the whole run",
-				rep.ShardCounts, rep.Reconfigs, count(events, obs.EvDeploy))
-		}
-		// Every boundary of this plan seals a checkpoint.
-		boundaries := count(events, obs.EvCheckpoint)
-		if boundaries == 0 {
-			t.Fatal("no boundary reached")
-		}
-		if got := count(events, obs.EvDecision); got != boundaries+1 || rep.Decisions != got {
-			t.Fatalf("%d decisions (report %d) for %d boundaries, want one per boundary plus the first",
-				got, rep.Decisions, boundaries)
-		}
-	})
+		t.Run(name+"/keep", func(t *testing.T) {
+			rep, events := run(t, "keep-in-place", &scriptedProv{configs: []cloud.Config{od8}})
+			if rep.Reconfigs != 1 || count(events, obs.EvDeploy) != 1 || dist && len(rep.ShardCounts) != 1 {
+				t.Fatalf("ShardCounts %v, %d reconfigs, %d deploys: want one deployment for the whole run",
+					rep.ShardCounts, rep.Reconfigs, count(events, obs.EvDeploy))
+			}
+			// Every boundary of this plan seals a checkpoint.
+			boundaries := count(events, obs.EvCheckpoint)
+			if boundaries == 0 {
+				t.Fatal("no boundary reached")
+			}
+			if got := count(events, obs.EvDecision); got != boundaries+1 || rep.Decisions != got {
+				t.Fatalf("%d decisions (report %d) for %d boundaries, want one per boundary plus the first",
+					got, rep.Decisions, boundaries)
+			}
+			got, want := rep.Stats, ref.Stats
+			if got.Supersteps != want.Supersteps || got.MessagesSent != want.MessagesSent || got.ComputeCalls != want.ComputeCalls {
+				t.Fatalf("stats %+v, want the uninterrupted run's %+v: the kept run did not span the job", got, want)
+			}
+		})
 
-	t.Run("cutover", func(t *testing.T) {
-		rep, events := run(t, "cut-over", &switchProv{from: od8, to: od4})
-		if len(rep.ShardCounts) != 2 || rep.ShardCounts[0] != 8 || rep.ShardCounts[1] != 4 {
-			t.Fatalf("ShardCounts = %v, want [8 4]", rep.ShardCounts)
-		}
-		if rep.Evictions != 0 {
-			t.Fatalf("%d evictions on an on-demand script", rep.Evictions)
-		}
-		var sealed, deploys int
-		var last obs.Event // the decision before the second deploy
-		for _, e := range events {
-			switch e.Type {
-			case obs.EvCheckpoint:
-				if deploys == 1 {
-					sealed = e.Superstep
-				}
-			case obs.EvDecision:
-				last = e
-			case obs.EvDeploy:
-				deploys++
-				if deploys != 2 {
-					break
-				}
-				if last.Keep || last.Config != od4.ID() {
-					t.Fatalf("second deploy follows decision %+v, want the switch to %s", last, od4.ID())
-				}
-				want := float64(total-sealed) / float64(total)
-				if sealed == 0 || !e.Reload || e.WorkLeft != want {
-					t.Fatalf("second deploy %+v, want a reload of the checkpoint just sealed at superstep %d", e, sealed)
+		t.Run(name+"/cutover", func(t *testing.T) {
+			rep, events := run(t, "cut-over", &switchProv{from: od8, to: od4})
+			if dist && (len(rep.ShardCounts) != 2 || rep.ShardCounts[0] != 8 || rep.ShardCounts[1] != 4) {
+				t.Fatalf("ShardCounts = %v, want [8 4]", rep.ShardCounts)
+			}
+			if rep.Evictions != 0 {
+				t.Fatalf("%d evictions on an on-demand script", rep.Evictions)
+			}
+			var deploys int
+			var sealed float64 // work left after the last checkpoint of the first deployment
+			var last obs.Event // the decision before the second deploy
+			for _, e := range events {
+				switch e.Type {
+				case obs.EvCheckpoint:
+					if deploys == 1 {
+						sealed = e.WorkLeft // in-process checkpoints carry it; dist ones their superstep
+						if dist {
+							sealed = float64(total-e.Superstep) / float64(total)
+						}
+					}
+				case obs.EvDecision:
+					last = e
+				case obs.EvDeploy:
+					deploys++
+					if want := []string{od8.ID(), od4.ID()}; deploys <= 2 && e.Config != want[deploys-1] {
+						t.Fatalf("deploy %d boots %s, want %s", deploys, e.Config, want[deploys-1])
+					}
+					if deploys != 2 {
+						break
+					}
+					if last.Keep || last.Config != od4.ID() {
+						t.Fatalf("second deploy follows decision %+v, want the switch to %s", last, od4.ID())
+					}
+					if sealed == 0 || !e.Reload || e.WorkLeft != sealed {
+						t.Fatalf("second deploy %+v, want a reload of the checkpoint just sealed (work left %v)", e, sealed)
+					}
 				}
 			}
-		}
-		if decisions := count(events, obs.EvDecision); decisions != rep.Decisions {
-			t.Fatalf("%d decision events for %d decisions", decisions, rep.Decisions)
-		}
-		nonKeep := 0
-		for _, e := range events {
-			if e.Type == obs.EvDecision && !e.Keep {
-				nonKeep++
+			if decisions := count(events, obs.EvDecision); decisions != rep.Decisions {
+				t.Fatalf("%d decision events for %d decisions", decisions, rep.Decisions)
 			}
-		}
-		if nonKeep != 2 || deploys != 2 {
-			t.Fatalf("%d decisions that keep nothing and %d deploys, want 2 and 2: the new set must boot without a second decision",
-				nonKeep, deploys)
-		}
-	})
+			nonKeep := 0
+			for _, e := range events {
+				if e.Type == obs.EvDecision && !e.Keep {
+					nonKeep++
+				}
+			}
+			if nonKeep != 2 || deploys != 2 {
+				t.Fatalf("%d decisions that keep nothing and %d deploys, want 2 and 2: the new deployment must boot without a second decision",
+					nonKeep, deploys)
+			}
+		})
+	}
 }

@@ -5,8 +5,8 @@
 // resume at a different worker count → deadline met.
 //
 // Where internal/sim evicts abstract work units, Execute injects each
-// eviction into a live superstep loop: the in-flight superstep is
-// abandoned (context cancellation, engine.ErrInterrupted), the newest
+// eviction into a live engine run (engine.Execution) at a superstep
+// barrier: the run is dropped with its in-memory state, the newest
 // valid checkpoint is reloaded through engine.CheckpointManager, the
 // slack-aware provisioner picks the next configuration given the
 // remaining supersteps and remaining slack, micro-partitions are
@@ -16,12 +16,13 @@
 // restart budget is spent — the driver falls back to the last-resort
 // on-demand configuration, exactly the paper's §5 guarantee.
 //
-// The decide / plan / deploy / bill / evict accounting is the driver
-// core in loop.go, shared with ExecuteDist: both drivers bound each
-// segment by the same plan and close it at the same boundary. This
-// file holds what only the in-process substrate needs: the engine run
-// and resume, checkpoint saves, the watchdog and the snapshot a
-// KeepCurrent decision keeps.
+// The run loop, the session and the decide / plan / deploy / bill /
+// evict accounting are the driver core in loop.go, shared with
+// ExecuteDist: both drivers run the same session over their deployment
+// and close each plan boundary at the same barrier. This file holds
+// what only the in-process substrate needs: the checkpoint reload, the
+// re-cluster, and the pump that steps the engine under the watchdog
+// and saves its barriers.
 //
 // Time is split across two clocks. Compute, boot, load and save are
 // *virtual* seconds priced by the perfmodel/market, so a multi-hour
@@ -122,7 +123,7 @@ type Report struct {
 	// Values are the final vertex values (nil when the run did not
 	// finish).
 	Values []float64
-	// Stats are the engine stats of the final segment.
+	// Stats are the engine stats of the final deployment.
 	Stats engine.Stats
 	// Cost is the accumulated machine spend (virtual market pricing).
 	Cost units.USD
@@ -181,15 +182,14 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// driver carries the mutable state of one Execute call.
+// driver is the in-process substrate of one Execute call.
 type driver struct {
 	*loop
 	opts *Options
 
-	cur      *core.ConfigStats // live deployment (nil = none)
-	bootAt   units.Seconds     // uptime anchor of cur
-	assign   []int32           // vertex→worker map of cur
-	snapLive *engine.Snapshot  // in-memory snapshot (survives KeepCurrent only)
+	snap   *engine.Snapshot // the checkpoint frontier loaded (nil = none)
+	fetch  units.Seconds    // its download time
+	assign []int32          // vertex→worker map of the deployment
 }
 
 // Execute runs the program to completion under injected evictions,
@@ -207,259 +207,176 @@ func Execute(ctx context.Context, opts Options, start, deadline units.Seconds) (
 		sink: opts.Sink, logger: opts.Logf, total: opts.TotalSupersteps, every: opts.CheckpointEvery,
 		restartBudget: opts.RestartBudget, maxDecisions: opts.MaxDecisions,
 		bytesPerVertex: opts.BytesPerVertex, net: opts.Net}, start, deadline)}
-	return d.run(ctx)
+	return d.drive(ctx, d)
 }
 
-func (d *driver) run(ctx context.Context) (Report, error) {
-	for {
-		doneSteps := 0
-		if d.snapLive != nil {
-			doneSteps = d.snapLive.Superstep
-		}
-		dec, cs, keep, err := d.consult(ctx, d.cur, d.bootAt, doneSteps)
-		if err != nil {
-			return d.rep, err
-		}
-		if !keep {
-			if err := d.redeploy(cs); err != nil {
-				return d.rep, err
-			}
-		}
-		// Forecast the next eviction from now: a fresh deployment's from
-		// its ready instant, a kept one's afresh, since prices moved on.
-		done, err := d.segment(ctx, dec, cs, d.evictor.Next(cs.Config, d.t))
-		if err != nil || done {
-			return d.rep, err
-		}
+// frontier implements substrate: the newest valid checkpoint — fetched
+// with retries, CRC-checked and fallback-scanned by the manager — or,
+// in a fresh or GC'd-empty namespace, none.
+func (d *driver) frontier() (int, error) {
+	snap, fetch, err := d.opts.Manager.Load()
+	if err != nil && !errors.Is(err, ckpt.ErrNoCheckpoint) {
+		return 0, fmt.Errorf("runtime: checkpoint reload: %w", err)
 	}
+	d.snap, d.fetch = snap, fetch
+	if snap == nil {
+		return 0, nil
+	}
+	return snap.Superstep, nil
 }
 
-// redeploy tears down the current deployment (in-memory progress is
-// lost), re-clusters the micro-partitions for the new worker count and
-// boots cs from the newest valid checkpoint — fetched with retries,
-// CRC-checked and fallback-scanned by the manager, its redistribution
-// to the new workers priced with simnet — or, in a fresh or GC'd-empty
-// namespace, from the input graph.
-func (d *driver) redeploy(cs *core.ConfigStats) error {
-	d.snapLive, d.cur = nil, nil
+// boot implements substrate: it re-clusters the micro-partitions for
+// the new worker count and bills the deployment, pricing the
+// redistribution of the checkpoint to the new workers with simnet.
+func (d *driver) boot(cs *core.ConfigStats, durable int, _ *standbyState) (obs.Event, error) {
 	workers := cs.Config.Count
 	assign, err := d.opts.Part.VertexAssignment(workers)
 	if err != nil {
-		return fmt.Errorf("runtime: re-cluster to %d workers: %w", workers, err)
+		return obs.Event{}, fmt.Errorf("runtime: re-cluster to %d workers: %w", workers, err)
 	}
 	d.assign = assign.Assign
-	snap, fetch, lerr := d.opts.Manager.Load()
-	if lerr != nil && !errors.Is(lerr, ckpt.ErrNoCheckpoint) {
-		return fmt.Errorf("runtime: checkpoint reload: %w", lerr)
-	}
 	perWorker := make([]int64, workers)
 	for _, w := range d.assign {
 		perWorker[w]++
 	}
-	doneSteps := 0
-	if snap != nil {
-		doneSteps = snap.Superstep
-	}
-	ev, err := d.deploy(cs, snap != nil, fetch, perWorker, doneSteps)
-	if err != nil {
-		return err
-	}
-	d.emit(ev)
-	d.snapLive, d.cur, d.bootAt = snap, cs, d.t
-	return nil
+	return d.deploy(cs, durable > 0, d.fetch, perWorker, durable)
 }
 
-// segment runs one engine segment under the live deployment and folds
-// its outcome into the report. It returns done=true when the job
-// finished (successfully or not recoverable).
-func (d *driver) segment(ctx context.Context, dec core.Decision, cs *core.ConfigStats, nextEvict units.Seconds) (bool, error) {
-	// The deployment and its in-memory snapshot outlive the segment only
-	// when it pauses at a boundary (see checkpoint); an eviction, a
-	// watchdog trip or completion leaves nothing to keep.
-	snap := d.snapLive
-	d.snapLive, d.cur = nil, nil
-	doneSteps := 0
-	if snap != nil {
-		doneSteps = snap.Superstep
-	}
-	segSteps, checkpointing := d.plan(dec, cs, doneSteps)
-	evictAfter, evicted, err := d.forecast(cs, nextEvict, segSteps, doneSteps)
-	if evicted || err != nil {
-		return false, err
-	}
+func (d *driver) clear() error { return d.opts.Manager.Clear() }
 
-	res, runErr, wedged := d.runEngine(ctx, snap, segSteps, evictAfter, cs)
-	actual := max(res.Stats.Supersteps-doneSteps, 0)
-	segEnd := d.segEnd(cs, actual)
-	switch {
-	case runErr == nil:
-		return d.finish(cs, segEnd, nextEvict, doneSteps, res.Values, res.Stats, d.opts.Manager.Clear)
-	case errors.Is(runErr, engine.ErrPaused):
-		return false, d.checkpoint(res.Snapshot, cs, segEnd, nextEvict, doneSteps, checkpointing)
-	case !errors.Is(runErr, engine.ErrInterrupted):
-		return false, runErr
-	case ctx.Err() != nil:
-		return false, fmt.Errorf("runtime: cancelled mid-segment: %w", ctx.Err())
-	case wedged:
-		// Watchdog: charge the supersteps that did complete, then
-		// reprovision from the last durable checkpoint.
-		d.rep.WatchdogTrips++
-		if _, err := d.billUntil(cs, segEnd, never, 0); err != nil {
-			return false, err
-		}
-		d.logf("runtime: job %q watchdog tripped on %s after superstep %d; redeploying",
-			d.env.Job.Name, cs.Config.ID(), res.Stats.Supersteps)
-		d.rep.Restarts++
-		return false, nil
-	}
-	// Injected eviction: the machines ran (and are billed) up to the
-	// price crossing; in-memory progress since the last durable
-	// checkpoint is lost.
-	_, err = d.billUntil(cs, never, nextEvict, doneSteps)
-	return false, err
-}
-
-// checkpoint handles a segment that paused mid-job at segEnd and keeps
-// the deployment for the next decision. When the provisioner asked for
-// durability it tries to make the snapshot durable, racing the
-// eviction: a save that fails (store faults) keeps the in-memory
-// snapshot and the old durable frontier; a save interrupted by the
-// eviction loses both. (The blob may still have landed; if a later
-// reload finds it, all downstream accounting derives from the
-// actually-loaded superstep, so the trajectory stays internally
-// consistent — the race only ever under-promises progress.)
-func (d *driver) checkpoint(snap *engine.Snapshot, cs *core.ConfigStats, segEnd, nextEvict units.Seconds, doneSteps int, checkpointing bool) error {
-	var ioSave units.Seconds
-	var serr error
-	if checkpointing {
-		ioSave, serr = d.opts.Manager.Save(snap)
-	}
-	if evicted, err := d.boundary(cs, segEnd, ioSave, nextEvict, checkpointing, doneSteps); err != nil || evicted {
-		return err
-	}
-	d.snapLive, d.cur = snap, cs
-	switch {
-	case !checkpointing:
-		// The provisioner bounded the interval (MaxRun) without asking
-		// for durability: back for a decision with the snapshot intact.
-	case serr != nil:
-		// Partial progress is billed (the failed uploads and backoff are
-		// in ioSave) but the durable frontier stays put: a later
-		// eviction rolls back further. The run itself continues on the
-		// intact in-memory state.
-		d.logf("runtime: job %q checkpoint at superstep %d failed: %v", d.env.Job.Name, snap.Superstep, serr)
-	default:
-		d.record(obs.Event{Type: obs.EvCheckpoint, T: float64(d.t), Job: d.env.Job.Name,
-			Config: cs.Config.ID(), WorkLeft: d.workLeft(snap.Superstep)})
-	}
-	return nil
-}
-
-// runEngine executes one segment, resuming from snap when present. It
-// reports wedged=true when the wall-clock watchdog — not the eviction
-// schedule or the caller — cancelled the run.
-func (d *driver) runEngine(ctx context.Context, snap *engine.Snapshot, segSteps, evictAfter int, cs *core.ConfigStats) (engine.Result, error, bool) {
-	runCtx, cancel := context.WithCancel(ctx)
+// run implements substrate: it starts an engine run from the durable
+// frontier — or from the input graph — and pumps it.
+func (d *driver) run(s *session, deploy obs.Event, _ *standbyState) ([]float64, engine.Stats, error) {
+	d.emit(deploy)
+	runCtx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
-	mon := &monitor{forward: d.sink, cancel: cancel,
-		evictAfter: evictAfter, feed: make(chan struct{}, 1)}
-
-	stopAfter := segSteps
-	remaining := d.opts.TotalSupersteps
-	if snap != nil {
-		remaining -= snap.Superstep
-	}
-	if stopAfter >= remaining {
-		stopAfter = 0 // run to completion
-	}
+	s.cancel = cancel
+	last := &lastStep{}
 	cfg := engine.Config{
-		Workers:       cs.Config.Count,
+		Workers:       s.cs.Config.Count,
 		Assign:        d.assign,
-		StopAfter:     stopAfter,
 		MaxSupersteps: d.opts.MaxSupersteps,
 		Canonical:     d.opts.Canonical,
-		Sink:          mon,
+		Sink:          last,
 	}
-
-	type outcome struct {
-		res engine.Result
-		err error
+	var x *engine.Execution
+	var err error
+	if d.snap == nil {
+		x, err = engine.Start(runCtx, d.opts.Graph, d.opts.NewProgram(), cfg)
+	} else {
+		x, err = engine.StartFrom(runCtx, d.opts.Graph, d.opts.NewProgram(), d.snap, cfg)
 	}
-	ch := make(chan outcome, 1)
-	go func() {
-		prog := d.opts.NewProgram()
-		var res engine.Result
-		var err error
-		if snap == nil {
-			res, err = engine.RunCtx(runCtx, d.opts.Graph, prog, cfg)
-		} else {
-			res, err = engine.ResumeCtx(runCtx, d.opts.Graph, prog, snap, cfg)
-		}
-		ch <- outcome{res, err}
-	}()
-
-	if d.opts.Watchdog > 0 {
-	watch:
-		for {
-			timer := time.NewTimer(d.opts.Watchdog)
-			select {
-			case out := <-ch:
-				timer.Stop()
-				return out.res, out.err, false
-			case <-mon.feed:
-				timer.Stop() // superstep completed in time; re-arm
-			case <-timer.C:
-				cancel()
-				break watch
-			}
-		}
-		// Give the cancelled engine a grace period to unwind; a Compute
-		// stuck past it is abandoned (its goroutine parks on the
-		// buffered channel and is collected when it eventually returns).
-		select {
-		case out := <-ch:
-			if out.err == nil || errors.Is(out.err, engine.ErrPaused) {
-				// The run actually finished while the watchdog fired —
-				// take the result, it is sound.
-				return out.res, out.err, false
-			}
-			return out.res, out.err, true
-		case <-time.After(d.opts.WatchdogGrace):
-			d.logf("runtime: job %q abandoned a wedged engine goroutine (watchdog %v, grace %v)",
-				d.env.Job.Name, d.opts.Watchdog, d.opts.WatchdogGrace)
-			return engine.Result{}, engine.ErrInterrupted, true
-		}
+	if err != nil {
+		return nil, engine.Stats{}, err
 	}
-	out := <-ch
-	return out.res, out.err, false
+	return d.pump(s, x, last, cancel)
 }
 
-// monitor is the engine sink of one segment: it forwards events,
-// feeds the watchdog and cancels the segment at the injected eviction
-// boundary. The engine emits EvSuperstep synchronously at the
-// superstep barrier, from its one run-loop goroutine, so "evict after
-// N supersteps" is deterministic: the segment stops before superstep
-// N+1, exactly a machine loss at that instant.
-type monitor struct {
-	forward    obs.Sink
-	cancel     context.CancelFunc
-	evictAfter int           // cancel after this many supersteps (0 = never)
-	feed       chan struct{} // watchdog heartbeat, one per superstep
-	steps      int           // supersteps completed this segment
-}
-
-func (m *monitor) Emit(e obs.Event) {
-	if e.Type == obs.EvSuperstep {
-		m.steps++
-		select {
-		case m.feed <- struct{}{}:
-		default:
+// pump steps x one superstep at a time and feeds each barrier to s on
+// this goroutine, as the dist coordinator does: the superstep's
+// EvSuperstep, then — when the job continues past the barrier —
+// checkpointAt, and the save it asks for. It returns the job's output
+// once x is quiescent, and nothing once s stops.
+func (d *driver) pump(s *session, x *engine.Execution, last *lastStep, cancel context.CancelFunc) ([]float64, engine.Stats, error) {
+	for {
+		out, tripped := d.step(x, last, cancel)
+		if out.ev != nil {
+			s.Emit(*out.ev)
 		}
-		if m.steps == m.evictAfter {
-			m.cancel()
+		switch {
+		case s.stopped:
+			return nil, engine.Stats{}, nil
+		case out.err == nil && !out.more:
+			res := x.Result()
+			return res.Values, res.Stats, nil
+		case tripped:
+			// Charge the supersteps that did complete, then reprovision
+			// from the last durable checkpoint.
+			d.rep.WatchdogTrips++
+			d.rep.Restarts++
+			d.logf("runtime: job %q watchdog tripped on %s after superstep %d; redeploying",
+				d.env.Job.Name, s.cs.Config.ID(), s.done)
+			_, err := d.billUntil(s.cs, d.segEnd(s.cs, s.done-s.billed), never, 0)
+			s.stop(true, err)
+			return nil, engine.Stats{}, nil
+		case out.err != nil:
+			return nil, engine.Stats{}, out.err
+		}
+		if s.checkpointAt(s.done) {
+			d.save(s, x, s.done)
+		}
+		if s.stopped {
+			return nil, engine.Stats{}, nil
 		}
 	}
-	if m.forward != nil {
-		m.forward.Emit(e)
+}
+
+// save makes the barrier n of the live run durable and closes the
+// plan's boundary there. A save that fails (store faults) is billed for
+// the uploads and backoff it spent, and the durable frontier stays put:
+// a later eviction rolls back further, while the run itself continues
+// on its intact in-memory state.
+func (d *driver) save(s *session, x *engine.Execution, n int) {
+	ioSave, err := d.opts.Manager.Save(x.Snapshot())
+	var sealed func() obs.Event
+	if err != nil {
+		d.logf("runtime: job %q checkpoint at superstep %d failed: %v", d.env.Job.Name, n, err)
+	} else if s.nextEvict >= d.segEnd(s.cs, n-s.billed)+ioSave {
+		sealed = func() obs.Event {
+			return obs.Event{Type: obs.EvCheckpoint, T: float64(d.t), Job: d.env.Job.Name,
+				Config: s.cs.Config.ID(), WorkLeft: d.workLeft(n)}
+		}
+	}
+	s.close(n, true, ioSave, sealed)
+}
+
+// stepped is the outcome of one Step: the EvSuperstep of the superstep
+// it ran (nil = none), and Step's results.
+type stepped struct {
+	ev   *obs.Event
+	more bool
+	err  error
+}
+
+// lastStep is a live run's engine sink: it keeps the EvSuperstep of the
+// superstep being stepped, which the stepping goroutine hands over with
+// the outcome.
+type lastStep struct{ ev *obs.Event }
+
+func (k *lastStep) Emit(e obs.Event) { k.ev = &e }
+
+func (k *lastStep) step(x *engine.Execution) stepped {
+	k.ev = nil
+	more, err := x.Step()
+	return stepped{k.ev, more, err}
+}
+
+// step runs one superstep of x under the wall-clock watchdog, which
+// bounds how long it may take: one that overstays the watchdog is
+// cancelled, and tripped reports it. A cancelled superstep that does
+// not unwind within the grace period is abandoned on its goroutine,
+// which then only ever touches x, last and its own channel — never the
+// loop.
+func (d *driver) step(x *engine.Execution, last *lastStep, cancel context.CancelFunc) (out stepped, tripped bool) {
+	if d.opts.Watchdog <= 0 {
+		return last.step(x), false
+	}
+	ch := make(chan stepped, 1)
+	go func() { ch <- last.step(x) }()
+	timer := time.NewTimer(d.opts.Watchdog)
+	defer timer.Stop()
+	select {
+	case out = <-ch:
+		return out, false
+	case <-timer.C:
+	}
+	cancel()
+	select {
+	case out = <-ch:
+		return out, true
+	case <-time.After(d.opts.WatchdogGrace):
+		d.logf("runtime: job %q abandoned a wedged engine goroutine (watchdog %v, grace %v)",
+			d.env.Job.Name, d.opts.Watchdog, d.opts.WatchdogGrace)
+		return stepped{err: engine.ErrInterrupted}, true
 	}
 }

@@ -45,8 +45,7 @@ type standbyState struct {
 // death, whichever lands first: its boundary as an absolute superstep
 // (0 = none before the job ends), the virtual instant the machines
 // disappear, and whether it is the market's.
-func (s *distSession) interruption() (boundary int, at units.Seconds, market bool) {
-	d := s.d
+func (s *session) interruption(d *distDriver) (boundary int, at units.Seconds, market bool) {
 	at = s.nextEvict
 	if k := d.stepsBefore(s.cs, at); k < d.total-s.billed {
 		boundary, market = s.billed+k, true
@@ -59,17 +58,20 @@ func (s *distSession) interruption() (boundary int, at units.Seconds, market boo
 }
 
 // armWarning arms the warning WarningWindow ahead of the projected
-// interruption. When the window fits one save, it also forces a final
-// checkpoint at the interruption's boundary: the standby then resumes
-// from the interruption itself instead of the plan's last checkpoint.
-// A market eviction stops the session once that save seals (see
-// distSession.close); a forewarned death needs no stop — the loss
-// itself ends the session.
-func (s *distSession) armWarning() {
-	d := s.d
+// interruption of an ExecuteDist session. When the window fits one
+// save, it also forces a final checkpoint at the interruption's
+// boundary: the standby then resumes from the interruption itself
+// instead of the plan's last checkpoint. A market eviction stops the
+// session once that save seals (see session.close); a forewarned death
+// needs no stop — the loss itself ends the session.
+func (s *session) armWarning() {
 	s.warnAt, s.forceAt, s.warmTrip = 0, 0, false
-	boundary, _, market := s.interruption()
-	if d.opts.WarningWindow <= 0 || boundary == 0 {
+	d, ok := s.sub.(*distDriver)
+	if !ok || d.opts.WarningWindow <= 0 {
+		return
+	}
+	boundary, _, market := s.interruption(d)
+	if boundary == 0 {
 		return
 	}
 	warnSteps := max(int(math.Ceil(float64(d.opts.WarningWindow)/float64(d.stepTime(s.cs)))), 1)
@@ -86,11 +88,11 @@ func (s *distSession) armWarning() {
 // every other loop step; Launch only starts the workers, whose boot and
 // prefetch overlap the session. Billing is deferred to cutover or
 // discard time.
-func (s *distSession) warn() {
-	d := s.d
-	boundary, evProj, _ := s.interruption()
+func (s *session) warn() {
+	d := s.sub.(*distDriver) // only armWarning arms a warning
+	boundary, evProj, _ := s.interruption(d)
 	warnAt := max(evProj-d.opts.WarningWindow, d.t)
-	durable := d.durable
+	durable := s.durable
 	if s.forceAt > 0 {
 		durable = s.forceAt
 	} else if s.checkpointing && s.planEnd > 0 && s.planEnd < boundary {
@@ -131,63 +133,65 @@ func (s *distSession) warn() {
 }
 
 // standbyMiss records a standby that never became launchable.
-func (d *distDriver) standbyMiss(at units.Seconds, config string, err error) {
+func (l *loop) standbyMiss(at units.Seconds, config string, err error) {
 	if err != nil {
-		d.logf("runtime: dist job %q standby infeasible: %v", d.env.Job.Name, err)
+		l.logf("runtime: dist job %q standby infeasible: %v", l.env.Job.Name, err)
 	}
-	d.rep.StandbyMisses++
-	d.emit(obs.Event{Type: obs.EvStandby, T: float64(at), Job: d.env.Job.Name,
+	l.rep.StandbyMisses++
+	l.emit(obs.Event{Type: obs.EvStandby, T: float64(at), Job: l.env.Job.Name,
 		Config: config, Ready: false})
 }
 
 // settleStandby decides a launched standby's fate at the eviction that
-// ended its segment, at absolute time evTime. Ready in time: bill the
-// overlap window on the standby config, record the warm cutover and
-// hand the set to the next run-loop iteration. Not ready (or never
-// launched): discard.
-func (d *distDriver) settleStandby(sb *standbyState, evTime units.Seconds) error {
+// ended its session, at s.nextEvict. Ready in time: bill the overlap
+// window on the standby config, record the warm cutover and hand the
+// set to the next run-loop iteration. Not ready (or never launched):
+// discard.
+func (s *session) settleStandby() error {
+	sb, l, evTime := s.sb, s.l, s.nextEvict
 	if sb == nil || sb.ws == nil {
 		return nil // not armed, or the miss was already recorded
 	}
 	if sb.readyAt > evTime {
 		// The eviction landed earlier than projected (a worker death
 		// raced the forecast): the standby never got ready.
-		return d.discardStandby(sb, evTime)
+		return s.discardStandby(evTime)
 	}
-	if err := d.spend(sb.cs.Config, sb.avail, evTime); err != nil {
-		d.teardownStandby(sb)
+	if err := l.spend(sb.cs.Config, sb.avail, evTime); err != nil {
+		sb.teardown()
 		return err
 	}
-	d.rep.IOTime += sb.reload
-	d.rep.WarmCutovers++
-	d.emit(obs.Event{Type: obs.EvCutover, T: float64(evTime), Job: d.env.Job.Name,
-		Config: sb.cs.Config.ID(), WorkLeft: d.workLeft(d.durable), DurSec: 0})
-	d.next, d.pending = &sb.choice, sb
+	l.rep.IOTime += sb.reload
+	l.rep.WarmCutovers++
+	l.emit(obs.Event{Type: obs.EvCutover, T: float64(evTime), Job: l.env.Job.Name,
+		Config: sb.cs.Config.ID(), WorkLeft: l.workLeft(s.durable), DurSec: 0})
+	l.next, l.pending = &sb.choice, sb
 	return nil
 }
 
 // discardStandby releases a launched standby that never cut over,
 // billing its machines for the time they ran and recording the miss.
-func (d *distDriver) discardStandby(sb *standbyState, billTo units.Seconds) error {
+func (s *session) discardStandby(billTo units.Seconds) error {
+	sb, l := s.sb, s.l
 	if sb == nil || sb.ws == nil {
 		return nil
 	}
-	d.teardownStandby(sb)
+	sb.teardown()
 	if billTo > sb.avail {
-		if err := d.spend(sb.cs.Config, sb.avail, billTo); err != nil {
+		if err := l.spend(sb.cs.Config, sb.avail, billTo); err != nil {
 			return err
 		}
 	}
-	d.rep.StandbyMisses++
-	d.emit(obs.Event{Type: obs.EvStandby, T: float64(billTo), Job: d.env.Job.Name,
+	l.rep.StandbyMisses++
+	l.emit(obs.Event{Type: obs.EvStandby, T: float64(billTo), Job: l.env.Job.Name,
 		Config: sb.cs.Config.ID(), Ready: false})
 	return nil
 }
 
-// teardownStandby releases a standby's processes without accounting —
-// the error and cancellation exits, where the trace is already
-// incomplete.
-func (d *distDriver) teardownStandby(sb *standbyState) {
+// teardown releases a standby's processes without accounting — the
+// error and cancellation exits, where the trace is already incomplete.
+// A nil or never-launched standby has nothing to release.
+func (sb *standbyState) teardown() {
 	if sb == nil || sb.ws == nil {
 		return
 	}
