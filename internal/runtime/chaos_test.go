@@ -149,7 +149,9 @@ func TestChaosEvictionSchedules(t *testing.T) {
 // trajectory: saves slowed by up to 600 virtual seconds, at an offset
 // where a price crossing lands inside one. The trace must show the
 // eviction after the segment's last superstep and before its save
-// sealed, and the run must still finish bit-identical.
+// completed, the checkpoint recorded all the same — it sealed in the
+// store, and the redeploy resumes it — and the run must still finish
+// bit-identical.
 func TestChaosEvictionMidSave(t *testing.T) {
 	h := getHarness(t, "wcc")
 	rng := rand.New(rand.NewSource(904))
@@ -169,10 +171,14 @@ func TestChaosEvictionMidSave(t *testing.T) {
 
 	// Walk the trace to the first eviction, tracking the segment it
 	// interrupted — its deployment, the supersteps it completed and
-	// whether a save sealed — and on to the redeploy that followed.
-	var deploy, evict obs.Event
+	// whether a save sealed — and on to the checkpoint that lost its
+	// race and the redeploy that followed.
+	var deploy, evict, lostSeal obs.Event
 	steps, lastStep, sealed := 0, 0, false
 	for _, e := range sink.snapshot() {
+		if e.Type == obs.EvCheckpoint && evict.Type != "" {
+			lostSeal = e
+		}
 		if evict.Type == "" {
 			switch e.Type {
 			case obs.EvDeploy:
@@ -190,11 +196,10 @@ func TestChaosEvictionMidSave(t *testing.T) {
 		if e.Type != obs.EvDeploy {
 			continue
 		}
-		// The segment computed through lastStep and paused to save it.
-		// The eviction lands after that superstep ends, while the driver
-		// still counts the old frontier as durable — the save never
-		// sealed — yet the redeploy reloads lastStep: the save was under
-		// way when the machines went.
+		// The segment computed through lastStep and stopped to save it.
+		// The eviction lands after that superstep ends and before the
+		// save completes, so it carries the old durable frontier; the
+		// save sealed all the same, and the redeploy reloads lastStep.
 		cs := configStats(t, h, evict.Config)
 		segEnd := deploy.T + deploy.DurSec + float64(steps)*float64(cs.Exec)/float64(h.total)
 		switch {
@@ -204,6 +209,8 @@ func TestChaosEvictionMidSave(t *testing.T) {
 			t.Fatalf("eviction at %v lands after the save sealed (work left %v, deployed at %v)", evict.T, evict.WorkLeft, deploy.WorkLeft)
 		case !e.Reload || e.WorkLeft != float64(h.total-lastStep)/float64(h.total):
 			t.Fatalf("redeploy %+v does not reload superstep %d: the eviction did not interrupt its save", e, lastStep)
+		case lostSeal.WorkLeft != e.WorkLeft:
+			t.Fatalf("checkpoint %+v after the eviction, want the one the redeploy reloads recorded", lostSeal)
 		}
 		return
 	}

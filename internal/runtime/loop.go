@@ -400,13 +400,8 @@ func (l *loop) drive(ctx context.Context, sub substrate) (Report, error) {
 			// straight to the session.
 			err = l.guard(ctx)
 		case c == nil:
-			// Execute still decides as if nothing were done here.
-			from := durable
-			if _, inProcess := sub.(*driver); inProcess {
-				from = 0
-			}
 			c = &choice{}
-			c.dec, c.cs, _, err = l.consult(ctx, nil, 0, from)
+			c.dec, c.cs, _, err = l.consult(ctx, nil, 0, durable)
 		}
 		if err != nil {
 			sb.teardown()

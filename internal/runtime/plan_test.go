@@ -17,6 +17,7 @@ import (
 	"hourglass/internal/engine"
 	"hourglass/internal/obs"
 	"hourglass/internal/runtime"
+	"hourglass/internal/units"
 )
 
 // recordingProv records every decision its provisioner returns, in
@@ -305,6 +306,92 @@ func TestExecuteKeepsInPlaceAndCutsOver(t *testing.T) {
 				t.Fatalf("%d decisions that keep nothing and %d deploys, want 2 and 2: the new deployment must boot without a second decision",
 					nonKeep, deploys)
 			}
+		})
+	}
+}
+
+// unsavedProv runs spot one superstep per decision without
+// checkpoints, keeping it while it lives; once it is lost, on-demand.
+type unsavedProv struct {
+	spot, od cloud.Config
+	step     units.Seconds
+	fresh    int
+}
+
+func (p *unsavedProv) Name() string { return "unsaved" }
+
+func (p *unsavedProv) Decide(s core.State) (core.Decision, error) {
+	switch {
+	case s.Current != nil:
+		return core.Decision{Config: *s.Current, KeepCurrent: true, MaxRun: p.step}, nil
+	case p.fresh == 0:
+		p.fresh++
+		return core.Decision{Config: p.spot, MaxRun: p.step}, nil
+	}
+	return core.Decision{Config: p.od}, nil
+}
+
+// TestExecuteEvictionCarriesTheDurableFrontier, on both drivers: a spot
+// deployment kept across boundaries that seal nothing, then evicted,
+// has nothing durable — its eviction, the decision after it and the
+// redeploy all see the whole job left.
+func TestExecuteEvictionCarriesTheDurableFrontier(t *testing.T) {
+	h := getHarness(t, "pagerank")
+	spot, od := transientByCount(t, h.env, 8), onDemandByCount(t, h.env, 8)
+	for _, dist := range []bool{false, true} {
+		name, total, ref := "Execute", h.total, h.ref
+		if dist {
+			name, total, ref = "ExecuteDist", distReference(t).Stats.Supersteps, distReference(t).Values
+		}
+		t.Run(name, func(t *testing.T) {
+			start, k := spotEvictionOffset(h, spot, total)
+			if start < 0 {
+				t.Fatal("no start offset with a mid-run spot eviction")
+			}
+			cs := configStats(t, h, spot.ID())
+			prov := &unsavedProv{spot: spot, od: od, step: units.Seconds(float64(cs.Exec) / float64(total))}
+			store := cloud.NewDatastore()
+			sink := &listSink{}
+			var rep runtime.Report
+			var err error
+			if dist {
+				opts := h.distOptions(t, store, "unsaved-dist", prov, total, &runtime.LoopbackLauncher{Store: store, Logf: t.Logf})
+				opts.Sink = sink
+				rep, err = runtime.ExecuteDist(context.Background(), opts, start, start+200_000)
+			} else {
+				opts := h.options(t, store, "unsaved-exec", prov)
+				opts.Sink = sink
+				rep, err = runtime.Execute(context.Background(), opts, start, start+200_000)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Finished || rep.Checkpoints != 0 {
+				t.Fatalf("finished=%v with %d checkpoints, want a finished run that sealed none", rep.Finished, rep.Checkpoints)
+			}
+			assertBitIdentical(t, ref, rep.Values)
+			var evicted, decided bool
+			for _, e := range sink.snapshot() {
+				switch {
+				case e.Type == obs.EvEvict && !evicted:
+					evicted = true
+					if e.WorkLeft != 1 {
+						t.Fatalf("eviction %+v after %d supersteps reports durable progress; nothing was saved", e, k)
+					}
+				case !evicted:
+				case e.Type == obs.EvDecision && !decided:
+					decided = true
+					if e.WorkLeft != 1 {
+						t.Fatalf("decision %+v after the eviction sees work done; nothing was saved", e)
+					}
+				case e.Type == obs.EvDeploy:
+					if e.Reload || e.WorkLeft != 1 {
+						t.Fatalf("redeploy %+v resumes progress; nothing was saved", e)
+					}
+					return
+				}
+			}
+			t.Fatal("no eviction followed by a redeploy in the trace")
 		})
 	}
 }

@@ -321,7 +321,7 @@ func (d *driver) save(s *session, x *engine.Execution, n int) {
 	var sealed func() obs.Event
 	if err != nil {
 		d.logf("runtime: job %q checkpoint at superstep %d failed: %v", d.env.Job.Name, n, err)
-	} else if s.nextEvict >= d.segEnd(s.cs, n-s.billed)+ioSave {
+	} else {
 		sealed = func() obs.Event {
 			return obs.Event{Type: obs.EvCheckpoint, T: float64(d.t), Job: d.env.Job.Name,
 				Config: s.cs.Config.ID(), WorkLeft: d.workLeft(n)}

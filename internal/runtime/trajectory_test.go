@@ -98,80 +98,81 @@ func distScenario(t *testing.T, sink obs.Sink, job string, launcher *runtime.Loo
 	assertBitIdentical(t, ref.Values, rep.Values)
 }
 
+// trajectoryScenarios are the golden scenarios, by name.
+var trajectoryScenarios = []struct {
+	name string
+	run  func(t *testing.T, sink obs.Sink)
+}{
+	// Slack-aware provisioning from the start of the synthetic market.
+	{"exec_slack_aware_cold", func(t *testing.T, sink obs.Sink) {
+		execScenario(t, sink, "pagerank", cloud.NewDatastore(), 0)
+	}},
+	// Chaos schedule 5065 under seeded store faults: two market
+	// evictions, re-decisions onto other configurations, and a
+	// redeploy that finds no readable checkpoint and starts fresh.
+	{"exec_chaos_5065", func(t *testing.T, sink obs.Sink) {
+		const seed = 5065
+		h := getHarness(t, "wcc")
+		rng := rand.New(rand.NewSource(seed * 17))
+		start := units.Seconds(rng.Float64() * float64(h.horizon-h.relDl))
+		execScenario(t, sink, "wcc", faultinject.Wrap(cloud.NewDatastore(), chaosPolicy(seed)), start)
+	}},
+	// Saves slowed by up to 600 virtual seconds, at an offset where a
+	// price crossing lands inside one of them.
+	{"exec_evict_mid_save", func(t *testing.T, sink obs.Sink) {
+		h := getHarness(t, "wcc")
+		rng := rand.New(rand.NewSource(904))
+		start := units.Seconds(rng.Float64() * float64(h.horizon-h.relDl))
+		store := faultinject.Wrap(cloud.NewDatastore(), faultinject.Policy{Seed: 77, MaxLatency: 600})
+		execScenario(t, sink, "wcc", store, start)
+	}},
+	// A worker of the 8-shard set dies at superstep 3; the driver
+	// resumes the blobs on 4 shards.
+	{"dist_reactive_resize", func(t *testing.T, sink obs.Sink) {
+		store := cloud.NewDatastore()
+		distScenario(t, sink, "golden-resize", deathLauncher(t, store, 3, true, false), 0)
+	}},
+	// A spot set evicted by the market mid-run, absorbed by a warm
+	// on-demand standby after a forced boundary checkpoint.
+	{"dist_warm_market_cutover", func(t *testing.T, sink obs.Sink) {
+		h := getHarness(t, "pagerank")
+		ref := distReference(t)
+		spot := transientByCount(t, h.env, 8)
+		start, _ := spotEvictionOffset(h, spot, ref.Stats.Supersteps)
+		if start < 0 {
+			t.Fatal("no start offset with a mid-run spot eviction")
+		}
+		store := cloud.NewDatastore()
+		prov := &scriptedProv{configs: []cloud.Config{spot, onDemandByCount(t, h.env, 4)}}
+		opts := h.distOptions(t, store, "golden-market", prov, ref.Stats.Supersteps,
+			&runtime.LoopbackLauncher{Store: store, Logf: t.Logf})
+		opts.Sink = sink
+		opts.WarningWindow = 600
+		rep, err := runtime.ExecuteDist(context.Background(), opts, start, start+200_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Finished || rep.WarmCutovers != 1 {
+			t.Fatalf("finished=%v cutovers=%d, want a finished run with one cutover", rep.Finished, rep.WarmCutovers)
+		}
+		assertBitIdentical(t, ref.Values, rep.Values)
+	}},
+	// A forewarned death with a 50 s window: too short to boot a
+	// standby, long enough for the forced save.
+	{"dist_standby_not_ready", func(t *testing.T, sink obs.Sink) {
+		store := cloud.NewDatastore()
+		distScenario(t, sink, "golden-miss", deathLauncher(t, store, 6, true, true), 50)
+	}},
+	// A forewarned death that never happens: the booted standby is
+	// discarded when the job finishes.
+	{"dist_standby_discarded", func(t *testing.T, sink obs.Sink) {
+		store := cloud.NewDatastore()
+		distScenario(t, sink, "golden-discard", deathLauncher(t, store, 6, false, true), 2000)
+	}},
+}
+
 func TestGoldenTrajectories(t *testing.T) {
-	scenarios := []struct {
-		name string
-		run  func(t *testing.T, sink obs.Sink)
-	}{
-		// Slack-aware provisioning from the start of the synthetic market.
-		{"exec_slack_aware_cold", func(t *testing.T, sink obs.Sink) {
-			execScenario(t, sink, "pagerank", cloud.NewDatastore(), 0)
-		}},
-		// Chaos schedule 5065 under seeded store faults: two market
-		// evictions, a re-decision onto another configuration, and
-		// redeploys that find no readable checkpoint and start fresh,
-		// so the last resort finishes past the deadline.
-		{"exec_chaos_5065", func(t *testing.T, sink obs.Sink) {
-			const seed = 5065
-			h := getHarness(t, "wcc")
-			rng := rand.New(rand.NewSource(seed * 17))
-			start := units.Seconds(rng.Float64() * float64(h.horizon-h.relDl))
-			execScenario(t, sink, "wcc", faultinject.Wrap(cloud.NewDatastore(), chaosPolicy(seed)), start)
-		}},
-		// Saves slowed by up to 600 virtual seconds, at an offset where a
-		// price crossing lands inside one of them.
-		{"exec_evict_mid_save", func(t *testing.T, sink obs.Sink) {
-			h := getHarness(t, "wcc")
-			rng := rand.New(rand.NewSource(904))
-			start := units.Seconds(rng.Float64() * float64(h.horizon-h.relDl))
-			store := faultinject.Wrap(cloud.NewDatastore(), faultinject.Policy{Seed: 77, MaxLatency: 600})
-			execScenario(t, sink, "wcc", store, start)
-		}},
-		// A worker of the 8-shard set dies at superstep 3; the driver
-		// resumes the blobs on 4 shards.
-		{"dist_reactive_resize", func(t *testing.T, sink obs.Sink) {
-			store := cloud.NewDatastore()
-			distScenario(t, sink, "golden-resize", deathLauncher(t, store, 3, true, false), 0)
-		}},
-		// A spot set evicted by the market mid-run, absorbed by a warm
-		// on-demand standby after a forced boundary checkpoint.
-		{"dist_warm_market_cutover", func(t *testing.T, sink obs.Sink) {
-			h := getHarness(t, "pagerank")
-			ref := distReference(t)
-			spot := transientByCount(t, h.env, 8)
-			start, _ := spotEvictionOffset(h, spot, ref.Stats.Supersteps)
-			if start < 0 {
-				t.Fatal("no start offset with a mid-run spot eviction")
-			}
-			store := cloud.NewDatastore()
-			prov := &scriptedProv{configs: []cloud.Config{spot, onDemandByCount(t, h.env, 4)}}
-			opts := h.distOptions(t, store, "golden-market", prov, ref.Stats.Supersteps,
-				&runtime.LoopbackLauncher{Store: store, Logf: t.Logf})
-			opts.Sink = sink
-			opts.WarningWindow = 600
-			rep, err := runtime.ExecuteDist(context.Background(), opts, start, start+200_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Finished || rep.WarmCutovers != 1 {
-				t.Fatalf("finished=%v cutovers=%d, want a finished run with one cutover", rep.Finished, rep.WarmCutovers)
-			}
-			assertBitIdentical(t, ref.Values, rep.Values)
-		}},
-		// A forewarned death with a 50 s window: too short to boot a
-		// standby, long enough for the forced save.
-		{"dist_standby_not_ready", func(t *testing.T, sink obs.Sink) {
-			store := cloud.NewDatastore()
-			distScenario(t, sink, "golden-miss", deathLauncher(t, store, 6, true, true), 50)
-		}},
-		// A forewarned death that never happens: the booted standby is
-		// discarded when the job finishes.
-		{"dist_standby_discarded", func(t *testing.T, sink obs.Sink) {
-			store := cloud.NewDatastore()
-			distScenario(t, sink, "golden-discard", deathLauncher(t, store, 6, false, true), 2000)
-		}},
-	}
-	for _, sc := range scenarios {
+	for _, sc := range trajectoryScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			sink := &listSink{}
 			sc.run(t, sink)
@@ -214,4 +215,39 @@ func firstDiff(want, got []byte) string {
 		}
 	}
 	return "identical lines, different bytes"
+}
+
+// TestExecuteDecidesFromTheDurableFrontier: a deployment that reloads a
+// checkpoint was decided with the work that checkpoint leaves — on both
+// drivers, after a market eviction (also one that lands mid-save), a
+// lost shard and a last-resort pin.
+func TestExecuteDecidesFromTheDurableFrontier(t *testing.T) {
+	for _, sc := range trajectoryScenarios {
+		switch sc.name {
+		case "exec_evict_mid_save", "exec_chaos_5065", "dist_reactive_resize":
+		default:
+			continue
+		}
+		t.Run(sc.name, func(t *testing.T) {
+			sink := &listSink{}
+			sc.run(t, sink)
+			reloads := 0
+			var last obs.Event
+			for _, e := range sink.snapshot() {
+				switch {
+				case e.Type == obs.EvDecision:
+					last = e
+				case e.Type == obs.EvDeploy && e.Reload:
+					reloads++
+					if last.WorkLeft != e.WorkLeft {
+						t.Errorf("deploy at %v reloads work left %v, decided at %v with work left %v",
+							e.T, e.WorkLeft, last.T, last.WorkLeft)
+					}
+				}
+			}
+			if reloads == 0 {
+				t.Fatal("no deployment reloaded a checkpoint")
+			}
+		})
+	}
 }
