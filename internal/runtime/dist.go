@@ -339,11 +339,17 @@ func (d *distDriver) frontier() (int, error) {
 // through the eviction instant at adoption and the clock is already
 // that instant, so the deploy span — the recovery downtime — is zero.
 func (d *distDriver) boot(cs *core.ConfigStats, durable int, warm *standbyState) (obs.Event, error) {
-	d.rep.ShardCounts = append(d.rep.ShardCounts, cs.Config.Count)
+	var ev obs.Event
 	if warm != nil {
-		return d.deployEvent(cs, d.t, durable, durable > 0), nil
+		ev = d.deployEvent(cs, d.t, durable, durable > 0)
+	} else {
+		var err error
+		if ev, err = d.deploy(cs, durable > 0, 0, d.evenSplit(cs.Config.Count), durable); err != nil {
+			return ev, err
+		}
 	}
-	return d.deploy(cs, durable > 0, 0, d.evenSplit(cs.Config.Count), durable)
+	d.rep.ShardCounts = append(d.rep.ShardCounts, cs.Config.Count)
+	return ev, nil
 }
 
 func (d *distDriver) clear() error { return dist.ClearJob(d.opts.Store, d.opts.Job) }

@@ -407,16 +407,16 @@ func (l *loop) drive(ctx context.Context, sub substrate) (Report, error) {
 			sb.teardown()
 			return l.rep, err
 		}
-		if done, err := l.session(ctx, sub, *c, attempt, durable, sb); err != nil || done {
+		if done, err := l.deployment(ctx, sub, *c, attempt, durable, sb); err != nil || done {
 			return l.rep, err
 		}
 	}
 }
 
-// session deploys c from the durable frontier, runs its session and
+// deployment deploys c from the durable frontier, runs its session and
 // folds the outcome into the report. It returns done=true when the job
 // finished.
-func (l *loop) session(ctx context.Context, sub substrate, c choice, attempt, durable int, warm *standbyState) (bool, error) {
+func (l *loop) deployment(ctx context.Context, sub substrate, c choice, attempt, durable int, warm *standbyState) (bool, error) {
 	cs := c.cs
 	deploy, err := sub.boot(cs, durable, warm)
 	if err != nil {
