@@ -224,9 +224,9 @@ type Config struct {
 	Assign []int32
 	// MaxSupersteps aborts runaway programs (0 = 10_000).
 	MaxSupersteps int
-	// StopAfter pauses the run after this many additional supersteps,
-	// returning ErrPaused with a resumable snapshot (0 = run to
-	// completion). Used to emulate evictions mid-computation.
+	// StopAfter pauses RunCtx and ResumeCtx after this many additional
+	// supersteps, returning ErrPaused with a resumable snapshot (0 = run
+	// to completion). Step ignores it.
 	StopAfter int
 	// Sink, when set, receives one obs.EvSuperstep event per superstep
 	// (frontier size, messages sent/combined, wall ns, arena bytes).
@@ -337,7 +337,7 @@ func ResumeCtx(ctx context.Context, g *graph.Graph, prog Program, snap *Snapshot
 
 // Start prepares prog on g under cfg from scratch, standing at the
 // barrier before superstep 0. Cancelling ctx interrupts it (see
-// RunCtx). cfg.StopAfter is RunCtx's; Step ignores it.
+// RunCtx).
 func Start(ctx context.Context, g *graph.Graph, prog Program, cfg Config) (*Execution, error) {
 	r, err := newRun(ctx, g, prog, cfg)
 	if err != nil {
