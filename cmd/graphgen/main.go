@@ -1,10 +1,8 @@
-// Command graphgen generates the synthetic benchmark datasets and
-// prints Table 2 of the paper (dataset inventory) for both the paper's
-// original sizes and the scaled stand-ins generated locally.
+// Command graphgen writes the synthetic benchmark datasets as edge
+// lists. Table 2 (their sizes) is `hourglass-sim -fig table2`.
 //
 // Usage:
 //
-//	graphgen -stats                  # print Table 2
 //	graphgen -dataset twitter -scale 0.25 -out twitter.el
 //	graphgen -rmat 18 -out rmat18.el
 package main
@@ -19,7 +17,6 @@ import (
 
 func main() {
 	var (
-		stats   = flag.Bool("stats", false, "print Table 2 dataset statistics")
 		dataset = flag.String("dataset", "", "dataset to generate (human-gene, hollywood, orkut, wiki, twitter)")
 		rmat    = flag.Int("rmat", 0, "generate RMAT-N instead of a named dataset")
 		scale   = flag.Float64("scale", 1.0, "scale factor for the synthetic stand-in")
@@ -28,8 +25,6 @@ func main() {
 	flag.Parse()
 
 	switch {
-	case *stats:
-		printTable2(*scale)
 	case *rmat > 0:
 		d := graph.RMATDataset(*rmat)
 		emit(d, *scale, *out)
@@ -42,27 +37,6 @@ func main() {
 	default:
 		flag.Usage()
 		os.Exit(2)
-	}
-}
-
-func printTable2(scale float64) {
-	fmt.Println("Table 2: graph datasets (paper sizes vs. generated synthetic stand-ins)")
-	fmt.Printf("%-12s %-14s %14s %16s | %10s %12s %8s\n",
-		"Name", "Network", "Paper |V|", "Paper |E|", "Gen |V|", "Gen |E|", "AvgDeg")
-	for _, d := range graph.Datasets() {
-		g := graph.Load(d, scale)
-		st := graph.ComputeStats(d, g)
-		fmt.Printf("%-12s %-14s %14d %16d | %10d %12d %8.1f\n",
-			d.Name, d.Network, d.PaperVertices, d.PaperEdges,
-			st.Vertices, st.Edges, st.AvgDegree)
-	}
-	for _, n := range []int{14, 16} {
-		d := graph.RMATDataset(n)
-		g := d.Generate(1.0)
-		st := graph.ComputeStats(d, g)
-		fmt.Printf("%-12s %-14s %14d %16d | %10d %12d %8.1f\n",
-			d.Name, d.Network, d.PaperVertices, d.PaperEdges,
-			st.Vertices, st.Edges, st.AvgDegree)
 	}
 }
 

@@ -1,14 +1,11 @@
-// Command hourglass-sim regenerates the provisioning experiments of
-// the paper:
+// Command hourglass-sim prints one exhibit of the paper's evaluation
+// (§8), each defined once in internal/exhibit: -fig table2, 1, 5, 6,
+// 7, 8 or 9, the five ablations (-fig ablations), or the zero-miss
+// guarantee sweep over every job × slack × never-miss strategy (-fig
+// verify, which exits non-zero on any missed deadline). -runs and
+// -scale default to each exhibit's EXPERIMENTS.md values.
 //
-//	hourglass-sim -fig 1    # Figure 1: the dilemma (GC, 50% slack)
-//	hourglass-sim -fig 5    # Figure 5: 5 provisioners × 3 jobs × 10 slacks
-//	hourglass-sim -fig 7    # Figure 7: GC ablation (micro-partitioning on/off)
-//
-// Results are trace-driven simulations over synthetic spot-price
-// months (deterministic per seed); bars print as normalized cost vs.
-// the on-demand baseline with the missed-deadline percentage alongside,
-// matching the figures' layout.
+//	hourglass-sim -fig 5 -runs 100
 //
 // With -trace-out, a single seeded run executes instead and its full
 // decision/lifecycle event stream is exported as JSONL; fold it back
@@ -21,74 +18,80 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hourglass"
+	"hourglass/internal/exhibit"
 	"hourglass/internal/obs"
-	"hourglass/internal/perfmodel"
 	"hourglass/internal/sim"
 	"hourglass/internal/units"
 )
 
 func main() {
-	var (
-		fig      = flag.Int("fig", 5, "figure to regenerate (1, 5, or 7)")
-		runs     = flag.Int("runs", 200, "simulations per bar (paper: 2000)")
-		seed     = flag.Int64("seed", 42, "trace seed")
-		days     = flag.Float64("days", 10, "length of each synthetic price month")
-		traceOut = flag.String("trace-out", "", "run one traced simulation and write its JSONL event stream here")
-		jobKind  = flag.String("job", "pagerank", "job for -trace-out (sssp | pagerank | graphcoloring)")
-		strategy = flag.String("strategy", "hourglass", "provisioning strategy for -trace-out")
-		slack    = flag.Float64("slack", 0.5, "slack fraction for -trace-out")
-		start    = flag.Float64("start", 0, "trace start offset in seconds for -trace-out")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "hourglass-sim:", err)
+		os.Exit(1)
+	}
+}
 
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("hourglass-sim", flag.ContinueOnError)
+	var (
+		fig      = fs.String("fig", "5", "exhibit to print (table2, 1, 5, 6, 7, 8, 9, ablations or verify)")
+		runs     = fs.Int("runs", 0, "simulations per cell (0: the exhibit's default; paper: 2000)")
+		scale    = fs.Float64("scale", 0, "dataset scale factor (0: the exhibit's default)")
+		seed     = fs.Int64("seed", exhibit.Seed, "market trace seed")
+		traceOut = fs.String("trace-out", "", "run one traced simulation and write its JSONL event stream here")
+		jobKind  = fs.String("job", "pagerank", "job for -trace-out (sssp | pagerank | graphcoloring)")
+		strategy = fs.String("strategy", "hourglass", "provisioning strategy for -trace-out")
+		slack    = fs.Float64("slack", 0.5, "slack fraction for -trace-out")
+		start    = fs.Float64("start", 0, "trace start offset in seconds for -trace-out")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *traceOut != "" {
-		tracedRun(*traceOut, *jobKind, *strategy, *slack, *start, *seed, *days)
-		return
+		return tracedRun(w, *traceOut, *jobKind, *strategy, *slack, *start, *seed)
 	}
-	switch *fig {
-	case 1:
-		figure1(*runs, *seed, *days)
-	case 5:
-		figure5(*runs, *seed, *days)
-	case 7:
-		figure7(*runs, *seed, *days)
-	default:
-		fmt.Fprintln(os.Stderr, "hourglass-sim: -fig must be 1, 5 or 7")
-		os.Exit(2)
+	ex, err := exhibit.ByName(*fig)
+	if err != nil {
+		return err
 	}
+	tables, err := ex.Build(ex.Params(*runs, *scale, *seed))
+	if err := exhibit.Render(w, tables); err != nil {
+		return err
+	}
+	return err
 }
 
 // tracedRun executes one simulation with the obs sink attached and
 // prints the same cost/evictions/deadline numbers the folded trace
 // reproduces.
-func tracedRun(out, jobName, strategy string, slack, start float64, seed int64, days float64) {
+func tracedRun(w io.Writer, out, jobName, strategy string, slack, start float64, seed int64) error {
 	kind, err := hourglass.ParseJobKind(jobName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	st := hourglass.Strategy(strategy)
-	if err := hourglass.ValidateStrategy(st); err != nil {
-		fatal(err)
+	sys, err := hourglass.New(hourglass.Options{Seed: seed})
+	if err != nil {
+		return err
 	}
-	sys := newSystem(seed, days, nil)
+	prov, err := sys.Provisioner(kind, hourglass.Strategy(strategy))
+	if err != nil {
+		return err
+	}
 	env, err := sys.Env(kind)
 	if err != nil {
-		fatal(err)
-	}
-	prov, err := sys.Provisioner(kind, st)
-	if err != nil {
-		fatal(err)
+		return err
 	}
 	deadline, err := sys.DeadlineFor(kind, slack)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	f, err := os.Create(out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	sink := obs.NewJSONL(f)
@@ -96,132 +99,21 @@ func tracedRun(out, jobName, strategy string, slack, start float64, seed int64, 
 	runner := &sim.Runner{Env: env, Sink: sink}
 	res, err := runner.Run(prov, units.Seconds(start), units.Seconds(start)+deadline)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := sink.Err(); err != nil {
-		fatal(err)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
 	}
 	met := "met"
 	if res.MissedDeadline || !res.Finished {
 		met = "MISSED"
 	}
-	fmt.Printf("%s/%s slack %.0f%%: cost $%.4f, deadline %s, %d evictions, %d reconfigs, %d checkpoints, %d decisions\n",
+	fmt.Fprintf(w, "%s/%s slack %.0f%%: cost $%.4f, deadline %s, %d evictions, %d reconfigs, %d checkpoints, %d decisions\n",
 		jobName, strategy, slack*100, float64(res.Cost), met,
 		res.Evictions, res.Reconfigs, res.Checkpoints, res.Decisions)
 	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-}
-
-func newSystem(seed int64, days float64, model *perfmodel.Model) *hourglass.System {
-	sys, err := hourglass.New(hourglass.Options{Seed: seed, TraceDays: days, Model: model})
-	if err != nil {
-		fatal(err)
-	}
-	return sys
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hourglass-sim:", err)
-	os.Exit(1)
-}
-
-// figure1 reproduces the motivating comparison: eager (greedy) vs the
-// naive DP fix vs slack-aware vs slack-aware + fast reload, on the GC
-// job with a 50% slack (the paper's 4h job / 6h period scenario).
-func figure1(runs int, seed int64, days float64) {
-	const slack = 0.5
-	fmt.Printf("Figure 1: GC job, %d runs per bar, slack %.0f%% (cost normalized to on-demand)\n\n", runs, slack*100)
-	fmt.Printf("%-36s %14s %10s\n", "strategy", "norm. cost", "missed")
-
-	// Eager and the naive fix use hash loading (no offline phase, full
-	// shuffle on every reload); the slack-aware bar without fast
-	// reload pays per-config offline METIS plus shuffle reloads; fast
-	// reload switches to micro-partitions (one offline run, shuffle-free
-	// reloads).
-	hash := perfmodel.Default().WithLoading(perfmodel.LoadHash)
-	metis := perfmodel.Default().WithLoading(perfmodel.LoadMETIS)
-	fast := perfmodel.Default().WithLoading(perfmodel.LoadMicro)
-
-	bars := []struct {
-		label    string
-		model    *perfmodel.Model
-		strategy hourglass.Strategy
-	}{
-		{"Eager (greedy, SpotOn-like)", hash, hourglass.StrategyProteus},
-		{"Hourglass Naive (greedy+DP)", hash, hourglass.StrategyNaive},
-		{"Hourglass Slack-Aware", metis, hourglass.StrategyHourglass},
-		{"Hourglass Slack-Aware + Fast Reload", fast, hourglass.StrategyHourglass},
-	}
-	for _, b := range bars {
-		sys := newSystem(seed, days, b.model)
-		res, err := sys.Simulate(hourglass.GC, b.strategy, slack, runs)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-36s %13.2f× %9.0f%%\n", b.label, res.MeanNormCost, res.MissedFraction*100)
-	}
-}
-
-// figure5 reproduces the 30-scenario comparison: {SSSP, PageRank, GC} ×
-// slacks 10–100% × {Hourglass, Proteus, SpotOn, Proteus+DP, SpotOn+DP}.
-func figure5(runs int, seed int64, days float64) {
-	jobs := []hourglass.JobKind{hourglass.SSSP, hourglass.PageRank, hourglass.GC}
-	strategies := []hourglass.Strategy{
-		hourglass.StrategyHourglass, hourglass.StrategyProteus, hourglass.StrategySpotOn,
-		hourglass.StrategyProteusDP, hourglass.StrategySpotOnDP,
-	}
-	sys := newSystem(seed, days, nil)
-	fmt.Printf("Figure 5: normalized cost (missed%%), %d runs per cell\n", runs)
-	for _, job := range jobs {
-		fmt.Printf("\n== %s ==\n%-14s", job, "slack")
-		for s := 1; s <= 10; s++ {
-			fmt.Printf("%14d%%", s*10)
-		}
-		fmt.Println()
-		for _, st := range strategies {
-			fmt.Printf("%-14s", st)
-			for s := 1; s <= 10; s++ {
-				res, err := sys.Simulate(job, st, float64(s)/10, runs)
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Printf("   %5.2f (%3.0f%%)", res.MeanNormCost, res.MissedFraction*100)
-			}
-			fmt.Println()
-		}
-	}
-}
-
-// figure7 zooms into GC: the slack-aware strategy with and without
-// micro-partitioning, against SpotOn+DP with micro-partitioning.
-func figure7(runs int, seed int64, days float64) {
-	fmt.Printf("Figure 7: GC cost reductions, %d runs per point\n\n%-26s", runs, "slack")
-	slacks := []float64{0.1, 0.2, 0.4, 0.6, 0.8, 1.0}
-	for _, s := range slacks {
-		fmt.Printf("%9.0f%%", s*100)
-	}
-	fmt.Println()
-
-	metis := perfmodel.Default().WithLoading(perfmodel.LoadMETIS)
-	micro := perfmodel.Default().WithLoading(perfmodel.LoadMicro)
-	rows := []struct {
-		label    string
-		model    *perfmodel.Model
-		strategy hourglass.Strategy
-	}{
-		{"SlackAware+METIS", metis, hourglass.StrategyHourglass},
-		{"SlackAware+microMETIS", micro, hourglass.StrategyHourglass},
-		{"SpotOn+DP+microMETIS", micro, hourglass.StrategySpotOnDP},
-	}
-	for _, r := range rows {
-		sys := newSystem(seed, days, r.model)
-		fmt.Printf("%-26s", r.label)
-		for _, s := range slacks {
-			res, err := sys.Simulate(hourglass.GC, r.strategy, s, runs)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%9.2f", res.MeanNormCost)
-		}
-		fmt.Println()
-	}
+	return nil
 }
