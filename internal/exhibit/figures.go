@@ -173,7 +173,7 @@ func figure6(p Params) ([]Table, error) {
 // METIS and with micro-partitions over a METIS base, against SpotOn+DP
 // with micro-partitions.
 func figure7(p Params) ([]Table, error) {
-	micro := perfmodel.Default().WithLoading(perfmodel.LoadMicro)
+	micro := perfmodel.Default().WithLoading(perfmodel.LoadMicro).WithMetisBase()
 	rows, err := simulate(p, hourglass.GC, []bar{
 		{"SlackAware+METIS", perfmodel.Default().WithLoading(perfmodel.LoadMETIS), hourglass.StrategyHourglass},
 		{"SlackAware+microMETIS", micro, hourglass.StrategyHourglass},
