@@ -11,36 +11,43 @@ import (
 
 func TestRunPrintsAnExhibit(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-fig", "table2", "-scale", "0.01"}, &out); err != nil {
+	if err := run([]string{"-fig", "1", "-runs", "1"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	words := strings.Join(strings.Fields(out.String()), " ")
-	for _, want := range []string{"Table 2:", "twitter (Social)", "rmat-16 (Synthetic) 65536 1048576 65536 909659"} {
+	for _, want := range []string{"Figure 1: GC job, 1 runs per bar", "Hourglass Naive (greedy+DP)", "Slack-Aware + Fast Reload"} {
 		if !strings.Contains(words, want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
 	}
 }
 
+// verifyWith makes -fig verify sweep one stand-in strategy for the
+// length of a test: on-demand never misses, plain Proteus misses at
+// small slacks.
+func verifyWith(t *testing.T, st hourglass.Strategy) {
+	saved := exhibit.All
+	t.Cleanup(func() { exhibit.All = saved })
+	exhibit.All = []exhibit.Exhibit{{Name: "verify", Runs: 1, Build: func(p exhibit.Params) ([]exhibit.Table, error) {
+		return exhibit.Sweep(p, st)
+	}}}
+}
+
 func TestRunVerify(t *testing.T) {
+	verifyWith(t, hourglass.StrategyOnDemand)
 	var out bytes.Buffer
-	if err := run([]string{"-fig", "verify", "-runs", "1"}, &out); err != nil {
+	if err := run([]string{"-fig", "verify"}, &out); err != nil {
 		t.Fatalf("verify: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "verified 90 runs: 0 deadline misses") {
+	if !strings.Contains(out.String(), "verified 30 runs: 0 deadline misses") {
 		t.Errorf("verify output:\n%s", out.String())
 	}
 }
 
 // A sweep with misses still prints its table, and run returns the error
-// that makes main exit non-zero. Plain Proteus stands in for a broken
-// never-miss strategy.
+// that makes main exit non-zero.
 func TestRunVerifyFailsOnMiss(t *testing.T) {
-	saved := exhibit.All
-	defer func() { exhibit.All = saved }()
-	exhibit.All = []exhibit.Exhibit{{Name: "verify", Runs: 1, Build: func(p exhibit.Params) ([]exhibit.Table, error) {
-		return exhibit.Sweep(p, hourglass.StrategyProteus)
-	}}}
+	verifyWith(t, hourglass.StrategyProteus)
 	var out bytes.Buffer
 	err := run([]string{"-fig", "verify"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "missed their deadline") {

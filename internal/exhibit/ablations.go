@@ -70,18 +70,14 @@ func ablations(p Params) ([]Table, error) {
 		warn.Rows = append(warn.Rows, Row{fmt.Sprintf("%.0f s", float64(w)), []float64{res.MeanNormCost, res.MissedFraction * 100}})
 	}
 
-	sys, err := system(p, 8, nil)
+	rows, err := simulate(p, 8, hourglass.GC, []bar{
+		{string(hourglass.StrategyHourglass), nil, hourglass.StrategyHourglass},
+		{string(hourglass.StrategyRelaxed), nil, hourglass.StrategyRelaxed},
+	}, []float64{0.2}, true)
 	if err != nil {
 		return nil, err
 	}
-	relaxed := Table{Title: "Ablation: relaxed deadline (GC, 20% slack)", Stub: "strategy", Cols: []Col{cost, missed}}
-	for _, st := range []hourglass.Strategy{hourglass.StrategyHourglass, hourglass.StrategyRelaxed} {
-		res, err := sys.Simulate(hourglass.GC, st, 0.2, p.Runs)
-		if err != nil {
-			return nil, err
-		}
-		relaxed.Rows = append(relaxed.Rows, Row{string(st), []float64{res.MeanNormCost, res.MissedFraction * 100}})
-	}
+	relaxed := Table{Title: "Ablation: relaxed deadline (GC, 20% slack)", Stub: "strategy", Cols: []Col{cost, missed}, Rows: rows}
 
 	g := graph.Load(dataset("orkut"), p.Scale)
 	bisect := Table{Title: "Ablation: recursive bisection vs k-way (orkut, 8 parts)", Stub: "partitioner",

@@ -48,20 +48,15 @@ type bar struct {
 	strategy hourglass.Strategy
 }
 
-// simulate returns one row per bar: the job's mean normalized cost at
-// each slack, each followed by its missed-deadline percentage when
-// missed is set. Bars that share a model share its System.
-func simulate(p Params, job hourglass.JobKind, bars []bar, slacks []float64, missed bool) ([]Row, error) {
+// simulate returns one row per bar: the job's mean normalized cost on
+// traceDays-long price months at each slack, each followed by its
+// missed-deadline percentage when missed is set.
+func simulate(p Params, traceDays float64, job hourglass.JobKind, bars []bar, slacks []float64, missed bool) ([]Row, error) {
 	rows := make([]Row, len(bars))
-	systems := map[*perfmodel.Model]*hourglass.System{}
 	for i, b := range bars {
-		sys, ok := systems[b.model]
-		if !ok {
-			var err error
-			if sys, err = system(p, days, b.model); err != nil {
-				return nil, err
-			}
-			systems[b.model] = sys
+		sys, err := system(p, traceDays, b.model)
+		if err != nil {
+			return nil, err
 		}
 		rows[i].Label = b.label
 		for _, s := range slacks {
@@ -84,7 +79,7 @@ func simulate(p Params, job hourglass.JobKind, bars []bar, slacks []float64, mis
 // fast reload switches to micro-partitions.
 func figure1(p Params) ([]Table, error) {
 	hash := perfmodel.Default().WithLoading(perfmodel.LoadHash)
-	rows, err := simulate(p, hourglass.GC, []bar{
+	rows, err := simulate(p, days, hourglass.GC, []bar{
 		{"Eager (greedy, SpotOn-like)", hash, hourglass.StrategyProteus},
 		{"Hourglass Naive (greedy+DP)", hash, hourglass.StrategyNaive},
 		{"Hourglass Slack-Aware", perfmodel.Default().WithLoading(perfmodel.LoadMETIS), hourglass.StrategyHourglass},
@@ -117,7 +112,7 @@ func figure5(p Params) ([]Table, error) {
 	}
 	var tables []Table
 	for _, job := range jobs {
-		rows, err := simulate(p, job, bars, slacks, true)
+		rows, err := simulate(p, days, job, bars, slacks, true)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +169,7 @@ func figure6(p Params) ([]Table, error) {
 // with micro-partitions.
 func figure7(p Params) ([]Table, error) {
 	micro := perfmodel.Default().WithLoading(perfmodel.LoadMicro).WithMetisBase()
-	rows, err := simulate(p, hourglass.GC, []bar{
+	rows, err := simulate(p, days, hourglass.GC, []bar{
 		{"SlackAware+METIS", perfmodel.Default().WithLoading(perfmodel.LoadMETIS), hourglass.StrategyHourglass},
 		{"SlackAware+microMETIS", micro, hourglass.StrategyHourglass},
 		{"SpotOn+DP+microMETIS", micro, hourglass.StrategySpotOnDP},
