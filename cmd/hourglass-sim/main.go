@@ -55,6 +55,9 @@ func run(args []string, w io.Writer) error {
 	if *traceOut != "" {
 		return tracedRun(w, *traceOut, *jobKind, *strategy, *slack, *start, *seed)
 	}
+	if *runs < 0 || *scale < 0 {
+		return errors.New("-runs and -scale must not be negative")
+	}
 	ex, err := exhibit.ByName(*fig)
 	if err != nil {
 		return err

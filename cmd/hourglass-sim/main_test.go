@@ -58,8 +58,10 @@ func TestRunVerifyFailsOnMiss(t *testing.T) {
 	}
 }
 
-func TestRunRejectsUnknownExhibit(t *testing.T) {
-	if err := run([]string{"-fig", "4"}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "unknown exhibit") {
-		t.Errorf("-fig 4: err = %v", err)
+func TestRunRejectsBadArguments(t *testing.T) {
+	for _, args := range [][]string{{"-fig", "4"}, {"-fig", "1", "-runs", "-1"}, {"-fig", "8", "-scale", "-0.1"}} {
+		if err := run(args, &bytes.Buffer{}); err == nil {
+			t.Errorf("%v: no error", args)
+		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // The shape tests check each claim EXPERIMENTS.md makes of an exhibit.
-// By default they run at reduced counts and scales so the package stays
-// cheap in tier-1; -exhibit-full runs them at the published values:
+// By default they run at reduced counts and scales so that go test ./...
+// stays quick; -exhibit-full runs them at the published values:
 //
 //	go test ./internal/exhibit/ -exhibit-full -timeout 60m
 //
@@ -205,8 +205,8 @@ func TestAblationsShape(t *testing.T) {
 }
 
 // The guarantee sweep: no never-miss strategy misses a deadline.
-// Full-only: tier-1 runs the sweep through cmd/hourglass-sim's tests at
-// one offset per cell, and CI at five.
+// Full-only: at reduced counts Figure 5's test checks the same
+// strategies, and CI runs hourglass-sim -fig verify -runs 5.
 func TestGuaranteeShape(t *testing.T) {
 	if !*full {
 		t.Skip("full-only: run with -exhibit-full")

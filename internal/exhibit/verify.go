@@ -32,6 +32,7 @@ func Sweep(p Params, strategies ...hourglass.Strategy) ([]Table, error) {
 		start, rel units.Seconds
 	}
 	var tasks []task
+	horizon := units.Seconds(days) * units.Day
 	for j, job := range jobs {
 		for slack := 1; slack <= 10; slack++ {
 			frac := float64(slack) / 10
@@ -40,7 +41,6 @@ func Sweep(p Params, strategies ...hourglass.Strategy) ([]Table, error) {
 				return nil, err
 			}
 			rng := rand.New(rand.NewSource(p.Seed + int64(frac*1000)))
-			horizon := units.Seconds(days) * units.Day
 			for i := 0; i < p.Runs; i++ {
 				start := units.Seconds(rng.Float64() * float64(horizon))
 				for s := range strategies {
