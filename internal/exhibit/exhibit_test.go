@@ -39,6 +39,8 @@ func build(t *testing.T, name string, runs int, scale float64) []Table {
 	return tables
 }
 
+// Table 2: every stand-in is non-empty, and RMAT-N has exactly 2^N
+// vertices.
 func TestTable2Shape(t *testing.T) {
 	t.Parallel()
 	for _, r := range build(t, "table2", 0, 0.02)[0].Rows {
