@@ -1,10 +1,10 @@
 // Command hourglass-engine runs a vertex program on a benchmark
-// dataset with the real BSP engine, optionally exercising the durable
-// checkpoint path (pause → persist → resume on a different worker
-// count), which is the engine-level fast-reload demonstration.
+// dataset with the real BSP engine, in process and without evictions.
+// The checkpointed, eviction-aware run is runtime.Execute, which the
+// hourglass-serve daemon drives with -backend=engine.
 //
 //	hourglass-engine -app pagerank -dataset twitter -scale 0.1 -workers 8
-//	hourglass-engine -app coloring -dataset orkut -durable
+//	hourglass-engine -app coloring -dataset orkut -trace-out run.jsonl
 package main
 
 import (
@@ -18,13 +18,11 @@ import (
 	"sort"
 	"time"
 
-	"hourglass/internal/cloud"
 	"hourglass/internal/engine"
 	"hourglass/internal/graph"
 	"hourglass/internal/micro"
 	"hourglass/internal/obs"
 	"hourglass/internal/partition"
-	"hourglass/internal/units"
 )
 
 // stopProfiling flushes any active profiles; fatal() calls it so
@@ -40,7 +38,6 @@ func main() {
 		iters      = flag.Int("iters", 30, "iterations (pagerank/labelprop)")
 		k          = flag.Int("k", 3, "K for kcore")
 		source     = flag.Int("source", 0, "source vertex (sssp/bfs)")
-		durable    = flag.Bool("durable", false, "checkpoint every 4 supersteps to the datastore and resume on half the workers")
 		usePart    = flag.Bool("partitioned", true, "assign vertices via micro-partitioning instead of hashing")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -90,20 +87,9 @@ func main() {
 	}
 
 	start := time.Now()
-	var res engine.Result
-	if *durable {
-		m := &engine.CheckpointManager{Store: cloud.NewDatastore(), Job: *app + "/" + d.Name}
-		var ioTime units.Seconds
-		res, ioTime, err = m.RunDurable(g, prog, cfg, 4)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("durable run: checkpoint I/O %v (virtual)\n", ioTime)
-	} else {
-		res, err = engine.Run(g, prog, cfg)
-		if err != nil {
-			fatal(err)
-		}
+	res, err := engine.Run(g, prog, cfg)
+	if err != nil {
+		fatal(err)
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("finished in %v wall time: %d supersteps, %d messages, %d compute calls\n",

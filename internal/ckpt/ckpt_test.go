@@ -189,9 +189,20 @@ func TestManifestFormatVersion(t *testing.T) {
 	if dist.LatestCheckpoint(store, "versioned") != 0 {
 		t.Fatal("dist sees a restorable checkpoint among foreign-version manifests")
 	}
-	g := graph.RMAT(graph.DefaultRMAT(6, 5))
-	if _, _, err := m.RunDurable(g, &engine.PageRank{Iterations: 12}, engine.Config{Workers: 2}, 5); err != nil {
-		t.Fatalf("RunDurable over foreign-version manifests: %v, want a fresh start", err)
+
+	// A fresh start checkpoints among them: its checkpoint restores
+	// although a foreign one is newer, and its Clear removes them all.
+	if _, err := m.Save(pausedSnapshot(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if snap, _, err := m.Load(); err != nil || snap.Superstep != 3 {
+		t.Fatalf("Load = %v, %v; want the fresh start's checkpoint at superstep 3", snap != nil, err)
+	}
+	if err := m.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if keys := store.Keys(); len(keys) != 0 {
+		t.Fatalf("Clear left %v", keys)
 	}
 }
 

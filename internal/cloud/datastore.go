@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -35,7 +34,8 @@ type BlobStore interface {
 	// Delete removes a blob (idempotent). Failures must be reported,
 	// not swallowed: a checkpoint namespace whose garbage collection
 	// silently fails can resurrect stale state in a later recurrent
-	// execution (CheckpointManager.Clear logs them).
+	// execution (CheckpointManager.Clear returns them for its caller
+	// to log).
 	Delete(key string) error
 	// Exists reports whether the key is stored.
 	Exists(key string) bool
@@ -53,19 +53,16 @@ type Datastore struct {
 	mu      sync.RWMutex
 	objects map[string][]byte
 
-	// PerConnBandwidth caps one transfer; Aggregate caps the sum of a
-	// parallel batch (bytes/second).
+	// PerConnBandwidth caps one transfer (bytes/second).
 	PerConnBandwidth float64
-	Aggregate        float64
 }
 
-// NewDatastore builds a store with S3-like default bandwidths
-// (250 MB/s per connection, 4 GB/s aggregate).
+// NewDatastore builds a store with an S3-like default bandwidth
+// (250 MB/s per connection).
 func NewDatastore() *Datastore {
 	return &Datastore{
 		objects:          map[string][]byte{},
 		PerConnBandwidth: 250e6,
-		Aggregate:        4e9,
 	}
 }
 
@@ -96,15 +93,6 @@ func (d *Datastore) Get(key string) ([]byte, units.Seconds, error) {
 	return data, units.Seconds(float64(len(data)) / d.PerConnBandwidth), nil
 }
 
-// GetReader is Get exposed as an io.Reader for codec pipelines.
-func (d *Datastore) GetReader(key string) (*bytes.Reader, units.Seconds, error) {
-	data, t, err := d.Get(key)
-	if err != nil {
-		return nil, 0, err
-	}
-	return bytes.NewReader(data), t, nil
-}
-
 // Delete removes a blob (idempotent; the in-memory store never fails).
 func (d *Datastore) Delete(key string) error {
 	d.mu.Lock()
@@ -119,21 +107,6 @@ func (d *Datastore) Exists(key string) bool {
 	defer d.mu.RUnlock()
 	_, ok := d.objects[key]
 	return ok
-}
-
-// ParallelTransferTime returns the virtual time for n nodes to move
-// bytesPerNode each concurrently, under the per-connection and
-// aggregate caps — the timing model for parallel checkpoint uploads
-// and micro-partition downloads.
-func (d *Datastore) ParallelTransferTime(n int, bytesPerNode int64) units.Seconds {
-	if n <= 0 || bytesPerNode <= 0 {
-		return 0
-	}
-	perNode := d.PerConnBandwidth
-	if share := d.Aggregate / float64(n); share < perNode {
-		perNode = share
-	}
-	return units.Seconds(float64(bytesPerNode) / perNode)
 }
 
 // Keys returns the stored object keys in sorted order (for snapshot

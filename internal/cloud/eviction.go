@@ -113,14 +113,3 @@ func (m *EvictionModel) AvgSpotPrice(name string) (float64, error) {
 	}
 	return v, nil
 }
-
-// SurvivalBetween returns the conditional probability of surviving
-// from uptime a to uptime b (a ≤ b): (1-CDF(b)) / (1-CDF(a)).
-func (m *EvictionModel) SurvivalBetween(name string, a, b units.Seconds) float64 {
-	fa := m.CDF(name, a)
-	fb := m.CDF(name, b)
-	if fa >= 1 {
-		return 0
-	}
-	return (1 - fb) / (1 - fa)
-}

@@ -40,9 +40,6 @@ func NewFSStore(dir string) (*FSStore, error) {
 	return &FSStore{root: dir}, nil
 }
 
-// Root returns the store's base directory.
-func (s *FSStore) Root() string { return s.root }
-
 // path maps a key to its file path, rejecting escapes from the root.
 func (s *FSStore) path(key string) (string, error) {
 	if key == "" || strings.Contains(key, "..") || strings.HasPrefix(key, "/") {

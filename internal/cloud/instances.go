@@ -105,25 +105,3 @@ func DefaultConfigs() []Config {
 	}
 	return out
 }
-
-// SpotConfigs filters the transient configurations.
-func SpotConfigs(all []Config) []Config {
-	var out []Config
-	for _, c := range all {
-		if c.Transient {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// OnDemandConfigs filters the reliable configurations.
-func OnDemandConfigs(all []Config) []Config {
-	var out []Config
-	for _, c := range all {
-		if !c.Transient {
-			out = append(out, c)
-		}
-	}
-	return out
-}

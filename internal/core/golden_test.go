@@ -89,8 +89,9 @@ func decideSequence(t testing.TB, env *Env, p *SlackAware, s State) []string {
 	return lines
 }
 
-// goldenDecisions renders every case of the golden file.
-func goldenDecisions(t *testing.T) []byte {
+// goldenDecisions renders every case of the golden file, building each
+// slack-aware provisioner with newP.
+func goldenDecisions(t *testing.T, newP func(*Env) *SlackAware) []byte {
 	var b strings.Builder
 	emit := func(prefix string, lines []string) {
 		for _, l := range lines {
@@ -110,7 +111,7 @@ func goldenDecisions(t *testing.T) []byte {
 			}
 			for _, off := range offsets {
 				emit(fmt.Sprintf("decide %s slack=%.1f at=%.0f", job.Name, frac, float64(off)),
-					decideSequence(t, env, NewSlackAware(env), slackStateAt(env, frac, off)))
+					decideSequence(t, env, newP(env), slackStateAt(env, frac, off)))
 			}
 		}
 	}
@@ -118,12 +119,12 @@ func goldenDecisions(t *testing.T) []byte {
 	// A long GraphColoring horizon, where the op budget cuts the
 	// recursion short and so shapes the decision.
 	gc := envs[perfmodel.JobGC.Name]
-	p := NewSlackAware(gc)
+	p := newP(gc)
 	emit("budget graphcoloring slack=3.0 at=1000", decideSequence(t, gc, p, slackStateAt(gc, 3, 1000)))
 
 	// The §9 eviction-warning extension credits progress on failure.
 	pr := envs[perfmodel.JobPageRank.Name]
-	p = NewSlackAware(pr)
+	p = newP(pr)
 	p.WarningWindow = 5 * units.Minute
 	emit("warning pagerank slack=0.5 at=1000", decideSequence(t, pr, p, slackStateAt(pr, 0.5, 1000)))
 
@@ -136,7 +137,7 @@ func goldenDecisions(t *testing.T) []byte {
 		}
 		for _, frac := range fracs {
 			s := slackStateAt(env, frac, 1000)
-			p := NewSlackAware(env)
+			p := newP(env)
 			v := p.Evaluate(s)
 			fmt.Fprintf(&b, "evaluate %s slack=%.1f approx=%016x ops=%d\n",
 				job.Name, frac, math.Float64bits(float64(v)), p.LastOps)
@@ -161,14 +162,16 @@ func goldenDecisions(t *testing.T) []byte {
 	return []byte(b.String())
 }
 
+// TestGoldenDecisions renders the grid with NewSlackAware and with a
+// zero-value SlackAware, whose unset fields mean the same defaults:
+// both must reproduce the golden file.
 func TestGoldenDecisions(t *testing.T) {
-	got := goldenDecisions(t)
 	path := filepath.Join("testdata", "decisions.golden")
 	if *updateDecisions {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
+		if err := os.WriteFile(path, goldenDecisions(t, NewSlackAware), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -177,20 +180,32 @@ func TestGoldenDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update-decisions)", err)
 	}
-	if string(got) == string(want) {
-		return
-	}
-	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Fatalf("decisions.golden line %d differs:\n got  %s\n want %s", i+1, g, w)
-		}
+	for _, tc := range []struct {
+		name string
+		newP func(*Env) *SlackAware
+	}{
+		{"NewSlackAware", NewSlackAware},
+		{"zero value", func(env *Env) *SlackAware { return &SlackAware{Env: env} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			got := goldenDecisions(t, tc.newP)
+			if string(got) == string(want) {
+				return
+			}
+			gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) || i < len(wl); i++ {
+				var g, w string
+				if i < len(gl) {
+					g = gl[i]
+				}
+				if i < len(wl) {
+					w = wl[i]
+				}
+				if g != w {
+					t.Fatalf("decisions.golden line %d differs:\n got  %s\n want %s", i+1, g, w)
+				}
+			}
+		})
 	}
 }

@@ -14,9 +14,6 @@ import (
 // to a single evaluation at the configuration's MTTF.
 type SlackAware struct {
 	Env *Env
-	// MinFailStep bounds how little slack a simulated failure consumes
-	// (0 = 60 s); it guarantees recursion termination.
-	MinFailStep units.Seconds
 	// OpBudget caps branch evaluations per decision; beyond it the
 	// conservative last-resort cost is substituted (0 = 2e6). It is
 	// part of the model, not only a safety net: on long horizons — a
@@ -44,8 +41,12 @@ type SlackAware struct {
 
 // NewSlackAware builds the strategy with default discretisation.
 func NewSlackAware(env *Env) *SlackAware {
-	return &SlackAware{Env: env, MinFailStep: 60, OpBudget: 2e6}
+	return &SlackAware{Env: env, OpBudget: 2e6}
 }
+
+// minFailStep bounds how little slack a simulated failure consumes; it
+// guarantees the recursion terminates.
+const minFailStep units.Seconds = 60
 
 // Name implements Provisioner.
 func (p *SlackAware) Name() string { return "hourglass" }
@@ -228,7 +229,7 @@ func (p *SlackAware) branchCostUncached(sc *awScratch, idx int, t units.Seconds,
 	// decision is made. With an eviction warning long enough to fit an
 	// emergency checkpoint (§9), the progress up to the eviction is
 	// credited instead.
-	failAt := units.Clamp(cs.MTTF-uptime, p.MinFailStep, tint)
+	failAt := units.Clamp(cs.MTTF-uptime, minFailStep, tint)
 	wAtFail := w
 	if p.WarningWindow >= cs.Save {
 		computeTime := units.Clamp(failAt-setup, 0, useful)

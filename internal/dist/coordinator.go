@@ -45,8 +45,6 @@ type Config struct {
 	// session's goroutine, so a caller may stop the session from it (or
 	// from Sink) by cancelling ctx: no shard proceeds past that barrier.
 	CheckpointAt func(superstep int) bool
-	// MaxSupersteps aborts runaway sessions (0 = 10_000).
-	MaxSupersteps int
 	// BarrierTimeout is the watchdog: a shard that delivers no expected
 	// frame within it is declared dead (0 = 10s).
 	BarrierTimeout time.Duration
@@ -512,10 +510,6 @@ func (s *session) run() (*Report, error) {
 		return nil, err
 	}
 
-	maxSteps := s.cfg.MaxSupersteps
-	if maxSteps <= 0 {
-		maxSteps = 10_000
-	}
 	S := start
 	for frontier > 0 {
 		// Deterministic cancellation point: a ctx cancelled at (or
@@ -524,8 +518,8 @@ func (s *session) run() (*Report, error) {
 		if err := s.ctx.Err(); err != nil {
 			return nil, fmt.Errorf("dist: session cancelled before superstep %d: %w", S, err)
 		}
-		if S-start >= maxSteps {
-			return nil, fmt.Errorf("dist: exceeded %d supersteps without halting", maxSteps)
+		if S-start >= engine.MaxSupersteps {
+			return nil, fmt.Errorf("dist: exceeded %d supersteps without halting", engine.MaxSupersteps)
 		}
 		wf0, wb0 := s.wireFrames.Load(), s.wireBytes.Load()
 		s.broadcast(fProceed, proceedMsg{Superstep: uint32(S), Aggs: s.aggs.Values()}.encode())

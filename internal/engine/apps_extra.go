@@ -68,8 +68,7 @@ func Communities(values []float64) int {
 // subgraph in which every vertex has degree ≥ K. Iterative peeling: a
 // vertex whose count of surviving neighbours drops below K leaves the
 // core and notifies its neighbours. Vertex value = 1 if the vertex is
-// in the K-core, else 0. Coreness of every vertex can be obtained by
-// sweeping K (see CorenessSweep).
+// in the K-core, else 0.
 type KCore struct {
 	K int
 
@@ -134,29 +133,6 @@ func (c *KCore) UnmarshalVertexAux(v graph.VertexID, b []byte) error {
 	c.remaining[v] = int32(binary.LittleEndian.Uint32(b))
 	c.alive[v] = b[4] == 1
 	return nil
-}
-
-// CorenessSweep runs KCore for K = 1..max and returns each vertex's
-// coreness (the largest K whose core contains it).
-func CorenessSweep(g *graph.Graph, workers int, maxK int) ([]int, error) {
-	coreness := make([]int, g.NumVertices())
-	for k := 1; k <= maxK; k++ {
-		res, err := Run(g, &KCore{K: k}, Config{Workers: workers})
-		if err != nil {
-			return nil, err
-		}
-		stillIn := false
-		for v, val := range res.Values {
-			if val == 1 {
-				coreness[v] = k
-				stillIn = true
-			}
-		}
-		if !stillIn {
-			break
-		}
-	}
-	return coreness, nil
 }
 
 // DegreeCentrality is the simplest one-superstep program: vertex value

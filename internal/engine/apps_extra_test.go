@@ -77,30 +77,6 @@ func TestKCoreCascadingPeel(t *testing.T) {
 	}
 }
 
-func TestCorenessSweep(t *testing.T) {
-	// K5 plus tail: clique vertices have coreness 4, vertex 5 has
-	// coreness 1, vertex 6 has coreness 1.
-	b := graph.NewBuilder(7, graph.Undirected())
-	for u := 0; u < 5; u++ {
-		for v := u + 1; v < 5; v++ {
-			b.AddEdge(graph.VertexID(u), graph.VertexID(v), 1)
-		}
-	}
-	b.AddEdge(4, 5, 1)
-	b.AddEdge(5, 6, 1)
-	g := b.Build()
-	coreness, err := CorenessSweep(g, 2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{4, 4, 4, 4, 4, 1, 1}
-	for v := range want {
-		if coreness[v] != want[v] {
-			t.Errorf("coreness[%d] = %d, want %d", v, coreness[v], want[v])
-		}
-	}
-}
-
 func TestKCoreResumeWithAux(t *testing.T) {
 	g := undirectedRMAT(9, 12)
 	full := runOK(t, g, &KCore{K: 3}, Config{Workers: 4})

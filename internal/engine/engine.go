@@ -216,15 +216,17 @@ type VertexAux interface {
 	UnmarshalVertexAux(v graph.VertexID, b []byte) error
 }
 
+// MaxSupersteps is the superstep count past which an execution is
+// aborted as runaway.
+const MaxSupersteps = 10_000
+
 // Config controls an execution.
 type Config struct {
 	// Workers is the number of worker goroutines (≥1).
 	Workers int
 	// Assign maps vertex→worker; nil means hash partitioning.
 	Assign []int32
-	// MaxSupersteps aborts runaway programs (0 = 10_000).
-	MaxSupersteps int
-	// StopAfter pauses RunCtx and ResumeCtx after this many additional
+	// StopAfter pauses RunCtx and Resume after this many additional
 	// supersteps, returning ErrPaused with a resumable snapshot (0 = run
 	// to completion). Step ignores it.
 	StopAfter int
@@ -253,7 +255,7 @@ type Config struct {
 // Result carries a Snapshot to resume from.
 var ErrPaused = errors.New("engine: paused before completion")
 
-// ErrInterrupted is returned by RunCtx/ResumeCtx when the context is
+// ErrInterrupted is returned by RunCtx when the context is
 // cancelled: the in-flight superstep is abandoned and no snapshot is
 // produced — in-memory state is treated as lost, exactly the semantics
 // of a spot eviction. Recovery goes through the last durable
@@ -284,17 +286,16 @@ type Result struct {
 // Execution is one live in-process run — N partitions over one kernel
 // — standing at a superstep barrier. Step runs it one superstep at a
 // time; between Steps the caller may checkpoint it (Snapshot) or drop
-// it. RunCtx and ResumeCtx step one to the end; the runtime driver keeps
-// one live across its plan boundaries, and RunDurable checkpoints one
-// at its cadence.
+// it. RunCtx and Resume step one to the end; the runtime driver keeps
+// one live across its plan boundaries and checkpoints it at its
+// cadence.
 type Execution struct {
 	*kernel
-	superstep     int
-	maxSupersteps int
-	stats         Stats
-	sink          obs.Sink
-	contribs      [][][]float64 // each partition's Contribs, for the barrier fold
-	wg            sync.WaitGroup
+	superstep int
+	stats     Stats
+	sink      obs.Sink
+	contribs  [][][]float64 // each partition's Contribs, for the barrier fold
+	wg        sync.WaitGroup
 
 	// done aborts the run when closed (the ctx of Start/StartFrom);
 	// aborted is set by whichever goroutine observes the cancellation
@@ -323,12 +324,7 @@ func RunCtx(ctx context.Context, g *graph.Graph, prog Program, cfg Config) (Resu
 // use a different worker count or partitioning than the one that
 // produced the snapshot — vertex state is location-independent.
 func Resume(g *graph.Graph, prog Program, snap *Snapshot, cfg Config) (Result, error) {
-	return ResumeCtx(context.Background(), g, prog, snap, cfg)
-}
-
-// ResumeCtx is Resume with cancellation (see RunCtx).
-func ResumeCtx(ctx context.Context, g *graph.Graph, prog Program, snap *Snapshot, cfg Config) (Result, error) {
-	r, err := StartFrom(ctx, g, prog, snap, cfg)
+	r, err := StartFrom(context.Background(), g, prog, snap, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -389,10 +385,7 @@ func newRun(ctx context.Context, g *graph.Graph, prog Program, cfg Config) (*Exe
 	if err != nil {
 		return nil, err
 	}
-	r := &Execution{kernel: k, maxSupersteps: cfg.MaxSupersteps, sink: cfg.Sink, done: ctx.Done()}
-	if r.maxSupersteps == 0 {
-		r.maxSupersteps = 10_000
-	}
+	r := &Execution{kernel: k, sink: cfg.Sink, done: ctx.Done()}
 	for _, p := range k.parts {
 		r.contribs = append(r.contribs, p.contrib)
 	}
@@ -440,8 +433,8 @@ func (r *Execution) Step() (bool, error) {
 		return false, nil
 	case r.interrupted():
 		return false, ErrInterrupted
-	case r.superstep >= r.maxSupersteps:
-		return false, fmt.Errorf("engine: %s exceeded %d supersteps", r.prog.Name(), r.maxSupersteps)
+	case r.superstep >= MaxSupersteps:
+		return false, fmt.Errorf("engine: %s exceeded %d supersteps", r.prog.Name(), MaxSupersteps)
 	}
 	var start time.Time
 	if r.sink != nil {

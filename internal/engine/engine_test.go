@@ -3,8 +3,10 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hourglass/internal/ckpt"
@@ -247,10 +249,17 @@ func TestStatsPopulated(t *testing.T) {
 
 func TestMaxSuperstepsGuard(t *testing.T) {
 	g := graph.Ring(4)
-	// PageRank with huge iteration count trips the guard.
-	_, err := Run(g, &PageRank{Iterations: 100}, Config{Workers: 1, MaxSupersteps: 5})
+	// PageRank with more iterations than the guard allows never halts
+	// before it.
+	res, err := Run(g, &PageRank{Iterations: 2 * MaxSupersteps}, Config{Workers: 1})
 	if err == nil {
 		t.Fatal("expected superstep-limit error")
+	}
+	if want := fmt.Sprintf("exceeded %d supersteps", MaxSupersteps); !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if res.Stats.Supersteps != MaxSupersteps {
+		t.Fatalf("stopped after %d supersteps, want %d", res.Stats.Supersteps, MaxSupersteps)
 	}
 }
 

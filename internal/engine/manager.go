@@ -1,15 +1,11 @@
 package engine
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"log"
 	"sync"
 
 	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
-	"hourglass/internal/graph"
 	"hourglass/internal/units"
 )
 
@@ -32,41 +28,27 @@ type CheckpointManager struct {
 	Store cloud.BlobStore
 	// Job is the key namespace, typically "<program>/<dataset>".
 	Job string
-	// Retry overrides the backoff policy for store operations
-	// (nil = cloud.RetryPolicy defaults, seeded from Job).
-	Retry *cloud.Retrier
-	// Logf receives non-fatal maintenance failures (e.g. Clear errors
-	// on the RunDurable success path). Nil logs via the standard
-	// library logger.
+	// Logf is accepted for callers that still set it; nothing is logged
+	// through it. Save, Load and Clear return every failure to their
+	// caller, which logs what it does not act on.
 	Logf func(format string, args ...any)
 
-	retryOnce    sync.Once
-	defaultRetry *cloud.Retrier
+	retryOnce sync.Once
+	retry     *cloud.Retrier
 }
 
-// logf routes non-fatal errors to the configured or default logger.
-func (m *CheckpointManager) logf(format string, args ...any) {
-	if m.Logf != nil {
-		m.Logf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
-}
-
-// retrier resolves the configured or default backoff policy.
+// retrier is the backoff policy for store operations: the
+// cloud.RetryPolicy defaults, with the jitter seeded from Job.
 func (m *CheckpointManager) retrier() *cloud.Retrier {
-	if m.Retry != nil {
-		return m.Retry
-	}
 	m.retryOnce.Do(func() {
 		var seed int64 = 1469598103934665603
 		for _, c := range m.Job {
 			seed ^= int64(c)
 			seed *= 1099511628211
 		}
-		m.defaultRetry = cloud.NewRetrier(cloud.RetryPolicy{Seed: seed})
+		m.retry = cloud.NewRetrier(cloud.RetryPolicy{Seed: seed})
 	})
-	return m.defaultRetry
+	return m.retry
 }
 
 // retryStore is the manager's view of the store for one Save or Load:
@@ -157,49 +139,3 @@ func (m *CheckpointManager) Load() (*Snapshot, units.Seconds, error) {
 // ckpt.Clear). Delete failures are returned, never swallowed, so
 // callers can log them: the namespace may then still hold blobs.
 func (m *CheckpointManager) Clear() error { return ckpt.Clear(m.Store, m.Job) }
-
-// RunDurable executes prog with a durable checkpoint every `every`
-// supersteps, resuming from the latest checkpoint if one exists. It is
-// the full execution loop of the paper's Figure 2 at the engine level:
-// run → checkpoint → (crash?) → reload → continue. One live run steps
-// through the whole job; each checkpoint saves its barrier. The
-// returned virtual I/O time is the sum of the checkpoint load and
-// uploads (compute time is the caller's concern — the perfmodel prices
-// it). On a save failure, the I/O time already spent — including the
-// failed save's partial uploads and exhausted retry backoff — is
-// returned alongside the error so callers can bill the partial
-// progress.
-func (m *CheckpointManager) RunDurable(g *graph.Graph, prog Program, cfg Config, every int) (Result, units.Seconds, error) {
-	if every <= 0 {
-		return Result{}, 0, fmt.Errorf("engine: checkpoint interval %d", every)
-	}
-	snap, ioTime, err := m.Load()
-	var r *Execution
-	switch {
-	case errors.Is(err, ckpt.ErrNoCheckpoint):
-		r, err = Start(context.Background(), g, prog, cfg)
-	case err == nil:
-		r, err = StartFrom(context.Background(), g, prog, snap, cfg)
-	}
-	if err != nil {
-		return Result{}, ioTime, err
-	}
-	for steps := 1; ; steps++ {
-		more, err := r.Step()
-		switch {
-		case err != nil:
-			return Result{}, ioTime, err
-		case !more:
-			if cerr := m.Clear(); cerr != nil {
-				m.logf("engine: checkpoint GC for job %q incomplete: %v", m.Job, cerr)
-			}
-			return r.Result(), ioTime, nil
-		case steps%every == 0:
-			saveTime, serr := m.Save(r.Snapshot())
-			ioTime += saveTime
-			if serr != nil {
-				return Result{}, ioTime, serr
-			}
-		}
-	}
-}

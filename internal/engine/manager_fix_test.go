@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hourglass/internal/cloud"
-	"hourglass/internal/faultinject"
 	"hourglass/internal/units"
 )
 
@@ -71,27 +70,24 @@ var errNoDelete = errors.New("delete forbidden")
 func (s *failDeleteStore) Delete(string) error { return errNoDelete }
 
 // TestClearReportsDeleteErrors asserts Delete failures are returned,
-// not swallowed, and that RunDurable logs them on its success path.
+// not swallowed: the caller logs them (runtime's
+// TestExecuteLogsIncompleteCheckpointGC) and the namespace still
+// restores.
 func TestClearReportsDeleteErrors(t *testing.T) {
 	store := &failDeleteStore{BlobStore: cloud.NewDatastore()}
-	var logged []string
-	m := &CheckpointManager{
-		Store: store,
-		Job:   "nogc/pr",
-		Logf:  func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) },
+	m := &CheckpointManager{Store: store, Job: "nogc/pr"}
+	res, err := Run(undirectedRMAT(8, 22), &PageRank{Iterations: 6}, Config{Workers: 2, StopAfter: 3})
+	if !errors.Is(err, ErrPaused) {
+		t.Fatal(err)
 	}
-	g := undirectedRMAT(8, 22)
-	if _, _, err := m.RunDurable(g, &PageRank{Iterations: 6}, Config{Workers: 2}, 3); err != nil {
+	if _, err := m.Save(res.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Clear(); !errors.Is(err, errNoDelete) {
 		t.Fatalf("Clear swallowed the delete failure: %v", err)
 	}
-	if len(logged) == 0 {
-		t.Fatal("RunDurable did not log the Clear failure")
-	}
-	if !strings.Contains(logged[0], "nogc/pr") {
-		t.Fatalf("log line does not identify the job: %q", logged[0])
+	if snap, _, err := m.Load(); err != nil || snap.Superstep != res.Snapshot.Superstep {
+		t.Fatalf("Load after a failed Clear = %v, %v; want the saved checkpoint", snap != nil, err)
 	}
 }
 
@@ -111,30 +107,6 @@ func (s *failAfterStore) Put(key string, data []byte) (units.Seconds, error) {
 		return 0, errQuotaExceeded
 	}
 	return s.BlobStore.Put(key, data)
-}
-
-// TestRunDurableReturnsIOTimeOnSaveFailure is the regression test for
-// the discarded-ioTime bug: when a checkpoint save fails, RunDurable
-// used to return 0 I/O time, so callers could not bill the uploads and
-// backoff already spent. The store is layered over fault injection so
-// the surviving saves also carry injected latency.
-func TestRunDurableReturnsIOTimeOnSaveFailure(t *testing.T) {
-	inner := faultinject.Wrap(cloud.NewDatastore(), faultinject.Policy{
-		Seed: 7, MaxLatency: 0.2,
-	})
-	// A save is three Puts (blob, manifest, latest pointer): the first
-	// checkpoint succeeds, the second fails.
-	store := &failAfterStore{BlobStore: inner, allow: 3}
-	m := &CheckpointManager{Store: store, Job: "quota/pr"}
-	g := undirectedRMAT(8, 23)
-
-	_, ioTime, err := m.RunDurable(g, &PageRank{Iterations: 10}, Config{Workers: 2}, 2)
-	if !errors.Is(err, errQuotaExceeded) {
-		t.Fatalf("err = %v, want the injected save failure", err)
-	}
-	if ioTime <= 0 {
-		t.Fatalf("ioTime = %v: the successful first save and the failed save's backoff were discarded", ioTime)
-	}
 }
 
 // TestSaveReturnsPartialTimeOnFailure pins the Save contract the

@@ -7,7 +7,6 @@ import (
 	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
 	"hourglass/internal/faultinject"
-	"hourglass/internal/graph"
 )
 
 func TestCheckpointManagerSaveLoad(t *testing.T) {
@@ -40,68 +39,6 @@ func TestCheckpointManagerNoCheckpoint(t *testing.T) {
 	m := &CheckpointManager{Store: cloud.NewDatastore(), Job: "empty"}
 	if _, _, err := m.Load(); !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		t.Fatalf("expected ErrNoCheckpoint, got %v", err)
-	}
-}
-
-func TestRunDurableMatchesDirectRun(t *testing.T) {
-	g := undirectedRMAT(9, 4)
-	direct := runOK(t, g, &PageRank{Iterations: 12}, Config{Workers: 4})
-
-	m := &CheckpointManager{Store: cloud.NewDatastore(), Job: "durable/pr"}
-	res, ioTime, err := m.RunDurable(g, &PageRank{Iterations: 12}, Config{Workers: 4}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ioTime <= 0 {
-		t.Errorf("no checkpoint I/O recorded")
-	}
-	for v := range direct.Values {
-		if !FloatEqual(direct.Values[v], res.Values[v], 1e-12) {
-			t.Fatalf("durable run diverged at %d", v)
-		}
-	}
-}
-
-func TestRunDurableSurvivesFullFailure(t *testing.T) {
-	// Simulate a total eviction: run durably for a while, "crash"
-	// (abandon the Result), then a *fresh* manager over the same store
-	// resumes from the durable checkpoint on a different worker count.
-	g := undirectedRMAT(9, 5)
-	store := cloud.NewDatastore()
-	prog := &GraphColoring{}
-
-	// Phase 1: run 2 supersteps and checkpoint, then crash.
-	res, err := Run(g, prog, Config{Workers: 4, StopAfter: 2})
-	if !errors.Is(err, ErrPaused) {
-		t.Fatal(err)
-	}
-	m1 := &CheckpointManager{Store: store, Job: "gc/twitter"}
-	if _, err := m1.Save(res.Snapshot); err != nil {
-		t.Fatal(err)
-	}
-
-	// Phase 2: recovery on a new "deployment".
-	m2 := &CheckpointManager{Store: store, Job: "gc/twitter"}
-	recovered, _, err := m2.RunDurable(g, &GraphColoring{}, Config{Workers: 2}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reference := runOK(t, g, &GraphColoring{}, Config{Workers: 4})
-	for v := range reference.Values {
-		if reference.Values[v] != recovered.Values[v] {
-			t.Fatalf("recovered coloring diverged at %d", v)
-		}
-	}
-	// Completion clears the latest pointer.
-	if _, _, err := m2.Load(); !errors.Is(err, ckpt.ErrNoCheckpoint) {
-		t.Error("latest pointer not cleared after completion")
-	}
-}
-
-func TestRunDurableRejectsBadInterval(t *testing.T) {
-	m := &CheckpointManager{Store: cloud.NewDatastore(), Job: "bad"}
-	if _, _, err := m.RunDurable(graph.Path(3), &SSSP{}, Config{Workers: 1}, 0); err == nil {
-		t.Fatal("interval 0 accepted")
 	}
 }
 

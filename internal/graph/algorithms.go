@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // Induced builds the subgraph induced by the given vertex set and
 // returns it with the local→global mapping. Edge weights are carried
 // over; edges leaving the set are dropped. The input order defines the
@@ -35,123 +33,4 @@ func (g *Graph) Induced(vertices []VertexID) (*Graph, []VertexID) {
 	sub.undirected = g.undirected
 	mapping := append([]VertexID(nil), vertices...)
 	return sub, mapping
-}
-
-// ConnectedComponents labels weakly connected components with
-// union-find — the sequential reference for the engine's WCC program
-// and a building block for tools. Returns the label array (labels are
-// the minimum vertex id of each component) and the component count.
-func ConnectedComponents(g *Graph) ([]VertexID, int) {
-	n := g.NumVertices()
-	parent := make([]VertexID, n)
-	for i := range parent {
-		parent[i] = VertexID(i)
-	}
-	var find func(VertexID) VertexID
-	find = func(x VertexID) VertexID {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b VertexID) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if ra > rb {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra // root at the smaller id
-	}
-	g.ForEachEdge(func(s, d VertexID, _ float32) { union(s, d) })
-	labels := make([]VertexID, n)
-	count := 0
-	for v := 0; v < n; v++ {
-		labels[v] = find(VertexID(v))
-		if labels[v] == VertexID(v) {
-			count++
-		}
-	}
-	return labels, count
-}
-
-// LargestComponent returns the vertices of the biggest weakly
-// connected component, sorted by id.
-func LargestComponent(g *Graph) []VertexID {
-	labels, _ := ConnectedComponents(g)
-	sizes := map[VertexID]int{}
-	for _, l := range labels {
-		sizes[l]++
-	}
-	var best VertexID
-	bestSize := -1
-	for l, s := range sizes {
-		if s > bestSize || (s == bestSize && l < best) {
-			best, bestSize = l, s
-		}
-	}
-	var out []VertexID
-	for v, l := range labels {
-		if l == best {
-			out = append(out, VertexID(v))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ClusteringCoefficient returns the local clustering coefficient of v:
-// the fraction of its neighbour pairs that are themselves adjacent.
-// Vertices of degree < 2 have coefficient 0.
-func (g *Graph) ClusteringCoefficient(v VertexID) float64 {
-	nb := g.Neighbors(v)
-	if len(nb) < 2 {
-		return 0
-	}
-	links := 0
-	for i := 0; i < len(nb); i++ {
-		for j := i + 1; j < len(nb); j++ {
-			if nb[i] != nb[j] && g.HasEdge(nb[i], nb[j]) {
-				links++
-			}
-		}
-	}
-	pairs := len(nb) * (len(nb) - 1) / 2
-	return float64(links) / float64(pairs)
-}
-
-// HasEdge reports whether the arc v→u exists (binary search over the
-// sorted adjacency).
-func (g *Graph) HasEdge(v, u VertexID) bool {
-	nb := g.Neighbors(v)
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= u })
-	return i < len(nb) && nb[i] == u
-}
-
-// DegreePercentiles returns the requested percentiles (0–100) of the
-// out-degree distribution, used in dataset reports.
-func DegreePercentiles(g *Graph, ps ...float64) []int {
-	n := g.NumVertices()
-	degrees := make([]int, n)
-	for v := 0; v < n; v++ {
-		degrees[v] = g.Degree(VertexID(v))
-	}
-	sort.Ints(degrees)
-	out := make([]int, len(ps))
-	for i, p := range ps {
-		if n == 0 {
-			continue
-		}
-		idx := int(p / 100 * float64(n-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= n {
-			idx = n - 1
-		}
-		out[i] = degrees[idx]
-	}
-	return out
 }

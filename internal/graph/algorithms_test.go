@@ -24,103 +24,6 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	g := FromEdges(7, []Edge{
-		{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1},
-		{Src: 3, Dst: 4, Weight: 1},
-	}, Undirected())
-	labels, count := ConnectedComponents(g)
-	if count != 4 { // {0,1,2}, {3,4}, {5}, {6}
-		t.Fatalf("components = %d, want 4", count)
-	}
-	if labels[0] != 0 || labels[2] != 0 || labels[4] != 3 || labels[5] != 5 {
-		t.Errorf("labels = %v", labels)
-	}
-	lc := LargestComponent(g)
-	if len(lc) != 3 || lc[0] != 0 || lc[2] != 2 {
-		t.Errorf("largest component = %v", lc)
-	}
-}
-
-func TestClusteringCoefficient(t *testing.T) {
-	if c := Complete(4).ClusteringCoefficient(0); c != 1 {
-		t.Errorf("K4 coefficient = %v, want 1", c)
-	}
-	if c := Path(3).ClusteringCoefficient(1); c != 0 {
-		t.Errorf("path coefficient = %v, want 0", c)
-	}
-	if c := Path(3).ClusteringCoefficient(0); c != 0 {
-		t.Errorf("degree-1 coefficient = %v, want 0", c)
-	}
-}
-
-func TestHasEdge(t *testing.T) {
-	g := Ring(5)
-	if !g.HasEdge(0, 1) || !g.HasEdge(0, 4) {
-		t.Error("ring adjacency missing")
-	}
-	if g.HasEdge(0, 2) {
-		t.Error("phantom edge")
-	}
-}
-
-func TestDegreePercentiles(t *testing.T) {
-	g := Ring(10) // all degree 2
-	ps := DegreePercentiles(g, 0, 50, 100)
-	for _, p := range ps {
-		if p != 2 {
-			t.Errorf("percentiles = %v, want all 2", ps)
-		}
-	}
-}
-
-// Property: union-find components agree with a BFS labelling.
-func TestQuickComponentsMatchBFS(t *testing.T) {
-	f := func(seed int64) bool {
-		g := ErdosRenyi(200, 150, seed, true) // sparse: many components
-		labels, count := ConnectedComponents(g)
-		// BFS reference.
-		ref := make([]int, g.NumVertices())
-		for i := range ref {
-			ref[i] = -1
-		}
-		comp := 0
-		for s := 0; s < g.NumVertices(); s++ {
-			if ref[s] >= 0 {
-				continue
-			}
-			queue := []VertexID{VertexID(s)}
-			ref[s] = comp
-			for len(queue) > 0 {
-				v := queue[0]
-				queue = queue[1:]
-				for _, u := range g.Neighbors(v) {
-					if ref[u] < 0 {
-						ref[u] = comp
-						queue = append(queue, u)
-					}
-				}
-			}
-			comp++
-		}
-		if comp != count {
-			return false
-		}
-		// Same partition: labels equal iff ref equal.
-		for a := 0; a < g.NumVertices(); a++ {
-			for b := a + 1; b < g.NumVertices(); b += 7 { // sampled pairs
-				if (labels[a] == labels[b]) != (ref[a] == ref[b]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Induced over the full vertex set is edge-preserving.
 func TestQuickInducedIdentity(t *testing.T) {
 	f := func(seed int64) bool {

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // RMATParams configure the recursive-matrix generator of Chakrabarti,
 // Zhan & Faloutsos (reference [10] in the paper). The probabilities
@@ -240,20 +237,4 @@ func Grid(rows, cols int) *Graph {
 		}
 	}
 	return b.Build()
-}
-
-// DegreeHistogram returns counts of vertices per log2 degree bucket,
-// used by tests to check that generators produce the intended shape
-// (power law vs. near-regular).
-func DegreeHistogram(g *Graph) map[int]int {
-	h := make(map[int]int)
-	for v := 0; v < g.NumVertices(); v++ {
-		d := g.Degree(VertexID(v))
-		bucket := 0
-		if d > 0 {
-			bucket = int(math.Log2(float64(d))) + 1
-		}
-		h[bucket]++
-	}
-	return h
 }

@@ -173,10 +173,6 @@ func (b *Builder) AddEdge(src, dst VertexID, w float32) {
 	b.edges = append(b.edges, Edge{src, dst, w})
 }
 
-// NumPendingEdges reports how many arcs have been added so far (before
-// mirroring, dedup, or loop removal).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build freezes the builder into a CSR graph. The builder can be
 // reused afterwards but the accumulated edges are retained.
 func (b *Builder) Build() *Graph {
@@ -248,23 +244,6 @@ func FromEdges(n int, edges []Edge, opts ...BuilderOption) *Graph {
 		b.AddEdge(e.Src, e.Dst, e.Weight)
 	}
 	return b.Build()
-}
-
-// Transpose returns the graph with every arc reversed. For an
-// undirected graph the transpose is (semantically) the graph itself,
-// but a fresh copy is still produced.
-func (g *Graph) Transpose() *Graph {
-	b := NewBuilder(g.NumVertices())
-	if g.weights != nil {
-		b.weighted = true
-	}
-	b.undirected = false
-	g.ForEachEdge(func(src, dst VertexID, w float32) {
-		b.AddEdge(dst, src, w)
-	})
-	out := b.Build()
-	out.undirected = g.undirected
-	return out
 }
 
 // InducedQuotient contracts the graph according to the given vertex

@@ -68,20 +68,6 @@ func TestBuilderPanicsOnOutOfRange(t *testing.T) {
 	NewBuilder(2).AddEdge(0, 5, 1)
 }
 
-func TestTranspose(t *testing.T) {
-	g := FromEdges(3, []Edge{{0, 1, 2}, {1, 2, 3}}, Weighted())
-	tr := g.Transpose()
-	if got := tr.Neighbors(1); !reflect.DeepEqual(got, []VertexID{0}) {
-		t.Errorf("transpose Neighbors(1) = %v, want [0]", got)
-	}
-	if got := tr.Neighbors(2); !reflect.DeepEqual(got, []VertexID{1}) {
-		t.Errorf("transpose Neighbors(2) = %v, want [1]", got)
-	}
-	if tr.EdgeWeights(2)[0] != 3 {
-		t.Errorf("transpose weight = %v, want 3", tr.EdgeWeights(2)[0])
-	}
-}
-
 func TestForEachEdgeVisitsAll(t *testing.T) {
 	g := Ring(5)
 	count := 0
@@ -287,14 +273,6 @@ func contains(s []VertexID, v VertexID) bool {
 		}
 	}
 	return false
-}
-
-func TestDegreeHistogramBuckets(t *testing.T) {
-	h := DegreeHistogram(Ring(10))
-	// All vertices have degree 2 → bucket log2(2)+1 = 2.
-	if h[2] != 10 {
-		t.Errorf("histogram = %v, want all 10 in bucket 2", h)
-	}
 }
 
 func TestSizeBytesMatchesArrays(t *testing.T) {

@@ -103,13 +103,6 @@ func BuildForConfigs(g *graph.Graph, base partition.Partitioner, workerCounts []
 // Quotient exposes the reduced graph (for inspection and tests).
 func (p *Partitioning) Quotient() *graph.Graph { return p.quotient }
 
-// MicroWeights returns the vertex counts per micro-partition.
-func (p *Partitioning) MicroWeights() []int64 {
-	out := make([]int64, len(p.vweights))
-	copy(out, p.vweights)
-	return out
-}
-
 // ClusterTo solves the online step for a k-worker configuration
 // (Figure 4, steps 3–4): partition the quotient graph into k blocks
 // weighted by micro-partition sizes, memoising the result per k.

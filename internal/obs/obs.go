@@ -45,9 +45,12 @@ type Event struct {
 	// Lifecycle fields (EvDeploy/EvEvict/EvCheckpoint/EvDone/EvSpend).
 	USD    float64 `json:"usd,omitempty"`   // spend delta (EvSpend) or total (EvDone)
 	DurSec float64 `json:"dur_s,omitempty"` // span length (deploy: wait+boot+load, from T to the ready instant)
-	Reload bool    `json:"reload,omitempty"`
-	Missed bool    `json:"missed,omitempty"`
-	Done   bool    `json:"done,omitempty"` // job finished (EvDone with Done=false = abandoned)
+	// Reload marks an EvDeploy that resumes durable progress — a
+	// checkpoint, or work an eviction warning made durable — rather
+	// than starting the job over; its span is recovery downtime.
+	Reload bool `json:"reload,omitempty"`
+	Missed bool `json:"missed,omitempty"`
+	Done   bool `json:"done,omitempty"` // job finished (EvDone with Done=false = abandoned)
 
 	// Engine superstep fields (EvSuperstep).
 	Superstep  int   `json:"superstep,omitempty"`

@@ -38,8 +38,10 @@ type Summary struct {
 	// WarmCutovers the ones a pre-booted standby absorbed, and
 	// StandbyMisses the ones that fell back to reactive recovery.
 	// RecoverySec sums the downtime between each eviction boundary and
-	// the replacement set being compute-ready (a warm cutover
-	// contributes ~0); DeltaBytes/FullBytes split checkpoint footprint
+	// the replacement set being compute-ready: the span of every
+	// EvDeploy with Reload set, plus each warm cutover (~0). A redeploy
+	// with no durable progress to resume starts the job over and is
+	// not recovery. DeltaBytes/FullBytes split checkpoint footprint
 	// by encoding so delta savings are visible in one fold.
 	Warnings      int
 	WarmCutovers  int

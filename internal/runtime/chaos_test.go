@@ -231,7 +231,7 @@ func configStats(t *testing.T, h *harness, id string) *core.ConfigStats {
 
 // TestChaosWatchdogTimeBound asserts the wall-clock guarantee the
 // watchdog exists for: a wedged Compute may not stall the driver
-// longer than roughly watchdog + grace per superstep.
+// longer than roughly watchdog + the 100 ms grace per superstep.
 func TestChaosWatchdogTimeBound(t *testing.T) {
 	h := getHarness(t, "sssp")
 	trips := &atomic.Int64{}
@@ -240,7 +240,6 @@ func TestChaosWatchdogTimeBound(t *testing.T) {
 		return &wedgeProgram{inner: h.fresh(), at: 2, sleep: 2 * time.Second, trips: trips, max: 1}
 	}
 	opts.Watchdog = 40 * time.Millisecond
-	opts.WatchdogGrace = 40 * time.Millisecond
 	opts.Sink = nil
 
 	begin := time.Now()

@@ -35,7 +35,6 @@ import (
 	"hourglass/internal/dist"
 	"hourglass/internal/engine"
 	"hourglass/internal/obs"
-	"hourglass/internal/simnet"
 	"hourglass/internal/units"
 )
 
@@ -263,18 +262,9 @@ type DistOptions struct {
 	// RestartBudget bounds evictions + losses before the driver pins
 	// the last-resort configuration (0 = 8).
 	RestartBudget int
-	// MaxDecisions guards against livelock (0 = 10_000).
-	MaxDecisions int
 	// BarrierTimeout is the coordinator's watchdog window; ctx
 	// cancellation also resolves within it (0 = the dist default).
 	BarrierTimeout time.Duration
-	// MaxSupersteps aborts runaway sessions (0 = dist default).
-	MaxSupersteps int
-	// BytesPerVertex sizes the parallel checkpoint reload flows priced
-	// by simnet (0 = 64).
-	BytesPerVertex int64
-	// Net shapes the reload network (zero value = simnet.DefaultConfig).
-	Net simnet.Config
 	// Sink receives the structured event stream; EvDeploy and
 	// EvShardEvict carry worker process identity in Proc. Nil disables
 	// tracing.
@@ -316,8 +306,7 @@ func ExecuteDist(ctx context.Context, opts DistOptions, start, deadline units.Se
 	}
 	d := &distDriver{opts: &opts, loop: newLoop(loop{env: opts.Env, prov: opts.Prov,
 		sink: opts.Sink, logger: opts.Logf, total: opts.TotalSupersteps, every: opts.CheckpointEvery,
-		restartBudget: opts.RestartBudget, maxDecisions: opts.MaxDecisions,
-		bytesPerVertex: opts.BytesPerVertex, net: opts.Net}, start, deadline)}
+		restartBudget: opts.RestartBudget}, start, deadline)}
 	return d.drive(ctx, d)
 }
 
@@ -416,7 +405,6 @@ func (d *distDriver) run(s *session, deploy obs.Event, warm *standbyState) ([]fl
 		Canonical:      true,
 		DeltaChain:     d.opts.DeltaChain,
 		CheckpointAt:   s.checkpointAt,
-		MaxSupersteps:  d.opts.MaxSupersteps,
 		BarrierTimeout: d.opts.BarrierTimeout,
 		Store:          d.opts.Store,
 		Sink:           s,

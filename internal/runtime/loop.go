@@ -40,20 +40,25 @@ import (
 // never is the eviction instant of an interval nothing can evict.
 var never = units.Seconds(math.Inf(1))
 
+// maxDecisions is the decision count past which the loop reports a
+// provisioner livelock.
+const maxDecisions = 10_000
+
+// bytesPerVertex sizes the parallel checkpoint reload flows simnet
+// prices.
+const bytesPerVertex = 64
+
 // loop is the state both drivers share: the virtual clock, the report,
 // the evictor and the deadline, plus the options common to Options and
 // DistOptions.
 type loop struct {
-	env            *core.Env
-	prov           core.Provisioner
-	sink           obs.Sink
-	logger         func(format string, args ...any)
-	total          int // expected supersteps: the denominator of w(t)
-	every          int // checkpoint cadence in supersteps (0 = Daly interval)
-	restartBudget  int
-	maxDecisions   int
-	bytesPerVertex int64
-	net            simnet.Config
+	env           *core.Env
+	prov          core.Provisioner
+	sink          obs.Sink
+	logger        func(format string, args ...any)
+	total         int // expected supersteps: the denominator of w(t)
+	every         int // checkpoint cadence in supersteps (0 = Daly interval)
+	restartBudget int
 
 	evictor  sim.Evictor
 	deadline units.Seconds
@@ -79,15 +84,6 @@ type choice struct {
 func newLoop(l loop, start, deadline units.Seconds) *loop {
 	if l.restartBudget <= 0 {
 		l.restartBudget = 8
-	}
-	if l.maxDecisions <= 0 {
-		l.maxDecisions = 10_000
-	}
-	if l.bytesPerVertex <= 0 {
-		l.bytesPerVertex = 64
-	}
-	if l.net == (simnet.Config{}) {
-		l.net = simnet.DefaultConfig()
 	}
 	l.evictor = sim.Evictor{Market: l.env.Market}
 	l.t, l.deadline = start, deadline
@@ -147,8 +143,8 @@ func (l *loop) segEnd(cs *core.ConfigStats, n int) units.Seconds {
 
 // guard stops the loop on a provisioner livelock or a cancelled run.
 func (l *loop) guard(ctx context.Context) error {
-	if l.rep.Decisions > l.maxDecisions {
-		return fmt.Errorf("runtime: exceeded %d decisions (provisioner livelock?)", l.maxDecisions)
+	if l.rep.Decisions > maxDecisions {
+		return fmt.Errorf("runtime: exceeded %d decisions (provisioner livelock?)", maxDecisions)
 	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("runtime: cancelled after %d decisions: %w", l.rep.Decisions, err)
@@ -246,7 +242,7 @@ func (l *loop) price(cs *core.ConfigStats, from units.Seconds, resumed bool, fet
 // reloadTime prices the §6 fast reload with simnet: every worker pulls
 // its share of the checkpoint from the datastore in parallel.
 func (l *loop) reloadTime(perWorker []int64) units.Seconds {
-	cluster, err := simnet.NewCluster(len(perWorker), l.net)
+	cluster, err := simnet.NewCluster(len(perWorker), simnet.DefaultConfig())
 	if err != nil {
 		l.logf("runtime: reload pricing: %v", err)
 		return 0
@@ -254,7 +250,7 @@ func (l *loop) reloadTime(perWorker []int64) units.Seconds {
 	flows := make([]simnet.Flow, 0, len(perWorker))
 	for w, vertices := range perWorker {
 		flows = append(flows, simnet.Flow{Src: simnet.DatastoreNode, Dst: w,
-			Bytes: vertices * l.bytesPerVertex})
+			Bytes: vertices * bytesPerVertex})
 	}
 	return cluster.SimulateFlows(flows)
 }

@@ -44,7 +44,6 @@ import (
 	"hourglass/internal/graph"
 	"hourglass/internal/micro"
 	"hourglass/internal/obs"
-	"hourglass/internal/simnet"
 	"hourglass/internal/units"
 )
 
@@ -84,13 +83,9 @@ type Options struct {
 	RestartBudget int
 	// Watchdog is the wall-clock budget per superstep; a run that
 	// exceeds it is cancelled and redeployed from the last checkpoint
-	// (0 = disabled).
+	// (0 = disabled). A cancelled superstep that does not unwind within
+	// a further 100 ms grace is abandoned on its goroutine.
 	Watchdog time.Duration
-	// WatchdogGrace is how long to wait for the cancelled engine to
-	// acknowledge before abandoning its goroutine (0 = 100ms).
-	WatchdogGrace time.Duration
-	// MaxDecisions guards against livelock (0 = 10_000).
-	MaxDecisions int
 	// Canonical forces order-invariant reductions so final values are
 	// bit-identical across any worker-count trajectory (see
 	// engine.Config.Canonical). Required for programs with aggregators
@@ -99,14 +94,6 @@ type Options struct {
 	// combiner programs) keep sender-side combining under it, the rest
 	// pay one inbox sort per vertex.
 	Canonical bool
-	// BytesPerVertex sizes the parallel checkpoint reload flows priced
-	// by simnet (0 = 64).
-	BytesPerVertex int64
-	// Net shapes the reload network (zero value = simnet.DefaultConfig).
-	Net simnet.Config
-	// MaxSupersteps is passed to the engine as its runaway guard
-	// (0 = engine default).
-	MaxSupersteps int
 	// Sink receives the structured event stream: EvDecision per
 	// provisioner consultation, EvSpend per billing charge in
 	// accumulation order, EvDeploy/EvEvict/EvCheckpoint lifecycle
@@ -182,6 +169,10 @@ func (o *Options) validate() error {
 	return nil
 }
 
+// watchdogGrace is how long a cancelled engine superstep may take to
+// acknowledge the watchdog before the driver abandons its goroutine.
+const watchdogGrace = 100 * time.Millisecond
+
 // driver is the in-process substrate of one Execute call.
 type driver struct {
 	*loop
@@ -200,13 +191,9 @@ func Execute(ctx context.Context, opts Options, start, deadline units.Seconds) (
 	if err := opts.validate(); err != nil {
 		return Report{}, err
 	}
-	if opts.WatchdogGrace <= 0 {
-		opts.WatchdogGrace = 100 * time.Millisecond
-	}
 	d := &driver{opts: &opts, loop: newLoop(loop{env: opts.Env, prov: opts.Prov,
 		sink: opts.Sink, logger: opts.Logf, total: opts.TotalSupersteps, every: opts.CheckpointEvery,
-		restartBudget: opts.RestartBudget, maxDecisions: opts.MaxDecisions,
-		bytesPerVertex: opts.BytesPerVertex, net: opts.Net}, start, deadline)}
+		restartBudget: opts.RestartBudget}, start, deadline)}
 	return d.drive(ctx, d)
 }
 
@@ -253,11 +240,10 @@ func (d *driver) run(s *session, deploy obs.Event, _ *standbyState) ([]float64, 
 	s.cancel = cancel
 	last := &lastStep{}
 	cfg := engine.Config{
-		Workers:       s.cs.Config.Count,
-		Assign:        d.assign,
-		MaxSupersteps: d.opts.MaxSupersteps,
-		Canonical:     d.opts.Canonical,
-		Sink:          last,
+		Workers:   s.cs.Config.Count,
+		Assign:    d.assign,
+		Canonical: d.opts.Canonical,
+		Sink:      last,
 	}
 	var x *engine.Execution
 	var err error
@@ -374,9 +360,9 @@ func (d *driver) step(x *engine.Execution, last *lastStep, cancel context.Cancel
 	select {
 	case out = <-ch:
 		return out, true
-	case <-time.After(d.opts.WatchdogGrace):
+	case <-time.After(watchdogGrace):
 		d.logf("runtime: job %q abandoned a wedged engine goroutine (watchdog %v, grace %v)",
-			d.env.Job.Name, d.opts.Watchdog, d.opts.WatchdogGrace)
+			d.env.Job.Name, d.opts.Watchdog, watchdogGrace)
 		return stepped{err: engine.ErrInterrupted}, true
 	}
 }

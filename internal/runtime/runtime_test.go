@@ -2,7 +2,9 @@ package runtime_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -142,7 +144,7 @@ func (h *harness) options(t *testing.T, store cloud.BlobStore, job string, prov 
 		Graph:           h.g,
 		NewProgram:      h.fresh,
 		Part:            h.part,
-		Manager:         &engine.CheckpointManager{Store: store, Job: job, Logf: t.Logf},
+		Manager:         &engine.CheckpointManager{Store: store, Job: job},
 		TotalSupersteps: h.total,
 		CheckpointEvery: 2,
 		Canonical:       true,
@@ -310,7 +312,6 @@ func TestExecuteWatchdogRecoversWedgedRun(t *testing.T) {
 		return &wedgeProgram{inner: h.fresh(), at: 3, sleep: 400 * time.Millisecond, trips: trips, max: 1}
 	}
 	opts.Watchdog = 50 * time.Millisecond
-	opts.WatchdogGrace = 50 * time.Millisecond
 	opts.Sink = nil // the abandoned goroutine may emit late; keep it detached
 
 	rep, err := runtime.Execute(context.Background(), opts, 0, h.relDl)
@@ -341,7 +342,6 @@ func TestExecuteRestartBudgetEngagesLastResort(t *testing.T) {
 		return &wedgeProgram{inner: h.fresh(), at: 3, sleep: 400 * time.Millisecond, trips: trips, max: 2}
 	}
 	opts.Watchdog = 50 * time.Millisecond
-	opts.WatchdogGrace = 50 * time.Millisecond
 	opts.RestartBudget = 1
 
 	rep, err := runtime.Execute(context.Background(), opts, 0, h.relDl)
@@ -367,5 +367,92 @@ func TestExecuteCancelledContext(t *testing.T) {
 	opts := h.options(t, cloud.NewDatastore(), "cancel/pagerank", h.provisioner(t))
 	if _, err := runtime.Execute(ctx, opts, 0, h.relDl); err == nil {
 		t.Fatal("cancelled context did not abort the run")
+	}
+}
+
+// failDeleteStore fails every Delete, as a store whose delete
+// permission was revoked.
+type failDeleteStore struct{ cloud.BlobStore }
+
+func (failDeleteStore) Delete(string) error { return errors.New("delete forbidden") }
+
+// TestExecuteLogsIncompleteCheckpointGC: a job whose checkpoints cannot
+// be cleared still finishes, and the failure is logged with the job's
+// name instead of being swallowed.
+func TestExecuteLogsIncompleteCheckpointGC(t *testing.T) {
+	h := getHarness(t, "pagerank")
+	store := failDeleteStore{cloud.NewDatastore()}
+	opts := h.options(t, store, "nogc/pagerank",
+		&scriptedProv{configs: []cloud.Config{onDemandByCount(t, h.env, 4)}})
+	var logged []string
+	opts.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	rep, err := runtime.Execute(context.Background(), opts, 0, h.relDl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Finished || rep.Checkpoints == 0 {
+		t.Fatalf("finished = %v after %d checkpoints; want a finished, checkpointed run", rep.Finished, rep.Checkpoints)
+	}
+	assertBitIdentical(t, h.ref, rep.Values)
+	if len(store.Keys()) == 0 {
+		t.Fatal("the namespace was cleared through a store that fails every Delete")
+	}
+	for _, l := range logged {
+		if strings.Contains(l, "checkpoint GC") && strings.Contains(l, h.env.Job.Name) {
+			return
+		}
+	}
+	t.Fatalf("no checkpoint GC failure naming job %q logged: %q", h.env.Job.Name, logged)
+}
+
+// alternatingProv never lets a job finish: it alternates two
+// configurations, each for less than a superstep and without
+// checkpoints, so every deployment starts the job over.
+type alternatingProv struct{ a, b cloud.Config }
+
+func (p *alternatingProv) Name() string { return "alternating" }
+
+func (p *alternatingProv) Decide(s core.State) (core.Decision, error) {
+	c := p.a
+	if s.Current != nil && s.Current.ID() == p.a.ID() {
+		c = p.b
+	}
+	return core.Decision{Config: c, MaxRun: 1}, nil
+}
+
+func TestExecuteDecisionGuard(t *testing.T) {
+	h := getHarness(t, "pagerank")
+	var od []cloud.Config
+	for _, cs := range h.env.Stats {
+		if !cs.Config.Transient && cs.Config.Count == 4 {
+			od = append(od, cs.Config)
+		}
+	}
+	if len(od) < 2 {
+		t.Fatalf("%d on-demand configurations of 4 workers, want 2", len(od))
+	}
+	g := graph.Ring(8)
+	part, err := micro.BuildForConfigs(g, partition.Hash{}, []int{4}, partition.Multilevel{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := runtime.Options{
+		Env:             h.env,
+		Prov:            &alternatingProv{a: od[0], b: od[1]},
+		Graph:           g,
+		NewProgram:      func() engine.Program { return &engine.PageRank{Iterations: 10} },
+		Part:            part,
+		Manager:         &engine.CheckpointManager{Store: cloud.NewDatastore(), Job: "livelock/pagerank"},
+		TotalSupersteps: 10,
+		Logf:            t.Logf,
+	}
+	// The deadline is far enough out that slack never runs dry, which
+	// would pin the last resort and let the job finish.
+	rep, err := runtime.Execute(context.Background(), opts, 0, 1e12)
+	if err == nil || !strings.Contains(err.Error(), "exceeded 10000 decisions") {
+		t.Fatalf("err = %v, want the 10000-decision livelock guard", err)
+	}
+	if rep.Decisions != 10_001 {
+		t.Fatalf("decisions = %d, want 10001", rep.Decisions)
 	}
 }

@@ -267,7 +267,7 @@ func (b *RuntimeBackend) Run(ctx context.Context, spec JobSpec, start, deadline 
 			// prepare's reference run already instantiated this spec.
 			NewProgram:      func() engine.Program { p, _ := prog.New(); return p },
 			Part:            part,
-			Manager:         &engine.CheckpointManager{Store: store, Job: ns, Logf: b.Logf},
+			Manager:         &engine.CheckpointManager{Store: store, Job: ns},
 			TotalSupersteps: total,
 			CheckpointEvery: 2,
 			RestartBudget:   b.RestartBudget,

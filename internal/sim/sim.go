@@ -43,11 +43,13 @@ type replica struct {
 	evict  units.Seconds // next eviction (absolute; +Inf if none)
 }
 
+// maxDecisions is the decision count past which a run reports a
+// provisioner livelock.
+const maxDecisions = 100_000
+
 // Runner executes single simulations.
 type Runner struct {
 	Env *core.Env
-	// MaxDecisions guards against livelock (0 = 100_000).
-	MaxDecisions int
 	// WarningWindow simulates providers that warn this long before an
 	// eviction (§9): if the window fits the checkpoint upload, the
 	// in-flight progress is persisted instead of rolled back.
@@ -91,10 +93,6 @@ func (r *Runner) Run(prov core.Provisioner, start, deadline units.Seconds) (RunR
 // decisions once ctx is done, so a long-running caller (the scheduler
 // daemon) can abandon an in-flight run without waiting it out.
 func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadline units.Seconds) (RunResult, error) {
-	maxDecisions := r.MaxDecisions
-	if maxDecisions == 0 {
-		maxDecisions = 100_000
-	}
 	env := r.Env
 	market := env.Market
 
@@ -187,7 +185,7 @@ func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadl
 			tl.add(PhaseDeploy, t, readyAt, dec.Config.ID(), wLive)
 			r.emit(obs.Event{Type: obs.EvDeploy, T: float64(t), Job: env.Job.Name,
 				Config: dec.Config.ID(), WorkLeft: wLive,
-				DurSec: float64(readyAt - t), Reload: res.Reconfigs > 1})
+				DurSec: float64(readyAt - t), Reload: wDurable < 1})
 			t = readyAt
 		} else {
 			// Keep running: refresh eviction forecasts (prices moved on).

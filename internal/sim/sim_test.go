@@ -3,10 +3,13 @@ package sim
 import (
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"hourglass/internal/cloud"
 	"hourglass/internal/core"
+	"hourglass/internal/obs"
 	"hourglass/internal/perfmodel"
 	"hourglass/internal/units"
 )
@@ -357,30 +360,38 @@ func flatTrace(it cloud.InstanceType, dur, spikeAt, spikeLen units.Seconds) *clo
 	return &cloud.PriceTrace{Instance: it.Name, Step: 1, Prices: prices}
 }
 
-// replicatedSaveFixture computes the deployment geometry of a
-// two-replica run on flat traces and returns an env whose traces spike
-// the selected instances inside the save window of the first segment.
-func replicatedSaveFixture(t *testing.T, spikeBoth bool) (*core.Env, *replicatedStub, units.Seconds) {
+// flatEnv is a PageRank env over two days of flat, deeply discounted
+// traces; the named instances spike above on-demand — an eviction —
+// for 15 minutes at spikeAt.
+func flatEnv(t *testing.T, spikeAt units.Seconds, spiked ...string) *core.Env {
 	t.Helper()
 	historical := cloud.GenerateSet(cloud.Catalogue(), cloud.GenParams{Days: 8, Seed: 1010})
 	em, err := cloud.BuildEvictionModel(historical, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkEnv := func(ts cloud.TraceSet) *core.Env {
-		env, err := core.NewEnv(perfmodel.JobPageRank, perfmodel.Default(),
-			cloud.DefaultConfigs(), cloud.NewMarket(ts), em)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return env
-	}
-	const dur = 2 * units.Day
-	flat := cloud.TraceSet{}
+	ts := cloud.TraceSet{}
 	for _, it := range cloud.Catalogue() {
-		flat[it.Name] = flatTrace(it, dur, 0, 0)
+		var spikeLen units.Seconds
+		if slices.Contains(spiked, it.Name) {
+			spikeLen = 15 * units.Minute
+		}
+		ts[it.Name] = flatTrace(it, 2*units.Day, spikeAt, spikeLen)
 	}
-	env := mkEnv(flat)
+	env, err := core.NewEnv(perfmodel.JobPageRank, perfmodel.Default(),
+		cloud.DefaultConfigs(), cloud.NewMarket(ts), em)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// replicatedSaveFixture computes the deployment geometry of a
+// two-replica run on flat traces and returns an env whose traces spike
+// the selected instances inside the save window of the first segment.
+func replicatedSaveFixture(t *testing.T, spikeBoth bool) (*core.Env, *replicatedStub, units.Seconds) {
+	t.Helper()
+	env := flatEnv(t, 0)
 
 	// Two transient configs on distinct instance types (distinct
 	// markets, so one can be evicted while the other survives). Save
@@ -421,17 +432,11 @@ func replicatedSaveFixture(t *testing.T, spikeBoth bool) (*core.Env, *replicated
 	segEnd := readyAt + prim.Exec
 	spikeAt := segEnd + prim.Save/2
 
-	spiked := cloud.TraceSet{}
-	for _, it := range cloud.Catalogue() {
-		hit := it.Name == extra.Config.Instance.Name ||
-			(spikeBoth && it.Name == prim.Config.Instance.Name)
-		if hit {
-			spiked[it.Name] = flatTrace(it, dur, spikeAt, 15*units.Minute)
-		} else {
-			spiked[it.Name] = flatTrace(it, dur, 0, 0)
-		}
+	spiked := []string{extra.Config.Instance.Name}
+	if spikeBoth {
+		spiked = append(spiked, prim.Config.Instance.Name)
 	}
-	env = mkEnv(spiked)
+	env = flatEnv(t, spikeAt, spiked...)
 	return env, &replicatedStub{primary: prim.Config, extra: extra.Config}, segEnd + prim.Save
 }
 
@@ -486,5 +491,114 @@ func TestAllReplicasEvictedDuringSaveRollsBack(t *testing.T) {
 	}
 	if err := res.Timeline.Validate(); err != nil {
 		t.Fatalf("timeline invalid: %v\n%s", err, res.Timeline)
+	}
+}
+
+// spotThenOnDemand deploys spot first and on-demand after the spot
+// deployment is lost, checkpointing throughout; a live deployment is
+// kept.
+type spotThenOnDemand struct {
+	spot, od cloud.Config
+	deployed bool
+}
+
+func (p *spotThenOnDemand) Name() string { return "spot-then-ondemand" }
+
+func (p *spotThenOnDemand) Decide(st core.State) (core.Decision, error) {
+	if st.Current != nil {
+		return core.Decision{Config: *st.Current, KeepCurrent: true, UseCheckpoints: true}, nil
+	}
+	c := p.od
+	if !p.deployed {
+		c, p.deployed = p.spot, true
+	}
+	return core.Decision{Config: c, UseCheckpoints: true}, nil
+}
+
+// TestReloadMeansDurableProgress: a redeploy is a reload — recovery
+// downtime in obs.Summarize — only when it resumes durable progress. An
+// eviction before the first checkpoint starts the job over.
+func TestReloadMeansDurableProgress(t *testing.T) {
+	var spot *core.ConfigStats
+	env := flatEnv(t, 0)
+	for i := range env.Stats {
+		cs := &env.Stats[i]
+		if cs.Config.Transient && cs.Ckpt+cs.Save < cs.Exec/2 {
+			spot = cs
+			break
+		}
+	}
+	if spot == nil {
+		t.Fatal("no transient configuration checkpoints twice per run")
+	}
+	readyAt := spot.Boot + spot.Load
+	for _, tc := range []struct {
+		name    string
+		spikeAt units.Seconds
+		reload  bool
+	}{
+		{"before the first checkpoint", readyAt + spot.Ckpt/2, false},
+		{"after the first checkpoint", readyAt + spot.Ckpt + spot.Save + spot.Ckpt/2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := flatEnv(t, tc.spikeAt, spot.Config.Instance.Name)
+			sink := &eventSink{}
+			r := &Runner{Env: env, Sink: sink}
+			res, err := r.Run(&spotThenOnDemand{spot: spot.Config, od: env.LRC.Config}, 0, 2*units.Day)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Evictions != 1 || !res.Finished {
+				t.Fatalf("evictions = %d, finished = %v; want one eviction, then done", res.Evictions, res.Finished)
+			}
+			var deploys []obs.Event
+			for _, e := range sink.snapshot() {
+				if e.Type == obs.EvDeploy {
+					deploys = append(deploys, e)
+				}
+			}
+			if len(deploys) != 2 {
+				t.Fatalf("%d deploys, want 2", len(deploys))
+			}
+			if deploys[0].Reload || deploys[1].Reload != tc.reload {
+				t.Fatalf("deploy reload = %v, %v; want false, %v", deploys[0].Reload, deploys[1].Reload, tc.reload)
+			}
+			if sum := obs.Summarize(sink.snapshot()); (sum.RecoverySec > 0) != tc.reload {
+				t.Fatalf("folded recovery = %v s with reload %v", sum.RecoverySec, tc.reload)
+			}
+		})
+	}
+}
+
+// alternating never lets a job finish: it alternates two
+// configurations for a second each, without checkpoints, so every
+// deployment starts the job over.
+type alternating struct{ a, b cloud.Config }
+
+func (p *alternating) Name() string { return "alternating" }
+
+func (p *alternating) Decide(st core.State) (core.Decision, error) {
+	c := p.a
+	if st.Current != nil && st.Current.ID() == p.a.ID() {
+		c = p.b
+	}
+	return core.Decision{Config: c, MaxRun: 1}, nil
+}
+
+func TestDecisionGuard(t *testing.T) {
+	env := testEnv(t, perfmodel.JobSSSP)
+	var od []cloud.Config
+	for _, cs := range env.Stats {
+		if !cs.Config.Transient {
+			od = append(od, cs.Config)
+		}
+	}
+	r := &Runner{Env: env}
+	res, err := r.Run(&alternating{a: od[0], b: od[1]}, 0, 2*units.Day)
+	if err == nil || !strings.Contains(err.Error(), "exceeded 100000 decisions") {
+		t.Fatalf("err = %v, want the 100000-decision livelock guard", err)
+	}
+	if res.Decisions != maxDecisions+1 {
+		t.Fatalf("decisions = %d, want %d", res.Decisions, maxDecisions+1)
 	}
 }
