@@ -175,7 +175,8 @@ func New(opts Options) (*System, error) {
 
 // Env returns (building on first use) the provisioning environment for
 // a job. Concurrent callers racing on the first build serialise on the
-// System mutex; the built Env itself is read-only.
+// System mutex; the built Env is safe for concurrent use, and every
+// slack-aware decision for the job kind shares its EC table.
 func (s *System) Env(k JobKind) (*core.Env, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

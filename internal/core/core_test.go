@@ -169,23 +169,26 @@ func TestSlackAwareFallsBackWithoutSlack(t *testing.T) {
 }
 
 func TestSlackAwareDecisionTimeIsMilliseconds(t *testing.T) {
-	// Figure 9's headline: approximate decisions take milliseconds even
-	// for the 4-hour job at 100% slack.
+	// Figure 9's headline: approximate decisions stay fast even for the
+	// 4-hour job at 100% slack. The first decision on an Env fills its
+	// EC table (cold); later ones read it (warm). Wall-clock bounds are
+	// kept loose (CI machines vary, and -race slows the fill ~10×).
 	env := testEnv(t, perfmodel.JobGC)
-	p := NewSlackAware(env)
+	s := stateWithSlack(env, 1.0)
 	start := time.Now()
-	if _, err := p.Decide(stateWithSlack(env, 1.0)); err != nil {
+	if _, err := NewSlackAware(env).Decide(s); err != nil {
 		t.Fatal(err)
 	}
-	// Wall-clock bound kept loose (CI machines vary); the op budget is
-	// the real determinism guarantee.
-	if d := time.Since(start); d > 10*time.Second {
-		t.Errorf("decision took %v, want well under 10s", d)
+	cold := time.Since(start)
+	if cold > 30*time.Second {
+		t.Errorf("cold decision took %v, want well under 30s", cold)
 	}
-	// The budget check is post-increment, so a small overshoot from
-	// in-flight branches is expected.
-	if p.LastOps > p.OpBudget+10_000 {
-		t.Errorf("decision used %d ops, budget %d", p.LastOps, p.OpBudget)
+	start = time.Now()
+	if _, err := NewSlackAware(env).Decide(s); err != nil {
+		t.Fatal(err)
+	}
+	if warm := time.Since(start); warm > 50*time.Millisecond {
+		t.Errorf("warm decision took %v, want under 50ms (cold took %v)", warm, cold)
 	}
 }
 

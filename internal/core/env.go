@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"hourglass/internal/cloud"
 	"hourglass/internal/perfmodel"
@@ -38,6 +39,11 @@ type ConfigStats struct {
 // Env bundles everything a provisioner consults: the job, the
 // performance model, the configuration set with cached stats, the
 // market (current prices) and the eviction model (historical CDFs).
+//
+// The slack-aware strategy memoises expected costs on the Env (one
+// table per eviction-warning window, shared by every decision), so
+// Stats must not change after the first decision; tune it, as the
+// checkpoint-interval ablation does, before deciding.
 type Env struct {
 	Job       perfmodel.Job
 	Model     *perfmodel.Model
@@ -53,6 +59,9 @@ type Env struct {
 	// type); §8.2 includes it in every reported cost. Zero for
 	// strategies without an offline phase.
 	OfflineCost units.USD
+
+	tablesMu sync.Mutex
+	tables   map[units.Seconds]*ecTable
 }
 
 // NewEnv validates the configuration set, locates the last-resort
@@ -132,6 +141,22 @@ func dalyInterval(tSave, mttf units.Seconds) units.Seconds {
 		return units.Seconds(math.Inf(1))
 	}
 	return units.Seconds(math.Sqrt(2 * float64(tSave) * float64(mttf)))
+}
+
+// ecTable returns the shared EC table for an eviction-warning window,
+// building it on first use.
+func (e *Env) ecTable(warning units.Seconds) *ecTable {
+	e.tablesMu.Lock()
+	defer e.tablesMu.Unlock()
+	t, ok := e.tables[warning]
+	if !ok {
+		if e.tables == nil {
+			e.tables = map[units.Seconds]*ecTable{}
+		}
+		t = newECTable(e, warning)
+		e.tables[warning] = t
+	}
+	return t
 }
 
 // MarketTrace exposes the price trace backing an instance type.

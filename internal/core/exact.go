@@ -57,6 +57,9 @@ func (x *ExactEC) Evaluate(s State) (units.USD, error) {
 	return cost, nil
 }
 
+// maxRecursion caps recursion depth as a safety net.
+const maxRecursion = 4096
+
 // ecKey is a cell of the exact evaluator's memo grid.
 type ecKey struct{ t, w int64 }
 

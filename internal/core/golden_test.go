@@ -1,11 +1,11 @@
 package core
 
-// Golden decisions: what the slack-aware provisioner decides, and how
-// many branch evaluations it spends deciding, over a fixed grid of jobs,
-// slacks and start offsets, checked in under testdata/decisions.golden.
-// Every float is recorded by its bits, so a change to the memo tables or
-// the eviction lookups that are meant to leave the pricing alone can be
-// shown to change nothing. After an intended change, regenerate with
+// Golden decisions: what the slack-aware provisioner decides over a
+// fixed grid of jobs, slacks and start offsets, checked in under
+// testdata/decisions.golden. Every float is recorded by its bits, so a
+// change to the EC table or the eviction lookups that is meant to leave
+// the pricing alone can be shown to change nothing. After an intended
+// change, regenerate with
 //
 //	go test ./internal/core/ -run TestGoldenDecisions -update-decisions
 //
@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,10 +70,8 @@ func advance(env *Env, s State, dec Decision) State {
 
 // decideSequence runs one provisioner through a fresh decision at s and
 // redecisions re-decisions, each after advancing past the previous
-// decision. The re-decisions see the same deadline, so they run on the
-// scratch tables the fresh decision filled. It is safe to call from
-// any goroutine.
-func decideSequence(t testing.TB, env *Env, p *SlackAware, s State) []string {
+// decision. It is safe to call from any goroutine.
+func decideSequence(t testing.TB, env *Env, p Provisioner, s State) []string {
 	t.Helper()
 	var lines []string
 	for i := 0; i <= redecisions; i++ {
@@ -81,22 +80,29 @@ func decideSequence(t testing.TB, env *Env, p *SlackAware, s State) []string {
 			t.Error(err)
 			return lines
 		}
-		lines = append(lines, fmt.Sprintf("step=%d cfg=%s keep=%t cost=%016x maxrun=%016x ops=%d",
+		lines = append(lines, fmt.Sprintf("step=%d cfg=%s keep=%t cost=%016x maxrun=%016x",
 			i, dec.Config.ID(), dec.KeepCurrent, math.Float64bits(float64(dec.ExpectedCost)),
-			math.Float64bits(float64(dec.MaxRun)), p.LastOps))
+			math.Float64bits(float64(dec.MaxRun))))
 		s = advance(env, s, dec)
 	}
 	return lines
 }
 
-// goldenDecisions renders every case of the golden file, building each
-// slack-aware provisioner with newP.
-func goldenDecisions(t *testing.T, newP func(*Env) *SlackAware) []byte {
-	var b strings.Builder
-	emit := func(prefix string, lines []string) {
-		for _, l := range lines {
-			fmt.Fprintf(&b, "%s %s\n", prefix, l)
-		}
+// goldenCase renders one group of golden lines.
+type goldenCase func() string
+
+// goldenCases lists every case of the golden file in file order, one
+// shared Env per job, building each slack-aware provisioner with newP.
+func goldenCases(t testing.TB, newP func(*Env) *SlackAware) []goldenCase {
+	var cases []goldenCase
+	decide := func(prefix string, env *Env, p Provisioner, s State) {
+		cases = append(cases, func() string {
+			var b strings.Builder
+			for _, l := range decideSequence(t, env, p, s) {
+				fmt.Fprintf(&b, "%s %s\n", prefix, l)
+			}
+			return b.String()
+		})
 	}
 	envs := map[string]*Env{}
 	for _, job := range goldenJobs {
@@ -105,28 +111,25 @@ func goldenDecisions(t *testing.T, newP func(*Env) *SlackAware) []byte {
 		for i, frac := range goldenSlacks {
 			offsets := goldenOffsets
 			if job.Name == perfmodel.JobGC.Name {
-				// A fresh GraphColoring decision costs up to 2e6 branch
-				// evaluations: one offset per slack, cycling.
+				// GraphColoring takes one offset per slack, cycling.
 				offsets = goldenOffsets[i%len(goldenOffsets):][:1]
 			}
 			for _, off := range offsets {
-				emit(fmt.Sprintf("decide %s slack=%.1f at=%.0f", job.Name, frac, float64(off)),
-					decideSequence(t, env, newP(env), slackStateAt(env, frac, off)))
+				decide(fmt.Sprintf("decide %s slack=%.1f at=%.0f", job.Name, frac, float64(off)),
+					env, newP(env), slackStateAt(env, frac, off))
 			}
 		}
 	}
 
-	// A long GraphColoring horizon, where the op budget cuts the
-	// recursion short and so shapes the decision.
+	// A long GraphColoring horizon: four times the zero-slack deadline.
 	gc := envs[perfmodel.JobGC.Name]
-	p := newP(gc)
-	emit("budget graphcoloring slack=3.0 at=1000", decideSequence(t, gc, p, slackStateAt(gc, 3, 1000)))
+	decide("long graphcoloring slack=3.0 at=1000", gc, newP(gc), slackStateAt(gc, 3, 1000))
 
 	// The §9 eviction-warning extension credits progress on failure.
 	pr := envs[perfmodel.JobPageRank.Name]
-	p = newP(pr)
+	p := newP(pr)
 	p.WarningWindow = 5 * units.Minute
-	emit("warning pagerank slack=0.5 at=1000", decideSequence(t, pr, p, slackStateAt(pr, 0.5, 1000)))
+	decide("warning pagerank slack=0.5 at=1000", pr, p, slackStateAt(pr, 0.5, 1000))
 
 	// Figure 9's two evaluators.
 	for _, job := range goldenJobs {
@@ -136,42 +139,65 @@ func goldenDecisions(t *testing.T, newP func(*Env) *SlackAware) []byte {
 			fracs = fracs[:1]
 		}
 		for _, frac := range fracs {
-			s := slackStateAt(env, frac, 1000)
-			p := newP(env)
-			v := p.Evaluate(s)
-			fmt.Fprintf(&b, "evaluate %s slack=%.1f approx=%016x ops=%d\n",
-				job.Name, frac, math.Float64bits(float64(v)), p.LastOps)
+			cases = append(cases, func() string {
+				v := newP(env).Evaluate(slackStateAt(env, frac, 1000))
+				return fmt.Sprintf("evaluate %s slack=%.1f approx=%016x\n",
+					job.Name, frac, math.Float64bits(float64(v)))
+			})
 		}
 	}
 	for _, job := range []perfmodel.Job{perfmodel.JobSSSP, perfmodel.JobPageRank} {
 		env := envs[job.Name]
 		for _, frac := range []float64{0.2, 0.6, 1.0} {
-			x := NewExactEC(env)
-			x.Step = 5
-			x.OpBudget = 5e5
-			v, err := x.Evaluate(slackStateAt(env, frac, 1000))
-			res := fmt.Sprintf("%016x", math.Float64bits(float64(v)))
-			if errors.Is(err, ErrBudget) {
-				res = "budget"
-			} else if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&b, "exact %s slack=%.1f exact=%s ops=%d\n", job.Name, frac, res, x.Ops())
+			cases = append(cases, func() string {
+				x := NewExactEC(env)
+				x.Step = 5
+				x.OpBudget = 5e5
+				v, err := x.Evaluate(slackStateAt(env, frac, 1000))
+				res := fmt.Sprintf("%016x", math.Float64bits(float64(v)))
+				if errors.Is(err, ErrBudget) {
+					res = "budget"
+				} else if err != nil {
+					t.Error(err)
+				}
+				return fmt.Sprintf("exact %s slack=%.1f exact=%s ops=%d\n", job.Name, frac, res, x.Ops())
+			})
 		}
 	}
-	return []byte(b.String())
+	return cases
 }
 
-// TestGoldenDecisions renders the grid with NewSlackAware and with a
-// zero-value SlackAware, whose unset fields mean the same defaults:
-// both must reproduce the golden file.
+// goldenDecisions runs the golden cases in file order, or in a random
+// order drawn from seed when it is nonzero, and renders them in file
+// order.
+func goldenDecisions(t testing.TB, newP func(*Env) *SlackAware, seed int64) []byte {
+	cases := goldenCases(t, newP)
+	perm := make([]int, len(cases))
+	for i := range perm {
+		perm[i] = i
+	}
+	if seed != 0 {
+		perm = rand.New(rand.NewSource(seed)).Perm(len(cases))
+	}
+	out := make([]string, len(cases))
+	for _, i := range perm {
+		out[i] = cases[i]()
+	}
+	return []byte(strings.Join(out, ""))
+}
+
+// TestGoldenDecisions renders the grid with NewSlackAware, with a
+// SlackAware literal that sets only Env, and in a seeded random order:
+// each must reproduce the golden file. The shuffled run decides on the
+// same shared Envs as the others, so it checks that the EC table a
+// decision reads does not depend on which decisions filled it first.
 func TestGoldenDecisions(t *testing.T) {
 	path := filepath.Join("testdata", "decisions.golden")
 	if *updateDecisions {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, goldenDecisions(t, NewSlackAware), 0o644); err != nil {
+		if err := os.WriteFile(path, goldenDecisions(t, NewSlackAware, 0), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -180,16 +206,19 @@ func TestGoldenDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update-decisions)", err)
 	}
+	literal := func(env *Env) *SlackAware { return &SlackAware{Env: env} }
 	for _, tc := range []struct {
 		name string
 		newP func(*Env) *SlackAware
+		seed int64
 	}{
-		{"NewSlackAware", NewSlackAware},
-		{"zero value", func(env *Env) *SlackAware { return &SlackAware{Env: env} }},
+		{"NewSlackAware", NewSlackAware, 0},
+		{"zero value", literal, 0},
+		{"shuffled", NewSlackAware, 39},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			got := goldenDecisions(t, tc.newP)
+			got := goldenDecisions(t, tc.newP, tc.seed)
 			if string(got) == string(want) {
 				return
 			}

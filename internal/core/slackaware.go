@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"hourglass/internal/units"
 )
@@ -12,85 +13,51 @@ import (
 // of §5.3 — on success a configuration keeps running through
 // consecutive checkpoint intervals, and the failure integral collapses
 // to a single evaluation at the configuration's MTTF.
+//
+// Every SlackAware of one Env prices through the Env's shared EC table
+// (see ecTable), so building one per job or per run is cheap and a
+// decision after the first few for a job kind is a table read.
 type SlackAware struct {
 	Env *Env
-	// OpBudget caps branch evaluations per decision; beyond it the
-	// conservative last-resort cost is substituted (0 = 2e6). It is
-	// part of the model, not only a safety net: on long horizons — a
-	// GraphColoring decision at slack 3 — the budget binds, and the
-	// substituted costs change what is decided.
-	OpBudget int64
 	// WarningWindow enables the §9 extension: when the provider warns
 	// this long before evictions and the window fits a checkpoint,
 	// the failure branch credits the progress made before the eviction
 	// instead of assuming total loss.
 	WarningWindow units.Seconds
-
-	// LastOps reports the evaluations used by the most recent decision.
-	LastOps int64
-
-	// scratch holds the recursion's memo table and is reused across
-	// Decide calls within one job run: the memoised recursion depends
-	// only on absolute time, work and the deadline (deep levels price
-	// at historical averages), so entries stay valid while the deadline
-	// is unchanged.
-	scratch      *awScratch
-	scratchDL    units.Seconds
-	scratchValid bool
 }
 
-// NewSlackAware builds the strategy with default discretisation.
+// NewSlackAware builds the strategy.
 func NewSlackAware(env *Env) *SlackAware {
-	return &SlackAware{Env: env, OpBudget: 2e6}
+	return &SlackAware{Env: env}
 }
 
-// minFailStep bounds how little slack a simulated failure consumes; it
-// guarantees the recursion terminates.
+// minFailStep bounds how little slack a simulated failure consumes.
 const minFailStep units.Seconds = 60
+
+// minUseful is the shortest useful interval worth deploying for: a
+// configuration that cannot compute this long before it must yield to
+// the last resort is not viable. It is the paper's finest price
+// granularity, and it ends every kept chain (each step burns at least
+// this much of the horizon).
+const minUseful units.Seconds = 1
+
+// workCols is the number of work buckets per unit of work in the EC
+// table.
+const workCols = 200
 
 // Name implements Provisioner.
 func (p *SlackAware) Name() string { return "hourglass" }
 
-// awScratch is the working state of one job's decisions. Its memo table
-// holds EC(t,w) and the kept-configuration branches EC(t,w)|c on one
-// grid: time buckets of max(60 s, horizon/200) and work buckets of
-// 1/200, fixed for the horizon the scratch was made for, which keeps
-// the dynamic program near-constant cost regardless of job length.
-type awScratch struct {
-	memo       memoTable
-	ops        int64
-	budget     int64
-	timeBucket units.Seconds
-	workBucket float64
-}
-
-func (p *SlackAware) newScratch(horizon units.Seconds) *awScratch {
-	budget := p.OpBudget
-	if budget == 0 {
-		budget = 2e6
-	}
-	return &awScratch{budget: budget, timeBucket: units.Max(60, horizon/200), workBucket: 1.0 / 200}
-}
-
-// key is the grid cell of (t, w, uptime) in slot (0 for EC(t,w), c+1
-// for configuration c's kept branch).
-func (sc *awScratch) key(slot int, t units.Seconds, w float64, uptime units.Seconds) memoKey {
-	return memoKey{slot: int64(slot), t: int64(t / sc.timeBucket), w: int64(w / sc.workBucket),
-		u: int64(uptime / sc.timeBucket)}
-}
-
 // Decide implements Provisioner: evaluate EC(t,w)|c for every feasible
 // configuration (continuing the current one counts its lower overhead)
 // and return the argmin. The last-resort configuration is always a
-// candidate, so a decision always exists.
+// candidate, so a decision always exists. The root is exact: it sees
+// live prices, availability and the current uptime, and only the
+// follow-up costs after an eviction come from the shared table.
 func (p *SlackAware) Decide(s State) (Decision, error) {
-	if !p.scratchValid || p.scratchDL != s.Deadline {
-		p.scratch = p.newScratch(s.Horizon())
-		p.scratchDL = s.Deadline
-		p.scratchValid = true
-	}
-	sc := p.scratch
-	sc.ops = 0
+	t := p.Env.ecTable(p.WarningWindow)
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	best := Decision{ExpectedCost: Infeasible}
 	for i := range p.Env.Stats {
 		cs := &p.Env.Stats[i]
@@ -108,10 +75,9 @@ func (p *SlackAware) Decide(s State) (Decision, error) {
 		}
 		// Immediate intervals are priced at the current market rate
 		// (§5.1 "the price charged by the service provider at the
-		// provisioning moment"); deeper recursion uses historical
-		// averages.
+		// provisioning moment"); later ones use historical averages.
 		rate := p.Env.CurrentRate(cs, s.Now)
-		cost := p.branchCost(sc, i, s.Now, s.WorkLeft, s.Deadline, uptime, fresh, rate, 0)
+		cost := t.branch(cs, s.Horizon(), s.WorkLeft, uptime, fresh, rate, math.MaxInt)
 		if cost < best.ExpectedCost ||
 			(cost == best.ExpectedCost && !best.KeepCurrent && !fresh) {
 			best = Decision{
@@ -128,7 +94,6 @@ func (p *SlackAware) Decide(s State) (Decision, error) {
 			}
 		}
 	}
-	p.LastOps = sc.ops
 	if math.IsInf(float64(best.ExpectedCost), 1) {
 		// No transient plan fits: fall back to the last resort.
 		keep := s.Current != nil && s.Current.ID() == p.Env.LRC.Config.ID()
@@ -146,47 +111,95 @@ func (p *SlackAware) Decide(s State) (Decision, error) {
 // average prices (the apples-to-apples quantity Figure 9 compares
 // against the exact integral).
 func (p *SlackAware) Evaluate(s State) units.USD {
-	sc := p.newScratch(s.Horizon())
-	v := p.ecFull(sc, s.Now, s.WorkLeft, s.Deadline, 0)
-	p.LastOps = sc.ops
-	return v
+	t := p.Env.ecTable(p.WarningWindow)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.best(s.Horizon(), s.WorkLeft, math.MaxInt)
 }
 
-// maxRecursion caps recursion depth as a safety net.
-const maxRecursion = 4096
+// ecTable is EC(h, w) for a fresh decision with horizon h = deadline − t
+// and work w left, one per Env and eviction-warning window, filled
+// lazily and shared by every decision on the Env. Below the root the
+// §5.3 recursion depends only on h, w and the uptime, and the uptime of
+// a fresh choice is 0, so the table needs neither the absolute time nor
+// an uptime dimension: kept configurations walk their chain exactly
+// (branch) and only fresh choices after an eviction read the table.
+//
+// Node (i, j) holds EC(i·bucket, j/workCols), priced at that point. A
+// node's failure branches read the nearest node on a strictly lower
+// row, so a fill never revisits its own row: it terminates without a
+// cycle seed, and its value does not depend on which decision asked
+// first.
+type ecTable struct {
+	env     *Env
+	warning units.Seconds
+	bucket  units.Seconds
 
-// branchCost computes EC(t,w)|c (§5.2 cases 3 and 4) under the §5.3
-// approximation. Depth-0 calls use live market rates and are not
-// memoised. Below the root only kept-configuration branches are: a
-// fresh branch there is reached only from ecFull, which memoises the
-// same (t, w) cell before it prices its branches.
-func (p *SlackAware) branchCost(sc *awScratch, idx int, t units.Seconds, w float64,
-	deadline units.Seconds, uptime units.Seconds, fresh bool, rate units.USD, depth int) units.USD {
+	mu    sync.Mutex
+	nodes []units.USD // row-major, workCols+1 per row; NaN = not filled
+}
+
+// newECTable sizes the horizon grid by the job: 200 rows span a
+// zero-slack deadline, and never less than a minute each.
+func newECTable(env *Env, warning units.Seconds) *ecTable {
+	return &ecTable{env: env, warning: warning,
+		bucket: units.Max(60, (env.LRC.Fixed+env.LRC.Exec)/200)}
+}
+
+// best is EC(h,w): the cheapest configuration chosen fresh at (h, w),
+// priced at historical averages, or the last resort when none fits.
+// Its failure branches read rows up to maxRow.
+func (t *ecTable) best(h units.Seconds, w float64, maxRow int) units.USD {
 	if w <= 0 {
 		return 0
 	}
-	sc.ops++
-	if depth > maxRecursion || sc.ops > sc.budget {
-		return p.Env.LRCFinishCost(w)
+	best := Infeasible
+	for i := range t.env.Stats {
+		cs := &t.env.Stats[i]
+		if c := t.branch(cs, h, w, 0, true, cs.AvgRate, maxRow); c < best {
+			best = c
+		}
 	}
-	if depth == 0 || fresh {
-		return p.branchCostUncached(sc, idx, t, w, deadline, uptime, fresh, rate, depth)
+	if math.IsInf(float64(best), 1) {
+		best = t.env.LRCFinishCost(w)
 	}
-	k := sc.key(idx+1, t, w, uptime)
-	if v, ok := sc.memo.get(k); ok {
+	return best
+}
+
+// lookup is EC at the node nearest (h, w), on row maxRow at most.
+func (t *ecTable) lookup(h units.Seconds, w float64, maxRow int) units.USD {
+	j := int(math.Round(w * workCols))
+	if j <= 0 {
+		return 0
+	}
+	j = min(j, workCols)
+	i := min(int(math.Round(float64(h/t.bucket))), maxRow)
+	i = max(i, 0)
+	const width = workCols + 1
+	for len(t.nodes) < (i+1)*width {
+		t.nodes = append(t.nodes, units.USD(math.NaN()))
+	}
+	if v := t.nodes[i*width+j]; !math.IsNaN(float64(v)) {
 		return v
 	}
-	// Conservative seed breaks cycles introduced by bucketing.
-	sc.memo.put(k, p.Env.LRCFinishCost(w))
-	v := p.branchCostUncached(sc, idx, t, w, deadline, uptime, fresh, rate, depth)
-	sc.memo.put(k, v)
+	v := t.best(units.Seconds(i)*t.bucket, float64(j)/workCols, i-1)
+	t.nodes[i*width+j] = v
 	return v
 }
 
-func (p *SlackAware) branchCostUncached(sc *awScratch, idx int, t units.Seconds, w float64,
-	deadline units.Seconds, uptime units.Seconds, fresh bool, rate units.USD, depth int) units.USD {
-	cs := &p.Env.Stats[idx]
-	st := State{Now: t, WorkLeft: w, Deadline: deadline}
+// branch computes EC(h,w)|c (§5.2 cases 3 and 4) under the §5.3
+// approximation: cs deployed fresh (or kept, with the given uptime),
+// its first interval billed at rate. On success a transient
+// configuration keeps running, so the success branch is a chain of
+// checkpoint intervals walked exactly; each interval's failure branch
+// is evaluated once at the MTTF and continues with a fresh decision
+// read from the table, on a row no higher than maxRow.
+func (t *ecTable) branch(cs *ConfigStats, h units.Seconds, w float64,
+	uptime units.Seconds, fresh bool, rate units.USD, maxRow int) units.USD {
+	e := t.env
+	if w <= 0 {
+		return 0
+	}
 	if !cs.Config.Transient {
 		// Case 3: on-demand — deterministic completion. We also charge
 		// the boot/load overhead (machines bill from boot), a small
@@ -196,83 +209,63 @@ func (p *SlackAware) branchCostUncached(sc *awScratch, idx int, t units.Seconds,
 			overhead = cs.Fixed
 		}
 		total := float64(overhead) + w*float64(cs.Exec)
-		if units.Seconds(total) > st.Horizon() {
+		if units.Seconds(total) > h {
 			return Infeasible
 		}
 		return units.USD(float64(rate) * total)
 	}
-	// Case 4: transient.
-	useful := p.Env.Useful(cs, st, fresh)
-	if useful <= 0 {
-		return Infeasible
-	}
-	setup := units.Seconds(0)
-	if fresh {
-		setup = cs.Boot + cs.Load
-	}
-	tint := setup + useful + cs.Save
-	pFail := p.Env.EvictionProb(cs, uptime, tint)
-	progress := p.Env.progress(cs, useful)
-
-	// Success branch: keep running this configuration (approximation:
-	// reconfigurations not due to evictions are rare).
-	wNext := w - progress
-	succTail := p.branchCost(sc, idx, t+tint, wNext, deadline, uptime+tint, false, cs.AvgRate, depth+1)
-	if math.IsInf(float64(succTail), 1) && wNext > 0 {
-		// Continuing c is no longer viable: finish on the last resort.
-		succTail = p.Env.LRCFinishCost(wNext)
-	}
-	succ := units.USD(float64(rate)*float64(tint)) + succTail
-
-	// Failure branch, evaluated once at the MTTF (not integrated): the
-	// work since the last checkpoint is lost, time burns, and a fresh
-	// decision is made. With an eviction warning long enough to fit an
-	// emergency checkpoint (§9), the progress up to the eviction is
-	// credited instead.
-	failAt := units.Clamp(cs.MTTF-uptime, minFailStep, tint)
-	wAtFail := w
-	if p.WarningWindow >= cs.Save {
-		computeTime := units.Clamp(failAt-setup, 0, useful)
-		wAtFail = w - cs.Omega*float64(computeTime)/float64(p.Env.LRC.Exec)
-		if wAtFail < 0 {
-			wAtFail = 0
+	// Case 4: transient. cost accumulates the chain's expected spend;
+	// reach is the probability that every earlier interval succeeded.
+	var cost float64
+	reach := 1.0
+	fUp := cs.evictionCDF(uptime)
+	for first := true; ; first = false {
+		useful := e.Useful(cs, State{WorkLeft: w, Deadline: h}, fresh)
+		if useful < minUseful {
+			if first {
+				return Infeasible
+			}
+			// Continuing c is no longer viable: finish on the last
+			// resort.
+			return units.USD(cost + reach*float64(e.LRCFinishCost(w)))
 		}
-	}
-	fail := units.USD(float64(rate)*float64(failAt)) + p.ecFull(sc, t+failAt, wAtFail, deadline, depth+1)
-
-	return units.USD(pFail*float64(fail) + (1-pFail)*float64(succ))
-}
-
-// ecFull is EC(t,w): the cost of the best configuration chosen fresh
-// at (t,w), memoised on a discretised grid. Used for post-eviction
-// follow-up costs, where current prices are unknowable and historical
-// averages are used instead.
-func (p *SlackAware) ecFull(sc *awScratch, t units.Seconds, w float64,
-	deadline units.Seconds, depth int) units.USD {
-	if w <= 0 {
-		return 0
-	}
-	sc.ops++
-	if depth > maxRecursion || sc.ops > sc.budget {
-		return p.Env.LRCFinishCost(w)
-	}
-	k := sc.key(0, t, w, 0)
-	if v, ok := sc.memo.get(k); ok {
-		return v
-	}
-	// Seed with the last-resort cost so cycles resolve conservatively.
-	sc.memo.put(k, p.Env.LRCFinishCost(w))
-	best := Infeasible
-	for i := range p.Env.Stats {
-		cs := &p.Env.Stats[i]
-		c := p.branchCost(sc, i, t, w, deadline, 0, true, cs.AvgRate, depth+1)
-		if c < best {
-			best = c
+		setup := units.Seconds(0)
+		if fresh {
+			setup = cs.Boot + cs.Load
 		}
+		tint := setup + useful + cs.Save
+		fEnd := cs.evictionCDF(uptime + tint)
+		pFail := 1.0
+		if fUp < 1 {
+			pFail = (fEnd - fUp) / (1 - fUp)
+		}
+
+		// Failure branch, evaluated once at the MTTF (not integrated):
+		// the work since the last checkpoint is lost, time burns, and a
+		// fresh decision is made. With an eviction warning long enough
+		// to fit an emergency checkpoint (§9), the progress up to the
+		// eviction is credited instead.
+		failAt := units.Clamp(cs.MTTF-uptime, minFailStep, tint)
+		wAtFail := w
+		if t.warning >= cs.Save {
+			computeTime := units.Clamp(failAt-setup, 0, useful)
+			wAtFail = math.Max(w-cs.Omega*float64(computeTime)/float64(e.LRC.Exec), 0)
+		}
+		fail := float64(rate)*float64(failAt) + float64(t.lookup(h-failAt, wAtFail, maxRow))
+		cost += reach * (pFail*fail + (1-pFail)*float64(rate)*float64(tint))
+		reach *= 1 - pFail
+
+		// Success branch: keep running this configuration
+		// (approximation: reconfigurations not due to evictions are
+		// rare). An interval that covers the remaining work finishes it.
+		if useful >= units.Seconds(w*float64(cs.Exec)) {
+			return units.USD(cost)
+		}
+		w -= e.progress(cs, useful)
+		h -= tint
+		uptime += tint
+		fUp = fEnd
+		fresh = false
+		rate = cs.AvgRate
 	}
-	if math.IsInf(float64(best), 1) {
-		best = p.Env.LRCFinishCost(w)
-	}
-	sc.memo.put(k, best)
-	return best
 }
