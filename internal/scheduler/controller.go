@@ -149,6 +149,13 @@ type Controller struct {
 	mu   sync.Mutex
 	jobs map[string]*jobEntry
 	seq  int
+	// active counts the entries of jobs that are not done; pending
+	// holds those that can still dispatch (not queued, cancelled or
+	// exhausted), the only ones the scheduling loop visits. Both are
+	// kept by insertLocked, removeLocked and refileLocked, so neither
+	// a request nor the loop scans the whole table.
+	active  int
+	pending map[string]*jobEntry
 
 	wake     chan struct{}
 	tasks    chan task
@@ -200,6 +207,7 @@ func New(opts Options) (*Controller, error) {
 		logf:         opts.Logf,
 		metrics:      NewMetrics(),
 		jobs:         map[string]*jobEntry{},
+		pending:      map[string]*jobEntry{},
 		wake:         make(chan struct{}, 1),
 		tasks:        make(chan task, opts.QueueDepth),
 		stop:         make(chan struct{}),
@@ -275,9 +283,8 @@ func (c *Controller) Submit(spec JobSpec) (JobStatus, error) {
 		e.queued = true
 		e.queuedAt = now
 	}
-	c.jobs[spec.ID] = e
+	c.insertLocked(e)
 	st := c.statusLocked(e)
-	c.metrics.SetGauge(MetricJobsActive, float64(c.activeLocked()))
 	c.mu.Unlock()
 
 	if c.gate != nil {
@@ -313,8 +320,7 @@ func (c *Controller) admit(e *jobEntry, spec JobSpec, deadline, horizon units.Se
 	defer c.mu.Unlock()
 	if err != nil {
 		if cur, ok := c.jobs[spec.ID]; ok && cur == e {
-			delete(c.jobs, spec.ID)
-			c.metrics.SetGauge(MetricJobsActive, float64(c.activeLocked()))
+			c.removeLocked(e)
 		}
 		c.logf("scheduler: rejected %s (tenant=%s): %v", spec.ID, spec.TenantOrDefault(), err)
 		return JobStatus{}, err
@@ -335,6 +341,7 @@ func (c *Controller) admit(e *jobEntry, spec JobSpec, deadline, horizon units.Se
 		e.queued = false
 		e.deployment = out.Deployment
 		e.nextRun = now
+		c.refileLocked(e)
 	}
 	return c.statusLocked(e), nil
 }
@@ -351,6 +358,7 @@ func (c *Controller) activatePromotionsLocked(promos []admission.Promotion, now 
 		e.queued = false
 		e.deployment = p.Deployment
 		e.nextRun = now
+		c.refileLocked(e)
 		c.logf("scheduler: promoted %s onto %s after %.0fs in queue", p.JobID, p.Deployment, p.WaitSeconds)
 	}
 }
@@ -381,13 +389,12 @@ func (c *Controller) Delete(id string) bool {
 	c.mu.Lock()
 	e, ok := c.jobs[id]
 	if ok {
+		c.removeLocked(e)
 		e.cancelled = true
-		delete(c.jobs, id)
 		if c.gate != nil {
 			promos := c.gate.Release(id, now)
 			c.activatePromotionsLocked(promos, now)
 		}
-		c.metrics.SetGauge(MetricJobsActive, float64(c.activeLocked()))
 	}
 	c.mu.Unlock()
 	if ok {
@@ -469,15 +476,36 @@ func (c *Controller) kick() {
 	}
 }
 
-// activeLocked counts not-done jobs; callers hold c.mu.
-func (c *Controller) activeLocked() int {
-	n := 0
-	for _, e := range c.jobs {
-		if !e.done() {
-			n++
-		}
+// insertLocked adds e to the job table; callers hold c.mu.
+func (c *Controller) insertLocked(e *jobEntry) {
+	c.jobs[e.spec.ID] = e
+	if !e.done() {
+		c.active++
+		c.metrics.SetGauge(MetricJobsActive, float64(c.active))
 	}
-	return n
+	c.refileLocked(e)
+}
+
+// removeLocked drops e from the job table, before any change that
+// would mark it done; callers hold c.mu.
+func (c *Controller) removeLocked(e *jobEntry) {
+	delete(c.jobs, e.spec.ID)
+	delete(c.pending, e.spec.ID)
+	if !e.done() {
+		c.active--
+		c.metrics.SetGauge(MetricJobsActive, float64(c.active))
+	}
+}
+
+// refileLocked puts e in the scheduling loop's pending set while it can
+// still dispatch and takes it out once it cannot; callers hold c.mu and
+// call it after changing e's queued, cancelled or dispatched state.
+func (c *Controller) refileLocked(e *jobEntry) {
+	if e.queued || e.cancelled || e.exhausted() {
+		delete(c.pending, e.spec.ID)
+	} else {
+		c.pending[e.spec.ID] = e
+	}
 }
 
 // loop is the scheduling goroutine: dispatch everything due, then
@@ -513,25 +541,22 @@ func (c *Controller) loop() {
 // collectDue advances every due job's schedule, returning the tasks
 // to dispatch and the earliest future recurrence time. A job whose
 // schedule fell behind (daemon restart, long advance of a virtual
-// clock) catches up: every missed recurrence is dispatched.
+// clock) catches up: every missed recurrence is dispatched. Only the
+// pending set is visited: queued jobs wait for a promotion (which
+// resets nextRun), and done or exhausted ones never dispatch again.
 func (c *Controller) collectDue() (due []task, next time.Time, hasNext bool) {
 	now := c.clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range c.jobs {
-		if e.queued {
-			// Waiting for admission capacity; promotion resets nextRun.
-			continue
-		}
-		for !e.cancelled && !e.exhausted() && !e.nextRun.After(now) {
+	for _, e := range c.pending {
+		for !e.exhausted() && !e.nextRun.After(now) {
 			due = append(due, task{id: e.spec.ID, index: e.dispatched, scheduledAt: e.nextRun})
 			e.dispatched++
 			e.nextRun = e.nextRun.Add(time.Duration(e.spec.Period))
 		}
-		if !e.cancelled && !e.exhausted() {
-			if !hasNext || e.nextRun.Before(next) {
-				next, hasNext = e.nextRun, true
-			}
+		c.refileLocked(e)
+		if !e.exhausted() && (!hasNext || e.nextRun.Before(next)) {
+			next, hasNext = e.nextRun, true
 		}
 	}
 	sort.Slice(due, func(i, j int) bool {
@@ -642,7 +667,8 @@ func (c *Controller) execute(t task) {
 		e.history = e.history[len(e.history)-c.historyLimit:]
 	}
 	if e.done() {
-		c.metrics.SetGauge(MetricJobsActive, float64(c.activeLocked()))
+		c.active--
+		c.metrics.SetGauge(MetricJobsActive, float64(c.active))
 		c.logf("scheduler: %s completed all %d runs (norm cost %.2f×OD, %d missed)",
 			t.id, e.completed, e.agg.MeanNormCost, e.agg.Missed)
 		if c.gate != nil {

@@ -137,7 +137,7 @@ func (c *Controller) handleHistory(w http.ResponseWriter, r *http.Request) {
 
 func (c *Controller) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	c.mu.Lock()
-	jobs, active := len(c.jobs), c.activeLocked()
+	jobs, active := len(c.jobs), c.active
 	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",

@@ -215,9 +215,8 @@ func (c *Controller) restore() error {
 			// A pre-admission snapshot entry (no deployment, not queued)
 			// keeps running unpacked; Release tolerates it.
 		}
-		c.jobs[sj.Spec.ID] = e
+		c.insertLocked(e)
 	}
-	c.metrics.SetGauge(MetricJobsActive, float64(c.activeLocked()))
 	c.logf("scheduler: restored %d jobs from %s (saved %v)",
 		len(state.Jobs), c.snapshotKey, state.SavedAt)
 	return nil
