@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -317,4 +318,54 @@ func TestArrivalSoak(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A submission may carry any deadline. Pricing it fills the job kind's
+// shared EC table, whose size must not follow the deadline: a one-year
+// GraphColoring deadline is priced in bounded time and memory (without
+// the table's row cap it needs ~440k rows, ~700 MB).
+func TestHugeDeadlineSubmitIsBounded(t *testing.T) {
+	sys, err := hourglass.New(hourglass.Options{Seed: 11, TraceDays: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := scheduler.New(scheduler.Options{
+		Backend:    instantBackend{scheduler.SystemBackend{Sys: sys}},
+		Clock:      scheduler.NewVirtualClock(epoch),
+		Workers:    1,
+		QueueDepth: 8,
+		Seed:       11,
+		Admission:  &admission.Config{MaxDeployments: 2, QueueDepth: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Shutdown(testContext(t))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	st, err := ctrl.Submit(scheduler.JobSpec{
+		ID:       "gc-year",
+		Kind:     hourglass.GC,
+		Strategy: hourglass.StrategyHourglass,
+		Deadline: scheduler.Duration(365 * 24 * time.Hour),
+		Period:   scheduler.Duration(time.Hour),
+		Runs:     1,
+	})
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Queued || st.Deployment == "" {
+		t.Errorf("one-year job not admitted onto a deployment: %+v", st)
+	}
+	if took > 10*time.Second {
+		t.Errorf("one-year Submit took %v, want well under 10s", took)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc > 64<<20 {
+		t.Errorf("one-year Submit allocated %d MB, want under 64 MB", alloc>>20)
+	}
+	t.Logf("one-year Submit: %v, %.1f MB allocated", took, float64(alloc)/(1<<20))
 }

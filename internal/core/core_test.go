@@ -180,8 +180,8 @@ func TestSlackAwareDecisionTimeIsMilliseconds(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := time.Since(start)
-	if cold > 30*time.Second {
-		t.Errorf("cold decision took %v, want well under 30s", cold)
+	if cold > 10*time.Second {
+		t.Errorf("cold decision took %v, want well under 10s", cold)
 	}
 	start = time.Now()
 	if _, err := NewSlackAware(env).Decide(s); err != nil {
@@ -189,6 +189,38 @@ func TestSlackAwareDecisionTimeIsMilliseconds(t *testing.T) {
 	}
 	if warm := time.Since(start); warm > 50*time.Millisecond {
 		t.Errorf("warm decision took %v, want under 50ms (cold took %v)", warm, cold)
+	}
+}
+
+// A caller may ask for any deadline; the EC table's size and its
+// fill's depth must not follow it. A one-year GC horizon would need
+// ~440k rows without the row cap.
+func TestSlackAwareHugeHorizonIsBounded(t *testing.T) {
+	env := testEnv(t, perfmodel.JobGC)
+	s := State{Now: 1000, WorkLeft: 1, Deadline: 1000 + 365*24*3600}
+	start := time.Now()
+	dec, err := NewSlackAware(env).Decide(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("one-year decision took %v, want well under 10s", d)
+	}
+	tab := env.ecTable(0)
+	if rows := len(tab.nodes) / (workCols + 1); rows > maxRows+1 {
+		t.Errorf("EC table has %d rows, want at most %d", rows, maxRows+1)
+	}
+	if !dec.Config.Transient || math.IsInf(float64(dec.ExpectedCost), 1) {
+		t.Errorf("one-year decision %s (EC %v), want a priced transient plan", dec.Config.ID(), dec.ExpectedCost)
+	}
+	var cs *ConfigStats
+	for i := range env.Stats {
+		if env.Stats[i].Config.ID() == dec.Config.ID() {
+			cs = &env.Stats[i]
+		}
+	}
+	if want := env.Useful(cs, s, true); dec.MaxRun != want {
+		t.Errorf("MaxRun %v, want the exact useful interval %v", dec.MaxRun, want)
 	}
 }
 

@@ -45,6 +45,16 @@ const minUseful units.Seconds = 1
 // table.
 const workCols = 200
 
+// maxRows caps the EC table's horizon at a slack-3 deadline (four
+// zero-slack deadlines of 200 rows each; longer for jobs whose bucket
+// is the one-minute floor). A longer horizon reads the node on the
+// cap: a plan priced for the shorter horizon also meets the longer
+// one, and the root walks its own chain at the exact horizon, so
+// MaxRun stays exact. The cap bounds the table (801 rows of 201
+// values) and the fill's recursion (one level per row) whatever
+// deadline a caller asks for.
+const maxRows = 4 * workCols
+
 // Name implements Provisioner.
 func (p *SlackAware) Name() string { return "hourglass" }
 
@@ -166,15 +176,17 @@ func (t *ecTable) best(h units.Seconds, w float64, maxRow int) units.USD {
 	return best
 }
 
-// lookup is EC at the node nearest (h, w), on row maxRow at most.
+// lookup is EC at the node nearest (h, w), on row min(maxRow, maxRows)
+// at most.
 func (t *ecTable) lookup(h units.Seconds, w float64, maxRow int) units.USD {
 	j := int(math.Round(w * workCols))
 	if j <= 0 {
 		return 0
 	}
 	j = min(j, workCols)
-	i := min(int(math.Round(float64(h/t.bucket))), maxRow)
-	i = max(i, 0)
+	// Clamp in floating point: a huge horizon must not overflow int.
+	r := math.Min(math.Round(float64(h/t.bucket)), float64(min(maxRow, maxRows)))
+	i := max(int(r), 0)
 	const width = workCols + 1
 	for len(t.nodes) < (i+1)*width {
 		t.nodes = append(t.nodes, units.USD(math.NaN()))
