@@ -25,6 +25,12 @@ var arrivalsSeedBase = flag.Int64("arrivals-seed-base", 1000, "base seed for the
 
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
+// arrivalWindow is how many accepted jobs may be unfinished when the
+// next arrival is submitted (see driveArrivals). It is under both
+// tests' admission queue depth, so a queue never overflows, and it is
+// large enough that deployments fill and jobs queue.
+const arrivalWindow = 10
+
 // eventLog is a concurrency-safe obs sink.
 type eventLog struct {
 	mu     sync.Mutex
@@ -81,8 +87,13 @@ type stressOutcome struct {
 // advancing the virtual clock to each arrival instant. Infeasible
 // arrivals carry an explicit deadline under the per-kind feasibility
 // bound; every such submission must come back as InfeasibleError.
+//
+// Recurrences release their deployment shares when they finish on the
+// wall clock, so an arrival waits until at most window accepted jobs
+// are unfinished: the outcome mix then follows the window, not how
+// fast pricing lets the submitter outrun the worker pool.
 func driveArrivals(t *testing.T, ctrl *scheduler.Controller, vc *scheduler.VirtualClock,
-	sys *hourglass.System, arr []arrivals.Arrival, label string) stressOutcome {
+	sys *hourglass.System, arr []arrivals.Arrival, label string, window int) stressOutcome {
 	t.Helper()
 	required := map[string]units.Seconds{}
 	for _, k := range []hourglass.JobKind{hourglass.SSSP, hourglass.PageRank, hourglass.GC} {
@@ -97,7 +108,18 @@ func driveArrivals(t *testing.T, ctrl *scheduler.Controller, vc *scheduler.Virtu
 
 	out := stressOutcome{tenantsSeen: map[string]bool{}}
 	var last time.Duration
+	var unfinished []string
 	for i, a := range arr {
+		waitFor(t, "the arrival window", func() bool {
+			keep := unfinished[:0]
+			for _, id := range unfinished {
+				if st, ok := ctrl.Get(id); ok && !st.Done {
+					keep = append(keep, id)
+				}
+			}
+			unfinished = keep
+			return len(unfinished) <= window
+		})
 		vc.Advance(a.At - last)
 		last = a.At
 		spec := scheduler.JobSpec{
@@ -135,6 +157,7 @@ func driveArrivals(t *testing.T, ctrl *scheduler.Controller, vc *scheduler.Virtu
 			out.queued++
 			out.tenantsSeen[a.Tenant] = true
 			out.submittedJobs++
+			unfinished = append(unfinished, spec.ID)
 		default:
 			if a.Infeasible {
 				t.Fatalf("infeasible arrival %d admitted (deadline %v, required %v)",
@@ -146,6 +169,7 @@ func driveArrivals(t *testing.T, ctrl *scheduler.Controller, vc *scheduler.Virtu
 			out.admitted++
 			out.tenantsSeen[a.Tenant] = true
 			out.submittedJobs++
+			unfinished = append(unfinished, spec.ID)
 		}
 		if a.Infeasible && err == nil {
 			t.Fatalf("infeasible arrival %d not rejected", i)
@@ -198,7 +222,7 @@ func TestOpenLoopStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := driveArrivals(t, ctrl, vc, sys, arr, "stress")
+	out := driveArrivals(t, ctrl, vc, sys, arr, "stress", arrivalWindow)
 
 	total := out.admitted + out.queued + out.rejectedInfeasible + out.rejectedOverflow
 	if !testing.Short() && total < 2000 {
@@ -210,6 +234,14 @@ func TestOpenLoopStress(t *testing.T) {
 	}
 	if out.rejectedInfeasible == 0 {
 		t.Fatal("stream produced no infeasible rejections")
+	}
+	// Both acceptance paths carry real traffic: most arrivals are
+	// packed at once, and a sizeable share waits in the queue for a
+	// promotion (about 2100 admitted, 320 queued of 2420 accepted).
+	accepted := out.admitted + out.queued
+	if out.rejectedOverflow != 0 || 2*out.admitted < accepted || 20*out.queued < accepted {
+		t.Errorf("outcome mix admitted %d, queued %d, overflow %d: want over half admitted, at least 5%% queued, no overflow",
+			out.admitted, out.queued, out.rejectedOverflow)
 	}
 
 	// Drain: every job left in the table has Runs=1, so completions
@@ -297,7 +329,7 @@ func TestArrivalSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := driveArrivals(t, ctrl, vc, sys, arr, "soak")
+			out := driveArrivals(t, ctrl, vc, sys, arr, "soak", arrivalWindow)
 			waitFor(t, "soak drain", func() bool {
 				for _, st := range ctrl.List() {
 					if !st.Done {
@@ -360,8 +392,10 @@ func TestHugeDeadlineSubmitIsBounded(t *testing.T) {
 	if st.Queued || st.Deployment == "" {
 		t.Errorf("one-year job not admitted onto a deployment: %+v", st)
 	}
-	if took > 10*time.Second {
-		t.Errorf("one-year Submit took %v, want well under 10s", took)
+	// A slack-3 deadline's fill: about 1.5 s, 15 s under -race. The
+	// uncapped fill takes many minutes.
+	if took > time.Minute {
+		t.Errorf("one-year Submit took %v, want well under a minute", took)
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
 	if alloc > 64<<20 {

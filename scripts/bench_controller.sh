@@ -2,8 +2,8 @@
 # Controller-throughput benchmark harness (internal/admission
 # BenchmarkControllerThroughput: a seeded multi-tenant arrival stream
 # replayed into a gated scheduler controller — every decision runs the
-# real pricing machinery, runs complete instantly, so ns/op is the
-# admission path itself):
+# real pricing machinery, runs complete instantly and before the next
+# arrival, so ns/op is the admission path plus that run's hand-off):
 #
 #   scripts/bench_controller.sh [output.json]   # regenerate BENCH_CONTROLLER.json + BENCHMARK.md
 #   scripts/bench_controller.sh --check [ref]   # regression gate vs committed numbers
@@ -94,9 +94,11 @@ write_report() {
     echo "three-tenant arrival stream is replayed into a gated controller on"
     echo "the virtual clock, every submission priced against the live spot"
     echo "market, then packed onto a shared deployment, queued, or rejected."
-    echo "Runs complete instantly, so ns/decision is the controller's own"
+    echo "Runs complete instantly, and each admitted job's run finishes"
+    echo "before the next arrival, so ns/decision is the controller's own"
     echo "admission path — validate, price (one simulator decision pass),"
-    echo "pack — not graph execution."
+    echo "pack — plus the dispatch and completion of that run, not graph"
+    echo "execution."
     echo
     echo "Fixed workload: \`-benchtime ${bt}\` (same arrivals every run);"
     echo "recorded on ${goos}/${goarch}, ${cpu}."
