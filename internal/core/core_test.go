@@ -193,18 +193,15 @@ func TestSlackAwareDecisionTimeIsMilliseconds(t *testing.T) {
 }
 
 // A caller may ask for any deadline; the EC table's size and its
-// fill's depth must not follow it. A one-year GC horizon would need
-// ~440k rows without the row cap.
+// fill's depth must not follow it. A one-year horizon would need
+// ~525k one-minute rows without the row cap. (The admission tests
+// time a one-year GraphColoring Submit.)
 func TestSlackAwareHugeHorizonIsBounded(t *testing.T) {
-	env := testEnv(t, perfmodel.JobGC)
+	env := testEnv(t, perfmodel.JobPageRank)
 	s := State{Now: 1000, WorkLeft: 1, Deadline: 1000 + 365*24*3600}
-	start := time.Now()
 	dec, err := NewSlackAware(env).Decide(s)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 10*time.Second {
-		t.Errorf("one-year decision took %v, want well under 10s", d)
 	}
 	tab := env.ecTable(0)
 	if rows := len(tab.nodes) / (workCols + 1); rows > maxRows+1 {
