@@ -3,11 +3,11 @@
 // against the current market (the backend's Estimate consults the
 // same perfmodel/sim.Decide machinery the provisioner runs on): a
 // deadline that cannot be met even on the last-resort configuration
-// is rejected outright with a typed error; a feasible job is packed
-// onto a shared live deployment by first-fit-decreasing bin-packing
-// of EDF utilization shares, or parked in a bounded deadline-ordered
+// is rejected outright with a typed error; a feasible job is placed
+// first-fit, on arrival, onto a shared live deployment with room for
+// its EDF utilization share, or parked in a bounded deadline-ordered
 // wait queue when the deployment pool is saturated. Completions and
-// deletions release shares and promote waiters in deadline order.
+// deletions release shares and backfill waiters in deadline order.
 //
 // The gate is clock-free — callers pass `now` explicitly — so the
 // whole layer runs deterministically on the scheduler's virtual

@@ -44,36 +44,6 @@ func feasible(deadline, demand float64) Estimate {
 	}
 }
 
-func TestPackerFirstFitDecreasing(t *testing.T) {
-	p := NewPacker(8)
-	placed, unplaced := p.PlaceBatch([]PlaceItem{
-		{JobID: "a", ConfigID: "c1", Demand: 0.3},
-		{JobID: "b", ConfigID: "c1", Demand: 0.6},
-		{JobID: "c", ConfigID: "c1", Demand: 0.5},
-		{JobID: "d", ConfigID: "c1", Demand: 0.4},
-		{JobID: "e", ConfigID: "c1", Demand: 0.2},
-	})
-	if len(unplaced) != 0 {
-		t.Fatalf("unplaced: %v", unplaced)
-	}
-	// FFD order b(0.6) c(0.5) d(0.4) a(0.3) e(0.2): b→dep-0, c→dep-1,
-	// d→dep-0 (1.0), a→dep-1 (0.8), e→dep-1 (1.0). Two bins, both full.
-	if p.Live() != 2 {
-		t.Fatalf("FFD used %d deployments, want 2", p.Live())
-	}
-	if placed["b"] != placed["d"] {
-		t.Errorf("b and d should share: %s vs %s", placed["b"].ID, placed["d"].ID)
-	}
-	if placed["c"] != placed["a"] || placed["c"] != placed["e"] {
-		t.Errorf("c, a, e should share one deployment")
-	}
-	for _, d := range p.Deployments() {
-		if d.Used() > DeploymentCapacity+capacityEps {
-			t.Errorf("deployment %s over capacity: %f", d.ID, d.Used())
-		}
-	}
-}
-
 func TestPackerConfigClassesNeverShare(t *testing.T) {
 	p := NewPacker(8)
 	d1, ok1 := p.Place("a", "c1", 0.2)

@@ -48,10 +48,9 @@ func (d *Deployment) Residents() []string {
 	return out
 }
 
-// Packer assigns jobs to shared deployments by first-fit (single
-// placements) and first-fit-decreasing (batches) bin-packing, bounded
-// by a live-deployment pool limit. It is not safe for concurrent use;
-// the Gate serializes access.
+// Packer assigns jobs to shared deployments by first-fit bin-packing,
+// one job at a time, bounded by a live-deployment pool limit. It is
+// not safe for concurrent use; the Gate serializes access.
 type Packer struct {
 	maxDeployments int
 	seq            int
@@ -109,36 +108,6 @@ func (p *Packer) Place(jobID, configID string, demand float64) (*Deployment, boo
 	d := p.boot(configID)
 	p.seat(d, jobID, demand)
 	return d, true
-}
-
-// PlaceItem is one job in a batch placement.
-type PlaceItem struct {
-	JobID    string
-	ConfigID string
-	Demand   float64
-}
-
-// PlaceBatch packs a batch first-fit-decreasing: items sorted by
-// decreasing demand (job ID tie-break for determinism), each placed
-// first-fit. Items the pool cannot hold are returned unplaced, in
-// sorted order, for the caller to queue.
-func (p *Packer) PlaceBatch(items []PlaceItem) (placed map[string]*Deployment, unplaced []PlaceItem) {
-	sorted := append([]PlaceItem(nil), items...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Demand != sorted[j].Demand {
-			return sorted[i].Demand > sorted[j].Demand
-		}
-		return sorted[i].JobID < sorted[j].JobID
-	})
-	placed = map[string]*Deployment{}
-	for _, it := range sorted {
-		if d, ok := p.Place(it.JobID, it.ConfigID, it.Demand); ok {
-			placed[it.JobID] = d
-		} else {
-			unplaced = append(unplaced, it)
-		}
-	}
-	return placed, unplaced
 }
 
 // Release removes a job from its deployment, tearing the deployment

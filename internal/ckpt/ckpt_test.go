@@ -11,7 +11,6 @@ import (
 
 	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
-	"hourglass/internal/dist"
 	"hourglass/internal/engine"
 	"hourglass/internal/graph"
 	"hourglass/internal/units"
@@ -41,13 +40,13 @@ func keysOf(store cloud.BlobStore, prefix string) []string {
 // TestNamespacesDoNotNest: job "a-1" and job "a-1/b-2" share a store
 // and the prefix "ckpt/a-1/". Load, the fallback scan and the clear of
 // each must stay inside its own namespace, whichever writer's clear
-// (the manager's or dist.ClearJob) runs.
+// (the manager's or the dist runtime's direct ckpt.Clear) runs.
 func TestNamespacesDoNotNest(t *testing.T) {
 	clears := map[string]func(cloud.BlobStore, string) error{
 		"manager": func(store cloud.BlobStore, job string) error {
 			return (&engine.CheckpointManager{Store: store, Job: job}).Clear()
 		},
-		"dist.ClearJob": dist.ClearJob,
+		"ckpt.Clear": ckpt.Clear,
 	}
 	for name, clear := range clears {
 		t.Run(name, func(t *testing.T) {
@@ -186,8 +185,8 @@ func TestManifestFormatVersion(t *testing.T) {
 	if _, _, err := m.Load(); !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		t.Fatalf("Load over foreign-version manifests only: %v, want ErrNoCheckpoint", err)
 	}
-	if dist.LatestCheckpoint(store, "versioned") != 0 {
-		t.Fatal("dist sees a restorable checkpoint among foreign-version manifests")
+	if c, err := ckpt.Latest(store, "versioned"); !errors.Is(err, ckpt.ErrNoCheckpoint) {
+		t.Fatalf("ckpt.Latest over foreign-version manifests only: %v, %v; want ErrNoCheckpoint", c != nil, err)
 	}
 
 	// A fresh start checkpoints among them: its checkpoint restores
@@ -246,8 +245,8 @@ func TestPointerIsAManifestCopy(t *testing.T) {
 			if snap, _, err := m.Load(); err != nil || snap.Superstep != tc.want {
 				t.Fatalf("manager Load: superstep %v, %v; want %d", snap != nil && snap.Superstep == tc.want, err, tc.want)
 			}
-			if got := dist.LatestCheckpoint(store, job); got != tc.want {
-				t.Fatalf("dist.LatestCheckpoint = %d, want %d", got, tc.want)
+			if c, err := ckpt.Latest(store, job); err != nil || c.Superstep != tc.want {
+				t.Fatalf("ckpt.Latest: superstep %v, %v; want %d", c != nil && c.Superstep == tc.want, err, tc.want)
 			}
 		})
 	}

@@ -71,14 +71,9 @@ func BuildEvictionModel(traces TraceSet, samplesPerType int) (*EvictionModel, er
 	return m, nil
 }
 
-// CDF returns P(evicted before uptime) for the instance type: the
-// fraction of historical samples with uptime-until-eviction ≤ u.
-func (m *EvictionModel) CDF(name string, u units.Seconds) float64 {
-	return sampleCDF(m.samples[name], u)
-}
-
-// CDFFor resolves the instance type's CDF once: CDFFor(name)(u) equals
-// CDF(name, u) without looking the type up again on every call.
+// CDFFor returns the instance type's eviction CDF: CDFFor(name)(u) is
+// P(evicted before uptime u), the fraction of historical samples with
+// uptime-until-eviction ≤ u.
 func (m *EvictionModel) CDFFor(name string) func(units.Seconds) float64 {
 	ups := m.samples[name]
 	return func(u units.Seconds) float64 { return sampleCDF(ups, u) }

@@ -183,9 +183,6 @@ func NewDP(inner Provisioner, env *Env) *DeadlineProtection {
 // Name implements Provisioner.
 func (d *DeadlineProtection) Name() string { return d.Inner.Name() + "+dp" }
 
-// Reset clears the trip latch (call between simulated runs).
-func (d *DeadlineProtection) Reset() { d.tripped = false }
-
 // lrcDecision is the latched last-resort verdict.
 func (d *DeadlineProtection) lrcDecision(s State) Decision {
 	keep := s.Current != nil && s.Current.ID() == d.Env.LRC.Config.ID()

@@ -94,6 +94,11 @@ func TestUsefulBounds(t *testing.T) {
 		if env.Useful(cs, s, false) < u {
 			t.Errorf("%s: continuing useful below fresh", cs.Config.ID())
 		}
+		// Fresh pays Table 1's t_fixed = t_boot + t_load + t_save.
+		c := cs.Config
+		if want := env.Model.Boot(c) + env.Model.LoadTime(env.Job, c) + env.Model.SaveTime(env.Job, c); cs.Fixed != want {
+			t.Errorf("%s: fixed %v, want %v", c.ID(), cs.Fixed, want)
+		}
 	}
 }
 
@@ -102,8 +107,11 @@ func TestExpectedProgressSane(t *testing.T) {
 	s := stateWithSlack(env, 1.0)
 	for i := range env.Stats {
 		cs := &env.Stats[i]
-		p := env.ExpectedProgress(cs, s, true)
-		if p < 0 || p > 1+1e-9 {
+		u := env.Useful(cs, s, true)
+		if u <= 0 {
+			continue
+		}
+		if p := env.progress(cs, u); p < 0 || p > 1+1e-9 {
 			t.Errorf("%s: progress %v", cs.Config.ID(), p)
 		}
 	}
@@ -121,14 +129,19 @@ func TestEvictionProbMonotone(t *testing.T) {
 	if spot == nil {
 		t.Fatal("no transient config")
 	}
-	p1 := env.EvictionProb(spot, 0, units.Hour)
-	p2 := env.EvictionProb(spot, 0, 4*units.Hour)
-	if p1 < 0 || p2 > 1 || p2 < p1 {
-		t.Errorf("eviction prob not monotone: %v then %v", p1, p2)
+	// The pricing reads P(evicted within dt | survived u) as
+	// (F(u+dt)−F(u))/(1−F(u)), a probability only if F is monotone and
+	// in [0,1].
+	prev := -1.0
+	for _, u := range []units.Seconds{0, units.Hour, 4 * units.Hour, units.Day} {
+		f := spot.evictionCDF(u)
+		if f < prev || f < 0 || f > 1 {
+			t.Fatalf("eviction CDF not monotone: %v at %v after %v", f, u, prev)
+		}
+		prev = f
 	}
-	od := env.LRC
-	if env.EvictionProb(&od, 0, units.Hour) != 0 {
-		t.Error("on-demand eviction prob nonzero")
+	if env.LRC.evictionCDF != nil {
+		t.Error("on-demand last resort carries an eviction CDF")
 	}
 }
 
@@ -263,10 +276,6 @@ func TestDPTripsAndLatches(t *testing.T) {
 	}
 	if dec.Config.Transient {
 		t.Error("DP unlatched")
-	}
-	dp.Reset()
-	if _, err := dp.Decide(stateWithSlack(env, 1.0)); err != nil {
-		t.Fatal(err)
 	}
 	if dp.Name() != "proteus+dp" {
 		t.Errorf("DP name = %q", dp.Name())

@@ -208,17 +208,8 @@ func (e *Env) Useful(cs *ConfigStats, s State, fresh bool) units.Seconds {
 	return units.Min(u, cs.Ckpt)
 }
 
-// ExpectedProgress is ω_c·useful(c,t)/t_lrc_exec: the work fraction a
-// useful interval completes.
-func (e *Env) ExpectedProgress(cs *ConfigStats, s State, fresh bool) float64 {
-	u := e.Useful(cs, s, fresh)
-	if u <= 0 {
-		return 0
-	}
-	return e.progress(cs, u)
-}
-
-// progress is the work fraction a useful interval u on cs completes.
+// progress is ω_c·u/t_lrc_exec, the work fraction a useful interval u
+// on cs completes.
 func (e *Env) progress(cs *ConfigStats, u units.Seconds) float64 {
 	return cs.Omega * float64(u) / float64(e.LRC.Exec)
 }
@@ -238,20 +229,6 @@ func (e *Env) CurrentRate(cs *ConfigStats, now units.Seconds) units.USD {
 		return cs.AvgRate
 	}
 	return r
-}
-
-// EvictionProb returns P(evicted within the next dt | survived uptime
-// u) for a transient configuration; 0 for on-demand.
-func (e *Env) EvictionProb(cs *ConfigStats, uptime, dt units.Seconds) float64 {
-	if !cs.Config.Transient || dt <= 0 {
-		return 0
-	}
-	fa := cs.evictionCDF(uptime)
-	fb := cs.evictionCDF(uptime + dt)
-	if fa >= 1 {
-		return 1
-	}
-	return (fb - fa) / (1 - fa)
 }
 
 // Decision is a provisioner's verdict.

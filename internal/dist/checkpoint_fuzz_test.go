@@ -51,12 +51,13 @@ func managerSeeds(f *testing.F) (blobs, manifests [][]byte) {
 		if !errors.Is(err, engine.ErrPaused) {
 			f.Fatalf("%s did not pause: %v", prog.Name(), err)
 		}
-		if len(res.Snapshot.Pending) == 0 && res.Snapshot.Aux == nil {
-			f.Fatalf("%s snapshot carries neither pending messages nor aux state", prog.Name())
-		}
 		m := &engine.CheckpointManager{Store: store, Job: "seed/" + prog.Name()}
 		if _, err := m.Save(res.Snapshot); err != nil {
 			f.Fatal(err)
+		}
+		data, _, _ := store.Get(ckpt.BlobKey(m.Job, res.Snapshot.Superstep, 0))
+		if b, err := ckpt.DecodeBlob(data); err != nil || len(b.PendDst) == 0 && len(b.Aux) == 0 {
+			f.Fatalf("%s snapshot carries neither pending messages nor aux state (%v)", prog.Name(), err)
 		}
 	}
 	for _, k := range store.Keys() {

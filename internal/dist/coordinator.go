@@ -753,19 +753,3 @@ func (s *session) checkpointAll(R int) error {
 	}
 	return nil
 }
-
-// ClearJob removes every checkpoint object a job left in the store.
-func ClearJob(store cloud.BlobStore, job string) error {
-	return ckpt.Clear(store, job)
-}
-
-// LatestCheckpoint returns the superstep of the newest restorable
-// checkpoint in job's namespace — the one a new session resumes from —
-// or 0 when there is none.
-func LatestCheckpoint(store cloud.BlobStore, job string) int {
-	c, err := ckpt.Latest(store, job)
-	if err != nil {
-		return 0
-	}
-	return c.Superstep
-}

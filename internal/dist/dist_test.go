@@ -496,7 +496,8 @@ func TestDistCheckpointFallback(t *testing.T) {
 	assertBitIdentical(t, rep.Values, ref.Values, "fallback resume")
 }
 
-// TestDistFreshAfterClear ensures ClearJob really empties a namespace:
+// TestDistFreshAfterClear ensures ckpt.Clear really empties a dist
+// job's namespace:
 // the next session must start from superstep 0.
 func TestDistFreshAfterClear(t *testing.T) {
 	pspec := ProgramSpec{Name: "wcc"}
@@ -511,11 +512,11 @@ func TestDistFreshAfterClear(t *testing.T) {
 	if _, err := RunCluster(context.Background(), cfg, 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := ClearJob(store, cfg.Job); err != nil {
+	if err := ckpt.Clear(store, cfg.Job); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range store.Keys() {
-		t.Errorf("key %q survived ClearJob", k)
+		t.Errorf("key %q survived ckpt.Clear", k)
 	}
 	rep, err := RunCluster(context.Background(), cfg, 2, nil)
 	if err != nil {

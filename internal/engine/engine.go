@@ -49,18 +49,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hourglass/internal/ckpt"
 	"hourglass/internal/graph"
 	"hourglass/internal/obs"
 )
-
-// Message is the unit exchanged between vertices. All bundled programs
-// encode their payloads (distances, ranks, colors, component ids) as
-// float64.
-type Message struct {
-	Dst graph.VertexID
-	Val float64
-}
 
 // Context is the per-superstep view a Program's Compute sees. It is
 // scoped to one partition and must not be retained across supersteps.
@@ -348,23 +339,24 @@ func StartFrom(ctx context.Context, g *graph.Graph, prog Program, snap *Snapshot
 	if snap == nil {
 		return nil, errors.New("engine: nil snapshot")
 	}
-	if snap.NumVertices != g.NumVertices() {
-		return nil, fmt.Errorf("engine: snapshot for %d vertices, graph has %d", snap.NumVertices, g.NumVertices())
+	n, aux := snap.extent()
+	if n != g.NumVertices() {
+		return nil, fmt.Errorf("engine: snapshot for %d vertices, graph has %d", n, g.NumVertices())
 	}
 	if snap.Program != prog.Name() {
 		return nil, fmt.Errorf("engine: snapshot of %q cannot resume %q", snap.Program, prog.Name())
 	}
-	if _, ok := prog.(VertexAux); ok && len(snap.Aux) != g.NumVertices() {
-		return nil, fmt.Errorf("engine: snapshot carries aux state for %d of %d vertices", len(snap.Aux), g.NumVertices())
+	if _, ok := prog.(VertexAux); ok && !aux {
+		return nil, fmt.Errorf("engine: snapshot of %q carries no aux state", snap.Program)
 	}
 	r, err := newRun(ctx, g, prog, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.restore([]*ckpt.Blob{snap.blob()}, snap.Superstep); err != nil {
+	if err := r.restore(snap.blobs, snap.Superstep); err != nil {
 		return nil, err
 	}
-	r.aggs.Set(snap.aggs())
+	r.aggs.Set(snap.aggs)
 	r.superstep = snap.Superstep
 	r.stats.Supersteps = snap.Superstep
 	return r, nil

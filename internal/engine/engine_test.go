@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"hourglass/internal/ckpt"
@@ -360,19 +361,54 @@ func TestResumeRejectsMismatches(t *testing.T) {
 	}
 }
 
-func TestSnapshotCodecRoundTrip(t *testing.T) {
-	s := &Snapshot{
-		Program:     "pagerank",
-		Superstep:   3,
-		NumVertices: 2,
-		Values:      []float64{0.25, 0.75},
-		Active:      []bool{true, false},
-		Pending:     []Message{{0, 1.5}, {1, 2.5}},
-		AggValues:   map[string]float64{"sum": 4.2, "max": 1},
-		Aux:         [][]byte{{9, 8, 7}, {}},
+// stateProbe records what the first superstep after a resume sees:
+// which vertices run, their inboxes and aux bytes, and the aggregator
+// values. It sends nothing and halts every vertex.
+type stateProbe struct {
+	mu   sync.Mutex
+	aux  [][]byte
+	ran  map[graph.VertexID][]float64
+	aggs []float64
+}
+
+func (p *stateProbe) Name() string { return "stateprobe" }
+func (p *stateProbe) Init(g *graph.Graph, v graph.VertexID) (float64, bool) {
+	return 0, true
+}
+func (p *stateProbe) Aggregators() []AggregatorSpec {
+	return []AggregatorSpec{
+		{Name: "max", Reduce: math.Max},
+		{Name: "sum", Reduce: func(x, y float64) float64 { return x + y }},
 	}
+}
+func (p *stateProbe) InitAux(g *graph.Graph)                   { p.aux = make([][]byte, g.NumVertices()) }
+func (p *stateProbe) MarshalVertexAux(v graph.VertexID) []byte { return p.aux[v] }
+func (p *stateProbe) UnmarshalVertexAux(v graph.VertexID, b []byte) error {
+	p.aux[v] = append([]byte{}, b...)
+	return nil
+}
+func (p *stateProbe) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
+	p.mu.Lock()
+	if p.ran == nil {
+		p.ran = map[graph.VertexID][]float64{}
+		p.aggs = []float64{ctx.AggregatedValue("max"), ctx.AggregatedValue("sum")}
+	}
+	p.ran[v] = append([]float64{}, msgs...)
+	p.mu.Unlock()
+	ctx.VoteToHalt(v)
+}
+
+// TestSnapshotCodecRoundTrip: values, activity, pending messages,
+// aggregators and aux state survive Save → Load → Resume.
+func TestSnapshotCodecRoundTrip(t *testing.T) {
+	s := &Snapshot{Program: "stateprobe", Superstep: 3,
+		blobs: []*ckpt.Blob{{Superstep: 3, Full: true,
+			Vertex: []int32{0, 1, 2}, Value: []float64{0.25, 0.75, 0.5}, Active: []bool{true, false, false},
+			PendDst: []int32{0, 1}, PendVal: []float64{1.5, 2.5},
+			AuxVtx: []int32{0, 1, 2}, Aux: [][]byte{{9, 8, 7}, {}, {6}}}},
+		aggs: ckpt.Aggs{Names: []string{"max", "sum"}, Vals: []float64{1, 4.2}}}
 	store := cloud.NewDatastore()
-	m := &CheckpointManager{Store: store, Job: "codec/pr"}
+	m := &CheckpointManager{Store: store, Job: "codec/probe"}
 	if _, err := m.Save(s); err != nil {
 		t.Fatal(err)
 	}
@@ -387,13 +423,51 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Program != s.Program || back.Superstep != s.Superstep ||
-		back.NumVertices != s.NumVertices || !reflect.DeepEqual(back.Pending, s.Pending) ||
-		!reflect.DeepEqual(back.AggValues, s.AggValues) || !bytes.Equal(back.Aux[0], s.Aux[0]) || len(back.Aux[1]) != 0 {
+	if back.Program != s.Program || back.Superstep != s.Superstep || !reflect.DeepEqual(back.aggs, s.aggs) {
 		t.Errorf("round trip mismatch: %+v", back)
 	}
-	if back.Values[1] != 0.75 || back.Active[0] != true || back.Active[1] != false {
-		t.Errorf("vertex state mismatch: %+v", back)
+
+	probe := &stateProbe{}
+	res, err := Resume(graph.Path(3), probe, back, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Vertex 0 is active with a message, 1 is woken by its message, and
+	// 2, inactive with an empty inbox, does not run.
+	want := map[graph.VertexID][]float64{0: {1.5}, 1: {2.5}}
+	if !reflect.DeepEqual(probe.ran, want) {
+		t.Errorf("resumed superstep ran %v, want %v", probe.ran, want)
+	}
+	if !reflect.DeepEqual(probe.aggs, []float64{1, 4.2}) {
+		t.Errorf("aggregators after resume = %v, want [1 4.2]", probe.aggs)
+	}
+	if !reflect.DeepEqual(res.Values, []float64{0.25, 0.75, 0.5}) {
+		t.Errorf("values after resume = %v", res.Values)
+	}
+	if !bytes.Equal(probe.aux[0], []byte{9, 8, 7}) || len(probe.aux[1]) != 0 || !bytes.Equal(probe.aux[2], []byte{6}) {
+		t.Errorf("aux after resume = %v", probe.aux)
+	}
+}
+
+// TestSaveRejectsAllButOneFullBlob: Save writes only the form an
+// execution exports; a delta, a chain or an empty snapshot is an error
+// and leaves the store untouched.
+func TestSaveRejectsAllButOneFullBlob(t *testing.T) {
+	full := &ckpt.Blob{Superstep: 2, Full: true, Vertex: []int32{0}, Value: []float64{1}, Active: []bool{true}}
+	delta := &ckpt.Blob{Superstep: 2, Parent: 1, Vertex: []int32{0}, Value: []float64{1}, Active: []bool{true}}
+	for name, blobs := range map[string][]*ckpt.Blob{
+		"none":  nil,
+		"delta": {delta},
+		"chain": {full, delta},
+	} {
+		store := cloud.NewDatastore()
+		m := &CheckpointManager{Store: store, Job: "partial/" + name}
+		if _, err := m.Save(&Snapshot{Program: "pagerank", Superstep: 2, blobs: blobs}); err == nil {
+			t.Errorf("%s: Save accepted a snapshot that is not one full blob", name)
+		}
+		if keys := store.Keys(); len(keys) != 0 {
+			t.Errorf("%s: Save wrote %v", name, keys)
+		}
 	}
 }
 

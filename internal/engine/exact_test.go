@@ -120,12 +120,10 @@ func TestRawPendingSnapshotResumesExactly(t *testing.T) {
 	g := exactGraph()
 	ref := runOK(t, g, &PageRank{Iterations: 8}, Config{Workers: 2, Canonical: true})
 	perVertex := func(s *Snapshot) int {
-		most, count := 0, map[graph.VertexID]int{}
-		for _, m := range s.Pending {
-			count[m.Dst]++
-			if count[m.Dst] > most {
-				most = count[m.Dst]
-			}
+		most, count := 0, map[int32]int{}
+		for _, d := range s.blobs[0].PendDst {
+			count[d]++
+			most = max(most, count[d])
 		}
 		return most
 	}
@@ -140,9 +138,10 @@ func TestRawPendingSnapshotResumesExactly(t *testing.T) {
 	if !errors.Is(err, ErrPaused) {
 		t.Fatal(err)
 	}
-	if perVertex(folded.Snapshot) != 1 || len(folded.Snapshot.Pending) >= len(old.Snapshot.Pending) {
+	pending := func(s *Snapshot) int { return len(s.blobs[0].PendDst) }
+	if perVertex(folded.Snapshot) != 1 || pending(folded.Snapshot) >= pending(old.Snapshot) {
 		t.Fatalf("combining snapshot carries %d pending (max %d per vertex), raw carries %d",
-			len(folded.Snapshot.Pending), perVertex(folded.Snapshot), len(old.Snapshot.Pending))
+			pending(folded.Snapshot), perVertex(folded.Snapshot), pending(old.Snapshot))
 	}
 	resumed, err := Resume(g, &PageRank{Iterations: 8}, old.Snapshot, Config{Workers: 3, Canonical: true})
 	if err != nil {

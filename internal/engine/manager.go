@@ -110,12 +110,19 @@ func (s *retryStore) Get(key string) ([]byte, units.Seconds, error) {
 // meaningful even on failure: it covers whatever uploads and backoff
 // delays were spent before giving up, so callers can bill the partial
 // progress.
+//
+// Only a snapshot that is one full blob, as Execution.Snapshot exports
+// it, is saved; any other is an error and writes nothing.
 func (m *CheckpointManager) Save(s *Snapshot) (units.Seconds, error) {
+	b, err := s.blob()
+	if err != nil {
+		return 0, err
+	}
 	st := m.store()
 	key := ckpt.BlobKey(m.Job, s.Superstep, 0)
-	_, err := st.Put(key, s.blob().Encode())
-	if err == nil {
-		err = ckpt.Commit(st, s.manifest(m.Job, key))
+	if _, err = st.Put(key, b.Encode()); err == nil {
+		err = ckpt.Commit(st, &ckpt.Manifest{Job: m.Job, Superstep: s.Superstep, Shards: 1,
+			Program: s.Program, BlobKeys: []string{key}, Parent: -1, Aggs: s.aggs})
 	}
 	return st.spent, err
 }
@@ -131,8 +138,7 @@ func (m *CheckpointManager) Load() (*Snapshot, units.Seconds, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	snap, err := snapshotOf(c)
-	return snap, st.spent, err
+	return &Snapshot{Program: c.Program, Superstep: c.Superstep, blobs: c.Blobs, aggs: c.Aggs}, st.spent, nil
 }
 
 // Clear removes every checkpoint object in the job's namespace (see

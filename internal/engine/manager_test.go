@@ -172,7 +172,7 @@ func TestFrameRoundTripAndCorruptionDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	back, err := ckpt.DecodeBlob(sealed)
-	if err != nil || back.Superstep != res.Snapshot.Superstep || len(back.Value) != res.Snapshot.NumVertices {
+	if err != nil || back.Superstep != res.Snapshot.Superstep || len(back.Value) != len(res.Snapshot.blobs[0].Vertex) {
 		t.Fatalf("round trip: %+v, %v", back, err)
 	}
 	for _, tc := range [][]byte{

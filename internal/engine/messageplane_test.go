@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"hourglass/internal/ckpt"
 	"hourglass/internal/graph"
 )
 
@@ -47,15 +48,9 @@ func (p *foldProbe) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 func TestResumeFoldsPendingWithCombiner(t *testing.T) {
 	g := graph.Path(4)
 	probe := &foldProbe{}
-	snap := &Snapshot{
-		Program:     probe.Name(),
-		Superstep:   3,
-		NumVertices: g.NumVertices(),
-		Values:      make([]float64, g.NumVertices()),
-		Active:      make([]bool, g.NumVertices()),
-		Pending:     []Message{{1, 1}, {1, 2}, {1, 4}, {2, 8}},
-		AggValues:   map[string]float64{},
-	}
+	snap := &Snapshot{Program: probe.Name(), Superstep: 3, blobs: []*ckpt.Blob{{Superstep: 3, Full: true,
+		Vertex: []int32{0, 1, 2, 3}, Value: make([]float64, 4), Active: make([]bool, 4),
+		PendDst: []int32{1, 1, 1, 2}, PendVal: []float64{1, 2, 4, 8}}}}
 	res, err := Resume(g, probe, snap, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)

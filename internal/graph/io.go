@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -98,83 +97,4 @@ func ReadEdgeList(r io.Reader, opts ...BuilderOption) (*Graph, error) {
 		b.AddEdge(remap[e.src], remap[e.dst], e.w)
 	}
 	return b.Build(), nil
-}
-
-// binaryMagic identifies the Hourglass binary graph format.
-const binaryMagic = uint32(0x48475247) // "HGRG"
-
-// WriteBinary serialises the CSR arrays in a compact little-endian
-// format: the datastore stores graphs and checkpoints in this format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	flags := uint32(0)
-	if g.undirected {
-		flags |= 1
-	}
-	if g.weights != nil {
-		flags |= 2
-	}
-	header := []any{
-		binaryMagic,
-		flags,
-		uint64(g.NumVertices()),
-		uint64(len(g.adj)),
-	}
-	for _, h := range header {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.offsets); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.adj); err != nil {
-		return err
-	}
-	if g.weights != nil {
-		if err := binary.Write(bw, binary.LittleEndian, g.weights); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserialises a graph written by WriteBinary.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var magic, flags uint32
-	var nv, na uint64
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return nil, err
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", magic)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &flags); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &nv); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &na); err != nil {
-		return nil, err
-	}
-	g := &Graph{
-		offsets:    make([]int64, nv+1),
-		adj:        make([]VertexID, na),
-		undirected: flags&1 != 0,
-	}
-	if err := binary.Read(br, binary.LittleEndian, &g.offsets); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &g.adj); err != nil {
-		return nil, err
-	}
-	if flags&2 != 0 {
-		g.weights = make([]float32, na)
-		if err := binary.Read(br, binary.LittleEndian, &g.weights); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
 }

@@ -57,44 +57,6 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	p := DefaultRMAT(9, 5)
-	p.Undirected = true
-	p.Weighted = true
-	g := RMAT(p)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumVertices() != g.NumVertices() || back.NumEdges() != g.NumEdges() {
-		t.Fatalf("size mismatch after round trip")
-	}
-	if back.Undirected() != g.Undirected() || back.Weighted() != g.Weighted() {
-		t.Fatalf("flags lost in round trip")
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		a, b := g.Neighbors(VertexID(v)), back.Neighbors(VertexID(v))
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d: degree mismatch", v)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d: neighbor %d mismatch", v, i)
-			}
-		}
-	}
-}
-
-func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
-		t.Fatal("expected error on bad magic")
-	}
-}
-
 func TestDatasetRegistry(t *testing.T) {
 	ds := Datasets()
 	if len(ds) != 5 {

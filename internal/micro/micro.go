@@ -137,48 +137,3 @@ func (p *Partitioning) VertexAssignment(k int) (partition.Partitioning, error) {
 	}
 	return partition.Partitioning{Assign: assign, K: k}, nil
 }
-
-// QualityReport compares the clustered micro-partitioning against a
-// from-scratch run of a base partitioner for one k — the Figure 8
-// quantity (edge-cut degradation).
-type QualityReport struct {
-	K           int
-	MicroCut    float64 // edge-cut fraction via cluster-of-micros
-	DirectCut   float64 // edge-cut fraction of the base partitioner at k
-	RandomCut   float64 // 1 − 1/k baseline
-	Degradation float64 // MicroCut − DirectCut (points, can be negative)
-}
-
-// Quality evaluates the report for the given base partitioner and k.
-func (p *Partitioning) Quality(g *graph.Graph, base partition.Partitioner, k int) (QualityReport, error) {
-	va, err := p.VertexAssignment(k)
-	if err != nil {
-		return QualityReport{}, err
-	}
-	direct := base.Partition(g, k)
-	r := QualityReport{
-		K:         k,
-		MicroCut:  partition.EdgeCutFraction(g, va.Assign),
-		DirectCut: partition.EdgeCutFraction(g, direct.Assign),
-		RandomCut: partition.RandomCutExpectation(k),
-	}
-	r.Degradation = r.MicroCut - r.DirectCut
-	return r, nil
-}
-
-// MicrosOf returns the micro-partition ids assigned to worker block b
-// under the k-way clustering — the unit of parallel, coordination-free
-// recovery loading (§6.2 "parallel recovery").
-func (p *Partitioning) MicrosOf(k int, b int32) ([]int32, error) {
-	cluster, err := p.ClusterTo(k)
-	if err != nil {
-		return nil, err
-	}
-	var out []int32
-	for m, blk := range cluster {
-		if blk == b {
-			out = append(out, int32(m))
-		}
-	}
-	return out, nil
-}

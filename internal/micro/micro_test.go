@@ -143,31 +143,6 @@ func TestVertexAssignmentComposition(t *testing.T) {
 	}
 }
 
-func TestMicrosOfPartitionsTheMicroSet(t *testing.T) {
-	g := testGraph()
-	mp, err := Build(g, partition.Hash{}, 12, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := 3
-	seen := make(map[int32]bool)
-	for b := int32(0); b < int32(k); b++ {
-		ms, err := mp.MicrosOf(k, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range ms {
-			if seen[m] {
-				t.Fatalf("micro %d assigned to two blocks", m)
-			}
-			seen[m] = true
-		}
-	}
-	if len(seen) != 12 {
-		t.Fatalf("covered %d micros, want 12", len(seen))
-	}
-}
-
 func TestBuildRejectsBadCount(t *testing.T) {
 	g := graph.Path(4)
 	if _, err := Build(g, partition.Hash{}, 0, nil); err == nil {
@@ -211,36 +186,5 @@ func TestQuickClusterBalance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQualityReport(t *testing.T) {
-	g := testGraph()
-	base := partition.Multilevel{Seed: 7}
-	mp, err := Build(g, base, 32, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := mp.Quality(g, base, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.K != 8 {
-		t.Errorf("K = %d", r.K)
-	}
-	if r.MicroCut <= 0 || r.MicroCut >= 1 || r.DirectCut <= 0 {
-		t.Errorf("cuts: %+v", r)
-	}
-	if r.RandomCut != 1-1.0/8 {
-		t.Errorf("random cut = %v", r.RandomCut)
-	}
-	if r.MicroCut >= r.RandomCut {
-		t.Errorf("micro cut %v not better than random %v", r.MicroCut, r.RandomCut)
-	}
-	if r.Degradation != r.MicroCut-r.DirectCut {
-		t.Errorf("degradation inconsistent: %+v", r)
-	}
-	if _, err := mp.Quality(g, base, 64); err == nil {
-		t.Error("k above micro count accepted")
 	}
 }

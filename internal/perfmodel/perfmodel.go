@@ -264,11 +264,6 @@ func (m *Model) Boot(c cloud.Config) units.Seconds {
 	return m.BootTime
 }
 
-// FixedTime is Table 1's t_fixed = t_boot + t_load + t_save.
-func (m *Model) FixedTime(job Job, c cloud.Config) units.Seconds {
-	return m.Boot(c) + m.LoadTime(job, c) + m.SaveTime(job, c)
-}
-
 // DeadlineUtilization is the share of a deployment's compute a job
 // needs to meet a relative deadline on it: exec/(deadline−fixed),
 // where exec is the full-job compute time on that deployment and

@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
 	"hourglass/internal/core"
 	"hourglass/internal/dist"
@@ -317,9 +318,15 @@ type distDriver struct {
 }
 
 // frontier implements substrate: a deployment resumes — and is billed
-// and planned from — the newest sealed checkpoint in the store.
+// and planned from — the newest sealed checkpoint in the store. Any
+// error reads as no checkpoint, as it does to the session that starts
+// next.
 func (d *distDriver) frontier() (int, error) {
-	return dist.LatestCheckpoint(d.opts.Store, d.opts.Job), nil
+	c, err := ckpt.Latest(d.opts.Store, d.opts.Job)
+	if err != nil {
+		return 0, nil
+	}
+	return c.Superstep, nil
 }
 
 // boot implements substrate. A fresh process set bills wait + boot +
@@ -341,7 +348,7 @@ func (d *distDriver) boot(cs *core.ConfigStats, durable int, warm *standbyState)
 	return ev, nil
 }
 
-func (d *distDriver) clear() error { return dist.ClearJob(d.opts.Store, d.opts.Job) }
+func (d *distDriver) clear() error { return ckpt.Clear(d.opts.Store, d.opts.Job) }
 
 // evenSplit is the dist plane's per-worker vertex count: shards own
 // vertices round-robin, so shares are even to within one vertex.

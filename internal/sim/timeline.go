@@ -61,29 +61,6 @@ func (tl *Timeline) add(kind PhaseKind, start, end units.Seconds, cfg string, w 
 	tl.Phases = append(tl.Phases, Phase{kind, start, end, cfg, w})
 }
 
-// ComputeTime sums the compute spans.
-func (tl *Timeline) ComputeTime() units.Seconds {
-	var total units.Seconds
-	for _, p := range tl.Phases {
-		if p.Kind == PhaseCompute {
-			total += p.End - p.Start
-		}
-	}
-	return total
-}
-
-// OverheadTime sums the deploy and save spans — everything that is not
-// forward progress.
-func (tl *Timeline) OverheadTime() units.Seconds {
-	var total units.Seconds
-	for _, p := range tl.Phases {
-		if p.Kind == PhaseDeploy || p.Kind == PhaseSave {
-			total += p.End - p.Start
-		}
-	}
-	return total
-}
-
 // Evictions counts the eviction markers.
 func (tl *Timeline) Evictions() int {
 	n := 0
