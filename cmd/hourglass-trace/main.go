@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hourglass/internal/cloud"
@@ -41,16 +42,9 @@ func main() {
 
 	switch {
 	case *summary != "":
-		f, err := os.Open(*summary)
-		if err != nil {
+		if err := printSummary(os.Stdout, *summary); err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		events, err := obs.ReadJSONL(f)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(obs.Summarize(events).String())
 	case *in != "":
 		it, err := cloud.InstanceByName(*instance)
 		if err != nil {
@@ -111,6 +105,22 @@ func emit(it cloud.InstanceType, tr *cloud.PriceTrace, stats bool, out string) {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d samples)\n", out, len(tr.Prices))
 	}
+}
+
+// printSummary folds the JSONL execution trace at path and prints its
+// ledger.
+func printSummary(w io.Writer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	events, err := obs.ReadJSONL(f)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprint(w, obs.Summarize(events))
+	return err
 }
 
 func fatal(err error) {

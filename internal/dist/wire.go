@@ -126,21 +126,35 @@ func writeFrame(w io.Writer, typ byte, payload []byte) (int, error) {
 	return n, err
 }
 
-// readFrame reads one frame from a stream. The returned payload is
-// freshly allocated. Size is the total wire bytes consumed.
+// frameStep is the largest payload readFrame allocates before any of
+// it has arrived; frames up to this size take one allocation.
+const frameStep = 64 << 10
+
+// readFrame reads one frame from a stream, never panicking whatever
+// bytes it is fed. The returned payload is freshly allocated. Size is
+// the total wire bytes consumed. The payload is read in steps that at
+// most double what has arrived, so a length prefix that promises more
+// than the peer sends costs memory for the bytes that came, not for
+// the promise.
 func readFrame(r io.Reader) (typ byte, payload []byte, size int, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, 0, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	if n > MaxFrameBytes {
 		return 0, nil, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	typ = hdr[4]
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, 0, fmt.Errorf("%w: truncated payload: %v", ErrCorruptFrame, err)
+	payload = make([]byte, min(n, frameStep))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, payload[got:]); err != nil {
+			return 0, nil, 0, fmt.Errorf("%w: truncated payload: %v", ErrCorruptFrame, err)
+		}
+		if got = len(payload); got == n {
+			break
+		}
+		payload = append(payload, make([]byte, min(n-got, got))...)
 	}
 	var trailer [4]byte
 	if _, err := io.ReadFull(r, trailer[:]); err != nil {
@@ -151,32 +165,7 @@ func readFrame(r io.Reader) (typ byte, payload []byte, size int, err error) {
 	if binary.LittleEndian.Uint32(trailer[:]) != crc {
 		return 0, nil, 0, fmt.Errorf("%w: CRC32 mismatch on type %d", ErrCorruptFrame, typ)
 	}
-	return typ, payload, frameHeaderLen + int(n), nil
-}
-
-// DecodeFrame decodes one frame from the head of b, returning the
-// remainder. It is the pure-slice twin of readFrame and the fuzz
-// target: it must never panic, whatever bytes it is fed.
-func DecodeFrame(b []byte) (typ byte, payload []byte, rest []byte, err error) {
-	if len(b) < 5 {
-		return 0, nil, b, fmt.Errorf("%w: short header (%d bytes)", ErrCorruptFrame, len(b))
-	}
-	n := binary.LittleEndian.Uint32(b[:4])
-	if n > MaxFrameBytes {
-		return 0, nil, b, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	typ = b[4]
-	total := frameHeaderLen + int(n)
-	if len(b) < total {
-		return 0, nil, b, fmt.Errorf("%w: %d of %d bytes", ErrCorruptFrame, len(b), total)
-	}
-	payload = b[5 : 5+n]
-	crc := crc32.ChecksumIEEE(b[4:5])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if binary.LittleEndian.Uint32(b[5+n:total]) != crc {
-		return 0, nil, b, fmt.Errorf("%w: CRC32 mismatch on type %d", ErrCorruptFrame, typ)
-	}
-	return typ, payload, b[total:], nil
+	return typ, payload, frameHeaderLen + n, nil
 }
 
 // helloMsg opens a shard's coordinator connection. PeerAddr is the

@@ -2,8 +2,10 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	goruntime "runtime"
 	"testing"
 
 	"hourglass/internal/ckpt"
@@ -48,17 +50,16 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 
 	batch := batchMsg{Superstep: 3, From: 1, To: 2, Dst: []int32{5, 9}, Val: []float64{0.5, math.Inf(1)}}
-	b, _, rest, err := func() (batchMsg, byte, []byte, error) {
-		frame := appendFrame(nil, fBatch, batch.encode())
-		typ, payload, rest, err := DecodeFrame(frame)
+	r := bytes.NewReader(appendFrame(nil, fBatch, batch.encode()))
+	b, err := func() (batchMsg, error) {
+		_, payload, _, err := readFrame(r)
 		if err != nil {
-			return batchMsg{}, typ, rest, err
+			return batchMsg{}, err
 		}
-		m, err := decodeBatch(payload)
-		return m, typ, rest, err
+		return decodeBatch(payload)
 	}()
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("batch decode: %v (rest %d)", err, len(rest))
+	if err != nil || r.Len() != 0 {
+		t.Fatalf("batch decode: %v (rest %d)", err, r.Len())
 	}
 	if b.To != 2 || b.Dst[1] != 9 || !math.IsInf(b.Val[1], 1) {
 		t.Fatalf("batch round trip mismatch: %+v", b)
@@ -104,14 +105,14 @@ func TestFrameCorruption(t *testing.T) {
 	frame := appendFrame(nil, fProceed, proceedMsg{Superstep: 4}.encode())
 
 	for cut := 1; cut < len(frame); cut++ {
-		if _, _, _, err := DecodeFrame(frame[:cut]); err == nil {
+		if _, _, _, err := readFrame(bytes.NewReader(frame[:cut])); err == nil {
 			t.Fatalf("truncation to %d bytes decoded", cut)
 		}
 	}
 	for i := range frame {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0x01
-		typ, payload, _, err := DecodeFrame(bad)
+		typ, payload, _, err := readFrame(bytes.NewReader(bad))
 		if err != nil {
 			continue
 		}
@@ -128,8 +129,55 @@ func TestFrameCorruption(t *testing.T) {
 
 	huge := make([]byte, 8)
 	huge[0], huge[1], huge[2], huge[3] = 0xFF, 0xFF, 0xFF, 0x7F
-	if _, _, _, err := DecodeFrame(huge); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, _, err := readFrame(bytes.NewReader(huge)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized length prefix: %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestReadFrameAllocatesWhatArrives: a length prefix is the peer's
+// claim, not a promise. A header declaring the largest legal frame,
+// followed by 1 KiB and EOF, must fail as a corrupt frame without the
+// reader allocating the declared 64 MiB up front; a frame of up to
+// frameStep payload bytes still allocates its payload once, no more
+// often than a 1-byte frame does.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	stream := make([]byte, 5+1024)
+	binary.LittleEndian.PutUint32(stream[:4], MaxFrameBytes)
+	stream[4] = fBatch
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	_, _, _, err := readFrame(bytes.NewReader(stream))
+	goruntime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("truncated %d-byte frame: %v, want ErrCorruptFrame", MaxFrameBytes, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("reading 1 KiB of a frame that declared %d bytes allocated %d bytes, want < 1 MiB",
+			MaxFrameBytes, alloc)
+	}
+
+	// A frame larger than one step arrives whole and intact.
+	big := make([]byte, 3*frameStep+5)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	typ, got, size, err := readFrame(bytes.NewReader(appendFrame(nil, fValues, big)))
+	if err != nil || typ != fValues || size != frameHeaderLen+len(big) || !bytes.Equal(got, big) {
+		t.Fatalf("%d-byte frame: type %d, %d bytes, size %d, err %v", len(big), typ, len(got), size, err)
+	}
+
+	allocs := func(payload int) float64 {
+		frame := appendFrame(nil, fBatch, make([]byte, payload))
+		r := bytes.NewReader(nil)
+		return testing.AllocsPerRun(10, func() {
+			r.Reset(frame)
+			if _, _, _, err := readFrame(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if full, small := allocs(frameStep), allocs(1); full > small {
+		t.Fatalf("a %d-byte frame allocates %.0f times, a 1-byte one %.0f", frameStep, full, small)
 	}
 }
 
@@ -166,11 +214,11 @@ func TestPayloadDecodeErrorsAreCorruptFrames(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame asserts the stream decoder never panics and never
+// FuzzReadFrame asserts the stream decoder never panics and never
 // over-reads: whatever the input, it either fails or consumes exactly
 // one well-formed frame. Message decoders run on every successfully
 // framed payload, so their bounds checks are in the loop too.
-func FuzzDecodeFrame(f *testing.F) {
+func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add(appendFrame(nil, fHello, helloMsg{Version: wireVersion, PeerAddr: "127.0.0.1:4100"}.encode()))
@@ -187,12 +235,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(appendFrame(nil, fPeerLost, peerLostMsg{Peer: 3, Err: "EOF"}.encode()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, rest, err := DecodeFrame(data)
+		r := bytes.NewReader(data)
+		typ, payload, size, err := readFrame(r)
 		if err != nil {
 			return
 		}
-		if consumed := len(data) - len(rest); consumed < frameHeaderLen || consumed > len(data) {
-			t.Fatalf("consumed %d of %d bytes", consumed, len(data))
+		if consumed := len(data) - r.Len(); consumed != size || consumed < frameHeaderLen || consumed > len(data) {
+			t.Fatalf("consumed %d of %d bytes, reported %d", consumed, len(data), size)
 		}
 		// Every message decoder must be panic-free on arbitrary framed
 		// payloads and reject trailing garbage.

@@ -6,8 +6,8 @@ package faultinject_test
 // asserting the paper's correctness properties hold under a
 // misbehaving durable store: results stay bit-identical to fault-free
 // runs, slack-aware provisioning still misses zero deadlines, recorded
-// timelines validate, and durable work never regresses outside a
-// rollback. Every schedule is seeded, so a failure replays exactly.
+// event streams keep their lifecycle invariants, and durable work never
+// regresses outside a rollback. Every schedule is seeded, so a failure replays exactly.
 
 import (
 	"context"
@@ -25,6 +25,7 @@ import (
 	"hourglass/internal/engine"
 	"hourglass/internal/faultinject"
 	"hourglass/internal/graph"
+	"hourglass/internal/obs"
 	"hourglass/internal/perfmodel"
 	"hourglass/internal/scheduler"
 	"hourglass/internal/sim"
@@ -181,9 +182,8 @@ func TestChaosEngineCrashReloadCycles(t *testing.T) {
 
 // TestChaosSimProvisioningInvariants replays seeded market months and
 // asserts the paper's guarantees end to end: slack-aware provisioning
-// finishes within the deadline on every schedule, the recorded
-// timeline validates (including the work-monotonicity invariant), and
-// the durable frontier recorded at each deploy never regresses.
+// finishes within the deadline on every schedule, and every run's
+// event stream keeps the lifecycle invariants (checkLifecycle).
 func TestChaosSimProvisioningInvariants(t *testing.T) {
 	historical := cloud.GenerateSet(cloud.Catalogue(), cloud.GenParams{Days: 8, Seed: 1010})
 	em, err := cloud.BuildEvictionModel(historical, 256)
@@ -205,7 +205,8 @@ func TestChaosSimProvisioningInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := &sim.Runner{Env: env, Trace: true, WarningWindow: warn}
+			events := &eventList{}
+			r := &sim.Runner{Env: env, Sink: events, WarningWindow: warn}
 			start := units.Seconds(i) * 5 * units.Hour
 			deadline := env.LRC.Fixed + env.LRC.Exec + units.Seconds(slack*float64(env.LRC.Exec))
 
@@ -219,21 +220,8 @@ func TestChaosSimProvisioningInvariants(t *testing.T) {
 				t.Fatalf("slack-aware broke the guarantee: finished=%v missed=%v",
 					res.Finished, res.MissedDeadline)
 			}
-			if err := res.Timeline.Validate(); err != nil {
-				t.Fatalf("timeline invalid: %v\n%s", err, res.Timeline)
-			}
-			// Durable work is monotone: each deploy re-anchors at the
-			// durable frontier, which only ever moves forward.
-			prevDurable := 2.0
-			for _, p := range res.Timeline.Phases {
-				if p.Kind != sim.PhaseDeploy {
-					continue
-				}
-				if p.WorkLeft > prevDurable+1e-9 {
-					t.Fatalf("durable work regressed %.6f -> %.6f\n%s",
-						prevDurable, p.WorkLeft, res.Timeline)
-				}
-				prevDurable = p.WorkLeft
+			if err := checkLifecycle(*events); err != nil {
+				t.Fatal(err)
 			}
 
 			// The baselines must at least keep their books straight on
@@ -242,16 +230,54 @@ func TestChaosSimProvisioningInvariants(t *testing.T) {
 				func() core.Provisioner { return core.NewSpotOn(env) },
 				func() core.Provisioner { return core.NewGreedy(env) },
 			} {
-				bres, err := r.Run(mk(), start, start+deadline)
-				if err != nil {
+				*events = (*events)[:0]
+				if _, err := r.Run(mk(), start, start+deadline); err != nil {
 					t.Fatal(err)
 				}
-				if err := bres.Timeline.Validate(); err != nil {
-					t.Fatalf("%s timeline invalid: %v\n%s", mk().Name(), err, bres.Timeline)
+				if err := checkLifecycle(*events); err != nil {
+					t.Fatalf("%s: %v", mk().Name(), err)
 				}
 			}
 		})
 	}
+}
+
+// eventList records a simulation's event stream (the runner emits on
+// the calling goroutine).
+type eventList []obs.Event
+
+func (l *eventList) Emit(e obs.Event) { *l = append(*l, e) }
+
+// checkLifecycle asserts the invariants a run's event stream keeps:
+// lifecycle events (deploy, evict, checkpoint, done) are time-ordered;
+// work left never rises except at an EvDeploy, which re-anchors the run
+// at the durable frontier; and that frontier — the work left at the
+// last sealed checkpoint — never regresses.
+func checkLifecycle(events []obs.Event) error {
+	var prevT float64
+	prevW, durable := 1.0, 1.0
+	for i, e := range events {
+		switch e.Type {
+		case obs.EvDeploy, obs.EvEvict, obs.EvCheckpoint, obs.EvDone:
+		default:
+			continue
+		}
+		switch {
+		case e.T < prevT-1e-9:
+			return fmt.Errorf("event %d (%s) at t=%v before t=%v", i, e.Type, e.T, prevT)
+		case e.Type == obs.EvDeploy && e.WorkLeft != durable:
+			return fmt.Errorf("event %d: deploy resumes w=%.6f, durable frontier w=%.6f", i, e.WorkLeft, durable)
+		case e.Type != obs.EvDeploy && e.WorkLeft > prevW+1e-9:
+			return fmt.Errorf("event %d (%s): work left rose %.6f -> %.6f outside a deploy", i, e.Type, prevW, e.WorkLeft)
+		case e.Type == obs.EvCheckpoint && e.WorkLeft > durable+1e-9:
+			return fmt.Errorf("event %d: checkpoint regressed the durable frontier %.6f -> %.6f", i, durable, e.WorkLeft)
+		}
+		if e.Type == obs.EvCheckpoint {
+			durable = e.WorkLeft
+		}
+		prevT, prevW = e.T, e.WorkLeft
+	}
+	return nil
 }
 
 // chaosBackend is an instant Backend for controller chaos runs.

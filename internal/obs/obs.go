@@ -1,13 +1,14 @@
 // Package obs is Hourglass's shared observability layer: a metrics
 // Registry (counters, gauges, histograms, labeled series, Prometheus
 // text exposition) and a structured trace plane (typed Events, a
-// ring-buffered Tracer, JSONL sinks, and a fold that summarises a
-// trace back into the paper's Table-2-style cost/evictions/misses
-// numbers).
+// ring-buffered Tracer, JSONL sinks, and Summary, the fold of a trace
+// into the paper's Table-2-style cost/evictions/misses ledger — the
+// only ledger the executors keep).
 //
-// The package is dependency-free by design — the engine, simulator,
-// scheduler and cloud substrates all publish through it, so it must
-// not pull client libraries into the hot path. Publishers hold a Sink
+// The package imports nothing but the standard library and the leaf
+// units package — the engine, simulator, scheduler and cloud
+// substrates all publish through it, so it must not pull client
+// libraries into the hot path. Publishers hold a Sink
 // behind a nil check: a disabled sink costs nothing (no allocations,
 // no calls) and an enabled one costs one Emit per event.
 package obs
@@ -45,6 +46,9 @@ type Event struct {
 	// Lifecycle fields (EvDeploy/EvEvict/EvCheckpoint/EvDone/EvSpend).
 	USD    float64 `json:"usd,omitempty"`   // spend delta (EvSpend) or total (EvDone)
 	DurSec float64 `json:"dur_s,omitempty"` // span length (deploy: wait+boot+load, from T to the ready instant)
+	// IOSec is the I/O time inside an EvSpend's billed interval: the
+	// load after a boot, a save (sealed or not), a standby's prefetch.
+	IOSec float64 `json:"io_s,omitempty"`
 	// Reload marks an EvDeploy that resumes durable progress — a
 	// checkpoint, or work an eviction warning made durable — rather
 	// than starting the job over; its span is recovery downtime.
@@ -107,6 +111,10 @@ const (
 	EvSuperstep  = "superstep"
 	EvRun        = "run"
 	EvRetry      = "retry"
+	// EvWatchdog marks a superstep that overstayed the wall-clock
+	// watchdog: the run is cancelled and redeployed from the durable
+	// frontier, a restart like an eviction.
+	EvWatchdog = "watchdog"
 	// EvShardEvict marks a distributed shard worker declared dead by
 	// the coordinator (connection loss or barrier-vote timeout).
 	EvShardEvict = "shard_evict"
@@ -132,8 +140,9 @@ const (
 )
 
 // Sink receives events. Implementations must be safe for concurrent
-// Emit calls; publishers guard every Emit behind a nil check so a nil
-// Sink disables tracing for free.
+// Emit calls (Summary, fed from one goroutine, is the exception);
+// publishers guard every Emit behind a nil check so a nil Sink
+// disables tracing for free.
 type Sink interface {
 	Emit(e Event)
 }

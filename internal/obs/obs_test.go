@@ -95,9 +95,10 @@ func TestSummarizeFoldsLifecycle(t *testing.T) {
 	events := []Event{
 		{Type: EvDecision, Config: "spot-1"},
 		{Type: EvDeploy, Config: "spot-1"},
-		{Type: EvSpend, USD: 0.25},
+		{Type: EvSpend, USD: 0.25, IOSec: 30},
 		{Type: EvSpend, USD: 0.5},
 		{Type: EvEvict, Config: "spot-1"},
+		{Type: EvWatchdog, Config: "spot-1"},
 		{Type: EvDecision, Config: "od-1", LastResort: true},
 		{Type: EvDeploy, Config: "od-1", Reload: true},
 		{Type: EvSpend, USD: 1.0},
@@ -107,9 +108,12 @@ func TestSummarizeFoldsLifecycle(t *testing.T) {
 		{Type: EvRetry, Attempts: 3},
 	}
 	s := Summarize(events)
-	if s.CostUSD != 1.75 || s.Decisions != 2 || s.Deploys != 2 || s.Evictions != 1 ||
-		s.Checkpoints != 1 || s.Runs != 1 || !s.Finished || s.Missed || s.Completion != 3600 {
+	if s.Cost != 1.75 || s.Decisions != 2 || s.Reconfigs != 2 || s.Evictions != 1 ||
+		s.Checkpoints != 1 || s.Runs != 1 || !s.Finished || s.MissedDeadline || s.Completion != 3600 {
 		t.Errorf("sim fold wrong: %+v", s)
+	}
+	if s.WatchdogTrips != 1 || s.Restarts != 2 || s.IOTime != 30 || !s.LastResort {
+		t.Errorf("restart/io fold wrong: %+v", s)
 	}
 	if s.Supersteps != 1 || s.Active != 10 || s.Messages != 100 || s.Combined != 40 ||
 		s.EngineNs != 5000 || s.RetryAttempts != 3 || s.WireFrames != 12 || s.WireBytes != 960 {
@@ -118,6 +122,8 @@ func TestSummarizeFoldsLifecycle(t *testing.T) {
 	out := s.String()
 	for _, want := range []string{
 		"evictions   1",
+		"restarts    2 (1 watchdog trips)",
+		"io time     30s",
 		"100 sent, 40 combined at sender (combining path: 40.0% folded)",
 		"wire        12 frames, 960 bytes",
 	} {

@@ -108,17 +108,6 @@ func TestChaosEvictionSchedules(t *testing.T) {
 				t.Fatalf("restarts %d exceeded the budget", rep.Restarts)
 			}
 
-			// The event stream must fold back to the report bit-exactly.
-			sum := obs.Summarize(sink.snapshot())
-			if sum.CostUSD != float64(rep.Cost) {
-				t.Fatalf("folded cost %v != report %v", sum.CostUSD, float64(rep.Cost))
-			}
-			if sum.Evictions != rep.Evictions || sum.Checkpoints != rep.Checkpoints ||
-				sum.Deploys != rep.Reconfigs || sum.Missed != rep.MissedDeadline ||
-				sum.RecoverySec != float64(rep.RecoveryTime) {
-				t.Fatalf("trace fold mismatch: %+v vs report %+v", sum, rep)
-			}
-
 			totalEvictions += rep.Evictions
 			totalCheckpoints += rep.Checkpoints
 			if rep.LastResort {

@@ -266,9 +266,9 @@ type DistOptions struct {
 	// BarrierTimeout is the coordinator's watchdog window; ctx
 	// cancellation also resolves within it (0 = the dist default).
 	BarrierTimeout time.Duration
-	// Sink receives the structured event stream; EvDeploy and
-	// EvShardEvict carry worker process identity in Proc. Nil disables
-	// tracing.
+	// Sink also receives the event stream the Report is folded from;
+	// EvDeploy and EvShardEvict carry worker process identity in Proc.
+	// Nil disables tracing; the Report is the same either way.
 	Sink obs.Sink
 	// Logf receives non-fatal diagnostics (nil = standard logger).
 	Logf func(format string, args ...any)
@@ -335,17 +335,10 @@ func (d *distDriver) frontier() (int, error) {
 // through the eviction instant at adoption and the clock is already
 // that instant, so the deploy span — the recovery downtime — is zero.
 func (d *distDriver) boot(cs *core.ConfigStats, durable int, warm *standbyState) (obs.Event, error) {
-	var ev obs.Event
 	if warm != nil {
-		ev = d.deployEvent(cs, d.t, durable, durable > 0)
-	} else {
-		var err error
-		if ev, err = d.deploy(cs, durable > 0, 0, d.evenSplit(cs.Config.Count), durable); err != nil {
-			return ev, err
-		}
+		return d.deployEvent(cs, d.t, durable, durable > 0), nil
 	}
-	d.rep.ShardCounts = append(d.rep.ShardCounts, cs.Config.Count)
-	return ev, nil
+	return d.deploy(cs, durable > 0, 0, d.evenSplit(cs.Config.Count), durable)
 }
 
 func (d *distDriver) clear() error { return ckpt.Clear(d.opts.Store, d.opts.Job) }

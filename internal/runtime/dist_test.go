@@ -5,7 +5,9 @@ import (
 	"errors"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -149,8 +151,8 @@ func TestExecuteDistUninterrupted(t *testing.T) {
 	if rep.Evictions != 0 || rep.Restarts != 0 {
 		t.Fatalf("on-demand dist run suffered %d evictions / %d restarts", rep.Evictions, rep.Restarts)
 	}
-	if len(rep.ShardCounts) != 1 {
-		t.Fatalf("ShardCounts = %v, want one deployment", rep.ShardCounts)
+	if rep.Reconfigs != 1 {
+		t.Fatalf("%d deployments, want one", rep.Reconfigs)
 	}
 	if rep.Cost <= 0 {
 		t.Fatalf("cost = %v", rep.Cost)
@@ -196,8 +198,8 @@ func TestExecuteDistKillResizesWorkerCount(t *testing.T) {
 	if rep.Evictions != 1 || rep.Restarts != 1 {
 		t.Fatalf("evictions=%d restarts=%d, want 1/1", rep.Evictions, rep.Restarts)
 	}
-	if len(rep.ShardCounts) != 2 || rep.ShardCounts[0] != 8 || rep.ShardCounts[1] != 4 {
-		t.Fatalf("ShardCounts = %v, want [8 4]", rep.ShardCounts)
+	if counts := shardCounts(sink.snapshot()); !slices.Equal(counts, []int{8, 4}) {
+		t.Fatalf("shard counts = %v, want [8 4]", counts)
 	}
 	if rep.Checkpoints == 0 {
 		t.Fatal("no durable checkpoints recorded")
@@ -248,9 +250,6 @@ func TestExecuteDistSlackAware(t *testing.T) {
 	}
 	if !rep.Finished {
 		t.Fatal("run did not finish")
-	}
-	if len(rep.ShardCounts) != rep.Reconfigs {
-		t.Fatalf("ShardCounts %v but %d reconfigs", rep.ShardCounts, rep.Reconfigs)
 	}
 	assertBitIdentical(t, ref.Values, rep.Values)
 }
@@ -419,8 +418,8 @@ func TestExecuteDistProcessKill(t *testing.T) {
 	if rep.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", rep.Evictions)
 	}
-	if len(rep.ShardCounts) != 2 || rep.ShardCounts[0] != 4 || rep.ShardCounts[1] != 8 {
-		t.Fatalf("ShardCounts = %v, want [4 8]", rep.ShardCounts)
+	if counts := shardCounts(sink.snapshot()); !slices.Equal(counts, []int{4, 8}) {
+		t.Fatalf("shard counts = %v, want [4 8]", counts)
 	}
 	assertBitIdentical(t, ref.Values, rep.Values)
 	for _, e := range sink.snapshot() {
@@ -431,4 +430,16 @@ func TestExecuteDistProcessKill(t *testing.T) {
 			t.Errorf("deploy event carries no pids: %+v", e)
 		}
 	}
+}
+
+// shardCounts is the worker count of every dist deployment in boot
+// order: the worker identities its EvDeploy names.
+func shardCounts(events []obs.Event) []int {
+	var counts []int
+	for _, e := range events {
+		if e.Type == obs.EvDeploy {
+			counts = append(counts, len(strings.Split(e.Proc, ",")))
+		}
+	}
+	return counts
 }

@@ -48,9 +48,9 @@ const maxDecisions = 10_000
 // prices.
 const bytesPerVertex = 64
 
-// loop is the state both drivers share: the virtual clock, the report,
-// the evictor and the deadline, plus the options common to Options and
-// DistOptions.
+// loop is the state both drivers share: the virtual clock, the report
+// — the fold of every event the loop emits — the evictor and the
+// deadline, plus the options common to Options and DistOptions.
 type loop struct {
 	env           *core.Env
 	prov          core.Provisioner
@@ -98,25 +98,28 @@ func (l *loop) logf(format string, args ...any) {
 	log.Printf(format, args...)
 }
 
+// emit folds e into the report and, when tracing, publishes it. Every
+// event reaches both on the driver goroutine, in one order.
 func (l *loop) emit(e obs.Event) {
+	l.rep.Emit(e)
 	if l.sink != nil {
 		l.sink.Emit(e)
 	}
 }
 
-// spend bills a machine-time interval on the market and emits the
-// matching EvSpend, in accumulation order so obs.Summarize folds the
-// trace back to rep.Cost bit-exactly. An empty interval bills nothing.
-func (l *loop) spend(c cloud.Config, from, to units.Seconds) error {
-	if from == to {
+// spend bills a machine-time interval on the market, io seconds of it
+// I/O, and emits the matching EvSpend: the report's cost and I/O time
+// accumulate in emission order. An empty interval with no I/O bills
+// nothing.
+func (l *loop) spend(c cloud.Config, from, to, io units.Seconds) error {
+	if from == to && io == 0 {
 		return nil
 	}
 	cost, err := l.env.Market.Cost(c, from, to)
 	if err != nil {
 		return err
 	}
-	l.rep.Cost += cost
-	l.emit(obs.Event{Type: obs.EvSpend, T: float64(from), Config: c.ID(), USD: float64(cost)})
+	l.emit(obs.Event{Type: obs.EvSpend, T: float64(from), Config: c.ID(), USD: float64(cost), IOSec: float64(io)})
 	return nil
 }
 
@@ -152,23 +155,21 @@ func (l *loop) guard(ctx context.Context) error {
 	return nil
 }
 
-// decide counts a decision point and consults the provisioner — or,
+// decide is a decision point: it consults the provisioner — or,
 // once the restart budget is spent or slack has run dry, pins the
 // deterministic last-resort on-demand configuration (the §5 fallback: a
 // fresh LRC deployment finishes within the remaining horizon by
 // construction, so nothing may preempt it again). KeepCurrent derives
 // from st.Current (nil once the deployment is torn down).
 func (l *loop) decide(ctx context.Context, st core.State) (core.Decision, *core.ConfigStats, error) {
-	l.rep.Decisions++
 	if err := l.guard(ctx); err != nil {
 		return core.Decision{}, nil, err
 	}
 	env := l.env
 	if l.rep.Restarts < l.restartBudget && env.Slack(st) > 0 {
-		return sim.Decide(env, l.prov, st, l.sink)
+		return sim.Consult(env, l.prov, st, &l.rep.Summary, l.sink)
 	}
 	if !l.rep.LastResort {
-		l.rep.LastResort = true
 		l.logf("runtime: job %q engaging last-resort %s (restarts=%d/%d, slack=%.0fs)",
 			env.Job.Name, env.LRC.Config.ID(), l.rep.Restarts, l.restartBudget, float64(env.Slack(st)))
 	}
@@ -258,32 +259,26 @@ func (l *loop) reloadTime(perWorker []int64) units.Seconds {
 // deploy bills a fresh deployment of cs from the clock — market wait,
 // boot and load (see price) — and advances the clock to the ready
 // instant. A deployment that resumes a durable checkpoint is a
-// recovery: its whole span counts as RecoveryTime and its EvDeploy
-// carries Reload, so the trace folds to the same number. It returns
-// that EvDeploy for the caller to emit once the deployment is up; done
-// is the superstep it resumes from.
+// recovery: its EvDeploy carries Reload, so its whole span folds into
+// RecoveryTime. It returns that EvDeploy for the caller to emit once
+// the deployment is up; done is the superstep it resumes from.
 func (l *loop) deploy(cs *core.ConfigStats, resumed bool, fetch units.Seconds, perWorker []int64, done int) (obs.Event, error) {
 	start := l.t
 	avail, load, err := l.price(cs, start, resumed, fetch, perWorker)
 	if err != nil {
 		return obs.Event{}, err
 	}
-	l.rep.IOTime += load
 	readyAt := avail + cs.Boot + load
-	if err := l.spend(cs.Config, avail, readyAt); err != nil {
+	if err := l.spend(cs.Config, avail, readyAt, load); err != nil {
 		return obs.Event{}, err
-	}
-	if resumed {
-		l.rep.RecoveryTime += readyAt - start
 	}
 	l.t = readyAt
 	return l.deployEvent(cs, start, done, resumed), nil
 }
 
-// deployEvent counts a deployment of cs requested at start and ready
-// now, and returns its EvDeploy.
+// deployEvent is the EvDeploy of a deployment of cs requested at start
+// and ready now.
 func (l *loop) deployEvent(cs *core.ConfigStats, start units.Seconds, done int, resumed bool) obs.Event {
-	l.rep.Reconfigs++
 	return obs.Event{Type: obs.EvDeploy, T: float64(start), Job: l.env.Job.Name,
 		Config: cs.Config.ID(), WorkLeft: l.workLeft(done),
 		DurSec: float64(l.t - start), Reload: resumed}
@@ -297,7 +292,7 @@ func (l *loop) deployEvent(cs *core.ConfigStats, start units.Seconds, done int, 
 func (l *loop) forecast(cs *core.ConfigStats, nextEvict units.Seconds, segSteps, done int) (evictAfter int, evicted bool, err error) {
 	stepsToEvict := l.stepsBefore(cs, nextEvict)
 	if stepsToEvict <= 0 {
-		evicted, err = l.billUntil(cs, never, nextEvict, done)
+		evicted, err = l.billUntil(cs, never, nextEvict, done, 0)
 		return 0, evicted, err
 	}
 	if stepsToEvict < segSteps {
@@ -317,23 +312,21 @@ func (l *loop) stepsBefore(cs *core.ConfigStats, at units.Seconds) int {
 	return math.MaxInt
 }
 
-// billUntil bills cs from the clock to end and advances the clock there,
-// unless the eviction at `at` lands first. Then the machines ran — and
-// are billed — only up to the eviction, which is recorded with done
-// supersteps durable: in-memory progress past them is gone with the
-// machines, and the caller must redeploy.
-func (l *loop) billUntil(cs *core.ConfigStats, end, at units.Seconds, done int) (evicted bool, err error) {
+// billUntil bills cs from the clock to end, io seconds of it I/O, and
+// advances the clock there, unless the eviction at `at` lands first.
+// Then the machines ran — and are billed — only up to the eviction,
+// which is recorded with done supersteps durable: in-memory progress
+// past them is gone with the machines, and the caller must redeploy.
+func (l *loop) billUntil(cs *core.ConfigStats, end, at units.Seconds, done int, io units.Seconds) (evicted bool, err error) {
 	evicted = at < end
 	if evicted {
 		end = at
 	}
-	if err := l.spend(cs.Config, l.t, end); err != nil {
+	if err := l.spend(cs.Config, l.t, end, io); err != nil {
 		return false, err
 	}
 	l.t = end
 	if evicted {
-		l.rep.Evictions++
-		l.rep.Restarts++
 		l.emit(obs.Event{Type: obs.EvEvict, T: float64(at), Job: l.env.Job.Name,
 			Config: cs.Config.ID(), WorkLeft: l.workLeft(done)})
 	}
@@ -346,18 +339,16 @@ func (l *loop) billUntil(cs *core.ConfigStats, end, at units.Seconds, done int) 
 // done=false means the eviction won (the result never became durable)
 // and was recorded with durable supersteps durable.
 func (l *loop) finish(cs *core.ConfigStats, segEnd, nextEvict units.Seconds, durable int, values []float64, stats engine.Stats, clear func() error) (bool, error) {
-	if evicted, err := l.billUntil(cs, segEnd+cs.Save, nextEvict, durable); err != nil || evicted {
+	if evicted, err := l.billUntil(cs, segEnd+cs.Save, nextEvict, durable, 0); err != nil || evicted {
 		return false, err
 	}
 	if err := clear(); err != nil {
 		l.logf("runtime: checkpoint GC for job %q incomplete: %v", l.env.Job.Name, err)
 	}
-	l.rep.Values, l.rep.Stats, l.rep.Finished = values, stats, true
-	l.rep.Completion = l.t
-	l.rep.MissedDeadline = l.t > l.deadline
+	l.rep.Values, l.rep.Stats = values, stats
 	l.emit(obs.Event{Type: obs.EvDone, T: float64(l.t), Job: l.env.Job.Name,
 		Config: cs.Config.ID(), Done: true,
-		Missed: l.rep.MissedDeadline, USD: float64(l.rep.Cost)})
+		Missed: l.t > l.deadline, USD: float64(l.rep.Cost)})
 	return true, nil
 }
 
@@ -563,16 +554,14 @@ func (s *session) checkpointAt(x int) bool {
 // store, and the next deployment resumes it.
 func (s *session) close(x int, save bool, ioSave units.Seconds, sealed func() obs.Event) {
 	l := s.l
-	end, at := l.segEnd(s.cs, x-s.billed), never // a bare segment cannot lose the race: its forecast fits
+	end, at, io := l.segEnd(s.cs, x-s.billed), never, units.Seconds(0) // a bare segment cannot lose the race: its forecast fits
 	if save {
-		l.rep.IOTime += ioSave
-		end, at = end+ioSave, s.nextEvict
+		end, at, io = end+ioSave, s.nextEvict, ioSave
 	}
-	lost, err := l.billUntil(s.cs, end, at, s.durable)
+	lost, err := l.billUntil(s.cs, end, at, s.durable, io)
 	s.billed, s.saveAt = x, 0
 	if sealed != nil {
 		s.durable = x
-		l.rep.Checkpoints++
 		l.emit(sealed())
 	}
 	switch {
@@ -633,7 +622,7 @@ func (s *session) arm(replan bool) bool {
 // billed, up to it.
 func (s *session) lose(at units.Seconds) {
 	s.nextEvict = at
-	_, err := s.l.billUntil(s.cs, never, at, s.durable)
+	_, err := s.l.billUntil(s.cs, never, at, s.durable, 0)
 	s.stop(true, err)
 }
 

@@ -94,59 +94,36 @@ type Options struct {
 	// combiner programs) keep sender-side combining under it, the rest
 	// pay one inbox sort per vertex.
 	Canonical bool
-	// Sink receives the structured event stream: EvDecision per
-	// provisioner consultation, EvSpend per billing charge in
-	// accumulation order, EvDeploy/EvEvict/EvCheckpoint lifecycle
-	// markers, EvSuperstep per engine superstep and a final EvDone.
-	// Folding the stream with obs.Summarize reproduces the Report's
-	// cost bit-for-bit. Nil disables tracing.
+	// Sink also receives the event stream the Report is folded from:
+	// EvDecision per provisioner consultation, EvSpend per billing
+	// charge in accumulation order (with its I/O seconds),
+	// EvDeploy/EvEvict/EvWatchdog/EvCheckpoint lifecycle markers,
+	// EvSuperstep per engine superstep and a final EvDone. Nil disables
+	// tracing; the Report is the same either way.
 	Sink obs.Sink
 	// Logf receives non-fatal diagnostics (nil = standard logger).
 	Logf func(format string, args ...any)
 }
 
-// Report is the outcome of one eviction-aware execution.
+// Report is the outcome of one eviction-aware execution: the fold of
+// its event stream (obs.Summary) — cost, evictions, restarts,
+// checkpoints, recovery and I/O time, the deadline verdict — and the
+// job's output. The driver keeps no other ledger: every number in the
+// fold arrives as an event, so obs.Summarize over a recorded trace
+// reproduces it bit for bit. RecoveryTime totals the wait + boot + load
+// span of every deploy that resumes a durable checkpoint — after an
+// eviction, a shard loss, a watchdog trip or a move to another
+// configuration; fresh starts and warm cutovers (whose boot and
+// prefetch overlapped the warning window) count nothing, so on a fixed
+// trace warm recovery is strictly cheaper than cold whenever a cutover
+// lands.
 type Report struct {
+	obs.Summary
 	// Values are the final vertex values (nil when the run did not
 	// finish).
 	Values []float64
 	// Stats are the engine stats of the final deployment.
 	Stats engine.Stats
-	// Cost is the accumulated machine spend (virtual market pricing).
-	Cost units.USD
-	// Finished reports whether the job produced output.
-	Finished bool
-	// MissedDeadline is Finished && Completion > deadline.
-	MissedDeadline bool
-	// Completion is the absolute virtual finish time.
-	Completion units.Seconds
-	// IOTime totals checkpoint save/load plus simnet reload seconds.
-	IOTime units.Seconds
-	// RecoveryTime totals the wait + boot + load span of every deploy
-	// that resumes from a durable checkpoint — the downtime of recovering
-	// from an eviction, a shard loss, a watchdog trip or a move to
-	// another configuration. Fresh starts count nothing, and neither do
-	// warm cutovers — their boot and prefetch overlapped the warning
-	// window — so on a fixed trace warm recovery is strictly cheaper
-	// than cold whenever at least one cutover lands.
-	RecoveryTime units.Seconds
-
-	Evictions     int  // injected evictions suffered
-	Reconfigs     int  // deployments (first boot included)
-	Checkpoints   int  // durable checkpoints completed
-	Decisions     int  // provisioner consultations
-	Restarts      int  // evictions + watchdog trips that forced a reload
-	WatchdogTrips int  // wall-clock watchdog firings
-	Warnings      int  // eviction warnings fired (ExecuteDist with WarningWindow > 0)
-	WarmCutovers  int  // evictions absorbed by a ready warm standby
-	StandbyMisses int  // standbys armed or booted that never cut over
-	LastResort    bool // the last-resort fallback was engaged
-
-	// ShardCounts is the worker count of every deployment in boot
-	// order — populated by ExecuteDist, where each entry is one process
-	// set; a re-provision after an eviction may change the count
-	// mid-trajectory. Execute leaves it nil.
-	ShardCounts []int
 }
 
 func (o *Options) validate() error {
@@ -278,11 +255,11 @@ func (d *driver) pump(s *session, x *engine.Execution, last *lastStep, cancel co
 		case tripped:
 			// Charge the supersteps that did complete, then reprovision
 			// from the last durable checkpoint.
-			d.rep.WatchdogTrips++
-			d.rep.Restarts++
 			d.logf("runtime: job %q watchdog tripped on %s after superstep %d; redeploying",
 				d.env.Job.Name, s.cs.Config.ID(), s.done)
-			_, err := d.billUntil(s.cs, d.segEnd(s.cs, s.done-s.billed), never, 0)
+			_, err := d.billUntil(s.cs, d.segEnd(s.cs, s.done-s.billed), never, 0, 0)
+			d.emit(obs.Event{Type: obs.EvWatchdog, T: float64(d.t), Job: d.env.Job.Name,
+				Config: s.cs.Config.ID(), WorkLeft: d.workLeft(s.durable)})
 			s.stop(true, err)
 			return nil, engine.Stats{}, nil
 		case out.err != nil:

@@ -234,40 +234,6 @@ func TestExecuteSlackAwareFromColdMarket(t *testing.T) {
 	}
 }
 
-func TestExecuteTraceFoldMatchesReport(t *testing.T) {
-	h := getHarness(t, "pagerank")
-	sink := &listSink{}
-	opts := h.options(t, cloud.NewDatastore(), "fold/pagerank", h.provisioner(t))
-	opts.Sink = sink
-	rep, err := runtime.Execute(context.Background(), opts, 0, h.relDl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := obs.Summarize(sink.snapshot())
-	if sum.CostUSD != float64(rep.Cost) {
-		t.Errorf("folded cost %v != report %v", sum.CostUSD, float64(rep.Cost))
-	}
-	if sum.Evictions != rep.Evictions {
-		t.Errorf("folded evictions %d != report %d", sum.Evictions, rep.Evictions)
-	}
-	if sum.Checkpoints != rep.Checkpoints {
-		t.Errorf("folded checkpoints %d != report %d", sum.Checkpoints, rep.Checkpoints)
-	}
-	if sum.Deploys != rep.Reconfigs {
-		t.Errorf("folded deploys %d != report %d", sum.Deploys, rep.Reconfigs)
-	}
-	if sum.Decisions != rep.Decisions {
-		t.Errorf("folded decisions %d != report %d", sum.Decisions, rep.Decisions)
-	}
-	if sum.RecoverySec != float64(rep.RecoveryTime) {
-		t.Errorf("folded recovery %v != report %v", sum.RecoverySec, float64(rep.RecoveryTime))
-	}
-	if !sum.Finished || sum.Missed != rep.MissedDeadline {
-		t.Errorf("folded done marker finished=%v missed=%v, report missed=%v",
-			sum.Finished, sum.Missed, rep.MissedDeadline)
-	}
-}
-
 // wedgeProgram sleeps at a chosen superstep, simulating a stuck
 // Compute. Each program instance wedges at most once (an abandoned
 // engine goroutine keeps calling Compute after the driver moves on and

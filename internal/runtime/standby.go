@@ -101,7 +101,6 @@ func (s *session) warn() {
 	sb := &standbyState{}
 	s.sb = sb
 	wl := d.workLeft(durable)
-	d.rep.Warnings++
 	d.emit(obs.Event{Type: obs.EvWarning, T: float64(warnAt), Job: d.env.Job.Name,
 		Config: s.cs.Config.ID(), WorkLeft: wl, DurSec: float64(d.opts.WarningWindow)})
 
@@ -137,7 +136,6 @@ func (l *loop) standbyMiss(at units.Seconds, config string, err error) {
 	if err != nil {
 		l.logf("runtime: dist job %q standby infeasible: %v", l.env.Job.Name, err)
 	}
-	l.rep.StandbyMisses++
 	l.emit(obs.Event{Type: obs.EvStandby, T: float64(at), Job: l.env.Job.Name,
 		Config: config, Ready: false})
 }
@@ -157,12 +155,10 @@ func (s *session) settleStandby() error {
 		// raced the forecast): the standby never got ready.
 		return s.discardStandby(evTime)
 	}
-	if err := l.spend(sb.cs.Config, sb.avail, evTime); err != nil {
+	if err := l.spend(sb.cs.Config, sb.avail, evTime, sb.reload); err != nil {
 		sb.teardown()
 		return err
 	}
-	l.rep.IOTime += sb.reload
-	l.rep.WarmCutovers++
 	l.emit(obs.Event{Type: obs.EvCutover, T: float64(evTime), Job: l.env.Job.Name,
 		Config: sb.cs.Config.ID(), WorkLeft: l.workLeft(s.durable), DurSec: 0})
 	l.next, l.pending = &sb.choice, sb
@@ -178,11 +174,10 @@ func (s *session) discardStandby(billTo units.Seconds) error {
 	}
 	sb.teardown()
 	if billTo > sb.avail {
-		if err := l.spend(sb.cs.Config, sb.avail, billTo); err != nil {
+		if err := l.spend(sb.cs.Config, sb.avail, billTo, 0); err != nil {
 			return err
 		}
 	}
-	l.rep.StandbyMisses++
 	l.emit(obs.Event{Type: obs.EvStandby, T: float64(billTo), Job: l.env.Job.Name,
 		Config: sb.cs.Config.ID(), Ready: false})
 	return nil

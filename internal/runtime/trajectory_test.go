@@ -64,7 +64,7 @@ func trajectory(t *testing.T, events []obs.Event) []byte {
 
 // execScenario runs Execute without the wall-clock watchdog, so the
 // trajectory depends on the seeds alone.
-func execScenario(t *testing.T, sink obs.Sink, app string, store cloud.BlobStore, start units.Seconds) {
+func execScenario(t *testing.T, sink obs.Sink, app string, store cloud.BlobStore, start units.Seconds) runtime.Report {
 	h := getHarness(t, app)
 	opts := h.options(t, store, "golden/"+app, h.provisioner(t))
 	opts.Watchdog = 0
@@ -77,11 +77,12 @@ func execScenario(t *testing.T, sink obs.Sink, app string, store cloud.BlobStore
 		t.Fatal("run did not finish")
 	}
 	assertBitIdentical(t, h.ref, rep.Values)
+	return rep
 }
 
 // distScenario runs ExecuteDist from start 0 on an 8 → 4 on-demand
 // script under a generous deadline.
-func distScenario(t *testing.T, sink obs.Sink, job string, launcher *runtime.LoopbackLauncher, window units.Seconds) {
+func distScenario(t *testing.T, sink obs.Sink, job string, launcher *runtime.LoopbackLauncher, window units.Seconds) runtime.Report {
 	h := getHarness(t, "pagerank")
 	ref := distReference(t)
 	prov := &scriptedProv{configs: []cloud.Config{onDemandByCount(t, h.env, 8), onDemandByCount(t, h.env, 4)}}
@@ -96,45 +97,46 @@ func distScenario(t *testing.T, sink obs.Sink, job string, launcher *runtime.Loo
 		t.Fatal("run did not finish")
 	}
 	assertBitIdentical(t, ref.Values, rep.Values)
+	return rep
 }
 
 // trajectoryScenarios are the golden scenarios, by name.
 var trajectoryScenarios = []struct {
 	name string
-	run  func(t *testing.T, sink obs.Sink)
+	run  func(t *testing.T, sink obs.Sink) runtime.Report
 }{
 	// Slack-aware provisioning from the start of the synthetic market.
-	{"exec_slack_aware_cold", func(t *testing.T, sink obs.Sink) {
-		execScenario(t, sink, "pagerank", cloud.NewDatastore(), 0)
+	{"exec_slack_aware_cold", func(t *testing.T, sink obs.Sink) runtime.Report {
+		return execScenario(t, sink, "pagerank", cloud.NewDatastore(), 0)
 	}},
 	// Chaos schedule 5065 under seeded store faults: two market
 	// evictions, re-decisions onto other configurations, and a
 	// redeploy that finds no readable checkpoint and starts fresh.
-	{"exec_chaos_5065", func(t *testing.T, sink obs.Sink) {
+	{"exec_chaos_5065", func(t *testing.T, sink obs.Sink) runtime.Report {
 		const seed = 5065
 		h := getHarness(t, "wcc")
 		rng := rand.New(rand.NewSource(seed * 17))
 		start := units.Seconds(rng.Float64() * float64(h.horizon-h.relDl))
-		execScenario(t, sink, "wcc", faultinject.Wrap(cloud.NewDatastore(), chaosPolicy(seed)), start)
+		return execScenario(t, sink, "wcc", faultinject.Wrap(cloud.NewDatastore(), chaosPolicy(seed)), start)
 	}},
 	// Saves slowed by up to 600 virtual seconds, at an offset where a
 	// price crossing lands inside one of them.
-	{"exec_evict_mid_save", func(t *testing.T, sink obs.Sink) {
+	{"exec_evict_mid_save", func(t *testing.T, sink obs.Sink) runtime.Report {
 		h := getHarness(t, "wcc")
 		rng := rand.New(rand.NewSource(904))
 		start := units.Seconds(rng.Float64() * float64(h.horizon-h.relDl))
 		store := faultinject.Wrap(cloud.NewDatastore(), faultinject.Policy{Seed: 77, MaxLatency: 600})
-		execScenario(t, sink, "wcc", store, start)
+		return execScenario(t, sink, "wcc", store, start)
 	}},
 	// A worker of the 8-shard set dies at superstep 3; the driver
 	// resumes the blobs on 4 shards.
-	{"dist_reactive_resize", func(t *testing.T, sink obs.Sink) {
+	{"dist_reactive_resize", func(t *testing.T, sink obs.Sink) runtime.Report {
 		store := cloud.NewDatastore()
-		distScenario(t, sink, "golden-resize", deathLauncher(t, store, 3, true, false), 0)
+		return distScenario(t, sink, "golden-resize", deathLauncher(t, store, 3, true, false), 0)
 	}},
 	// A spot set evicted by the market mid-run, absorbed by a warm
 	// on-demand standby after a forced boundary checkpoint.
-	{"dist_warm_market_cutover", func(t *testing.T, sink obs.Sink) {
+	{"dist_warm_market_cutover", func(t *testing.T, sink obs.Sink) runtime.Report {
 		h := getHarness(t, "pagerank")
 		ref := distReference(t)
 		spot := transientByCount(t, h.env, 8)
@@ -156,27 +158,35 @@ var trajectoryScenarios = []struct {
 			t.Fatalf("finished=%v cutovers=%d, want a finished run with one cutover", rep.Finished, rep.WarmCutovers)
 		}
 		assertBitIdentical(t, ref.Values, rep.Values)
+		return rep
 	}},
 	// A forewarned death with a 50 s window: too short to boot a
 	// standby, long enough for the forced save.
-	{"dist_standby_not_ready", func(t *testing.T, sink obs.Sink) {
+	{"dist_standby_not_ready", func(t *testing.T, sink obs.Sink) runtime.Report {
 		store := cloud.NewDatastore()
-		distScenario(t, sink, "golden-miss", deathLauncher(t, store, 6, true, true), 50)
+		return distScenario(t, sink, "golden-miss", deathLauncher(t, store, 6, true, true), 50)
 	}},
 	// A forewarned death that never happens: the booted standby is
 	// discarded when the job finishes.
-	{"dist_standby_discarded", func(t *testing.T, sink obs.Sink) {
+	{"dist_standby_discarded", func(t *testing.T, sink obs.Sink) runtime.Report {
 		store := cloud.NewDatastore()
-		distScenario(t, sink, "golden-discard", deathLauncher(t, store, 6, false, true), 2000)
+		return distScenario(t, sink, "golden-discard", deathLauncher(t, store, 6, false, true), 2000)
 	}},
 }
 
+// TestGoldenTrajectories also checks that each report is the fold of
+// the stream its sink recorded: a sink or tee that drops, reorders or
+// invents an event shows as a report that no longer matches its trace.
 func TestGoldenTrajectories(t *testing.T) {
 	for _, sc := range trajectoryScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			sink := &listSink{}
-			sc.run(t, sink)
-			got := trajectory(t, sink.snapshot())
+			rep := sc.run(t, sink)
+			events := sink.snapshot()
+			if sum := obs.Summarize(events); sum != rep.Summary {
+				t.Errorf("recorded trace folds to\n%+v\nthe run reported\n%+v", sum, rep.Summary)
+			}
+			got := trajectory(t, events)
 			path := filepath.Join("testdata", "trajectories", sc.name+".jsonl")
 			if *updateTrajectories {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -281,16 +281,9 @@ func (b *RuntimeBackend) Run(ctx context.Context, spec JobSpec, start, deadline 
 		b.park(spec.ID, ns)
 		return sim.RunResult{}, err
 	}
-	return sim.RunResult{
-		Cost:           rep.Cost + env.OfflineCost, // §8.2: include offline partitioning
-		Finished:       rep.Finished,
-		MissedDeadline: rep.MissedDeadline,
-		Completion:     rep.Completion,
-		Evictions:      rep.Evictions,
-		Reconfigs:      rep.Reconfigs,
-		Checkpoints:    rep.Checkpoints,
-		Decisions:      rep.Decisions,
-	}, nil
+	res := rep.Summary
+	res.Cost += env.OfflineCost // §8.2: include offline partitioning
+	return res, nil
 }
 
 var _ Backend = (*RuntimeBackend)(nil)

@@ -270,9 +270,6 @@ func TestControllerDistRecurrenceFollowsDecisions(t *testing.T) {
 	if rec.Evictions == 0 || shardCounts[0] == shardCounts[len(shardCounts)-1] {
 		t.Fatalf("%d evictions, worker counts %v: the scenario no longer changes the worker count", rec.Evictions, shardCounts)
 	}
-	if got := obs.Summarize(events).CostUSD + float64(env.OfflineCost); got != rec.Cost {
-		t.Fatalf("trace folds to $%v, recorded cost $%v", got, rec.Cost)
-	}
 }
 
 // TestRuntimeBackendCancelAborts: cancelling the scheduler context

@@ -35,10 +35,18 @@ func (e Evictor) Next(c cloud.Config, from units.Seconds) units.Seconds {
 }
 
 // Decide consults the provisioner once and resolves the chosen
-// configuration's profiled stats, emitting the EvDecision trace event
-// exactly as Runner.RunCtx does (same fields, same Finite clamping) so
-// traces from the simulator and the execution runtime fold alike.
+// configuration's profiled stats, emitting the EvDecision into sink
+// (nil = none) exactly as the executors do (see Consult).
 func Decide(env *core.Env, prov core.Provisioner, st core.State, sink obs.Sink) (core.Decision, *core.ConfigStats, error) {
+	return Consult(env, prov, st, nil, sink)
+}
+
+// Consult is Decide for an executor, whose report is the fold of its
+// trace: the EvDecision goes to fold (nil = none) and, when tracing, to
+// sink, with the same fields and Finite clamping for the simulator and
+// the execution runtime so their traces fold alike. Only the traced
+// copy names the configuration, so an untraced run formats no id.
+func Consult(env *core.Env, prov core.Provisioner, st core.State, fold *obs.Summary, sink obs.Sink) (core.Decision, *core.ConfigStats, error) {
 	dec, err := prov.Decide(st)
 	if err != nil {
 		return core.Decision{}, nil, err
@@ -47,15 +55,19 @@ func Decide(env *core.Env, prov core.Provisioner, st core.State, sink obs.Sink) 
 	if !ok {
 		return core.Decision{}, nil, fmt.Errorf("sim: provisioner chose unknown config %s", dec.Config.ID())
 	}
+	e := obs.Event{Type: obs.EvDecision, T: float64(st.Now), Job: env.Job.Name,
+		ECUSD:      obs.Finite(float64(dec.ExpectedCost)),
+		SlackSec:   obs.Finite(float64(env.Slack(st))),
+		WorkLeft:   st.WorkLeft,
+		Keep:       dec.KeepCurrent,
+		LastResort: dec.Config == env.LRC.Config,
+	}
 	if sink != nil {
-		sink.Emit(obs.Event{Type: obs.EvDecision, T: float64(st.Now), Job: env.Job.Name,
-			Config:     dec.Config.ID(),
-			ECUSD:      obs.Finite(float64(dec.ExpectedCost)),
-			SlackSec:   obs.Finite(float64(env.Slack(st))),
-			WorkLeft:   st.WorkLeft,
-			Keep:       dec.KeepCurrent,
-			LastResort: dec.Config.ID() == env.LRC.Config.ID(),
-		})
+		e.Config = dec.Config.ID()
+		sink.Emit(e)
+	}
+	if fold != nil {
+		fold.Emit(e)
 	}
 	return dec, cs, nil
 }

@@ -22,19 +22,12 @@ import (
 	"hourglass/internal/units"
 )
 
-// RunResult reports one simulated job execution.
-type RunResult struct {
-	Cost           units.USD
-	Finished       bool
-	MissedDeadline bool
-	Completion     units.Seconds // absolute completion time
-	Evictions      int
-	Reconfigs      int
-	Checkpoints    int
-	Decisions      int
-	// Timeline is populated when Runner.Trace is set.
-	Timeline *Timeline
-}
+// RunResult reports one simulated job execution. It is the fold of the
+// run's event stream (obs.Summary): the runner keeps no other ledger,
+// so folding a recorded trace with obs.Summarize reproduces the result
+// exactly. The simulator's spend records carry no I/O split, so IOTime
+// stays zero; RecoveryTime sums the reloading deploys.
+type RunResult = obs.Summary
 
 // replica is one live deployment.
 type replica struct {
@@ -54,32 +47,14 @@ type Runner struct {
 	// eviction (§9): if the window fits the checkpoint upload, the
 	// in-flight progress is persisted instead of rolled back.
 	WarningWindow units.Seconds
-	// Trace records a per-phase Timeline into each RunResult.
-	Trace bool
-	// Sink, when set, receives the structured decision/lifecycle event
-	// stream (obs JSONL schema): one EvDecision per provisioner
-	// consultation, one EvSpend per billing charge in accumulation
-	// order, EvDeploy/EvEvict/EvCheckpoint lifecycle markers and a
-	// final EvDone. Folding the stream with obs.Summarize reproduces
-	// the RunResult exactly. Nil disables tracing at zero cost.
+	// Sink, when set, also receives the structured decision/lifecycle
+	// event stream each run folds into its RunResult (obs JSONL
+	// schema): one EvDecision per provisioner consultation, one EvSpend
+	// per billing charge in accumulation order, EvDeploy/EvEvict/
+	// EvCheckpoint lifecycle markers and a final EvDone. Nil disables
+	// tracing; an untraced run formats no configuration id for its
+	// spends and decisions.
 	Sink obs.Sink
-}
-
-// emit publishes a trace event when a sink is configured.
-func (r *Runner) emit(e obs.Event) {
-	if r.Sink != nil {
-		r.Sink.Emit(e)
-	}
-}
-
-// emitSpend publishes one billing charge. Every res.Cost increment has
-// a matching emitSpend in the same order, so a trace's folded cost
-// reproduces the run's float accumulation sequence bit-for-bit.
-func (r *Runner) emitSpend(at units.Seconds, config string, usd units.USD) {
-	if r.Sink != nil {
-		r.Sink.Emit(obs.Event{Type: obs.EvSpend, T: float64(at),
-			Config: config, USD: float64(usd)})
-	}
 }
 
 // Run simulates one job execution starting at `start` with an absolute
@@ -101,25 +76,32 @@ func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadl
 	wLive := 1.0    // work left counting in-memory progress
 	var live []replica
 	var res RunResult
-	var tl *Timeline
-	if r.Trace {
-		tl = &Timeline{}
-		res.Timeline = tl
+	// emit folds e into the result and, when tracing, publishes it.
+	emit := func(e obs.Event) {
+		res.Emit(e)
+		if r.Sink != nil {
+			r.Sink.Emit(e)
+		}
+	}
+	// spend records one billing charge. Spends fold in charge order, so
+	// a trace's folded cost reproduces the run's float accumulation
+	// sequence bit-for-bit.
+	spend := func(at units.Seconds, c cloud.Config, usd units.USD) {
+		e := obs.Event{Type: obs.EvSpend, T: float64(at), USD: float64(usd)}
+		if r.Sink != nil {
+			e.Config = c.ID()
+		}
+		emit(e)
 	}
 
 	teardown := func() { live = nil }
 
 	for {
 		if wLive <= 0 {
-			res.Finished = true
-			res.Completion = t
-			res.MissedDeadline = t > deadline
-			tl.add(PhaseDone, t, t, "", 0)
-			r.emit(obs.Event{Type: obs.EvDone, T: float64(t), Job: env.Job.Name,
-				Done: true, Missed: res.MissedDeadline, USD: float64(res.Cost)})
+			emit(obs.Event{Type: obs.EvDone, T: float64(t), Job: env.Job.Name,
+				Done: true, Missed: t > deadline, USD: float64(res.Cost)})
 			return res, nil
 		}
-		res.Decisions++
 		if res.Decisions > maxDecisions {
 			return res, fmt.Errorf("sim: exceeded %d decisions (provisioner livelock?)", maxDecisions)
 		}
@@ -136,7 +118,7 @@ func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadl
 		st := core.State{
 			Now: t, WorkLeft: wLive, Deadline: deadline, Current: curCfg, Uptime: uptime,
 		}
-		dec, primary, err := Decide(env, prov, st, r.Sink)
+		dec, primary, err := Consult(env, prov, st, &res, r.Sink)
 		if err != nil {
 			return res, err
 		}
@@ -147,7 +129,6 @@ func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadl
 			// the same deployment survives (handled by KeepCurrent).
 			teardown()
 			wLive = wDurable
-			res.Reconfigs++
 			configs := append([]cloud.Config{dec.Config}, dec.Extra...)
 			avails := make([]units.Seconds, len(configs))
 			readyAt := t
@@ -172,8 +153,7 @@ func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadl
 				if err != nil {
 					return res, err
 				}
-				res.Cost += cost
-				r.emitSpend(avails[i], c.ID(), cost)
+				spend(avails[i], c, cost)
 			}
 			live = live[:0]
 			sampler := Evictor{Market: market}
@@ -182,8 +162,7 @@ func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadl
 				live = append(live, replica{stats: cs, bootAt: readyAt,
 					evict: sampler.Next(c, readyAt)})
 			}
-			tl.add(PhaseDeploy, t, readyAt, dec.Config.ID(), wLive)
-			r.emit(obs.Event{Type: obs.EvDeploy, T: float64(t), Job: env.Job.Name,
+			emit(obs.Event{Type: obs.EvDeploy, T: float64(t), Job: env.Job.Name,
 				Config: dec.Config.ID(), WorkLeft: wLive,
 				DurSec: float64(readyAt - t), Reload: wDurable < 1})
 			t = readyAt
@@ -232,10 +211,8 @@ func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadl
 				if err != nil {
 					return res, err
 				}
-				res.Cost += cost
-				r.emitSpend(t, live[i].stats.Config.ID(), cost)
+				spend(t, live[i].stats.Config, cost)
 			}
-			res.Evictions++
 			// Progress since t accrues only in memory; survivors keep it.
 			elapsed := firstEvict - t
 			wLive -= float64(elapsed) / float64(primary.Exec)
@@ -248,8 +225,7 @@ func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadl
 			// vanish.
 			if dec.UseCheckpoints && r.WarningWindow >= primary.Save {
 				wDurable = wLive
-				res.Checkpoints++
-				r.emit(obs.Event{Type: obs.EvCheckpoint, T: float64(t), Job: env.Job.Name,
+				emit(obs.Event{Type: obs.EvCheckpoint, T: float64(t), Job: env.Job.Name,
 					Config: primary.Config.ID(), WorkLeft: wLive})
 			}
 			// Drop the evicted replica (and any other replica evicted
@@ -260,9 +236,7 @@ func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadl
 					survivors = append(survivors, live[i])
 				}
 			}
-			tl.add(PhaseCompute, t-elapsed, t, primary.Config.ID(), wLive)
-			tl.add(PhaseEvicted, t, t, primary.Config.ID(), wLive)
-			r.emit(obs.Event{Type: obs.EvEvict, T: float64(t), Job: env.Job.Name,
+			emit(obs.Event{Type: obs.EvEvict, T: float64(t), Job: env.Job.Name,
 				Config: primary.Config.ID(), WorkLeft: wLive})
 			if len(survivors) == 0 {
 				// Total loss: roll back to the last durable checkpoint.
@@ -281,14 +255,12 @@ func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadl
 			if err != nil {
 				return res, err
 			}
-			res.Cost += cost
-			r.emitSpend(t, live[i].stats.Config.ID(), cost)
+			spend(t, live[i].stats.Config, cost)
 		}
 		wLive -= float64(segment) / float64(primary.Exec)
 		if wLive < 1e-12 {
 			wLive = 0
 		}
-		tl.add(PhaseCompute, t, segEnd, primary.Config.ID(), wLive)
 		t = segEnd
 
 		// Persist state: a checkpoint if mid-job, the output write if
@@ -305,8 +277,7 @@ func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadl
 				if err != nil {
 					return res, err
 				}
-				res.Cost += cost
-				r.emitSpend(t, live[i].stats.Config.ID(), cost)
+				spend(t, live[i].stats.Config, cost)
 				evTimes = append(evTimes, live[i].evict)
 				continue
 			}
@@ -314,17 +285,13 @@ func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadl
 			if err != nil {
 				return res, err
 			}
-			res.Cost += cost
-			r.emitSpend(t, live[i].stats.Config.ID(), cost)
+			spend(t, live[i].stats.Config, cost)
 			savers = append(savers, live[i])
 		}
 		sort.Slice(evTimes, func(i, j int) bool { return evTimes[i] < evTimes[j] })
-		res.Evictions += len(evTimes)
 		segStart := t
 		for _, ev := range evTimes {
-			tl.add(PhaseSave, segStart, ev, primary.Config.ID(), wLive)
-			tl.add(PhaseEvicted, ev, ev, primary.Config.ID(), wLive)
-			r.emit(obs.Event{Type: obs.EvEvict, T: float64(ev), Job: env.Job.Name,
+			emit(obs.Event{Type: obs.EvEvict, T: float64(ev), Job: env.Job.Name,
 				Config: primary.Config.ID(), WorkLeft: wLive})
 			segStart = ev
 		}
@@ -337,25 +304,19 @@ func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadl
 			continue
 		}
 		live = savers
-		tl.add(PhaseSave, segStart, saveEnd, primary.Config.ID(), wLive)
 		t = saveEnd
 		if wLive > 0 {
 			if dec.UseCheckpoints {
 				wDurable = wLive
-				res.Checkpoints++
-				r.emit(obs.Event{Type: obs.EvCheckpoint, T: float64(t), Job: env.Job.Name,
+				emit(obs.Event{Type: obs.EvCheckpoint, T: float64(t), Job: env.Job.Name,
 					Config: primary.Config.ID(), WorkLeft: wLive})
 			}
 			continue
 		}
 		wDurable = 0
-		res.Finished = true
-		res.Completion = t
-		res.MissedDeadline = t > deadline
-		tl.add(PhaseDone, t, t, primary.Config.ID(), 0)
-		r.emit(obs.Event{Type: obs.EvDone, T: float64(t), Job: env.Job.Name,
+		emit(obs.Event{Type: obs.EvDone, T: float64(t), Job: env.Job.Name,
 			Config: primary.Config.ID(), Done: true,
-			Missed: res.MissedDeadline, USD: float64(res.Cost)})
+			Missed: t > deadline, USD: float64(res.Cost)})
 		return res, nil
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -440,12 +441,55 @@ func replicatedSaveFixture(t *testing.T, spikeBoth bool) (*core.Env, *replicated
 	return env, &replicatedStub{primary: prim.Config, extra: extra.Config}, segEnd + prim.Save
 }
 
+func approxSeconds(a, b units.Seconds, tol float64) bool {
+	d := float64(a - b)
+	if d < 0 {
+		d = -d
+	}
+	return d <= tol
+}
+
+// checkLifecycle asserts the invariants every run's event stream keeps:
+// lifecycle events (deploy, evict, checkpoint, done) are time-ordered;
+// work left never rises except at an EvDeploy, which re-anchors the run
+// at the durable frontier; and that frontier — the work left at the
+// last sealed checkpoint — never regresses. A rise anywhere else
+// (mid-segment, at an eviction) is a bookkeeping bug: billing a dead
+// replica, resurrecting lost progress.
+func checkLifecycle(events []obs.Event) error {
+	var prevT float64
+	prevW, durable := 1.0, 1.0
+	for i, e := range events {
+		switch e.Type {
+		case obs.EvDeploy, obs.EvEvict, obs.EvCheckpoint, obs.EvDone:
+		default:
+			continue
+		}
+		switch {
+		case e.T < prevT-1e-9:
+			return fmt.Errorf("event %d (%s) at t=%v before t=%v", i, e.Type, e.T, prevT)
+		case e.Type == obs.EvDeploy && e.WorkLeft != durable:
+			return fmt.Errorf("event %d: deploy resumes w=%.6f, durable frontier w=%.6f", i, e.WorkLeft, durable)
+		case e.Type != obs.EvDeploy && e.WorkLeft > prevW+1e-9:
+			return fmt.Errorf("event %d (%s): work left rose %.6f -> %.6f outside a deploy", i, e.Type, prevW, e.WorkLeft)
+		case e.Type == obs.EvCheckpoint && e.WorkLeft > durable+1e-9:
+			return fmt.Errorf("event %d: checkpoint regressed the durable frontier %.6f -> %.6f", i, durable, e.WorkLeft)
+		}
+		if e.Type == obs.EvCheckpoint {
+			durable = e.WorkLeft
+		}
+		prevT, prevW = e.T, e.WorkLeft
+	}
+	return nil
+}
+
 func TestReplicaEvictedDuringSaveIsDroppedAndBilledToEviction(t *testing.T) {
 	// Regression: with more than one live replica, a replica evicted
 	// inside the save window used to be billed through the end of the
 	// save, never counted as an eviction, and left in the live set.
 	env, stub, saveEnd := replicatedSaveFixture(t, false)
-	r := &Runner{Env: env, Trace: true}
+	sink := &eventSink{}
+	r := &Runner{Env: env, Sink: sink}
 	res, err := r.Run(stub, 0, 2*units.Day)
 	if err != nil {
 		t.Fatal(err)
@@ -456,11 +500,8 @@ func TestReplicaEvictedDuringSaveIsDroppedAndBilledToEviction(t *testing.T) {
 	if res.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1 (buddy lost mid-save)", res.Evictions)
 	}
-	if res.Timeline.Evictions() != 1 {
-		t.Errorf("timeline evictions = %d, want 1", res.Timeline.Evictions())
-	}
-	if err := res.Timeline.Validate(); err != nil {
-		t.Fatalf("timeline invalid: %v\n%s", err, res.Timeline)
+	if err := checkLifecycle(sink.snapshot()); err != nil {
+		t.Fatal(err)
 	}
 	// The surviving primary completes the save on schedule.
 	if !approxSeconds(res.Completion, saveEnd, 1) {
@@ -472,7 +513,8 @@ func TestAllReplicasEvictedDuringSaveRollsBack(t *testing.T) {
 	// Total loss mid-save: the save fails, the run rolls back and
 	// redeploys once the market recovers, and both evictions count.
 	env, stub, saveEnd := replicatedSaveFixture(t, true)
-	r := &Runner{Env: env, Trace: true}
+	sink := &eventSink{}
+	r := &Runner{Env: env, Sink: sink}
 	res, err := r.Run(stub, 0, 2*units.Day)
 	if err != nil {
 		t.Fatal(err)
@@ -489,8 +531,8 @@ func TestAllReplicasEvictedDuringSaveRollsBack(t *testing.T) {
 	if res.Completion <= saveEnd {
 		t.Errorf("completion %v not after the failed save %v", res.Completion, saveEnd)
 	}
-	if err := res.Timeline.Validate(); err != nil {
-		t.Fatalf("timeline invalid: %v\n%s", err, res.Timeline)
+	if err := checkLifecycle(sink.snapshot()); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -516,7 +558,7 @@ func (p *spotThenOnDemand) Decide(st core.State) (core.Decision, error) {
 }
 
 // TestReloadMeansDurableProgress: a redeploy is a reload — recovery
-// downtime in obs.Summarize — only when it resumes durable progress. An
+// downtime in the result — only when it resumes durable progress. An
 // eviction before the first checkpoint starts the job over.
 func TestReloadMeansDurableProgress(t *testing.T) {
 	var spot *core.ConfigStats
@@ -563,8 +605,8 @@ func TestReloadMeansDurableProgress(t *testing.T) {
 			if deploys[0].Reload || deploys[1].Reload != tc.reload {
 				t.Fatalf("deploy reload = %v, %v; want false, %v", deploys[0].Reload, deploys[1].Reload, tc.reload)
 			}
-			if sum := obs.Summarize(sink.snapshot()); (sum.RecoverySec > 0) != tc.reload {
-				t.Fatalf("folded recovery = %v s with reload %v", sum.RecoverySec, tc.reload)
+			if (res.RecoveryTime > 0) != tc.reload {
+				t.Fatalf("recovery = %v with reload %v", res.RecoveryTime, tc.reload)
 			}
 		})
 	}
