@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,6 +21,61 @@ import (
 // A claim that only holds for a sample of the published size is marked
 // full-only below and checked under -exhibit-full alone.
 var full = flag.Bool("exhibit-full", false, "check the shape claims at EXPERIMENTS.md's run counts and scales")
+
+// The simulated exhibits at the reduced counts below are also pinned
+// byte for byte under testdata/, so a change to the simulator shows
+// every cell it moves. After an intended change, regenerate them with
+//
+//	go test ./internal/exhibit/ -run 'Figure1|Figure5|Ablations' -update-golden
+//
+// and name each moved cell and its cause.
+var updateGolden = flag.Bool("update-golden", false, "rewrite the exhibit goldens under testdata/")
+
+// checkGolden compares the rendered tables with testdata/<name>.golden.
+// Columns named "time" hold wall-clock measurements and render blank.
+// Under -exhibit-full the tables are not the pinned reduced ones, so
+// nothing is compared.
+func checkGolden(t *testing.T, name string, tables []Table) {
+	t.Helper()
+	if *full {
+		return
+	}
+	blanked := make([]Table, len(tables))
+	for i, tab := range tables {
+		tab.Rows = append([]Row(nil), tab.Rows...)
+		for r := range tab.Rows {
+			vals := append([]float64(nil), tab.Rows[r].Vals...)
+			for c, col := range tab.Cols {
+				if col.Name == "time" {
+					vals[c] = math.NaN()
+				}
+			}
+			tab.Rows[r].Vals = vals
+		}
+		blanked[i] = tab
+	}
+	var b bytes.Buffer
+	if err := Render(&b, blanked); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", name+".golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Errorf("%s drifted from %s:\n%s\nwant:\n%s", name, path, b.Bytes(), want)
+	}
+}
 
 // build computes an exhibit at the given reduced runs and scale, or at
 // its published values under -exhibit-full.
@@ -58,7 +115,9 @@ func TestTable2Shape(t *testing.T) {
 // and each Hourglass step (slack-aware, then fast reload) costs less.
 func TestFigure1Shape(t *testing.T) {
 	t.Parallel()
-	rows := build(t, "1", 2, 0)[0].Rows
+	tabs := build(t, "1", 2, 0)
+	checkGolden(t, "figure1", tabs)
+	rows := tabs[0].Rows
 	if rows[0].Vals[1] == 0 {
 		t.Errorf("eager misses no deadline")
 	}
@@ -77,7 +136,9 @@ func TestFigure1Shape(t *testing.T) {
 // cell of a 39% miss rate can read 0).
 func TestFigure5Shape(t *testing.T) {
 	t.Parallel()
-	for _, tab := range build(t, "5", 1, 0) {
+	tabs := build(t, "5", 1, 0)
+	checkGolden(t, "figure5", tabs)
+	for _, tab := range tabs {
 		for _, r := range tab.Rows {
 			greedy := r.Label == string(hourglass.StrategyProteus) || r.Label == string(hourglass.StrategySpotOn)
 			for s := 0; s < 10; s++ {
@@ -183,6 +244,7 @@ func TestFigure9Shape(t *testing.T) {
 func TestAblationsShape(t *testing.T) {
 	t.Parallel()
 	tabs := build(t, "ablations", 3, 0.05)
+	checkGolden(t, "ablations", tabs)
 	daly, warn, relaxed, bisect, bid := tabs[0].Rows, tabs[1].Rows, tabs[2].Rows, tabs[3].Rows, tabs[4].Rows
 	if *full && (daly[1].Vals[0] > daly[0].Vals[0] || daly[1].Vals[0] > daly[2].Vals[0]) {
 		t.Errorf("Daly ×1 costs %.4f, ×0.25 %.4f, ×4 %.4f", daly[1].Vals[0], daly[0].Vals[0], daly[2].Vals[0])
