@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"hourglass"
 	"hourglass/internal/exhibit"
+	"hourglass/internal/obs"
 )
 
 func TestRunPrintsAnExhibit(t *testing.T) {
@@ -63,5 +66,31 @@ func TestRunRejectsBadArguments(t *testing.T) {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("%v: no error", args)
 		}
+	}
+}
+
+// An on-demand run chooses the last-resort configuration on its own:
+// its folded trace must not read as a forced last-resort fallback.
+func TestTracedOnDemandRunIsNotForcedLastResort(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "run.jsonl")
+	var w bytes.Buffer
+	if err := run([]string{"-trace-out", out, "-job", "sssp", "-strategy", "ondemand"}, &w); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := obs.Summarize(events)
+	if sum.Decisions == 0 || !sum.Finished {
+		t.Fatalf("run folded to %+v", sum)
+	}
+	if sum.LastResort {
+		t.Errorf("an on-demand run reports LastResort: %+v", sum)
 	}
 }

@@ -7,14 +7,14 @@ import (
 	"testing"
 )
 
-// TestProvisionerDoesNotLinkTheEngine: the provisioner, the
-// trace-driven simulator and the System API need only the performance
-// model and the price traces, so none of their non-test imports, however
-// indirect, may reach the BSP engine, the graph store, the checkpoint
-// plane or the distributed runtime.
+// TestProvisionerDoesNotLinkTheEngine: the provisioner, the executors'
+// loop, the trace-driven simulator and the System API need only the
+// performance model and the price traces, so none of their non-test
+// imports, however indirect, may reach the BSP engine, the graph store,
+// the checkpoint plane or the distributed runtime.
 func TestProvisionerDoesNotLinkTheEngine(t *testing.T) {
 	const module = "hourglass"
-	roots := []string{module, module + "/internal/core", module + "/internal/sim",
+	roots := []string{module, module + "/internal/core", module + "/internal/loop", module + "/internal/sim",
 		module + "/internal/perfmodel", module + "/internal/admission"}
 	banned := []string{"internal/engine", "internal/graph", "internal/ckpt", "internal/dist"}
 

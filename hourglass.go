@@ -67,7 +67,7 @@ type Strategy string
 const (
 	StrategyHourglass Strategy = "hourglass"  // slack-aware (the contribution)
 	StrategyProteus   Strategy = "proteus"    // greedy cost-per-work
-	StrategySpotOn    Strategy = "spoton"     // greedy + replication choice
+	StrategySpotOn    Strategy = "spoton"     // greedy over spot only, always checkpointing
 	StrategyProteusDP Strategy = "proteus+dp" // greedy with deadline protection
 	StrategySpotOnDP  Strategy = "spoton+dp"
 	StrategyOnDemand  Strategy = "ondemand"

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"hourglass/internal/cloud"
 	"hourglass/internal/units"
 )
 
@@ -86,7 +85,6 @@ func (g *Greedy) Decide(s State) (Decision, error) {
 				best = Decision{
 					Config:         cs.Config,
 					KeepCurrent:    keep,
-					Replicas:       1,
 					ExpectedCost:   units.USD(score * s.WorkLeft * float64(g.Env.LRC.Exec)),
 					UseCheckpoints: cs.Config.Transient,
 				}
@@ -100,9 +98,11 @@ func (g *Greedy) Decide(s State) (Decision, error) {
 }
 
 // SpotOn is the SpotOn-style provisioner (§8.2): the same greedy
-// cost-per-work core, but it additionally chooses between (i) a single
-// transient deployment with periodic checkpointing and (ii) replicated
-// transient deployments (different markets) with checkpointing off.
+// cost-per-work core, restricted to transient configurations, with
+// periodic checkpointing on every transient deployment. SpotOn's other
+// option, replicas on decorrelated markets with checkpointing off, is
+// not modelled: it was never chosen in any exhibit (see DESIGN.md), so
+// every executor runs one deployment at a time.
 type SpotOn struct {
 	Env *Env
 }
@@ -116,50 +116,7 @@ func (s *SpotOn) Name() string { return "spoton" }
 // Decide implements Provisioner.
 func (s *SpotOn) Decide(st State) (Decision, error) {
 	g := &Greedy{Env: s.Env, SpotOnly: true, Simple: true, Hysteresis: 0.05}
-	base, err := g.Decide(st)
-	if err != nil {
-		return Decision{}, err
-	}
-	if !base.Config.Transient {
-		return base, nil
-	}
-	cs, ok := s.Env.StatsFor(base.Config)
-	if !ok {
-		return base, nil
-	}
-	// Replication candidate: cheapest feasible transient config on a
-	// *different* instance type (decorrelated market).
-	var buddy *ConfigStats
-	buddyRate := math.Inf(1)
-	for i := range s.Env.Stats {
-		c := &s.Env.Stats[i]
-		if !c.Config.Transient || c.Config.Instance.Name == cs.Config.Instance.Name {
-			continue
-		}
-		if ok, err := s.Env.Market.Available(c.Config, st.Now); err != nil || !ok {
-			continue
-		}
-		if r := float64(s.Env.CurrentRate(c, st.Now)); r < buddyRate {
-			buddy, buddyRate = c, r
-		}
-	}
-	// Compare overheads: checkpointing costs save/ckpt plus expected
-	// rework; replication doubles the spend but loses (almost) nothing
-	// to single evictions.
-	ckptOverhead := 1.0
-	if !math.IsInf(float64(cs.Ckpt), 1) && cs.Ckpt > 0 {
-		ckptOverhead += float64(cs.Save)/float64(cs.Ckpt) + float64(cs.Ckpt)/2/float64(cs.MTTF)
-	}
-	if buddy != nil {
-		primaryRate := float64(s.Env.CurrentRate(cs, st.Now))
-		replOverhead := (primaryRate + buddyRate) / primaryRate
-		if replOverhead < ckptOverhead {
-			base.Replicas = 2
-			base.Extra = []cloud.Config{buddy.Config}
-			base.UseCheckpoints = false
-		}
-	}
-	return base, nil
+	return g.Decide(st)
 }
 
 // DeadlineProtection is the "+DP" wrapper the paper derives for the
@@ -189,7 +146,6 @@ func (d *DeadlineProtection) lrcDecision(s State) Decision {
 	return Decision{
 		Config:       d.Env.LRC.Config,
 		KeepCurrent:  keep,
-		Replicas:     1,
 		ExpectedCost: d.Env.LRCFinishCost(s.WorkLeft),
 	}
 }
@@ -260,7 +216,6 @@ func (o *OnDemandOnly) Decide(s State) (Decision, error) {
 	return Decision{
 		Config:       o.Env.LRC.Config,
 		KeepCurrent:  keep,
-		Replicas:     1,
 		ExpectedCost: o.Env.LRCFinishCost(s.WorkLeft),
 	}, nil
 }

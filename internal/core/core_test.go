@@ -296,25 +296,29 @@ func TestOnDemandOnlyAlwaysLRC(t *testing.T) {
 	}
 }
 
-func TestSpotOnChoosesCheckpointOrReplication(t *testing.T) {
+func TestSpotOnCheckpointsEveryTransientDeployment(t *testing.T) {
 	env := testEnv(t, perfmodel.JobGC)
 	so := NewSpotOn(env)
-	dec, err := so.Decide(stateWithSlack(env, 0.5))
-	if err != nil {
-		t.Fatal(err)
+	transient := 0
+	for _, frac := range []float64{0.1, 0.5, 1} {
+		for _, off := range []units.Seconds{0, 6 * units.Hour, units.Day} {
+			s := stateWithSlack(env, frac)
+			s.Now += off
+			s.Deadline += off
+			dec, err := so.Decide(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec.Config.Transient {
+				transient++
+				if !dec.UseCheckpoints {
+					t.Errorf("slack %.1f at +%v: transient %s without checkpoints", frac, off, dec.Config.ID())
+				}
+			}
+		}
 	}
-	if dec.Replicas == 2 {
-		if len(dec.Extra) != 1 {
-			t.Error("replicated decision missing buddy config")
-		}
-		if dec.UseCheckpoints {
-			t.Error("replicated decision still checkpoints")
-		}
-		if dec.Extra[0].Instance.Name == dec.Config.Instance.Name {
-			t.Error("replica on the same market")
-		}
-	} else if dec.Config.Transient && !dec.UseCheckpoints {
-		t.Error("single transient deployment must checkpoint")
+	if transient == 0 {
+		t.Fatal("SpotOn never chose a transient deployment")
 	}
 }
 

@@ -30,7 +30,7 @@ func TestDPRejectsSlowOnDemandFallback(t *testing.T) {
 	if slow == nil {
 		t.Skip("no slow on-demand config in the set")
 	}
-	inner := &stubProvisioner{dec: Decision{Config: slow.Config, Replicas: 1}}
+	inner := &stubProvisioner{dec: Decision{Config: slow.Config}}
 	dp := NewDP(inner, env)
 
 	// Tight horizon: the slow config cannot finish, DP must use the LRC.

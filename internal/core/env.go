@@ -238,13 +238,6 @@ type Decision struct {
 	// KeepCurrent is true when Config equals the running deployment
 	// (no teardown, no reload).
 	KeepCurrent bool
-	// Replicas > 1 requests SpotOn-style replicated deployments
-	// (additional replicas use distinct instance types); checkpointing
-	// is disabled while replicated.
-	Replicas int
-	// Extra holds the additional replica configurations when
-	// Replicas > 1 (Config is the primary).
-	Extra []cloud.Config
 	// ExpectedCost is the provisioner's estimate of finishing cost.
 	ExpectedCost units.USD
 	// UseCheckpoints reports whether periodic checkpointing is on.

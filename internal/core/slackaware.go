@@ -93,7 +93,6 @@ func (p *SlackAware) Decide(s State) (Decision, error) {
 			best = Decision{
 				Config:         cs.Config,
 				KeepCurrent:    !fresh,
-				Replicas:       1,
 				ExpectedCost:   cost,
 				UseCheckpoints: cs.Config.Transient,
 			}
@@ -110,7 +109,6 @@ func (p *SlackAware) Decide(s State) (Decision, error) {
 		return Decision{
 			Config:       p.Env.LRC.Config,
 			KeepCurrent:  keep,
-			Replicas:     1,
 			ExpectedCost: p.Env.LRCFinishCost(s.WorkLeft),
 		}, nil
 	}

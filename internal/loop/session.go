@@ -1,0 +1,233 @@
+package loop
+
+import (
+	"context"
+
+	"hourglass/internal/obs"
+	"hourglass/internal/units"
+)
+
+// Session is one deployment's live run and the plan of its running
+// segment. The substrate feeds it every barrier on one goroutine —
+// Barrier (or Emit) for each superstep and Save or an EvCheckpoint for
+// each sealed checkpoint, CheckpointAt at every barrier the job
+// continues past — so the loop's boundary steps (bill, record,
+// re-decide) and a Warner's warning all run there.
+//
+// At the plan's boundary the loop consults the provisioner with the
+// deployment live. On KeepCurrent the session runs on in place under
+// the new plan, its eviction bound and warning re-derived from the
+// clock (billed saves move it; a kept deployment's bid crossing does
+// not); any other decision stops the session at that barrier, and the
+// next iteration of Drive boots the decided configuration.
+//
+// The exported fields are for the substrate to read; only Cancel is
+// its to set.
+type Session struct {
+	Choice
+	Ctx     context.Context // the run's: decisions and standbys outlive the session
+	Attempt int             // 0-based deployment number
+	// Cancel, when set, is called as the session stops: the deployment
+	// checks its context before it runs another superstep.
+	Cancel context.CancelFunc
+
+	Durable       int  // superstep of the checkpoint resumed or sealed last (0 = none)
+	Done          int  // supersteps computed (absolute)
+	Billed        int  // superstep the clock has billed compute through
+	PlanEnd       int  // the plan's boundary (0 = run to completion)
+	Checkpointing bool // the plan seals a checkpoint at PlanEnd
+	NextEvict     units.Seconds
+	EvictAt       int // the eviction stops the session after this superstep (0 = none)
+	ForceAt       int // a Warner's forced save (0 = none)
+	Stopped       bool
+
+	l      *Loop
+	sub    Substrate
+	bootAt units.Seconds
+	saveAt int // a requested save that has not sealed (0 = none)
+
+	// A Warner's warning, re-derived with the segment; see arm.
+	sb       Standby // armed by the warning (nil = not fired)
+	warnAt   int     // fire the warning after this superstep (0 = never)
+	warmTrip bool    // the eviction stops the session at ForceAt
+
+	// Why the loop stopped the session, if it did.
+	lost bool
+	next *Choice // a boundary decided on another deployment
+	err  error
+}
+
+// Emit is the deployment's sink: an EvCheckpoint closes the boundary it
+// seals, an EvSuperstep reaches its barrier.
+func (s *Session) Emit(e obs.Event) {
+	if e.Type == obs.EvCheckpoint {
+		s.close(e.Superstep, true, s.CS.Save, func() obs.Event { return e })
+		return
+	}
+	s.l.Emit(e)
+	if e.Type == obs.EvSuperstep {
+		s.Barrier(e.Superstep)
+	}
+}
+
+// Barrier reports that the deployment completed superstep x.
+func (s *Session) Barrier(x int) {
+	if s.Stopped {
+		return
+	}
+	if s.saveAt > 0 {
+		// The save requested at the last barrier never sealed (a blob
+		// write or the manifest failed): its time is billed, the
+		// durable frontier stays put.
+		s.close(s.saveAt, true, s.CS.Save, nil)
+	}
+	s.Done = x
+	if !s.Stopped && s.sb == nil && s.warnAt > 0 && s.Done >= s.warnAt {
+		s.sb = s.sub.(Warner).Warn(s)
+	}
+	// A tripping forced save stops the session once it seals (see
+	// close); the superstep after it is the safety net should that save
+	// never seal.
+	if !s.Stopped && s.EvictAt > 0 && s.Done >= s.EvictAt && !(s.warmTrip && s.Done == s.EvictAt) {
+		s.Lose(s.NextEvict)
+	}
+}
+
+// CheckpointAt is the plan hook, called at every barrier the job
+// continues past: it asks for a checkpoint where the plan ends its
+// segment with one and at the forced save, and closes a segment the
+// plan ends without one.
+func (s *Session) CheckpointAt(x int) bool {
+	save := !s.Stopped && (x == s.ForceAt || x == s.PlanEnd && s.Checkpointing)
+	if save {
+		s.saveAt = x
+	} else if !s.Stopped && x == s.PlanEnd {
+		s.close(x, false, 0, nil)
+	}
+	return save
+}
+
+// Save closes the boundary of the save requested at superstep x, ioSave
+// seconds of I/O: sealed is the EvCheckpoint of a save that sealed
+// (nil = it failed), called once the boundary is billed.
+func (s *Session) Save(x int, ioSave units.Seconds, sealed func() obs.Event) {
+	s.close(x, true, ioSave, sealed)
+}
+
+// close is the loop's boundary at superstep x: bill the compute since
+// the last boundary and, with save, the save of ioSave seconds after
+// it, racing the eviction; record the checkpoint sealed, if any; then
+// re-decide at the plan's boundary, or stop at a tripping forced save,
+// or re-derive the rest of the segment from the clock. A checkpoint
+// that lost its save to the eviction is still recorded: it is sealed,
+// and the next deployment resumes it.
+func (s *Session) close(x int, save bool, ioSave units.Seconds, sealed func() obs.Event) {
+	l := s.l
+	end, at, io := l.SegEnd(s.CS, x-s.Billed), Never, units.Seconds(0) // a bare segment cannot lose the race: its forecast fits
+	if save {
+		end, at, io = end+ioSave, s.NextEvict, ioSave
+	}
+	lost, err := l.BillUntil(s.CS, end, at, s.Durable, io)
+	s.Billed, s.saveAt = x, 0
+	if sealed != nil {
+		s.Durable = x
+		l.Emit(sealed())
+	}
+	switch {
+	case err != nil || lost:
+		s.Stop(lost, err)
+	case x == s.PlanEnd:
+		c, keep, err := l.consult(s.Ctx, s.CS, s.bootAt, s.Done)
+		switch {
+		case err != nil:
+			s.Stop(false, err)
+		case keep:
+			s.Dec = c.Dec
+			s.arm(true)
+		default:
+			s.next = &c
+			s.Stop(false, nil)
+		}
+	case s.warmTrip && x == s.ForceAt:
+		s.Lose(s.NextEvict)
+	default:
+		s.arm(false)
+	}
+}
+
+// arm re-derives the segment from the clock at the in-memory frontier:
+// with replan, the plan of the session's decision; always, the eviction
+// forecast and a Warner's warning. It returns false when the eviction
+// lands before one more superstep can complete (billed and recorded
+// then).
+func (s *Session) arm(replan bool) bool {
+	l := s.l
+	if replan {
+		steps, checkpointing := l.plan(s.Dec, s.CS, s.Done)
+		s.PlanEnd, s.Checkpointing = s.Done+steps, checkpointing
+		if steps >= l.Total-s.Done {
+			s.PlanEnd = 0 // the last segment runs to completion
+		}
+	}
+	s.NextEvict = l.evictor.Next(s.CS.Config, l.T)
+	segSteps := max(l.Total-s.Done, 1)
+	if s.PlanEnd > 0 {
+		segSteps = s.PlanEnd - s.Done
+	}
+	// Race the segment against the eviction: how many supersteps
+	// complete before it lands.
+	s.EvictAt = 0
+	switch k := l.StepsBefore(s.CS, s.NextEvict); {
+	case k <= 0:
+		// Evicted before the first superstep completes.
+		lost, err := l.BillUntil(s.CS, Never, s.NextEvict, s.Durable, 0)
+		s.Stop(lost, err)
+		return false
+	case k < segSteps:
+		s.EvictAt = s.Done + k
+	}
+	s.warnAt, s.ForceAt, s.warmTrip = 0, 0, false
+	if w, ok := s.sub.(Warner); ok {
+		s.warnAt, s.ForceAt, s.warmTrip = w.Warning(s)
+	}
+	return true
+}
+
+// Lose stops the session at the instant at the deployment is lost — the
+// injected eviction, or a worker's death: the machines ran, and are
+// billed, up to it.
+func (s *Session) Lose(at units.Seconds) {
+	s.NextEvict = at
+	_, err := s.l.BillUntil(s.CS, Never, at, s.Durable, 0)
+	s.Stop(true, err)
+}
+
+// Stop ends the session at this barrier, recording why: lost (billed
+// and recorded already) or err.
+func (s *Session) Stop(lost bool, err error) {
+	s.Stopped, s.lost, s.err = true, lost, err
+	if s.Cancel != nil {
+		s.Cancel()
+	}
+}
+
+// settleStandby hands the standby armed in this session, if any, the
+// eviction that ended it: the next deployment is the standby's choice
+// when it was ready in time.
+func (s *Session) settleStandby() error {
+	if s.sb == nil {
+		return nil
+	}
+	c, err := s.sb.Settle(s)
+	s.l.next = c
+	return err
+}
+
+// discardStandby releases the standby armed in this session, if any,
+// billing it up to billTo.
+func (s *Session) discardStandby(billTo units.Seconds) error {
+	if s.sb == nil {
+		return nil
+	}
+	return s.sb.Discard(billTo)
+}

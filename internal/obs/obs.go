@@ -42,6 +42,11 @@ type Event struct {
 	WorkLeft   float64 `json:"work_left,omitempty"`
 	Keep       bool    `json:"keep,omitempty"`        // keep the current deployment
 	LastResort bool    `json:"last_resort,omitempty"` // chose the last-resort configuration
+	// Forced marks the executor's §5 fallback: the restart budget was
+	// spent, so the last-resort configuration was pinned without
+	// consulting the provisioner. A provisioner that chooses that
+	// configuration itself (on-demand) sets LastResort alone.
+	Forced bool `json:"forced,omitempty"`
 
 	// Lifecycle fields (EvDeploy/EvEvict/EvCheckpoint/EvDone/EvSpend).
 	USD    float64 `json:"usd,omitempty"`   // spend delta (EvSpend) or total (EvDone)

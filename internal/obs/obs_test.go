@@ -99,7 +99,7 @@ func TestSummarizeFoldsLifecycle(t *testing.T) {
 		{Type: EvSpend, USD: 0.5},
 		{Type: EvEvict, Config: "spot-1"},
 		{Type: EvWatchdog, Config: "spot-1"},
-		{Type: EvDecision, Config: "od-1", LastResort: true},
+		{Type: EvDecision, Config: "od-1", LastResort: true, Forced: true},
 		{Type: EvDeploy, Config: "od-1", Reload: true},
 		{Type: EvSpend, USD: 1.0},
 		{Type: EvCheckpoint},

@@ -27,7 +27,7 @@ type Summary struct {
 	WatchdogTrips  int           // wall-clock watchdog firings
 	Restarts       int           // evictions + watchdog trips: every forced reload
 	Checkpoints    int           // durable checkpoints sealed
-	LastResort     bool          // a decision chose the last-resort configuration
+	LastResort     bool          // the executor pinned the last-resort configuration (a Forced decision)
 	Finished       bool          // last done marker reported completion
 	MissedDeadline bool          // last done marker reported a deadline miss
 	Completion     units.Seconds // virtual completion time of the last run
@@ -77,7 +77,7 @@ func (s *Summary) Emit(e Event) {
 		s.IOTime += units.Seconds(e.IOSec)
 	case EvDecision:
 		s.Decisions++
-		s.LastResort = s.LastResort || e.LastResort
+		s.LastResort = s.LastResort || e.Forced
 	case EvDeploy:
 		s.Reconfigs++
 		if e.Reload {

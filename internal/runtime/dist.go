@@ -8,8 +8,8 @@
 // resumes from the per-shard checkpoint blobs at the new shard count.
 // The run loop, the session and its plan boundaries, deploy and
 // boundary billing, eviction races, the last-resort fallback and the
-// finish are the driver core in loop.go, the same code Execute runs;
-// this file holds only the dist substrate — launchers and the
+// finish are internal/loop's, the same code Execute and the simulator
+// run; this file holds only the dist substrate — launchers and the
 // coordinator session that feeds the session its barriers — with warm
 // standby in standby.go.
 //
@@ -34,7 +34,7 @@ import (
 	"hourglass/internal/cloud"
 	"hourglass/internal/core"
 	"hourglass/internal/dist"
-	"hourglass/internal/engine"
+	"hourglass/internal/loop"
 	"hourglass/internal/obs"
 	"hourglass/internal/units"
 )
@@ -305,23 +305,24 @@ func ExecuteDist(ctx context.Context, opts DistOptions, start, deadline units.Se
 	if err := opts.validate(); err != nil {
 		return Report{}, err
 	}
-	d := &distDriver{opts: &opts, loop: newLoop(loop{env: opts.Env, prov: opts.Prov,
-		sink: opts.Sink, logger: opts.Logf, total: opts.TotalSupersteps, every: opts.CheckpointEvery,
-		restartBudget: opts.RestartBudget}, start, deadline)}
-	return d.drive(ctx, d)
+	d := &distDriver{opts: &opts, Loop: newLoop(opts.Env, opts.Prov, opts.Sink, opts.Logf,
+		opts.TotalSupersteps, opts.CheckpointEvery, opts.RestartBudget)}
+	sum, err := d.Drive(ctx, d, start, deadline)
+	return d.out.report(sum), err
 }
 
 // distDriver is the dist substrate of one ExecuteDist call.
 type distDriver struct {
-	*loop
+	*loop.Loop
 	opts *DistOptions
+	out  output
 }
 
-// frontier implements substrate: a deployment resumes — and is billed
-// and planned from — the newest sealed checkpoint in the store. Any
-// error reads as no checkpoint, as it does to the session that starts
-// next.
-func (d *distDriver) frontier() (int, error) {
+// Frontier implements loop.Substrate: a deployment resumes — and is
+// billed and planned from — the newest sealed checkpoint in the store.
+// Any error reads as no checkpoint, as it does to the session that
+// starts next.
+func (d *distDriver) Frontier() (int, error) {
 	c, err := ckpt.Latest(d.opts.Store, d.opts.Job)
 	if err != nil {
 		return 0, nil
@@ -329,19 +330,20 @@ func (d *distDriver) frontier() (int, error) {
 	return c.Superstep, nil
 }
 
-// boot implements substrate. A fresh process set bills wait + boot +
-// load; a warm cutover's boot and reload were paid inside the warning
+// Boot implements loop.Substrate. A fresh process set bills wait + boot
+// + load; a warm cutover's boot and reload were paid inside the warning
 // window, overlapped with the doomed session: the standby was billed
 // through the eviction instant at adoption and the clock is already
 // that instant, so the deploy span — the recovery downtime — is zero.
-func (d *distDriver) boot(cs *core.ConfigStats, durable int, warm *standbyState) (obs.Event, error) {
-	if warm != nil {
-		return d.deployEvent(cs, d.t, durable, durable > 0), nil
+func (d *distDriver) Boot(c loop.Choice, durable int) (obs.Event, error) {
+	if c.Warm != nil {
+		return d.DeployEvent(c.CS, d.T, durable, durable > 0), nil
 	}
-	return d.deploy(cs, durable > 0, 0, d.evenSplit(cs.Config.Count), durable)
+	return d.Deploy(c.CS, load(d.Loop, c.CS, durable, 0, d.evenSplit(c.CS.Config.Count)), durable > 0, durable)
 }
 
-func (d *distDriver) clear() error { return ckpt.Clear(d.opts.Store, d.opts.Job) }
+// Clear implements loop.Substrate.
+func (d *distDriver) Clear() error { return ckpt.Clear(d.opts.Store, d.opts.Job) }
 
 // evenSplit is the dist plane's per-worker vertex count: shards own
 // vertices round-robin, so shares are even to within one vertex.
@@ -372,39 +374,39 @@ func (d *distDriver) launch(ctx context.Context, shards, attempt int, prefetchJo
 	return ln, ws, nil
 }
 
-// run implements substrate: one coordinator session over a worker set
-// — freshly launched, or adopted from a warm standby — that emits the
-// deployment's EvDeploy, stamped with the worker identities, once the
-// set is up. The coordinator runs on this goroutine and calls the
-// session's Emit and checkpointAt at every barrier. Whatever the
+// Run implements loop.Substrate: one coordinator session over a worker
+// set — freshly launched, or adopted from a warm standby — that emits
+// the deployment's EvDeploy, stamped with the worker identities, once
+// the set is up. The coordinator runs on this goroutine and calls the
+// session's Emit and CheckpointAt at every barrier. Whatever the
 // outcome, the set is torn down and waited for before returning: the
 // next deployment must never race a straggler from this one.
-func (d *distDriver) run(s *session, deploy obs.Event, warm *standbyState) ([]float64, engine.Stats, error) {
-	shards := s.cs.Config.Count
-	segCtx, cancel := context.WithCancel(s.ctx)
+func (d *distDriver) Run(s *loop.Session, deploy obs.Event) error {
+	shards := s.CS.Config.Count
+	segCtx, cancel := context.WithCancel(s.Ctx)
 	defer cancel()
-	s.cancel = cancel
+	s.Cancel = cancel
 	var ln net.Listener
 	var ws WorkerSet
-	if warm != nil {
+	if warm, ok := s.Warm.(*standbyState); ok {
 		ln, ws = warm.ln, warm.ws
 		defer warm.cancel()
 	} else {
 		var err error
-		if ln, ws, err = d.launch(segCtx, shards, s.attempt, ""); err != nil {
-			return nil, engine.Stats{}, err
+		if ln, ws, err = d.launch(segCtx, shards, s.Attempt, ""); err != nil {
+			return err
 		}
 	}
 	defer ln.Close()
 	deploy.Proc = strings.Join(ws.IDs(), ",")
-	d.emit(deploy)
+	d.Emit(deploy)
 	cfg := dist.Config{
 		Job:            d.opts.Job,
 		Program:        d.opts.Program,
 		Graph:          d.opts.Graph,
 		Canonical:      true,
 		DeltaChain:     d.opts.DeltaChain,
-		CheckpointAt:   s.checkpointAt,
+		CheckpointAt:   s.CheckpointAt,
 		BarrierTimeout: d.opts.BarrierTimeout,
 		Store:          d.opts.Store,
 		Sink:           s,
@@ -416,16 +418,17 @@ func (d *distDriver) run(s *session, deploy obs.Event, warm *standbyState) ([]fl
 	ws.Wait()
 	var lost *dist.ShardLostError
 	switch {
-	case errors.As(runErr, &lost) && !s.stopped && s.ctx.Err() == nil:
+	case errors.As(runErr, &lost) && !s.Stopped && s.Ctx.Err() == nil:
 		// A worker actually died (chaos hook, killed process): bill the
 		// supersteps that did complete, then go back around — the next
 		// decision is free to pick a different worker count and the next
 		// session resumes the blobs at that count. A forewarned death
 		// (DistLauncher.DeathWarning) may have a standby ready.
-		s.lose(d.segEnd(s.cs, s.done-s.billed))
-		return nil, engine.Stats{}, nil
+		s.Lose(d.SegEnd(s.CS, s.Done-s.Billed))
+		return nil
 	case runErr != nil:
-		return nil, engine.Stats{}, runErr
+		return runErr
 	}
-	return rep.Values, rep.Stats, nil
+	d.out = output{rep.Values, rep.Stats}
+	return nil
 }

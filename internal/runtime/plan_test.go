@@ -22,7 +22,7 @@ import (
 )
 
 // recordingProv records every decision its provisioner returns, in
-// order: the trace's non-last-resort EvDecision events, one for one.
+// order: the trace's unforced EvDecision events, one for one.
 type recordingProv struct {
 	core.Provisioner
 	mu   sync.Mutex
@@ -76,7 +76,7 @@ func assertPlanHeld(t *testing.T, env *core.Env, events []obs.Event, decs []core
 		case obs.EvDecision:
 			closeSegment()
 			cur, steps = nil, 0
-			if e.LastResort {
+			if e.Forced {
 				break
 			}
 			if next >= len(decs) {

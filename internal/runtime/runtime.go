@@ -4,22 +4,23 @@
 // end-to-end (§1, Figure 2) — eviction → re-provision → re-partition →
 // resume at a different worker count → deadline met.
 //
-// Where internal/sim evicts abstract work units, Execute injects each
-// eviction into a live engine run (engine.Execution) at a superstep
-// barrier: the run is dropped with its in-memory state, the newest
-// valid checkpoint is reloaded through engine.CheckpointManager, the
-// slack-aware provisioner picks the next configuration given the
-// remaining supersteps and remaining slack, micro-partitions are
-// re-clustered for the new worker count (micro.Partitioning) with the
-// parallel reload priced by internal/simnet, and the run resumes under
-// the new engine.Config.Workers. When slack is exhausted — or the
-// restart budget is spent — the driver falls back to the last-resort
-// on-demand configuration, exactly the paper's §5 guarantee.
+// The simulator jumps its sessions from boundary to boundary with no
+// engine; Execute injects each eviction into a live engine run
+// (engine.Execution) at a superstep barrier: the run is dropped with
+// its in-memory state, the newest valid checkpoint is reloaded through
+// engine.CheckpointManager, the slack-aware provisioner picks the next
+// configuration given the remaining supersteps and remaining slack,
+// micro-partitions are re-clustered for the new worker count
+// (micro.Partitioning) with the parallel reload priced by
+// internal/simnet, and the run resumes under the new
+// engine.Config.Workers. Once the restart budget is spent the driver
+// falls back to the last-resort on-demand configuration, the paper's §5
+// guarantee.
 //
 // The run loop, the session and the decide / plan / deploy / bill /
-// evict accounting are the driver core in loop.go, shared with
-// ExecuteDist: both drivers run the same session over their deployment
-// and close each plan boundary at the same barrier. This file holds
+// evict accounting are internal/loop's, shared with ExecuteDist and the
+// simulator: every executor runs the same session over its deployment
+// and closes each plan boundary at the same barrier. This file holds
 // what only the in-process substrate needs: the checkpoint reload, the
 // re-cluster, and the pump that steps the engine under the watchdog
 // and saves its barriers.
@@ -42,8 +43,10 @@ import (
 	"hourglass/internal/core"
 	"hourglass/internal/engine"
 	"hourglass/internal/graph"
+	"hourglass/internal/loop"
 	"hourglass/internal/micro"
 	"hourglass/internal/obs"
+	"hourglass/internal/simnet"
 	"hourglass/internal/units"
 )
 
@@ -150,10 +153,57 @@ func (o *Options) validate() error {
 // acknowledge the watchdog before the driver abandons its goroutine.
 const watchdogGrace = 100 * time.Millisecond
 
+// bytesPerVertex sizes the parallel checkpoint reload flows simnet
+// prices.
+const bytesPerVertex = 64
+
+// newLoop is the loop of one run under the options both drivers share.
+func newLoop(env *core.Env, prov core.Provisioner, sink obs.Sink, logf func(string, ...any), total, every, budget int) *loop.Loop {
+	return &loop.Loop{Env: env, Prov: prov, Sink: sink, Log: logf, Total: total, Every: every, RestartBudget: budget}
+}
+
+// output is the job output of a substrate's last completed session,
+// reported once the loop has made it durable.
+type output struct {
+	values []float64
+	stats  engine.Stats
+}
+
+func (o output) report(sum obs.Summary) Report {
+	rep := Report{Summary: sum}
+	if sum.Finished {
+		rep.Values, rep.Stats = o.values, o.stats
+	}
+	return rep
+}
+
+// load prices the I/O after boot of a deployment of cs resuming
+// superstep durable: the profiled input load on a fresh start or,
+// resuming a checkpoint, its fetch plus the §6 fast reload, priced with
+// simnet: every worker w pulls its perWorker[w] vertices from the
+// datastore in parallel.
+func load(l *loop.Loop, cs *core.ConfigStats, durable int, fetch units.Seconds, perWorker []int64) units.Seconds {
+	if durable == 0 {
+		return cs.Load
+	}
+	cluster, err := simnet.NewCluster(len(perWorker), simnet.DefaultConfig())
+	if err != nil {
+		l.Logf("runtime: reload pricing: %v", err)
+		return fetch
+	}
+	flows := make([]simnet.Flow, 0, len(perWorker))
+	for w, vertices := range perWorker {
+		flows = append(flows, simnet.Flow{Src: simnet.DatastoreNode, Dst: w,
+			Bytes: vertices * bytesPerVertex})
+	}
+	return fetch + cluster.SimulateFlows(flows)
+}
+
 // driver is the in-process substrate of one Execute call.
 type driver struct {
-	*loop
+	*loop.Loop
 	opts *Options
+	out  output
 
 	snap   *engine.Snapshot // the checkpoint frontier loaded (nil = none)
 	fetch  units.Seconds    // its download time
@@ -168,16 +218,16 @@ func Execute(ctx context.Context, opts Options, start, deadline units.Seconds) (
 	if err := opts.validate(); err != nil {
 		return Report{}, err
 	}
-	d := &driver{opts: &opts, loop: newLoop(loop{env: opts.Env, prov: opts.Prov,
-		sink: opts.Sink, logger: opts.Logf, total: opts.TotalSupersteps, every: opts.CheckpointEvery,
-		restartBudget: opts.RestartBudget}, start, deadline)}
-	return d.drive(ctx, d)
+	d := &driver{opts: &opts, Loop: newLoop(opts.Env, opts.Prov, opts.Sink, opts.Logf,
+		opts.TotalSupersteps, opts.CheckpointEvery, opts.RestartBudget)}
+	sum, err := d.Drive(ctx, d, start, deadline)
+	return d.out.report(sum), err
 }
 
-// frontier implements substrate: the newest valid checkpoint — fetched
-// with retries, CRC-checked and fallback-scanned by the manager — or,
-// in a fresh or GC'd-empty namespace, none.
-func (d *driver) frontier() (int, error) {
+// Frontier implements loop.Substrate: the newest valid checkpoint —
+// fetched with retries, CRC-checked and fallback-scanned by the manager
+// — or, in a fresh or GC'd-empty namespace, none.
+func (d *driver) Frontier() (int, error) {
 	snap, fetch, err := d.opts.Manager.Load()
 	if err != nil && !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		return 0, fmt.Errorf("runtime: checkpoint reload: %w", err)
@@ -189,11 +239,11 @@ func (d *driver) frontier() (int, error) {
 	return snap.Superstep, nil
 }
 
-// boot implements substrate: it re-clusters the micro-partitions for
-// the new worker count and bills the deployment, pricing the
+// Boot implements loop.Substrate: it re-clusters the micro-partitions
+// for the new worker count and bills the deployment, pricing the
 // redistribution of the checkpoint to the new workers with simnet.
-func (d *driver) boot(cs *core.ConfigStats, durable int, _ *standbyState) (obs.Event, error) {
-	workers := cs.Config.Count
+func (d *driver) Boot(c loop.Choice, durable int) (obs.Event, error) {
+	workers := c.CS.Config.Count
 	assign, err := d.opts.Part.VertexAssignment(workers)
 	if err != nil {
 		return obs.Event{}, fmt.Errorf("runtime: re-cluster to %d workers: %w", workers, err)
@@ -203,21 +253,22 @@ func (d *driver) boot(cs *core.ConfigStats, durable int, _ *standbyState) (obs.E
 	for _, w := range d.assign {
 		perWorker[w]++
 	}
-	return d.deploy(cs, durable > 0, d.fetch, perWorker, durable)
+	return d.Deploy(c.CS, load(d.Loop, c.CS, durable, d.fetch, perWorker), durable > 0, durable)
 }
 
-func (d *driver) clear() error { return d.opts.Manager.Clear() }
+// Clear implements loop.Substrate.
+func (d *driver) Clear() error { return d.opts.Manager.Clear() }
 
-// run implements substrate: it starts an engine run from the durable
-// frontier — or from the input graph — and pumps it.
-func (d *driver) run(s *session, deploy obs.Event, _ *standbyState) ([]float64, engine.Stats, error) {
-	d.emit(deploy)
-	runCtx, cancel := context.WithCancel(s.ctx)
+// Run implements loop.Substrate: it starts an engine run from the
+// durable frontier — or from the input graph — and pumps it.
+func (d *driver) Run(s *loop.Session, deploy obs.Event) error {
+	d.Emit(deploy)
+	runCtx, cancel := context.WithCancel(s.Ctx)
 	defer cancel()
-	s.cancel = cancel
+	s.Cancel = cancel
 	last := &lastStep{}
 	cfg := engine.Config{
-		Workers:   s.cs.Config.Count,
+		Workers:   s.CS.Config.Count,
 		Assign:    d.assign,
 		Canonical: d.opts.Canonical,
 		Sink:      last,
@@ -230,7 +281,7 @@ func (d *driver) run(s *session, deploy obs.Event, _ *standbyState) ([]float64, 
 		x, err = engine.StartFrom(runCtx, d.opts.Graph, d.opts.NewProgram(), d.snap, cfg)
 	}
 	if err != nil {
-		return nil, engine.Stats{}, err
+		return err
 	}
 	return d.pump(s, x, last, cancel)
 }
@@ -238,38 +289,39 @@ func (d *driver) run(s *session, deploy obs.Event, _ *standbyState) ([]float64, 
 // pump steps x one superstep at a time and feeds each barrier to s on
 // this goroutine, as the dist coordinator does: the superstep's
 // EvSuperstep, then — when the job continues past the barrier —
-// checkpointAt, and the save it asks for. It returns the job's output
+// CheckpointAt, and the save it asks for. It keeps the job's output
 // once x is quiescent, and nothing once s stops.
-func (d *driver) pump(s *session, x *engine.Execution, last *lastStep, cancel context.CancelFunc) ([]float64, engine.Stats, error) {
+func (d *driver) pump(s *loop.Session, x *engine.Execution, last *lastStep, cancel context.CancelFunc) error {
 	for {
 		out, tripped := d.step(x, last, cancel)
 		if out.ev != nil {
 			s.Emit(*out.ev)
 		}
 		switch {
-		case s.stopped:
-			return nil, engine.Stats{}, nil
+		case s.Stopped:
+			return nil
 		case out.err == nil && !out.more:
 			res := x.Result()
-			return res.Values, res.Stats, nil
+			d.out = output{res.Values, res.Stats}
+			return nil
 		case tripped:
 			// Charge the supersteps that did complete, then reprovision
 			// from the last durable checkpoint.
-			d.logf("runtime: job %q watchdog tripped on %s after superstep %d; redeploying",
-				d.env.Job.Name, s.cs.Config.ID(), s.done)
-			_, err := d.billUntil(s.cs, d.segEnd(s.cs, s.done-s.billed), never, 0, 0)
-			d.emit(obs.Event{Type: obs.EvWatchdog, T: float64(d.t), Job: d.env.Job.Name,
-				Config: s.cs.Config.ID(), WorkLeft: d.workLeft(s.durable)})
-			s.stop(true, err)
-			return nil, engine.Stats{}, nil
+			d.Logf("runtime: job %q watchdog tripped on %s after superstep %d; redeploying",
+				d.Env.Job.Name, s.CS.Config.ID(), s.Done)
+			_, err := d.BillUntil(s.CS, d.SegEnd(s.CS, s.Done-s.Billed), loop.Never, 0, 0)
+			d.Emit(obs.Event{Type: obs.EvWatchdog, T: float64(d.T), Job: d.Env.Job.Name,
+				Config: s.CS.Config.ID(), WorkLeft: d.WorkLeft(s.Durable)})
+			s.Stop(true, err)
+			return nil
 		case out.err != nil:
-			return nil, engine.Stats{}, out.err
+			return out.err
 		}
-		if s.checkpointAt(s.done) {
-			d.save(s, x, s.done)
+		if s.CheckpointAt(s.Done) {
+			d.save(s, x, s.Done)
 		}
-		if s.stopped {
-			return nil, engine.Stats{}, nil
+		if s.Stopped {
+			return nil
 		}
 	}
 }
@@ -279,18 +331,18 @@ func (d *driver) pump(s *session, x *engine.Execution, last *lastStep, cancel co
 // the uploads and backoff it spent, and the durable frontier stays put:
 // a later eviction rolls back further, while the run itself continues
 // on its intact in-memory state.
-func (d *driver) save(s *session, x *engine.Execution, n int) {
+func (d *driver) save(s *loop.Session, x *engine.Execution, n int) {
 	ioSave, err := d.opts.Manager.Save(x.Snapshot())
 	var sealed func() obs.Event
 	if err != nil {
-		d.logf("runtime: job %q checkpoint at superstep %d failed: %v", d.env.Job.Name, n, err)
+		d.Logf("runtime: job %q checkpoint at superstep %d failed: %v", d.Env.Job.Name, n, err)
 	} else {
 		sealed = func() obs.Event {
-			return obs.Event{Type: obs.EvCheckpoint, T: float64(d.t), Job: d.env.Job.Name,
-				Config: s.cs.Config.ID(), WorkLeft: d.workLeft(n)}
+			return obs.Event{Type: obs.EvCheckpoint, T: float64(d.T), Job: d.Env.Job.Name,
+				Config: s.CS.Config.ID(), WorkLeft: d.WorkLeft(n)}
 		}
 	}
-	s.close(n, true, ioSave, sealed)
+	s.Save(n, ioSave, sealed)
 }
 
 // stepped is the outcome of one Step: the EvSuperstep of the superstep
@@ -338,8 +390,8 @@ func (d *driver) step(x *engine.Execution, last *lastStep, cancel context.Cancel
 	case out = <-ch:
 		return out, true
 	case <-time.After(watchdogGrace):
-		d.logf("runtime: job %q abandoned a wedged engine goroutine (watchdog %v, grace %v)",
-			d.env.Job.Name, d.opts.Watchdog, watchdogGrace)
+		d.Logf("runtime: job %q abandoned a wedged engine goroutine (watchdog %v, grace %v)",
+			d.Env.Job.Name, d.opts.Watchdog, watchdogGrace)
 		return stepped{err: engine.ErrInterrupted}, true
 	}
 }

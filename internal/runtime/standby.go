@@ -24,14 +24,16 @@ import (
 	"net"
 
 	"hourglass/internal/core"
+	"hourglass/internal/loop"
 	"hourglass/internal/obs"
 	"hourglass/internal/units"
 )
 
-// standbyState is one armed standby. A standby that never became
-// launchable leaves ws nil.
+// standbyState is one armed standby, a loop.Standby. A standby that
+// never became launchable leaves ws nil, and its methods do nothing.
 type standbyState struct {
-	choice
+	loop.Choice
+	l       *loop.Loop
 	avail   units.Seconds // market availability of the standby set
 	readyAt units.Seconds // avail + boot + prefetch: earliest cutover
 	reload  units.Seconds // prefetch I/O priced into readyAt
@@ -45,77 +47,75 @@ type standbyState struct {
 // death, whichever lands first: its boundary as an absolute superstep
 // (0 = none before the job ends), the virtual instant the machines
 // disappear, and whether it is the market's.
-func (s *session) interruption(d *distDriver) (boundary int, at units.Seconds, market bool) {
-	at = s.nextEvict
-	if k := d.stepsBefore(s.cs, at); k < d.total-s.billed {
-		boundary, market = s.billed+k, true
+func (d *distDriver) interruption(s *loop.Session) (boundary int, at units.Seconds, market bool) {
+	at = s.NextEvict
+	if k := d.StepsBefore(s.CS, at); k < d.Total-s.Billed {
+		boundary, market = s.Billed+k, true
 	}
 	// The worker dies while computing superstep die, after die-1.
-	if die := d.opts.Launcher.DeathWarning(s.attempt) - 1; die > s.billed && die < d.total && (boundary == 0 || die < boundary) {
-		boundary, at, market = die, d.segEnd(s.cs, die-s.billed), false
+	if die := d.opts.Launcher.DeathWarning(s.Attempt) - 1; die > s.Billed && die < d.Total && (boundary == 0 || die < boundary) {
+		boundary, at, market = die, d.SegEnd(s.CS, die-s.Billed), false
 	}
 	return boundary, at, market
 }
 
-// armWarning arms the warning WarningWindow ahead of the projected
-// interruption of an ExecuteDist session. When the window fits one
-// save, it also forces a final checkpoint at the interruption's
-// boundary: the standby then resumes from the interruption itself
-// instead of the plan's last checkpoint. A market eviction stops the
-// session once that save seals (see session.close); a forewarned death
-// needs no stop — the loss itself ends the session.
-func (s *session) armWarning() {
-	s.warnAt, s.forceAt, s.warmTrip = 0, 0, false
-	d, ok := s.sub.(*distDriver)
-	if !ok || d.opts.WarningWindow <= 0 {
-		return
+// Warning implements loop.Warner: it arms the warning WarningWindow
+// ahead of the projected interruption. When the window fits one save,
+// it also forces a final checkpoint at the interruption's boundary: the
+// standby then resumes from the interruption itself instead of the
+// plan's last checkpoint. A market eviction stops the session once that
+// save seals; a forewarned death needs no stop — the loss itself ends
+// the session.
+func (d *distDriver) Warning(s *loop.Session) (warnAt, forceAt int, trip bool) {
+	if d.opts.WarningWindow <= 0 {
+		return 0, 0, false
 	}
-	boundary, _, market := s.interruption(d)
+	boundary, _, market := d.interruption(s)
 	if boundary == 0 {
-		return
+		return 0, 0, false
 	}
-	warnSteps := max(int(math.Ceil(float64(d.opts.WarningWindow)/float64(d.stepTime(s.cs)))), 1)
-	s.warnAt = max(boundary-warnSteps, s.done+1)
-	if d.opts.WarningWindow >= s.cs.Save {
-		s.forceAt, s.warmTrip = boundary, market
+	warnSteps := max(int(math.Ceil(float64(d.opts.WarningWindow)/float64(d.StepTime(s.CS)))), 1)
+	warnAt = max(boundary-warnSteps, s.Done+1)
+	if d.opts.WarningWindow >= s.CS.Save {
+		forceAt, trip = boundary, market
 	}
+	return warnAt, forceAt, trip
 }
 
-// warn fires the warning: it re-decides for the post-eviction world —
-// the standby takes over at the projected interruption instant with the
-// projected durable frontier — and boots the standby set concurrently
-// with the doomed session. It runs on the coordinator goroutine like
-// every other loop step; Launch only starts the workers, whose boot and
-// prefetch overlap the session. Billing is deferred to cutover or
-// discard time.
-func (s *session) warn() {
-	d := s.sub.(*distDriver) // only armWarning arms a warning
-	boundary, evProj, _ := s.interruption(d)
-	warnAt := max(evProj-d.opts.WarningWindow, d.t)
-	durable := s.durable
-	if s.forceAt > 0 {
-		durable = s.forceAt
-	} else if s.checkpointing && s.planEnd > 0 && s.planEnd < boundary {
-		durable = s.planEnd // reactive: the plan's checkpoint seals first
+// Warn implements loop.Warner: it re-decides for the post-eviction
+// world — the standby takes over at the projected interruption instant
+// with the projected durable frontier — and boots the standby set
+// concurrently with the doomed session. It runs on the coordinator
+// goroutine like every other loop step; Launch only starts the workers,
+// whose boot and prefetch overlap the session. Billing is deferred to
+// cutover or discard time.
+func (d *distDriver) Warn(s *loop.Session) loop.Standby {
+	boundary, evProj, _ := d.interruption(s)
+	warnAt := max(evProj-d.opts.WarningWindow, d.T)
+	durable := s.Durable
+	if s.ForceAt > 0 {
+		durable = s.ForceAt
+	} else if s.Checkpointing && s.PlanEnd > 0 && s.PlanEnd < boundary {
+		durable = s.PlanEnd // reactive: the plan's checkpoint seals first
 	}
-	sb := &standbyState{}
-	s.sb = sb
-	wl := d.workLeft(durable)
-	d.emit(obs.Event{Type: obs.EvWarning, T: float64(warnAt), Job: d.env.Job.Name,
-		Config: s.cs.Config.ID(), WorkLeft: wl, DurSec: float64(d.opts.WarningWindow)})
+	sb := &standbyState{l: d.Loop}
+	wl := d.WorkLeft(durable)
+	d.Emit(obs.Event{Type: obs.EvWarning, T: float64(warnAt), Job: d.Env.Job.Name,
+		Config: s.CS.Config.ID(), WorkLeft: wl, DurSec: float64(d.opts.WarningWindow)})
 
-	dec, cs, err := d.decide(s.ctx, core.State{Now: evProj, WorkLeft: wl, Deadline: d.deadline})
+	dec, cs, err := d.Decide(s.Ctx, core.State{Now: evProj, WorkLeft: wl, Deadline: d.Deadline})
 	if err != nil {
 		d.standbyMiss(warnAt, "", err)
-		return
+		return sb
 	}
-	avail, reload, err := d.price(cs, warnAt, durable > 0, 0, d.evenSplit(cs.Config.Count))
+	avail, err := d.Env.Market.NextAvailable(cs.Config, warnAt)
+	reload := load(d.Loop, cs, durable, 0, d.evenSplit(cs.Config.Count))
 	readyAt := avail + cs.Boot + reload
 	// The standby outlives the doomed session's context by design: tie
 	// it to the run context and cancel at adoption or discard.
-	sbCtx, cancel := context.WithCancel(s.ctx)
+	sbCtx, cancel := context.WithCancel(s.Ctx)
 	if err == nil && readyAt <= evProj {
-		sb.ln, sb.ws, err = d.launch(sbCtx, cs.Config.Count, s.attempt+1, d.opts.Job)
+		sb.ln, sb.ws, err = d.launch(sbCtx, cs.Config.Count, s.Attempt+1, d.opts.Job)
 	}
 	if sb.ws == nil {
 		// Not launchable, or the fallback machines cannot be up before
@@ -123,71 +123,72 @@ func (s *session) warn() {
 		// reactive recovery.
 		cancel()
 		d.standbyMiss(warnAt, cs.Config.ID(), err)
-		return
+		return sb
 	}
-	d.emit(obs.Event{Type: obs.EvStandby, T: float64(warnAt), Job: d.env.Job.Name,
+	d.Emit(obs.Event{Type: obs.EvStandby, T: float64(warnAt), Job: d.Env.Job.Name,
 		Config: cs.Config.ID(), WorkLeft: wl, Ready: true})
-	sb.choice, sb.cancel = choice{dec: dec, cs: cs}, cancel
+	sb.Choice, sb.cancel = loop.Choice{Dec: dec, CS: cs}, cancel
 	sb.avail, sb.readyAt, sb.reload = avail, readyAt, reload
+	return sb
 }
 
 // standbyMiss records a standby that never became launchable.
-func (l *loop) standbyMiss(at units.Seconds, config string, err error) {
+func (d *distDriver) standbyMiss(at units.Seconds, config string, err error) {
 	if err != nil {
-		l.logf("runtime: dist job %q standby infeasible: %v", l.env.Job.Name, err)
+		d.Logf("runtime: dist job %q standby infeasible: %v", d.Env.Job.Name, err)
 	}
-	l.emit(obs.Event{Type: obs.EvStandby, T: float64(at), Job: l.env.Job.Name,
+	d.Emit(obs.Event{Type: obs.EvStandby, T: float64(at), Job: d.Env.Job.Name,
 		Config: config, Ready: false})
 }
 
-// settleStandby decides a launched standby's fate at the eviction that
-// ended its session, at s.nextEvict. Ready in time: bill the overlap
-// window on the standby config, record the warm cutover and hand the
-// set to the next run-loop iteration. Not ready (or never launched):
-// discard.
-func (s *session) settleStandby() error {
-	sb, l, evTime := s.sb, s.l, s.nextEvict
-	if sb == nil || sb.ws == nil {
-		return nil // not armed, or the miss was already recorded
+// Settle implements loop.Standby at the eviction that ended session s,
+// at s.NextEvict. Ready in time: bill the overlap window on the standby
+// config, record the warm cutover and hand the set to the next
+// deployment. Not ready: discard.
+func (sb *standbyState) Settle(s *loop.Session) (*loop.Choice, error) {
+	l, evTime := sb.l, s.NextEvict
+	if sb.ws == nil {
+		return nil, nil // the miss was already recorded
 	}
 	if sb.readyAt > evTime {
 		// The eviction landed earlier than projected (a worker death
 		// raced the forecast): the standby never got ready.
-		return s.discardStandby(evTime)
+		return nil, sb.Discard(evTime)
 	}
-	if err := l.spend(sb.cs.Config, sb.avail, evTime, sb.reload); err != nil {
-		sb.teardown()
-		return err
+	if err := l.Spend(sb.CS.Config, sb.avail, evTime, sb.reload); err != nil {
+		sb.Teardown()
+		return nil, err
 	}
-	l.emit(obs.Event{Type: obs.EvCutover, T: float64(evTime), Job: l.env.Job.Name,
-		Config: sb.cs.Config.ID(), WorkLeft: l.workLeft(s.durable), DurSec: 0})
-	l.next, l.pending = &sb.choice, sb
-	return nil
+	l.Emit(obs.Event{Type: obs.EvCutover, T: float64(evTime), Job: l.Env.Job.Name,
+		Config: sb.CS.Config.ID(), WorkLeft: l.WorkLeft(s.Durable), DurSec: 0})
+	sb.Warm = sb
+	return &sb.Choice, nil
 }
 
-// discardStandby releases a launched standby that never cut over,
-// billing its machines for the time they ran and recording the miss.
-func (s *session) discardStandby(billTo units.Seconds) error {
-	sb, l := s.sb, s.l
-	if sb == nil || sb.ws == nil {
+// Discard implements loop.Standby: it releases a launched standby that
+// never cut over, billing its machines for the time they ran and
+// recording the miss.
+func (sb *standbyState) Discard(billTo units.Seconds) error {
+	if sb.ws == nil {
 		return nil
 	}
-	sb.teardown()
+	sb.Teardown()
 	if billTo > sb.avail {
-		if err := l.spend(sb.cs.Config, sb.avail, billTo, 0); err != nil {
+		if err := sb.l.Spend(sb.CS.Config, sb.avail, billTo, 0); err != nil {
 			return err
 		}
 	}
-	l.emit(obs.Event{Type: obs.EvStandby, T: float64(billTo), Job: l.env.Job.Name,
-		Config: sb.cs.Config.ID(), Ready: false})
+	sb.l.Emit(obs.Event{Type: obs.EvStandby, T: float64(billTo), Job: sb.l.Env.Job.Name,
+		Config: sb.CS.Config.ID(), Ready: false})
 	return nil
 }
 
-// teardown releases a standby's processes without accounting — the
-// error and cancellation exits, where the trace is already incomplete.
-// A nil or never-launched standby has nothing to release.
-func (sb *standbyState) teardown() {
-	if sb == nil || sb.ws == nil {
+// Teardown implements loop.Standby: it releases a standby's processes
+// without accounting — the error and cancellation exits, where the
+// trace is already incomplete. A never-launched standby has nothing to
+// release.
+func (sb *standbyState) Teardown() {
+	if sb.ws == nil {
 		return
 	}
 	sb.cancel()

@@ -19,9 +19,9 @@ import (
 	"hourglass/internal/cloud"
 	"hourglass/internal/core"
 	"hourglass/internal/dist"
+	"hourglass/internal/loop"
 	"hourglass/internal/obs"
 	"hourglass/internal/runtime"
-	"hourglass/internal/sim"
 	"hourglass/internal/units"
 )
 
@@ -52,7 +52,7 @@ func spotEvictionOffset(h *harness, spot cloud.Config, total int) (units.Seconds
 		}
 	}
 	secPerStep := float64(cs.Exec) / float64(total)
-	ev := sim.Evictor{Market: h.env.Market}
+	ev := loop.Evictor{Market: h.env.Market}
 	for i := 0; i < 600; i++ {
 		s := units.Seconds(float64(i) * 1800)
 		avail, err := h.env.Market.NextAvailable(spot, s)

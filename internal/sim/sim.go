@@ -4,6 +4,11 @@
 // the trace implies, and reports cost and deadline outcomes. All times
 // are virtual, so thousands of multi-hour runs simulate in seconds,
 // exactly as the paper's methodology prescribes.
+//
+// A run is the executors' one loop (internal/loop), the one
+// internal/runtime drives real engine runs with, over a virtual
+// substrate: no engine runs and no superstep is reported — each session
+// jumps straight to its next plan boundary or eviction.
 package sim
 
 import (
@@ -12,12 +17,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"hourglass/internal/cloud"
 	"hourglass/internal/core"
+	"hourglass/internal/loop"
 	"hourglass/internal/obs"
 	"hourglass/internal/units"
 )
@@ -25,20 +29,19 @@ import (
 // RunResult reports one simulated job execution. It is the fold of the
 // run's event stream (obs.Summary): the runner keeps no other ledger,
 // so folding a recorded trace with obs.Summarize reproduces the result
-// exactly. The simulator's spend records carry no I/O split, so IOTime
-// stays zero; RecoveryTime sums the reloading deploys.
+// exactly. IOTime sums the deploy loads and checkpoint saves;
+// RecoveryTime sums the reloading deploys.
 type RunResult = obs.Summary
 
-// replica is one live deployment.
-type replica struct {
-	stats  *core.ConfigStats
-	bootAt units.Seconds // when it became ready (uptime anchor)
-	evict  units.Seconds // next eviction (absolute; +Inf if none)
-}
+// Evictor samples eviction times from the market's spot-price traces
+// (see loop.Evictor).
+type Evictor = loop.Evictor
 
-// maxDecisions is the decision count past which a run reports a
-// provisioner livelock.
-const maxDecisions = 100_000
+// virtualSteps is the superstep count of every simulated job: a power
+// of two, so each step's share of the work is exact, and fine enough
+// that flooring a segment to whole steps moves it by under 2^-30 of the
+// job.
+const virtualSteps = 1 << 30
 
 // Runner executes single simulations.
 type Runner struct {
@@ -52,8 +55,7 @@ type Runner struct {
 	// schema): one EvDecision per provisioner consultation, one EvSpend
 	// per billing charge in accumulation order, EvDeploy/EvEvict/
 	// EvCheckpoint lifecycle markers and a final EvDone. Nil disables
-	// tracing; an untraced run formats no configuration id for its
-	// spends and decisions.
+	// tracing; an untraced run formats no configuration id.
 	Sink obs.Sink
 }
 
@@ -68,257 +70,90 @@ func (r *Runner) Run(prov core.Provisioner, start, deadline units.Seconds) (RunR
 // decisions once ctx is done, so a long-running caller (the scheduler
 // daemon) can abandon an in-flight run without waiting it out.
 func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadline units.Seconds) (RunResult, error) {
-	env := r.Env
-	market := env.Market
+	v := &virtual{window: r.WarningWindow, Loop: &loop.Loop{Env: r.Env, Prov: prov, Sink: r.Sink,
+		Log: func(string, ...any) {}, Total: virtualSteps}}
+	return v.Drive(ctx, v, start, deadline)
+}
 
-	t := start
-	wDurable := 1.0 // work left as of the last durable checkpoint
-	wLive := 1.0    // work left counting in-memory progress
-	var live []replica
-	var res RunResult
-	// emit folds e into the result and, when tracing, publishes it.
-	emit := func(e obs.Event) {
-		res.Emit(e)
-		if r.Sink != nil {
-			r.Sink.Emit(e)
+// Decide consults the provisioner once and resolves the chosen
+// configuration's profiled stats, emitting the EvDecision into sink
+// (nil = none) exactly as the executors do (see loop.Consult).
+func Decide(env *core.Env, prov core.Provisioner, st core.State, sink obs.Sink) (core.Decision, *core.ConfigStats, error) {
+	return loop.Consult(env, prov, st, nil, sink)
+}
+
+// virtual is the simulator's substrate: a deployment computes nothing,
+// loads its profiled input and keeps its durable frontier in memory.
+type virtual struct {
+	*loop.Loop
+	window  units.Seconds // Runner.WarningWindow
+	durable int           // the superstep of the checkpoint sealed last
+}
+
+func (v *virtual) Frontier() (int, error) { return v.durable, nil }
+
+func (v *virtual) Boot(c loop.Choice, durable int) (obs.Event, error) {
+	return v.Deploy(c.CS, c.CS.Load, durable > 0, durable)
+}
+
+func (v *virtual) Clear() error { return nil }
+
+// Run jumps the session from barrier to barrier: the eviction, else
+// the plan's boundary, else the job's end.
+func (v *virtual) Run(s *loop.Session, deploy obs.Event) error {
+	v.Emit(deploy)
+	for !s.Stopped {
+		x := v.Total
+		if s.EvictAt > 0 {
+			x = s.EvictAt
+		} else if s.PlanEnd > 0 {
+			x = s.PlanEnd
+		}
+		if s.Barrier(x); s.Stopped || x == v.Total {
+			break
+		}
+		if s.CheckpointAt(x) {
+			v.save(s, x)
 		}
 	}
-	// spend records one billing charge. Spends fold in charge order, so
-	// a trace's folded cost reproduces the run's float accumulation
-	// sequence bit-for-bit.
-	spend := func(at units.Seconds, c cloud.Config, usd units.USD) {
-		e := obs.Event{Type: obs.EvSpend, T: float64(at), USD: float64(usd)}
-		if r.Sink != nil {
-			e.Config = c.ID()
-		}
-		emit(e)
+	return nil
+}
+
+// Warning implements loop.Warner with the simulator's §9 rule: when
+// the segment checkpoints and the warning fits t_save, the eviction
+// forces a save at its barrier that seals the progress made up to it.
+func (v *virtual) Warning(s *loop.Session) (warnAt, forceAt int, trip bool) {
+	if s.Dec.UseCheckpoints && v.window >= s.CS.Save && s.EvictAt > 0 {
+		return 0, s.EvictAt, true
 	}
+	return 0, 0, false
+}
 
-	teardown := func() { live = nil }
+// Warn implements loop.Warner. Warning never sets a warnAt, so it is
+// never called: the simulator's warning arms no standby.
+func (v *virtual) Warn(*loop.Session) loop.Standby { return nil }
 
-	for {
-		if wLive <= 0 {
-			emit(obs.Event{Type: obs.EvDone, T: float64(t), Job: env.Job.Name,
-				Done: true, Missed: t > deadline, USD: float64(res.Cost)})
-			return res, nil
-		}
-		if res.Decisions > maxDecisions {
-			return res, fmt.Errorf("sim: exceeded %d decisions (provisioner livelock?)", maxDecisions)
-		}
-		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("sim: run cancelled after %d decisions: %w", res.Decisions, err)
-		}
-		// Ask the provisioner what to run next.
-		var curCfg *cloud.Config
-		uptime := units.Seconds(0)
-		if len(live) > 0 {
-			curCfg = &live[0].stats.Config
-			uptime = t - live[0].bootAt
-		}
-		st := core.State{
-			Now: t, WorkLeft: wLive, Deadline: deadline, Current: curCfg, Uptime: uptime,
-		}
-		dec, primary, err := Consult(env, prov, st, &res, r.Sink)
-		if err != nil {
-			return res, err
-		}
-
-		if !dec.KeepCurrent || len(live) == 0 {
-			// (Re)deploy: tear down, wait for market availability, boot
-			// and load. In-memory progress is lost unless a replica of
-			// the same deployment survives (handled by KeepCurrent).
-			teardown()
-			wLive = wDurable
-			configs := append([]cloud.Config{dec.Config}, dec.Extra...)
-			avails := make([]units.Seconds, len(configs))
-			readyAt := t
-			for i, c := range configs {
-				avail, err := market.NextAvailable(c, t)
-				if err != nil {
-					return res, err
-				}
-				avails[i] = avail
-				cs, ok := env.StatsFor(c)
-				if !ok {
-					return res, fmt.Errorf("sim: unknown replica config %s", c.ID())
-				}
-				ra := avail + cs.Boot + cs.Load
-				if ra > readyAt {
-					readyAt = ra
-				}
-			}
-			// Pay for each replica from its availability to readiness.
-			for i, c := range configs {
-				cost, err := market.Cost(c, avails[i], readyAt)
-				if err != nil {
-					return res, err
-				}
-				spend(avails[i], c, cost)
-			}
-			live = live[:0]
-			sampler := Evictor{Market: market}
-			for _, c := range configs {
-				cs, _ := env.StatsFor(c)
-				live = append(live, replica{stats: cs, bootAt: readyAt,
-					evict: sampler.Next(c, readyAt)})
-			}
-			emit(obs.Event{Type: obs.EvDeploy, T: float64(t), Job: env.Job.Name,
-				Config: dec.Config.ID(), WorkLeft: wLive,
-				DurSec: float64(readyAt - t), Reload: wDurable < 1})
-			t = readyAt
-		} else {
-			// Keep running: refresh eviction forecasts (prices moved on).
-			sampler := Evictor{Market: market}
-			for i := range live {
-				if live[i].stats.Config.Transient {
-					live[i].evict = sampler.Next(live[i].stats.Config, t)
-				}
-			}
-		}
-
-		// Determine the next event: segment completion (checkpoint or
-		// job end) or the earliest eviction.
-		ckpt := units.Seconds(math.Inf(1))
-		if dec.UseCheckpoints {
-			ckpt = primary.Ckpt
-		}
-		remaining := units.Seconds(wLive * float64(primary.Exec))
-		segment := units.Min(remaining, ckpt)
-		if dec.MaxRun > 0 {
-			// Respect the provisioner's planned useful interval — the
-			// slack-aware guarantee depends on being re-consulted here.
-			segment = units.Min(segment, dec.MaxRun)
-		}
-		if segment <= 0 {
-			segment = units.Seconds(1)
-		}
-		segEnd := t + segment
-
-		firstEvict := units.Seconds(math.Inf(1))
-		evictIdx := -1
-		for i := range live {
-			if live[i].evict < firstEvict {
-				firstEvict = live[i].evict
-				evictIdx = i
-			}
-		}
-
-		if firstEvict < segEnd {
-			// Eviction mid-segment.
-			for i := range live {
-				end := units.Min(firstEvict, live[i].evict)
-				cost, err := market.Cost(live[i].stats.Config, t, end)
-				if err != nil {
-					return res, err
-				}
-				spend(t, live[i].stats.Config, cost)
-			}
-			// Progress since t accrues only in memory; survivors keep it.
-			elapsed := firstEvict - t
-			wLive -= float64(elapsed) / float64(primary.Exec)
-			if wLive < 0 {
-				wLive = 0
-			}
-			t = firstEvict
-			// §9 extension: a warning long enough to upload a checkpoint
-			// turns the in-flight progress durable before the machines
-			// vanish.
-			if dec.UseCheckpoints && r.WarningWindow >= primary.Save {
-				wDurable = wLive
-				emit(obs.Event{Type: obs.EvCheckpoint, T: float64(t), Job: env.Job.Name,
-					Config: primary.Config.ID(), WorkLeft: wLive})
-			}
-			// Drop the evicted replica (and any other replica evicted
-			// at the same instant).
-			var survivors []replica
-			for i := range live {
-				if i != evictIdx && live[i].evict > t {
-					survivors = append(survivors, live[i])
-				}
-			}
-			emit(obs.Event{Type: obs.EvEvict, T: float64(t), Job: env.Job.Name,
-				Config: primary.Config.ID(), WorkLeft: wLive})
-			if len(survivors) == 0 {
-				// Total loss: roll back to the last durable checkpoint.
-				wLive = wDurable
-				live = nil
-			} else {
-				// The survivor holds the in-memory state; promote it.
-				live = survivors
-			}
-			continue
-		}
-
-		// Segment completes.
-		for i := range live {
-			cost, err := market.Cost(live[i].stats.Config, t, segEnd)
-			if err != nil {
-				return res, err
-			}
-			spend(t, live[i].stats.Config, cost)
-		}
-		wLive -= float64(segment) / float64(primary.Exec)
-		if wLive < 1e-12 {
-			wLive = 0
-		}
-		t = segEnd
-
-		// Persist state: a checkpoint if mid-job, the output write if
-		// done. A replica evicted mid-save is billed only up to its
-		// eviction and counted; as long as one replica survives the
-		// window, its save completes and the run proceeds. Only a total
-		// loss fails the save and rolls back to the durable checkpoint.
-		saveEnd := t + primary.Save
-		var savers []replica
-		var evTimes []units.Seconds
-		for i := range live {
-			if live[i].evict < saveEnd {
-				cost, err := market.Cost(live[i].stats.Config, t, live[i].evict)
-				if err != nil {
-					return res, err
-				}
-				spend(t, live[i].stats.Config, cost)
-				evTimes = append(evTimes, live[i].evict)
-				continue
-			}
-			cost, err := market.Cost(live[i].stats.Config, t, saveEnd)
-			if err != nil {
-				return res, err
-			}
-			spend(t, live[i].stats.Config, cost)
-			savers = append(savers, live[i])
-		}
-		sort.Slice(evTimes, func(i, j int) bool { return evTimes[i] < evTimes[j] })
-		segStart := t
-		for _, ev := range evTimes {
-			emit(obs.Event{Type: obs.EvEvict, T: float64(ev), Job: env.Job.Name,
-				Config: primary.Config.ID(), WorkLeft: wLive})
-			segStart = ev
-		}
-		if len(savers) == 0 && len(evTimes) > 0 {
-			// Every replica vanished before the save finished: the
-			// checkpoint fails, roll back to the last durable one.
-			t = segStart
-			wLive = wDurable
-			live = nil
-			continue
-		}
-		live = savers
-		t = saveEnd
-		if wLive > 0 {
-			if dec.UseCheckpoints {
-				wDurable = wLive
-				emit(obs.Event{Type: obs.EvCheckpoint, T: float64(t), Job: env.Job.Name,
-					Config: primary.Config.ID(), WorkLeft: wLive})
-			}
-			continue
-		}
-		wDurable = 0
-		emit(obs.Event{Type: obs.EvDone, T: float64(t), Job: env.Job.Name,
-			Config: primary.Config.ID(), Done: true,
-			Missed: t > deadline, USD: float64(res.Cost)})
-		return res, nil
+// save seals the checkpoint asked for at barrier x. The plan's uploads
+// for t_save, and fails when the eviction lands first. The warning's
+// rides inside the machine time the eviction bills, and seals at the
+// eviction instant.
+func (v *virtual) save(s *loop.Session, x int) {
+	warned, io := x == s.ForceAt, s.CS.Save
+	if warned {
+		io = 0
+	} else if s.NextEvict < v.SegEnd(s.CS, x-s.Billed)+io {
+		s.Save(x, io, nil)
+		return
 	}
+	s.Save(x, io, func() obs.Event {
+		v.durable = x
+		e := obs.Event{Type: obs.EvCheckpoint, T: float64(v.T), Job: v.Env.Job.Name,
+			Config: v.ID(s.CS.Config), WorkLeft: v.WorkLeft(x)}
+		if warned {
+			e.T = float64(s.NextEvict)
+		}
+		return e
+	})
 }
 
 // BatchResult aggregates a batch of randomised runs (the paper averages

@@ -332,22 +332,6 @@ func TestHorizonExported(t *testing.T) {
 	}
 }
 
-// replicatedStub always asks for a two-replica deployment (SpotOn
-// style: primary + one buddy, checkpointing off).
-type replicatedStub struct {
-	primary, extra cloud.Config
-}
-
-func (p *replicatedStub) Name() string { return "replicated-stub" }
-
-func (p *replicatedStub) Decide(core.State) (core.Decision, error) {
-	return core.Decision{
-		Config:   p.primary,
-		Replicas: 2,
-		Extra:    []cloud.Config{p.extra},
-	}, nil
-}
-
 // flatTrace builds a step-1s price trace at a deep discount, with an
 // optional spike above on-demand over [spikeAt, spikeAt+spikeLen).
 func flatTrace(it cloud.InstanceType, dur, spikeAt, spikeLen units.Seconds) *cloud.PriceTrace {
@@ -387,66 +371,30 @@ func flatEnv(t *testing.T, spikeAt units.Seconds, spiked ...string) *core.Env {
 	return env
 }
 
-// replicatedSaveFixture computes the deployment geometry of a
-// two-replica run on flat traces and returns an env whose traces spike
-// the selected instances inside the save window of the first segment.
-func replicatedSaveFixture(t *testing.T, spikeBoth bool) (*core.Env, *replicatedStub, units.Seconds) {
+// saveFixture picks the transient configuration with the longest save
+// and returns an env whose flat traces evict it inside the save window
+// of its first segment, the configuration, and the instant that
+// segment's compute ends.
+func saveFixture(t *testing.T) (*core.Env, core.ConfigStats, units.Seconds) {
 	t.Helper()
 	env := flatEnv(t, 0)
-
-	// Two transient configs on distinct instance types (distinct
-	// markets, so one can be evicted while the other survives). Save
-	// time shrinks with node count, so pick the configs with the
-	// longest save windows to give the spike a target.
-	var prim, extra *core.ConfigStats
+	var spot *core.ConfigStats
 	for i := range env.Stats {
-		c := env.Stats[i].Config
-		if !c.Transient {
-			continue
-		}
-		if prim == nil || env.Stats[i].Save > prim.Save {
-			prim = &env.Stats[i]
+		if cs := &env.Stats[i]; cs.Config.Transient && (spot == nil || cs.Save > spot.Save) {
+			spot = cs
 		}
 	}
-	for i := range env.Stats {
-		c := env.Stats[i].Config
-		if !c.Transient || c.Instance.Name == prim.Config.Instance.Name {
-			continue
-		}
-		if extra == nil || env.Stats[i].Save > extra.Save {
-			extra = &env.Stats[i]
-		}
+	if spot == nil {
+		t.Fatal("config set lacks a transient configuration")
 	}
-	if prim == nil || extra == nil {
-		t.Fatal("config set lacks two transient instance types")
+	if spot.Save < 2 {
+		t.Fatalf("save window %v too short to aim a spike into", spot.Save)
 	}
-	if prim.Save < 2 {
-		t.Fatalf("save window %v too short to aim a spike into", prim.Save)
-	}
-
 	// First segment geometry (start 0, flat market: immediately
-	// available): deploy to readyAt, compute one full pass, then save.
-	readyAt := prim.Boot + prim.Load
-	if ra := extra.Boot + extra.Load; ra > readyAt {
-		readyAt = ra
-	}
-	segEnd := readyAt + prim.Exec
-	spikeAt := segEnd + prim.Save/2
-
-	spiked := []string{extra.Config.Instance.Name}
-	if spikeBoth {
-		spiked = append(spiked, prim.Config.Instance.Name)
-	}
-	env = flatEnv(t, spikeAt, spiked...)
-	return env, &replicatedStub{primary: prim.Config, extra: extra.Config}, segEnd + prim.Save
-}
-
-func approxSeconds(a, b units.Seconds, tol float64) bool {
-	d := float64(a - b)
-	if d < 0 {
-		d = -d
-	}
-	return d <= tol
+	// available): deploy, compute to the first checkpoint (or the end of
+	// the job), then save.
+	segEnd := spot.Boot + spot.Load + units.Min(spot.Ckpt, spot.Exec)
+	return flatEnv(t, segEnd+spot.Save/2, spot.Config.Instance.Name), *spot, segEnd
 }
 
 // checkLifecycle asserts the invariants every run's event stream keeps:
@@ -455,7 +403,7 @@ func approxSeconds(a, b units.Seconds, tol float64) bool {
 // at the durable frontier; and that frontier — the work left at the
 // last sealed checkpoint — never regresses. A rise anywhere else
 // (mid-segment, at an eviction) is a bookkeeping bug: billing a dead
-// replica, resurrecting lost progress.
+// deployment, resurrecting lost progress.
 func checkLifecycle(events []obs.Event) error {
 	var prevT float64
 	prevW, durable := 1.0, 1.0
@@ -483,14 +431,15 @@ func checkLifecycle(events []obs.Event) error {
 	return nil
 }
 
-func TestReplicaEvictedDuringSaveIsDroppedAndBilledToEviction(t *testing.T) {
-	// Regression: with more than one live replica, a replica evicted
-	// inside the save window used to be billed through the end of the
-	// save, never counted as an eviction, and left in the live set.
-	env, stub, saveEnd := replicatedSaveFixture(t, false)
+func TestEvictionDuringSaveRollsBack(t *testing.T) {
+	// An eviction inside the save window bills the machines up to the
+	// eviction, fails the save and rolls the run back to the last
+	// durable checkpoint — none yet, so the redeploy, once the market
+	// recovers, starts the job over.
+	env, spot, segEnd := saveFixture(t)
 	sink := &eventSink{}
 	r := &Runner{Env: env, Sink: sink}
-	res, err := r.Run(stub, 0, 2*units.Day)
+	res, err := r.Run(&fixedProv{cfg: spot}, 0, 2*units.Day)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,41 +447,36 @@ func TestReplicaEvictedDuringSaveIsDroppedAndBilledToEviction(t *testing.T) {
 		t.Fatal("run did not finish")
 	}
 	if res.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1 (buddy lost mid-save)", res.Evictions)
-	}
-	if err := checkLifecycle(sink.snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	// The surviving primary completes the save on schedule.
-	if !approxSeconds(res.Completion, saveEnd, 1) {
-		t.Errorf("completion %v, want ≈ %v", res.Completion, saveEnd)
-	}
-}
-
-func TestAllReplicasEvictedDuringSaveRollsBack(t *testing.T) {
-	// Total loss mid-save: the save fails, the run rolls back and
-	// redeploys once the market recovers, and both evictions count.
-	env, stub, saveEnd := replicatedSaveFixture(t, true)
-	sink := &eventSink{}
-	r := &Runner{Env: env, Sink: sink}
-	res, err := r.Run(stub, 0, 2*units.Day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Finished {
-		t.Fatal("run did not finish")
-	}
-	if res.Evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", res.Evictions)
+		t.Fatalf("evictions = %d, want 1", res.Evictions)
 	}
 	if res.Reconfigs != 2 {
 		t.Errorf("reconfigs = %d, want 2 (initial deploy + recovery)", res.Reconfigs)
 	}
-	if res.Completion <= saveEnd {
-		t.Errorf("completion %v not after the failed save %v", res.Completion, saveEnd)
-	}
-	if err := checkLifecycle(sink.snapshot()); err != nil {
+	events := sink.snapshot()
+	if err := checkLifecycle(events); err != nil {
 		t.Fatal(err)
+	}
+	for i, e := range events {
+		if e.Type == obs.EvCheckpoint && e.T < float64(segEnd+spot.Save) {
+			t.Errorf("checkpoint sealed at t=%v by a save the eviction interrupted", e.T)
+		}
+		if e.Type != obs.EvEvict {
+			continue
+		}
+		if e.T <= float64(segEnd) || e.T >= float64(segEnd+spot.Save) {
+			t.Errorf("eviction at t=%v outside the save window (%v, %v)", e.T, segEnd, segEnd+spot.Save)
+		}
+		bill := events[i-1]
+		want, err := env.Market.Cost(spot.Config, units.Seconds(bill.T), units.Seconds(e.T))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bill.Type != obs.EvSpend || bill.USD != float64(want) {
+			t.Errorf("eviction billed by %+v, want $%v up to the eviction", bill, want)
+		}
+	}
+	if res.Completion <= segEnd+spot.Save {
+		t.Errorf("completion %v not after the failed save", res.Completion)
 	}
 }
 
@@ -637,10 +581,10 @@ func TestDecisionGuard(t *testing.T) {
 	}
 	r := &Runner{Env: env}
 	res, err := r.Run(&alternating{a: od[0], b: od[1]}, 0, 2*units.Day)
-	if err == nil || !strings.Contains(err.Error(), "exceeded 100000 decisions") {
-		t.Fatalf("err = %v, want the 100000-decision livelock guard", err)
+	if err == nil || !strings.Contains(err.Error(), "exceeded 10000 decisions") {
+		t.Fatalf("err = %v, want the 10000-decision livelock guard", err)
 	}
-	if res.Decisions != maxDecisions+1 {
-		t.Fatalf("decisions = %d, want %d", res.Decisions, maxDecisions+1)
+	if res.Decisions != 10_001 {
+		t.Fatalf("decisions = %d, want 10001", res.Decisions)
 	}
 }

@@ -6,10 +6,10 @@ package sim
 // back — a warned save that is billed inside the machines' paid window
 // and advances the resume point. These tests pin that branch as a
 // property over start offsets, on both sides of the window boundary.
-// The warning only rescues compute-phase evictions; a replica lost
-// inside the save window is already mid-upload and follows the
-// survivor/rollback rules, so the event stream classifies each eviction
-// by the phase it interrupted before asserting anything about saves.
+// The warning only rescues compute-phase evictions; a deployment lost
+// inside the save window is already mid-upload and rolls back, so the
+// tests classify each eviction by the phase it interrupted before
+// asserting anything about saves.
 
 import (
 	"sync"
@@ -62,24 +62,25 @@ func transientStats(t *testing.T, env *core.Env) core.ConfigStats {
 }
 
 // computeEvictTimes returns the instants of evictions that interrupted
-// a compute phase — the ones the §9 warning can rescue. A segment opens
-// with a decision (and a deploy, whose spends precede it) and bills its
-// compute from one instant; its save is billed from the segment's end,
-// a second instant. So an eviction billed from a single instant since
-// the segment opened lost compute, and one billed from two lost a save.
-func computeEvictTimes(events []obs.Event) []units.Seconds {
+// a compute phase on cs — the ones the §9 warning can rescue. A
+// segment's compute starts at its decision when that keeps the
+// deployment, or once the deploy after it is ready, and lasts what the
+// plan gives it: t_ckpt, or the work left when that is less. An
+// eviction past it lost a save or the output write.
+func computeEvictTimes(events []obs.Event, cs core.ConfigStats) []units.Seconds {
 	var times []units.Seconds
-	var billedFrom []float64
+	var start, span float64
 	for _, e := range events {
 		switch e.Type {
-		case obs.EvDecision, obs.EvDeploy:
-			billedFrom = billedFrom[:0]
-		case obs.EvSpend:
-			if n := len(billedFrom); n == 0 || billedFrom[n-1] != e.T {
-				billedFrom = append(billedFrom, e.T)
-			}
+		case obs.EvDecision:
+			start, span = e.T, min(float64(cs.Ckpt), e.WorkLeft*float64(cs.Exec))
+		case obs.EvDeploy:
+			start = e.T + e.DurSec
 		case obs.EvEvict:
-			if len(billedFrom) == 1 {
+			// A millisecond's margin leaves out an eviction landing where
+			// compute ends, which the plan's whole supersteps place
+			// within a step of the t_ckpt mark.
+			if e.T < start+span-1e-3 {
 				times = append(times, units.Seconds(e.T))
 			}
 		}
@@ -150,7 +151,7 @@ func TestWarnedSavePersistsInFlightProgress(t *testing.T) {
 
 		// Every compute-phase eviction must have sealed a warned save at
 		// its instant.
-		for _, ev := range computeEvictTimes(events) {
+		for _, ev := range computeEvictTimes(events, spot) {
 			computeEvicts++
 			if !checkpointAt(events, ev) {
 				t.Errorf("offset %d: compute-phase eviction at t=%v has no warned save", i, ev)
@@ -212,7 +213,7 @@ func TestWarningWindowBelowSaveRollsBack(t *testing.T) {
 			t.Fatalf("offset %d: %v", i, err)
 		}
 		events := sink.snapshot()
-		for _, ev := range computeEvictTimes(events) {
+		for _, ev := range computeEvictTimes(events, spot) {
 			computeEvicts++
 			if checkpointAt(events, ev) {
 				t.Errorf("offset %d: save sealed at the eviction instant t=%v despite a too-short window", i, ev)
