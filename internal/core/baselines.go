@@ -98,8 +98,8 @@ func (g *Greedy) Decide(s State) (Decision, error) {
 }
 
 // SpotOn is the SpotOn-style provisioner (§8.2): the same greedy
-// cost-per-work core, restricted to transient configurations, with
-// periodic checkpointing on every transient deployment. SpotOn's other
+// cost-per-work core over transient configurations while one is
+// feasible, with periodic checkpointing on every transient deployment. SpotOn's other
 // option, replicas on decorrelated markets with checkpointing off, is
 // not modelled: it was never chosen in any exhibit (see DESIGN.md), so
 // every executor runs one deployment at a time.

@@ -305,8 +305,8 @@ func ExecuteDist(ctx context.Context, opts DistOptions, start, deadline units.Se
 	if err := opts.validate(); err != nil {
 		return Report{}, err
 	}
-	d := &distDriver{opts: &opts, Loop: newLoop(opts.Env, opts.Prov, opts.Sink, opts.Logf,
-		opts.TotalSupersteps, opts.CheckpointEvery, opts.RestartBudget)}
+	d := &distDriver{opts: &opts, Loop: &loop.Loop{Env: opts.Env, Prov: opts.Prov, Sink: opts.Sink, Log: opts.Logf,
+		Total: opts.TotalSupersteps, Every: opts.CheckpointEvery, RestartBudget: opts.RestartBudget}}
 	sum, err := d.Drive(ctx, d, start, deadline)
 	return d.out.report(sum), err
 }

@@ -157,11 +157,6 @@ const watchdogGrace = 100 * time.Millisecond
 // prices.
 const bytesPerVertex = 64
 
-// newLoop is the loop of one run under the options both drivers share.
-func newLoop(env *core.Env, prov core.Provisioner, sink obs.Sink, logf func(string, ...any), total, every, budget int) *loop.Loop {
-	return &loop.Loop{Env: env, Prov: prov, Sink: sink, Log: logf, Total: total, Every: every, RestartBudget: budget}
-}
-
 // output is the job output of a substrate's last completed session,
 // reported once the loop has made it durable.
 type output struct {
@@ -218,8 +213,8 @@ func Execute(ctx context.Context, opts Options, start, deadline units.Seconds) (
 	if err := opts.validate(); err != nil {
 		return Report{}, err
 	}
-	d := &driver{opts: &opts, Loop: newLoop(opts.Env, opts.Prov, opts.Sink, opts.Logf,
-		opts.TotalSupersteps, opts.CheckpointEvery, opts.RestartBudget)}
+	d := &driver{opts: &opts, Loop: &loop.Loop{Env: opts.Env, Prov: opts.Prov, Sink: opts.Sink, Log: opts.Logf,
+		Total: opts.TotalSupersteps, Every: opts.CheckpointEvery, RestartBudget: opts.RestartBudget}}
 	sum, err := d.Drive(ctx, d, start, deadline)
 	return d.out.report(sum), err
 }
