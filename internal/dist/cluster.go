@@ -13,8 +13,12 @@ import (
 // Welcome tells each shard which id it got). Accepting is bounded by
 // the watchdog window so a missing shard process fails the session
 // instead of hanging it, and by ctx: cancellation interrupts a pending
-// Accept (the listener is left open — callers reuse it across recovery
-// sessions) and aborts the session.
+// Accept and aborts the session. The listener is left open for the
+// caller: hourglass-shard's coordinator reuses one across its recovery
+// sessions, while runtime.ExecuteDist opens a fresh one for every
+// deployment and every warm standby and closes it after the session
+// (ROADMAP item 17: with the per-session peer mesh, that leaves
+// loopback sockets in TIME_WAIT on every deployment).
 func AcceptAndRun(ctx context.Context, ln net.Listener, shards int, cfg Config) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dist: session cancelled: %w", err)

@@ -61,6 +61,10 @@ type Loop struct {
 	// RestartBudget bounds evictions + watchdog trips before the loop
 	// pins the last-resort configuration (0 = 8).
 	RestartBudget int
+	// Warning is the provider's eviction notice (§9, 0 = none). A
+	// notice no shorter than t_save forces a save at the interruption's
+	// barrier (see Session.arm); a Warner is warned this far ahead.
+	Warning units.Seconds
 
 	// T is the virtual clock and Deadline the absolute deadline; Drive
 	// sets both.
@@ -98,13 +102,12 @@ type Substrate interface {
 	Clear() error
 }
 
-// A Warner is a substrate forewarned of its deployments' interruptions.
+// A Warner is a substrate forewarned of its deployments' losses, which
+// boots a standby at the warning.
 type Warner interface {
-	// Warning projects the session's interruption from the clock, once
-	// per re-derived segment: fire Warn after superstep warnAt (0 =
-	// never) and force a checkpoint at superstep forceAt (0 = none),
-	// whose seal, with trip, ends the session as the eviction.
-	Warning(s *Session) (warnAt, forceAt int, trip bool)
+	// Loss is the absolute superstep a machine of session s's
+	// deployment is scheduled to die in (0 = none).
+	Loss(s *Session) int
 	// Warn fires the warning and returns the standby it armed; one
 	// that never became launchable must still be non-nil.
 	Warn(s *Session) Standby
@@ -295,11 +298,9 @@ func (l *Loop) plan(dec core.Decision, cs *core.ConfigStats, done int) (segSteps
 
 // Deploy bills a fresh deployment of cs requested now — market wait,
 // boot and load seconds of I/O — and advances the clock to the ready
-// instant. A deployment that resumes durable progress is a recovery:
-// its EvDeploy carries Reload, so its whole span folds into
-// RecoveryTime. It returns that EvDeploy for the substrate to emit once
-// the deployment is up; done is the superstep it resumes from.
-func (l *Loop) Deploy(cs *core.ConfigStats, load units.Seconds, resumed bool, done int) (obs.Event, error) {
+// instant. It returns the EvDeploy for the substrate to emit once the
+// deployment is up; done is the superstep it resumes from.
+func (l *Loop) Deploy(cs *core.ConfigStats, load units.Seconds, done int) (obs.Event, error) {
 	start := l.T
 	avail, err := l.Env.Market.NextAvailable(cs.Config, start)
 	if err != nil {
@@ -310,15 +311,17 @@ func (l *Loop) Deploy(cs *core.ConfigStats, load units.Seconds, resumed bool, do
 		return obs.Event{}, err
 	}
 	l.T = readyAt
-	return l.DeployEvent(cs, start, done, resumed), nil
+	return l.DeployEvent(cs, start, done), nil
 }
 
-// DeployEvent is the EvDeploy of a deployment of cs requested at start
-// and ready now.
-func (l *Loop) DeployEvent(cs *core.ConfigStats, start units.Seconds, done int, resumed bool) obs.Event {
+// DeployEvent is the EvDeploy of a deployment of cs requested at start,
+// ready now and resuming superstep done. One that resumes durable
+// progress (done > 0) is a recovery: its EvDeploy carries Reload, so
+// its whole span folds into RecoveryTime.
+func (l *Loop) DeployEvent(cs *core.ConfigStats, start units.Seconds, done int) obs.Event {
 	return obs.Event{Type: obs.EvDeploy, T: float64(start), Job: l.Env.Job.Name,
 		Config: l.ID(cs.Config), WorkLeft: l.WorkLeft(done),
-		DurSec: float64(l.T - start), Reload: resumed}
+		DurSec: float64(l.T - start), Reload: done > 0}
 }
 
 // BillUntil bills cs from the clock to end, io seconds of it I/O, and

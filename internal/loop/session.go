@@ -2,6 +2,7 @@ package loop
 
 import (
 	"context"
+	"math"
 
 	"hourglass/internal/obs"
 	"hourglass/internal/units"
@@ -12,7 +13,8 @@ import (
 // Barrier (or Emit) for each superstep and Save or an EvCheckpoint for
 // each sealed checkpoint, CheckpointAt at every barrier the job
 // continues past — so the loop's boundary steps (bill, record,
-// re-decide) and a Warner's warning all run there.
+// re-decide, force the warned save) and a Warner's warning all run
+// there.
 //
 // At the plan's boundary the loop consults the provisioner with the
 // deployment live. On KeepCurrent the session runs on in place under
@@ -38,7 +40,7 @@ type Session struct {
 	Checkpointing bool // the plan seals a checkpoint at PlanEnd
 	NextEvict     units.Seconds
 	EvictAt       int // the eviction stops the session after this superstep (0 = none)
-	ForceAt       int // a Warner's forced save (0 = none)
+	ForceAt       int // the warning's forced save (0 = none)
 	Stopped       bool
 
 	l      *Loop
@@ -46,9 +48,9 @@ type Session struct {
 	bootAt units.Seconds
 	saveAt int // a requested save that has not sealed (0 = none)
 
-	// A Warner's warning, re-derived with the segment; see arm.
-	sb       Standby // armed by the warning (nil = not fired)
-	warnAt   int     // fire the warning after this superstep (0 = never)
+	// The warning, re-derived with the segment; see arm.
+	sb       Standby // armed by a Warner's warning (nil = not fired)
+	warnAt   int     // warn the Warner after this superstep (0 = never)
 	warmTrip bool    // the eviction stops the session at ForceAt
 
 	// Why the loop stopped the session, if it did.
@@ -61,7 +63,7 @@ type Session struct {
 // seals, an EvSuperstep reaches its barrier.
 func (s *Session) Emit(e obs.Event) {
 	if e.Type == obs.EvCheckpoint {
-		s.close(e.Superstep, true, s.CS.Save, func() obs.Event { return e })
+		s.close(e.Superstep, true, s.CS.Save, &e)
 		return
 	}
 	s.l.Emit(e)
@@ -108,20 +110,26 @@ func (s *Session) CheckpointAt(x int) bool {
 }
 
 // Save closes the boundary of the save requested at superstep x, ioSave
-// seconds of I/O: sealed is the EvCheckpoint of a save that sealed
-// (nil = it failed), called once the boundary is billed.
-func (s *Session) Save(x int, ioSave units.Seconds, sealed func() obs.Event) {
-	s.close(x, true, ioSave, sealed)
+// seconds of I/O; sealed reports that its checkpoint sealed (false =
+// the save failed).
+func (s *Session) Save(x int, ioSave units.Seconds, sealed bool) {
+	var ck *obs.Event
+	if sealed {
+		ck = &obs.Event{}
+	}
+	s.close(x, true, ioSave, ck)
 }
 
 // close is the loop's boundary at superstep x: bill the compute since
 // the last boundary and, with save, the save of ioSave seconds after
-// it, racing the eviction; record the checkpoint sealed, if any; then
-// re-decide at the plan's boundary, or stop at a tripping forced save,
-// or re-derive the rest of the segment from the clock. A checkpoint
-// that lost its save to the eviction is still recorded: it is sealed,
-// and the next deployment resumes it.
-func (s *Session) close(x int, save bool, ioSave units.Seconds, sealed func() obs.Event) {
+// it, racing the eviction; record the checkpoint sealed, if any — the
+// substrate's EvCheckpoint, stamped with the billed clock, the job, the
+// configuration and the work it leaves; then re-decide at the plan's
+// boundary, or stop at a tripping forced save, or re-derive the rest of
+// the segment from the clock. A checkpoint that lost its save to the
+// eviction is still recorded: it is sealed, and the next deployment
+// resumes it.
+func (s *Session) close(x int, save bool, ioSave units.Seconds, sealed *obs.Event) {
 	l := s.l
 	end, at, io := l.SegEnd(s.CS, x-s.Billed), Never, units.Seconds(0) // a bare segment cannot lose the race: its forecast fits
 	if save {
@@ -131,7 +139,10 @@ func (s *Session) close(x int, save bool, ioSave units.Seconds, sealed func() ob
 	s.Billed, s.saveAt = x, 0
 	if sealed != nil {
 		s.Durable = x
-		l.Emit(sealed())
+		e := *sealed
+		e.Type, e.T, e.Job = obs.EvCheckpoint, float64(l.T), l.Env.Job.Name
+		e.Config, e.WorkLeft = l.ID(s.CS.Config), l.WorkLeft(x)
+		l.Emit(e)
 	}
 	switch {
 	case err != nil || lost:
@@ -157,9 +168,14 @@ func (s *Session) close(x int, save bool, ioSave units.Seconds, sealed func() ob
 
 // arm re-derives the segment from the clock at the in-memory frontier:
 // with replan, the plan of the session's decision; always, the eviction
-// forecast and a Warner's warning. It returns false when the eviction
-// lands before one more superstep can complete (billed and recorded
-// then).
+// forecast and the warning — the §9 rule, one for every substrate. A
+// Warning that fits t_save forces a save at the interruption's barrier
+// (see Interruption), which seals the progress made up to it; a market
+// eviction then stops the session once that save is billed, and a
+// forewarned loss ends it by itself. A Warner is warned Warning ahead
+// of the interruption, at least one superstep on. It returns false when
+// the eviction lands before one more superstep can complete (billed and
+// recorded then).
 func (s *Session) arm(replan bool) bool {
 	l := s.l
 	if replan {
@@ -187,10 +203,42 @@ func (s *Session) arm(replan bool) bool {
 		s.EvictAt = s.Done + k
 	}
 	s.warnAt, s.ForceAt, s.warmTrip = 0, 0, false
-	if w, ok := s.sub.(Warner); ok {
-		s.warnAt, s.ForceAt, s.warmTrip = w.Warning(s)
+	if l.Warning <= 0 {
+		return true
+	}
+	barrier, _, market := s.Interruption()
+	if barrier == 0 {
+		return true
+	}
+	if _, ok := s.sub.(Warner); ok {
+		warnSteps := max(int(math.Ceil(float64(l.Warning)/float64(l.StepTime(s.CS)))), 1)
+		s.warnAt = max(barrier-warnSteps, s.Done+1)
+	}
+	if l.Warning >= s.CS.Save {
+		s.ForceAt, s.warmTrip = barrier, market
 	}
 	return true
+}
+
+// Interruption projects the session's interruption from the clock: the
+// market eviction anywhere before the job ends, or a Warner's
+// forewarned loss, whichever lands first. It returns the barrier of the
+// last superstep that completes (0 = no interruption before the job
+// ends), the instant the machines disappear, and whether it is the
+// market's.
+func (s *Session) Interruption() (barrier int, at units.Seconds, market bool) {
+	l := s.l
+	at = s.NextEvict
+	if k := l.StepsBefore(s.CS, at); k < l.Total-s.Billed {
+		barrier, market = s.Billed+k, true
+	}
+	if w, ok := s.sub.(Warner); ok {
+		// The machine dies while computing superstep die, after die-1.
+		if die := w.Loss(s) - 1; die > s.Billed && die < l.Total && (barrier == 0 || die < barrier) {
+			barrier, at, market = die, l.SegEnd(s.CS, die-s.Billed), false
+		}
+	}
+	return barrier, at, market
 }
 
 // Lose stops the session at the instant at the deployment is lost — the

@@ -253,8 +253,9 @@ type DistOptions struct {
 	// standby cluster that boots and prefetches concurrently with the
 	// doomed session, and — when the window fits a checkpoint save —
 	// forces one final checkpoint at the eviction boundary so the
-	// standby resumes within one superstep of it. 0 disables warm
-	// standby (pure reactive recovery).
+	// standby resumes within one superstep of it (the loop's §9 rule,
+	// loop.Loop.Warning). 0 disables warm standby (pure reactive
+	// recovery).
 	WarningWindow units.Seconds
 	// DeltaChain bounds the dist checkpoint delta chain: up to
 	// DeltaChain consecutive delta checkpoints follow each full one
@@ -306,7 +307,8 @@ func ExecuteDist(ctx context.Context, opts DistOptions, start, deadline units.Se
 		return Report{}, err
 	}
 	d := &distDriver{opts: &opts, Loop: &loop.Loop{Env: opts.Env, Prov: opts.Prov, Sink: opts.Sink, Log: opts.Logf,
-		Total: opts.TotalSupersteps, Every: opts.CheckpointEvery, RestartBudget: opts.RestartBudget}}
+		Total: opts.TotalSupersteps, Every: opts.CheckpointEvery, RestartBudget: opts.RestartBudget,
+		Warning: opts.WarningWindow}}
 	sum, err := d.Drive(ctx, d, start, deadline)
 	return d.out.report(sum), err
 }
@@ -337,9 +339,9 @@ func (d *distDriver) Frontier() (int, error) {
 // that instant, so the deploy span — the recovery downtime — is zero.
 func (d *distDriver) Boot(c loop.Choice, durable int) (obs.Event, error) {
 	if c.Warm != nil {
-		return d.DeployEvent(c.CS, d.T, durable, durable > 0), nil
+		return d.DeployEvent(c.CS, d.T, durable), nil
 	}
-	return d.Deploy(c.CS, load(d.Loop, c.CS, durable, 0, d.evenSplit(c.CS.Config.Count)), durable > 0, durable)
+	return d.Deploy(c.CS, load(d.Loop, c.CS, durable, 0, d.evenSplit(c.CS.Config.Count)), durable)
 }
 
 // Clear implements loop.Substrate.

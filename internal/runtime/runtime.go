@@ -248,7 +248,7 @@ func (d *driver) Boot(c loop.Choice, durable int) (obs.Event, error) {
 	for _, w := range d.assign {
 		perWorker[w]++
 	}
-	return d.Deploy(c.CS, load(d.Loop, c.CS, durable, d.fetch, perWorker), durable > 0, durable)
+	return d.Deploy(c.CS, load(d.Loop, c.CS, durable, d.fetch, perWorker), durable)
 }
 
 // Clear implements loop.Substrate.
@@ -328,16 +328,10 @@ func (d *driver) pump(s *loop.Session, x *engine.Execution, last *lastStep, canc
 // on its intact in-memory state.
 func (d *driver) save(s *loop.Session, x *engine.Execution, n int) {
 	ioSave, err := d.opts.Manager.Save(x.Snapshot())
-	var sealed func() obs.Event
 	if err != nil {
 		d.Logf("runtime: job %q checkpoint at superstep %d failed: %v", d.Env.Job.Name, n, err)
-	} else {
-		sealed = func() obs.Event {
-			return obs.Event{Type: obs.EvCheckpoint, T: float64(d.T), Job: d.Env.Job.Name,
-				Config: s.CS.Config.ID(), WorkLeft: d.WorkLeft(n)}
-		}
 	}
-	s.Save(n, ioSave, sealed)
+	s.Save(n, ioSave, err == nil)
 }
 
 // stepped is the outcome of one Step: the EvSuperstep of the superstep

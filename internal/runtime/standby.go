@@ -6,21 +6,22 @@
 // still-running doomed session. The projection is re-derived at every
 // boundary the session survives, since billed saves move the clock.
 // The standby workers prefetch the newest checkpoint chain into a
-// read-through cache while they wait for the coordinator to accept,
-// and when the window also fits one checkpoint save the doomed session
-// is forced to seal a final checkpoint at the eviction boundary. At the eviction instant the
-// driver cuts over: the standby's wait + boot + reload all happened
-// inside the window, overlapped with paid-for compute, so the recovery
-// downtime on the virtual clock is zero and the resume point is within
-// one superstep of the boundary. A standby that cannot be ready in
-// time (market capacity, launch failure, eviction landing early) is a
-// recorded miss and the driver falls back to the reactive path — the
-// run still finishes, just with cold recovery billing.
+// read-through cache while they wait for the coordinator to accept.
+// When the window also fits one checkpoint save, the loop forces the
+// doomed session to seal a final checkpoint at the eviction boundary
+// (loop.Loop.Warning, the rule every executor runs; this file adds only
+// the standby). At the eviction instant the driver cuts over: the
+// standby's wait + boot + reload all happened inside the window,
+// overlapped with paid-for compute, so the recovery downtime on the
+// virtual clock is zero and the resume point is within one superstep
+// of the boundary. A standby that cannot be ready in time (market
+// capacity, launch failure, eviction landing early) is a recorded miss
+// and the driver falls back to the reactive path — the run still
+// finishes, just with cold recovery billing.
 package runtime
 
 import (
 	"context"
-	"math"
 	"net"
 
 	"hourglass/internal/core"
@@ -42,45 +43,8 @@ type standbyState struct {
 	cancel  context.CancelFunc
 }
 
-// interruption projects, from the clock, the live session's
-// interruption — the injected market eviction or a forewarned worker
-// death, whichever lands first: its boundary as an absolute superstep
-// (0 = none before the job ends), the virtual instant the machines
-// disappear, and whether it is the market's.
-func (d *distDriver) interruption(s *loop.Session) (boundary int, at units.Seconds, market bool) {
-	at = s.NextEvict
-	if k := d.StepsBefore(s.CS, at); k < d.Total-s.Billed {
-		boundary, market = s.Billed+k, true
-	}
-	// The worker dies while computing superstep die, after die-1.
-	if die := d.opts.Launcher.DeathWarning(s.Attempt) - 1; die > s.Billed && die < d.Total && (boundary == 0 || die < boundary) {
-		boundary, at, market = die, d.SegEnd(s.CS, die-s.Billed), false
-	}
-	return boundary, at, market
-}
-
-// Warning implements loop.Warner: it arms the warning WarningWindow
-// ahead of the projected interruption. When the window fits one save,
-// it also forces a final checkpoint at the interruption's boundary: the
-// standby then resumes from the interruption itself instead of the
-// plan's last checkpoint. A market eviction stops the session once that
-// save seals; a forewarned death needs no stop — the loss itself ends
-// the session.
-func (d *distDriver) Warning(s *loop.Session) (warnAt, forceAt int, trip bool) {
-	if d.opts.WarningWindow <= 0 {
-		return 0, 0, false
-	}
-	boundary, _, market := d.interruption(s)
-	if boundary == 0 {
-		return 0, 0, false
-	}
-	warnSteps := max(int(math.Ceil(float64(d.opts.WarningWindow)/float64(d.StepTime(s.CS)))), 1)
-	warnAt = max(boundary-warnSteps, s.Done+1)
-	if d.opts.WarningWindow >= s.CS.Save {
-		forceAt, trip = boundary, market
-	}
-	return warnAt, forceAt, trip
-}
+// Loss implements loop.Warner: the launcher's forewarned worker death.
+func (d *distDriver) Loss(s *loop.Session) int { return d.opts.Launcher.DeathWarning(s.Attempt) }
 
 // Warn implements loop.Warner: it re-decides for the post-eviction
 // world — the standby takes over at the projected interruption instant
@@ -90,18 +54,18 @@ func (d *distDriver) Warning(s *loop.Session) (warnAt, forceAt int, trip bool) {
 // whose boot and prefetch overlap the session. Billing is deferred to
 // cutover or discard time.
 func (d *distDriver) Warn(s *loop.Session) loop.Standby {
-	boundary, evProj, _ := d.interruption(s)
-	warnAt := max(evProj-d.opts.WarningWindow, d.T)
+	barrier, evProj, _ := s.Interruption()
+	warnAt := max(evProj-d.Warning, d.T)
 	durable := s.Durable
 	if s.ForceAt > 0 {
 		durable = s.ForceAt
-	} else if s.Checkpointing && s.PlanEnd > 0 && s.PlanEnd < boundary {
+	} else if s.Checkpointing && s.PlanEnd > 0 && s.PlanEnd < barrier {
 		durable = s.PlanEnd // reactive: the plan's checkpoint seals first
 	}
 	sb := &standbyState{l: d.Loop}
 	wl := d.WorkLeft(durable)
 	d.Emit(obs.Event{Type: obs.EvWarning, T: float64(warnAt), Job: d.Env.Job.Name,
-		Config: s.CS.Config.ID(), WorkLeft: wl, DurSec: float64(d.opts.WarningWindow)})
+		Config: s.CS.Config.ID(), WorkLeft: wl, DurSec: float64(d.Warning)})
 
 	dec, cs, err := d.Decide(s.Ctx, core.State{Now: evProj, WorkLeft: wl, Deadline: d.Deadline})
 	if err != nil {

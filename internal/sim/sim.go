@@ -47,8 +47,11 @@ const virtualSteps = 1 << 30
 type Runner struct {
 	Env *core.Env
 	// WarningWindow simulates providers that warn this long before an
-	// eviction (§9): if the window fits the checkpoint upload, the
-	// in-flight progress is persisted instead of rolled back.
+	// eviction (§9), under the loop's one rule (loop.Loop.Warning): if
+	// the window fits the checkpoint upload, a save forced at the
+	// eviction's barrier persists the in-flight progress instead of
+	// rolling it back, its t_save of I/O billed inside the machine time
+	// the eviction bills.
 	WarningWindow units.Seconds
 	// Sink, when set, also receives the structured decision/lifecycle
 	// event stream each run folds into its RunResult (obs JSONL
@@ -70,8 +73,8 @@ func (r *Runner) Run(prov core.Provisioner, start, deadline units.Seconds) (RunR
 // decisions once ctx is done, so a long-running caller (the scheduler
 // daemon) can abandon an in-flight run without waiting it out.
 func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadline units.Seconds) (RunResult, error) {
-	v := &virtual{window: r.WarningWindow, Loop: &loop.Loop{Env: r.Env, Prov: prov, Sink: r.Sink,
-		Log: func(string, ...any) {}, Total: virtualSteps}}
+	v := &virtual{Loop: &loop.Loop{Env: r.Env, Prov: prov, Sink: r.Sink,
+		Log: func(string, ...any) {}, Total: virtualSteps, Warning: r.WarningWindow}}
 	return v.Drive(ctx, v, start, deadline)
 }
 
@@ -86,14 +89,13 @@ func Decide(env *core.Env, prov core.Provisioner, st core.State, sink obs.Sink) 
 // loads its profiled input and keeps its durable frontier in memory.
 type virtual struct {
 	*loop.Loop
-	window  units.Seconds // Runner.WarningWindow
-	durable int           // the superstep of the checkpoint sealed last
+	durable int // the superstep of the checkpoint sealed last
 }
 
 func (v *virtual) Frontier() (int, error) { return v.durable, nil }
 
 func (v *virtual) Boot(c loop.Choice, durable int) (obs.Event, error) {
-	return v.Deploy(c.CS, c.CS.Load, durable > 0, durable)
+	return v.Deploy(c.CS, c.CS.Load, durable)
 }
 
 func (v *virtual) Clear() error { return nil }
@@ -119,41 +121,15 @@ func (v *virtual) Run(s *loop.Session, deploy obs.Event) error {
 	return nil
 }
 
-// Warning implements loop.Warner with the simulator's §9 rule: when
-// the segment checkpoints and the warning fits t_save, the eviction
-// forces a save at its barrier that seals the progress made up to it.
-func (v *virtual) Warning(s *loop.Session) (warnAt, forceAt int, trip bool) {
-	if s.Dec.UseCheckpoints && v.window >= s.CS.Save && s.EvictAt > 0 {
-		return 0, s.EvictAt, true
-	}
-	return 0, 0, false
-}
-
-// Warn implements loop.Warner. Warning never sets a warnAt, so it is
-// never called: the simulator's warning arms no standby.
-func (v *virtual) Warn(*loop.Session) loop.Standby { return nil }
-
-// save seals the checkpoint asked for at barrier x. The plan's uploads
-// for t_save, and fails when the eviction lands first. The warning's
-// rides inside the machine time the eviction bills, and seals at the
-// eviction instant.
+// save seals the checkpoint asked for at barrier x, billing t_save of
+// I/O. A plan save fails when the eviction lands first; the warning's
+// forced save seals, because the warning covered it.
 func (v *virtual) save(s *loop.Session, x int) {
-	warned, io := x == s.ForceAt, s.CS.Save
-	if warned {
-		io = 0
-	} else if s.NextEvict < v.SegEnd(s.CS, x-s.Billed)+io {
-		s.Save(x, io, nil)
-		return
-	}
-	s.Save(x, io, func() obs.Event {
+	sealed := x == s.ForceAt || s.NextEvict >= v.SegEnd(s.CS, x-s.Billed)+s.CS.Save
+	if sealed {
 		v.durable = x
-		e := obs.Event{Type: obs.EvCheckpoint, T: float64(v.T), Job: v.Env.Job.Name,
-			Config: v.ID(s.CS.Config), WorkLeft: v.WorkLeft(x)}
-		if warned {
-			e.T = float64(s.NextEvict)
-		}
-		return e
-	})
+	}
+	s.Save(x, s.CS.Save, sealed)
 }
 
 // BatchResult aggregates a batch of randomised runs (the paper averages

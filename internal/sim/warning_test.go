@@ -1,10 +1,12 @@
 package sim
 
 // Warning-window semantics (§9): when the eviction warning fits the
-// checkpoint upload (WarningWindow >= t_save), the simulator turns the
-// in-flight progress durable at the eviction instant instead of rolling
-// back — a warned save that is billed inside the machines' paid window
-// and advances the resume point. These tests pin that branch as a
+// checkpoint upload (WarningWindow >= t_save), the loop's warning rule
+// (loop.Loop.Warning, the one every executor runs) forces a save at the
+// eviction's barrier, which turns the in-flight progress durable at the
+// eviction instant instead of rolling back. That save bills t_save of
+// I/O inside the machine time the eviction bills anyway, and advances
+// the resume point. These tests pin that branch as a
 // property over start offsets, on both sides of the window boundary.
 // The warning only rescues compute-phase evictions; a deployment lost
 // inside the save window is already mid-upload and rolls back, so the
