@@ -81,29 +81,47 @@ func TestDistUnmarkedProgramShipsRaw(t *testing.T) {
 // shards (every vertex active, ascending scan, v mod 2 placement) and
 // counts the destinations whose combining slot ships in one threshold
 // flush and is reopened by a later send — the partial folds only an
-// exact combiner may leave to the receiver.
+// exact combiner may leave to the receiver. It follows the kernel's
+// ShipVia rule: the staging list (a slot's first send, and its first
+// send after each route) is routed whenever it holds
+// peerFlushThreshold entries, and the peer's outbox ships once it
+// holds that many.
 func slotSplits(g *graph.Graph) int {
+	const closed, open, routed, restaged = 0, 1, 2, 3
 	n := g.NumVertices()
-	staged := make([]bool, n)
+	state := make([]int8, n)
 	shipped := make([]bool, n)
-	var open []graph.VertexID
+	var staged, outbox []graph.VertexID
 	splits := 0
 	for v := 0; v < n; v += 2 {
 		for _, u := range g.Neighbors(graph.VertexID(v)) {
-			if u%2 == 0 || staged[u] {
+			switch state[u] {
+			case closed:
+				if shipped[u] {
+					splits++
+					shipped[u] = false
+				}
+				state[u] = open
+				staged = append(staged, u)
+			case routed:
+				state[u] = restaged
+				staged = append(staged, u)
+			}
+			if len(staged) < peerFlushThreshold {
 				continue
 			}
-			if shipped[u] {
-				splits++
-				shipped[u] = false
-			}
-			staged[u] = true
-			open = append(open, u)
-			if len(open) >= peerFlushThreshold {
-				for _, d := range open {
-					staged[d], shipped[d] = false, true
+			for _, d := range staged {
+				if state[d] == open && d%2 == 1 {
+					outbox = append(outbox, d)
 				}
-				open = open[:0]
+				state[d] = routed
+			}
+			staged = staged[:0]
+			if len(outbox) >= peerFlushThreshold {
+				for _, d := range outbox {
+					state[d], shipped[d] = closed, true
+				}
+				outbox = outbox[:0]
 			}
 		}
 	}
@@ -113,7 +131,11 @@ func slotSplits(g *graph.Graph) int {
 // TestDistExactCombinerFlushSplit runs canonical PageRank on a graph
 // big enough that peerFlushThreshold ships a peer's slots mid-scan, so
 // single destinations arrive as several partial sums in an order set by
-// the network. On the share grid that is still the same bits.
+// the network. On the share grid that is still the same bits. The
+// counts must hold too: every send is tallied once however often its
+// slot was routed, so sends and remote sends match the in-process
+// engine on as many workers, and each split reopens a slot where the
+// engine folds.
 func TestDistExactCombinerFlushSplit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale-15 graph")
@@ -123,7 +145,8 @@ func TestDistExactCombinerFlushSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := slotSplits(g); s == 0 {
+	splits := slotSplits(g)
+	if splits == 0 {
 		t.Fatal("no destination slot is split by a threshold flush: the graph is too small for this test")
 	}
 	pspec := ProgramSpec{Name: "pagerank", Iterations: 4}
@@ -135,12 +158,39 @@ func TestDistExactCombinerFlushSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink := &captureSink{}
 	rep, err := RunCluster(context.Background(), Config{
 		Job: "exact-split", Program: pspec, Graph: gspec, Canonical: true,
-		Store: cloud.NewDatastore(),
+		Store: cloud.NewDatastore(), Sink: sink,
 	}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, rep.Values, ref.Values, "flush-split pagerank")
+
+	local := &captureSink{}
+	if prog, err = pspec.New(); err != nil {
+		t.Fatal(err)
+	}
+	same, err := engine.Run(g, prog, engine.Config{Workers: 2, Canonical: true, Sink: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.MessagesSent != same.Stats.MessagesSent || rep.Stats.RemoteMessages != same.Stats.RemoteMessages {
+		t.Errorf("sent/remote %d/%d, engine on 2 workers %d/%d",
+			rep.Stats.MessagesSent, rep.Stats.RemoteMessages, same.Stats.MessagesSent, same.Stats.RemoteMessages)
+	}
+	steps, want := sink.byType(obs.EvSuperstep), local.byType(obs.EvSuperstep)
+	if len(steps) != len(want) {
+		t.Fatalf("%d superstep events, engine %d", len(steps), len(want))
+	}
+	for i, e := range steps {
+		if w := want[i]; e.Active != w.Active || e.Messages != w.Messages || e.Combined > w.Combined {
+			t.Errorf("superstep %d: active/messages/combined %d/%d/%d, engine %d/%d/%d",
+				e.Superstep, e.Active, e.Messages, e.Combined, w.Active, w.Messages, w.Combined)
+		}
+	}
+	if first := want[0].Combined - steps[0].Combined; first < int64(splits) {
+		t.Errorf("superstep 1 folded %d fewer sends than the engine, want at least shard 0's %d splits", first, splits)
+	}
 }

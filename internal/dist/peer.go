@@ -13,7 +13,9 @@ import (
 )
 
 // peerFlushThreshold is the staged-entry count at which a shard ships
-// a partial batch to its peer mid-compute. Small enough that sends
+// a partial batch to its peer mid-compute (on the combiner path the
+// kernel routes its staging list at this length and ships each peer
+// outbox that then holds as many entries). Small enough that sends
 // overlap vertex compute (the double-buffered staging: the encoded
 // frame travels on the writer goroutine while the combining slots
 // accept the next entries), large enough that frame overhead stays

@@ -145,8 +145,16 @@ func (s *SSSP) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 	ctx.VoteToHalt(v)
 }
 
-// Combine implements Combiner: only the minimum candidate matters.
-func (s *SSSP) Combine(a, b float64) float64 { return math.Min(a, b) }
+// Combine implements Combiner: distances are +0 or sums of positive weights.
+func (s *SSSP) Combine(a, b float64) float64 { return lesser(a, b) }
+
+// lesser is math.Min by a compare, for operands never NaN or -0.
+func lesser(a, b float64) float64 {
+	if b < a {
+		return b
+	}
+	return a
+}
 
 // ExactCombine implements ExactCombiner: min never rounds.
 func (s *SSSP) ExactCombine() {}
@@ -180,8 +188,8 @@ func (WCC) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 	ctx.VoteToHalt(v)
 }
 
-// Combine implements Combiner.
-func (WCC) Combine(a, b float64) float64 { return math.Min(a, b) }
+// Combine implements Combiner: labels are vertex ids.
+func (WCC) Combine(a, b float64) float64 { return lesser(a, b) }
 
 // ExactCombine implements ExactCombiner: min never rounds.
 func (WCC) ExactCombine() {}

@@ -21,11 +21,10 @@
 // path is allocation-free after warm-up and its cost is proportional
 // to the number of active vertices, not to the graph:
 //
-//   - Combiner programs fold messages at Send time into a dense slot
-//     per destination vertex, listed once in the outbox of its
-//     partition; the hand-off gathers the slots into a slice and
-//     delivery folds it into a dense inbox. No per-message or
-//     per-vertex list is materialised.
+//   - Combiner programs fold messages at Send time into a counted slot
+//     per destination vertex; after the worklist one pass routes the
+//     slots to outboxes and tallies them, the hand-off gathers them into
+//     a slice, and delivery folds it into a dense inbox.
 //   - Non-combiner programs stage raw terms; delivery keeps the slices
 //     and Settle counting-sorts them into a reusable flat arena, so
 //     Compute receives a sub-slice of it.
@@ -35,9 +34,9 @@
 //     frontier algorithms (SSSP, BFS, WCC tails) pay only for the
 //     frontier.
 //
-// Presence flags are []bool rather than packed bit sets so that
-// partitions can write their own vertices' entries without sharing
-// words across goroutines.
+// Presence flags are []bool rather than packed bit sets, so setting one
+// is a plain byte store, never a read-modify-write of a word shared with
+// another partition's vertices (cache lines are shared; DESIGN.md §5).
 package engine
 
 import (
@@ -73,35 +72,35 @@ func (c *Context) Value(v graph.VertexID) float64 { return c.p.values[v] }
 // Programs must only set values of the vertex currently being computed.
 func (c *Context) SetValue(v graph.VertexID, x float64) { c.p.values[v] = x }
 
-// Send delivers a message to dst at the next superstep. With a
-// combiner the message folds into the partition's dense slot for dst
-// (the outbox of dst's partition lists dst once); otherwise it joins
-// that outbox as a raw term. Either way the logical send is counted,
-// so Stats.MessagesSent (and the perfmodel calibration inputs derived
-// from it) are independent of the transport. A remote outbox that
-// reaches the ShipVia threshold ships at once; a destination sent to
-// again then opens a new slot, and the receiver folds the partials
-// with the same Combine.
+// Send delivers a message to dst at the next superstep: folded into the
+// partition's slot for dst under a combiner, else a raw term. Either way
+// it is counted, so Stats.MessagesSent is independent of the transport.
+// A slot shipped under ShipVia reopens; the receiver folds the partials.
 func (c *Context) Send(dst graph.VertexID, val float64) {
 	p := c.p
-	to := p.owner[dst]
-	switch {
-	case p.accSet == nil:
-		o := &p.out[to]
-		o.dst = append(o.dst, int32(dst))
-		o.val = append(o.val, val)
-	case p.accSet[dst]:
-		p.accVal[dst] = p.comb.Combine(p.accVal[dst], val)
-		p.tally.Combined++
-	default:
-		p.accSet[dst] = true
-		p.accVal[dst] = val
-		p.out[to].dst = append(p.out[to].dst, int32(dst))
+	if p.comb != nil {
+		s := &p.slots[dst]
+		if s.n == 0 {
+			p.staged = append(p.staged, dst)
+		}
+		if s.n++; s.n == 1 && !s.listed {
+			s.val = val
+		} else {
+			s.val = p.comb.Combine(s.val, val)
+		}
+		if len(p.staged) >= p.shipAt {
+			p.staged = p.route(p.staged)
+		}
+		return
 	}
+	to := p.owner[dst]
+	o := &p.out[to]
+	o.dst = append(o.dst, dst)
+	o.val = append(o.val, val)
 	p.tally.Sent++
 	if int(to) != p.id {
 		p.tally.Remote++
-		if p.ship != nil && len(p.out[to].dst) >= p.shipAt {
+		if len(o.dst) >= p.shipAt {
 			p.Ship(int(to))
 		}
 	}
@@ -215,7 +214,7 @@ const MaxSupersteps = 10_000
 type Config struct {
 	// Workers is the number of worker goroutines (≥1).
 	Workers int
-	// Assign maps vertex→worker; nil means hash partitioning.
+	// Assign maps vertex→worker; nil assigns v to worker v % Workers.
 	Assign []int32
 	// StopAfter pauses RunCtx and Resume after this many additional
 	// supersteps, returning ErrPaused with a resumable snapshot (0 = run

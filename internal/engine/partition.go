@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -46,6 +47,15 @@ type outbox struct {
 	val []float64
 }
 
+// slot stages a sender's values for one destination: their fold, the
+// sends route has not tallied, and whether route has listed it in its
+// outbox, where a ShipVia route leaves it open. A zero slot is closed.
+type slot struct {
+	val    float64
+	n      int32
+	listed bool
+}
+
 // Tally counts one partition's work in one superstep.
 type Tally struct {
 	Calls    int64 // Compute calls
@@ -72,13 +82,11 @@ type Partition struct {
 	pos  int              // next index of cur to compute
 	next []graph.VertexID // next superstep's worklist, deduped via queued
 
-	// Send staging per destination partition. On the combiner path a
-	// destination carries at most one value per sender: it folds in the
-	// dense slot accVal[v] and is listed once in out[owner[v]].dst, and
-	// Outbox gathers the values when the slice is handed off.
+	// Send staging per destination partition. On the combiner path v's
+	// slot waits on staged until route lists v in out[owner[v]].dst.
 	out    []outbox
-	accVal []float64
-	accSet []bool
+	slots  []slot
+	staged []graph.VertexID
 	ship   func(to int, dst []int32, val []float64)
 	shipAt int
 
@@ -144,15 +152,14 @@ func newKernel(g *graph.Graph, prog Program, owner []int32, parts int, canonical
 	}
 	for _, id := range ids {
 		p := &Partition{kernel: k, id: id, owned: owned[id], out: make([]outbox, parts),
-			contrib: make([][]float64, len(k.aggs.specs))}
+			shipAt: math.MaxInt, contrib: make([][]float64, len(k.aggs.specs))}
 		p.ctx.p = p
-		// A worklist holds at most the owned vertices and, on the
-		// combiner path, an outbox at most the destination's vertices,
-		// so neither grows in the superstep loop.
+		// Worklists, the staging list and outboxes are sized to what they
+		// can hold, so none grows in the superstep loop.
 		p.cur = make([]graph.VertexID, 0, owned[id])
 		p.next = make([]graph.VertexID, 0, owned[id])
 		if k.comb != nil {
-			p.accVal, p.accSet = make([]float64, n), make([]bool, n)
+			p.slots, p.staged = make([]slot, n), make([]graph.VertexID, 0, n)
 			for d := range p.out {
 				p.out[d] = outbox{make([]int32, 0, owned[d]), make([]float64, 0, owned[d])}
 			}
@@ -311,11 +318,34 @@ func (k *kernel) export(superstep int) *ckpt.Blob {
 // Aggregates is the aggregator table the partition's Context reads.
 func (p *Partition) Aggregates() *Aggregates { return p.aggs }
 
-// ShipVia makes Send hand a remote partition's staged messages to ship
-// as soon as they reach threshold entries, so a process overlaps
-// compute with the network. ship must not retain the slices.
+// ShipVia hands ship a remote partition's staged messages during compute
+// once they reach threshold entries; ship must not retain the slices.
 func (p *Partition) ShipVia(threshold int, ship func(to int, dst []int32, val []float64)) {
 	p.shipAt, p.ship = threshold, ship
+}
+
+// route moves the staged slots to their outboxes in staging order and
+// tallies them, on the partition's goroutine, then ships full outboxes.
+func (p *Partition) route(staged []graph.VertexID) []graph.VertexID {
+	for _, d := range staged {
+		s, to := &p.slots[d], p.owner[d]
+		if !s.listed {
+			p.out[to].dst = append(p.out[to].dst, d)
+			p.tally.Combined-- // the send that opened the slot
+		}
+		n := int64(s.n)
+		s.n, s.listed = 0, true
+		p.tally.Sent, p.tally.Combined = p.tally.Sent+n, p.tally.Combined+n
+		if int(to) != p.id {
+			p.tally.Remote += n
+		}
+	}
+	for to := range p.out { // after the loop: shipping closes slots still staged
+		if to != p.id && len(p.out[to].dst) >= p.shipAt {
+			p.Ship(to)
+		}
+	}
+	return staged[:0]
 }
 
 // Ship hands whatever is staged for partition to to the ShipVia hook.
@@ -332,10 +362,10 @@ func (p *Partition) Ship(to int) {
 // per hand-off, then Release.
 func (p *Partition) Outbox(to int) ([]int32, []float64) {
 	o := &p.out[to]
-	if p.accSet != nil {
+	if p.slots != nil {
 		o.val = o.val[:0]
 		for _, d := range o.dst {
-			o.val = append(o.val, p.accVal[d])
+			o.val = append(o.val, p.slots[d].val)
 		}
 	}
 	return o.dst, o.val
@@ -346,9 +376,9 @@ func (p *Partition) Outbox(to int) ([]int32, []float64) {
 // so the goroutines settling different partitions never share one.
 func (p *Partition) Release(to int) {
 	o := &p.out[to]
-	if p.accSet != nil {
+	if p.slots != nil {
 		for _, d := range o.dst {
-			p.accSet[d] = false
+			p.slots[d].listed = false
 		}
 	}
 	o.dst, o.val = o.dst[:0], o.val[:0]
@@ -376,7 +406,7 @@ func (p *Partition) Begin(s int) int {
 }
 
 // Compute runs the program on up to n more vertices of the worklist and
-// reports how many remain.
+// reports how many remain; when none do, it routes the staged sends.
 func (p *Partition) Compute(n int) int {
 	k, comb := p.kernel, p.comb != nil
 	end := min(p.pos+n, len(p.cur))
@@ -408,6 +438,9 @@ func (p *Partition) Compute(n int) int {
 	}
 	p.tally.Calls += int64(end - p.pos)
 	p.pos = end
+	if end == len(p.cur) && len(p.staged) > 0 {
+		p.staged = p.route(p.staged)
+	}
 	return len(p.cur) - end
 }
 
