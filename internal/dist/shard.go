@@ -471,7 +471,7 @@ func (s *shardSession) step(p proceedMsg) error {
 			s.part.Ship(to)
 		}
 	}
-	s.part.Deliver(s.part.Outbox(s.id)) // local messages first, then the peers'
+	s.part.Take(s.part) // local messages first, then the peers'
 	if err := s.sendBarrier(S); err != nil {
 		return err
 	}

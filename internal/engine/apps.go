@@ -13,7 +13,7 @@ import (
 // paper) for a fixed number of iterations (the paper runs 30).
 // Vertex value = current rank.
 //
-// PageRank is an ExactCombiner although its Combine is a float sum:
+// PageRank is an ExactCombiner although its fold is a float sum:
 // every share it sends is rounded to a multiple of pageRankQuantum, so
 // all partial sums of one superstep's shares are multiples of the
 // quantum too, stay below pageRankMassBound, and therefore fit a
@@ -97,8 +97,8 @@ func (p *PageRank) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 	}
 }
 
-// Combine implements Combiner: partial rank sums add.
-func (p *PageRank) Combine(a, b float64) float64 { return a + b }
+// Fold implements Combiner: partial rank sums add.
+func (p *PageRank) Fold() Fold { return Sum }
 
 // ExactCombine implements ExactCombiner: sums on the share grid are exact.
 func (p *PageRank) ExactCombine() {}
@@ -145,16 +145,8 @@ func (s *SSSP) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 	ctx.VoteToHalt(v)
 }
 
-// Combine implements Combiner: distances are +0 or sums of positive weights.
-func (s *SSSP) Combine(a, b float64) float64 { return lesser(a, b) }
-
-// lesser is math.Min by a compare, for operands never NaN or -0.
-func lesser(a, b float64) float64 {
-	if b < a {
-		return b
-	}
-	return a
-}
+// Fold implements Combiner: distances are +0 or sums of positive weights.
+func (s *SSSP) Fold() Fold { return Min }
 
 // ExactCombine implements ExactCombiner: min never rounds.
 func (s *SSSP) ExactCombine() {}
@@ -188,8 +180,8 @@ func (WCC) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 	ctx.VoteToHalt(v)
 }
 
-// Combine implements Combiner: labels are vertex ids.
-func (WCC) Combine(a, b float64) float64 { return lesser(a, b) }
+// Fold implements Combiner: labels are vertex ids.
+func (WCC) Fold() Fold { return Min }
 
 // ExactCombine implements ExactCombiner: min never rounds.
 func (WCC) ExactCombine() {}
@@ -221,8 +213,8 @@ func (b *BFS) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 	ctx.VoteToHalt(v)
 }
 
-// Combine implements Combiner: any single BFS level message suffices.
-func (b *BFS) Combine(a, x float64) float64 { return math.Min(a, x) }
+// Fold implements Combiner: any single BFS level message suffices.
+func (b *BFS) Fold() Fold { return Min }
 
 // ExactCombine implements ExactCombiner: min never rounds.
 func (b *BFS) ExactCombine() {}

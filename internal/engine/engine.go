@@ -15,16 +15,20 @@
 // vertex arrays; a dist shard (internal/dist) runs one partition of
 // many and ships its remote slices over the peer mesh. Either way a
 // superstep is: Begin (the worklist, in the order it was queued),
-// Compute, the hand-off (each partition is Delivered the Outbox every
-// partition staged for it, then Settles), and one aggregator fold
-// (Aggregates.Fold, which the dist coordinator calls too). The hot
-// path is allocation-free after warm-up and its cost is proportional
-// to the number of active vertices, not to the graph:
+// Compute, the hand-off (each partition Takes what every partition in
+// memory staged for it and is Delivered what arrives on the wire, then
+// Settles), and one aggregator fold (Aggregates.Fold, which the dist
+// coordinator calls too). The hot path is allocation-free after warm-up
+// and its cost is proportional to the number of active vertices, not to
+// the graph:
 //
-//   - Combiner programs fold messages at Send time into a counted slot
-//     per destination vertex; after the worklist one pass routes the
-//     slots to outboxes and tallies them, the hand-off gathers them into
-//     a slice, and delivery folds it into a dense inbox.
+//   - Combiner programs declare a Fold (Sum or Min) that the kernel
+//     applies inline: at Send time into a counted slot per destination
+//     vertex (SendToNeighbors is one loop over the neighbour list);
+//     after the worklist one pass routes the slots to outboxes and
+//     tallies them, and the in-memory hand-off folds each listed slot
+//     straight into the receiver's dense inbox and closes it. Only a
+//     shipped batch is gathered into a slice.
 //   - Non-combiner programs stage raw terms; delivery keeps the slices
 //     and Settle counting-sorts them into a reusable flat arena, so
 //     Compute receives a sub-slice of it.
@@ -78,16 +82,12 @@ func (c *Context) SetValue(v graph.VertexID, x float64) { c.p.values[v] = x }
 // A slot shipped under ShipVia reopens; the receiver folds the partials.
 func (c *Context) Send(dst graph.VertexID, val float64) {
 	p := c.p
-	if p.comb != nil {
+	if p.fold != 0 {
 		s := &p.slots[dst]
 		if s.n == 0 {
 			p.staged = append(p.staged, dst)
 		}
-		if s.n++; s.n == 1 && !s.listed {
-			s.val = val
-		} else {
-			s.val = p.comb.Combine(s.val, val)
-		}
+		s.add(p.fold, val)
 		if len(p.staged) >= p.shipAt {
 			p.staged = p.route(p.staged)
 		}
@@ -106,8 +106,13 @@ func (c *Context) Send(dst graph.VertexID, val float64) {
 	}
 }
 
-// SendToNeighbors broadcasts val to all out-neighbours of v.
+// SendToNeighbors broadcasts val to all out-neighbours of v: one Send
+// per neighbour, in one loop on the combiner path (Partition.stage).
 func (c *Context) SendToNeighbors(v graph.VertexID, val float64) {
+	if c.p.fold != 0 {
+		c.p.stage(c.p.g.Neighbors(v), val)
+		return
+	}
 	for _, u := range c.p.g.Neighbors(v) {
 		c.Send(u, val)
 	}
@@ -150,15 +155,37 @@ type Program interface {
 }
 
 // Combiner optionally merges messages addressed to the same vertex,
-// cutting memory and exchange volume (Pregel's combiner). Combine must
-// be commutative and associative; programs whose Compute inspects
-// individual messages (rather than a fold of them) must not implement
-// it.
+// cutting memory and exchange volume (Pregel's combiner). It declares
+// its Fold rather than implementing one, so the kernel folds inline on
+// every send and delivery. Programs whose Compute inspects individual
+// messages (rather than a fold of them) must not implement it.
 type Combiner interface {
-	Combine(a, b float64) float64
+	Fold() Fold
 }
 
-// ExactCombiner marks a Combiner whose Combine is bit-exactly
+// Fold is how a Combiner merges two messages for one vertex.
+type Fold uint8
+
+const (
+	// Sum adds them (PageRank's partial rank sums).
+	Sum Fold = iota + 1
+	// Min keeps the lesser (SSSP, WCC and BFS distances and labels).
+	// Messages must not be NaN or -0.
+	Min
+)
+
+// apply folds x into acc.
+func (f Fold) apply(acc, x float64) float64 {
+	if f == Sum {
+		return acc + x
+	}
+	if x < acc {
+		return x
+	}
+	return acc
+}
+
+// ExactCombiner marks a Combiner whose Fold is bit-exactly
 // associative and commutative over the values the program sends: every
 // fold order and every split into partial folds yields the same bits.
 // min/max over floats qualify as they are; a float sum qualifies only
@@ -167,7 +194,7 @@ type Combiner interface {
 //
 // Declaring it lets Config.Canonical (and dist's Canonical) keep the
 // sender-side combining path: results are bit-identical to the raw
-// sorted path at combiner cost. A program whose Combine rounds (a plain
+// sorted path at combiner cost. A program whose fold rounds (a plain
 // float sum) must not declare it; it keeps the raw path under Canonical.
 type ExactCombiner interface {
 	Combiner
@@ -469,10 +496,10 @@ func (r *Execution) compute(p *Partition) {
 	}
 }
 
-// handOff gives dp every partition's outbox for it, then frees them.
+// handOff gives dp what every partition staged for it, then frees it.
 func (r *Execution) handOff(dp *Partition) {
 	for _, sp := range r.parts {
-		dp.Deliver(sp.Outbox(dp.id))
+		dp.Take(sp)
 	}
 	dp.Settle()
 	for _, sp := range r.parts {

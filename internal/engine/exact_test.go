@@ -13,7 +13,7 @@ import (
 )
 
 // unmarked hides a program's ExactCombiner marker and nothing else
-// (uncombined forwards the aggregators, Combiner puts Combine back): it
+// (uncombined forwards the aggregators, Combiner puts Fold back): it
 // still combines outside canonical mode, but under Canonical it must
 // take the raw sorted path — the reference the exact combining path is
 // compared against.
@@ -222,18 +222,20 @@ func TestPageRankShareGrid(t *testing.T) {
 
 // roundingSum is a float-sum combiner program that does NOT declare
 // ExactCombiner — correctly, since its terms (v/10) are off any grid
-// and their sums round. It records what Compute was handed.
+// and their sums round. It records what Compute was handed; each sends
+// one Send per neighbour instead of SendToNeighbors.
 type roundingSum struct {
 	mu       sync.Mutex
 	maxMsgs  int
 	unsorted bool
+	each     bool
 }
 
 func (*roundingSum) Name() string { return "rounding-sum" }
 func (*roundingSum) Init(*graph.Graph, graph.VertexID) (float64, bool) {
 	return 0, true
 }
-func (*roundingSum) Combine(a, b float64) float64 { return a + b }
+func (*roundingSum) Fold() Fold { return Sum }
 func (p *roundingSum) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 	p.mu.Lock()
 	if len(msgs) > p.maxMsgs {
@@ -248,7 +250,7 @@ func (p *roundingSum) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 		sum += m
 	}
 	if ctx.Superstep() == 0 {
-		ctx.SendToNeighbors(v, (float64(v)+1)/10)
+		sendNeighbours(ctx, v, (float64(v)+1)/10, p.each)
 		return
 	}
 	ctx.SetValue(v, sum)
@@ -261,10 +263,10 @@ func (p *roundingSum) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 // stays bit-identical across worker counts; outside Canonical it
 // combines as before.
 func TestUnmarkedFloatSumKeepsSortedPath(t *testing.T) {
-	if sendCombiner(&roundingSum{}, true) != nil {
+	if sendFold(&roundingSum{}, true) != 0 {
 		t.Fatal("canonical mode combines at the sender without the ExactCombiner marker")
 	}
-	if sendCombiner(&roundingSum{}, false) == nil {
+	if sendFold(&roundingSum{}, false) != Sum {
 		t.Fatal("non-canonical mode ignores the Combiner")
 	}
 	g := exactGraph()

@@ -24,7 +24,7 @@ func (p *foldProbe) Name() string { return "foldprobe" }
 func (p *foldProbe) Init(g *graph.Graph, v graph.VertexID) (float64, bool) {
 	return 0, false
 }
-func (p *foldProbe) Combine(a, b float64) float64 { return a + b }
+func (p *foldProbe) Fold() Fold { return Sum }
 func (p *foldProbe) Compute(ctx *Context, v graph.VertexID, msgs []float64) {
 	p.mu.Lock()
 	if len(msgs) > p.maxMsgs {

@@ -19,7 +19,7 @@ import (
 type kernel struct {
 	g         *graph.Graph
 	prog      Program
-	comb      Combiner // nil: every term travels raw
+	fold      Fold // 0: every term travels raw
 	aux       VertexAux
 	canonical bool
 	owner     []int32
@@ -56,6 +56,15 @@ type slot struct {
 	listed bool
 }
 
+// add folds one send of x into the slot.
+func (s *slot) add(f Fold, x float64) {
+	if s.n++; s.n == 1 && !s.listed {
+		s.val = x
+	} else {
+		s.val = f.apply(s.val, x)
+	}
+}
+
 // Tally counts one partition's work in one superstep.
 type Tally struct {
 	Calls    int64 // Compute calls
@@ -69,9 +78,9 @@ type Tally struct {
 // barrier as slices. The in-process engine runs N of them over one
 // shared kernel; a dist shard runs one and ships the slices over the
 // peer mesh. Per superstep the sequence is Begin, Compute until the
-// worklist is done, then the hand-off: Deliver every partition's
-// Outbox for this one (its own included), Settle, and Release each
-// delivered outbox.
+// worklist is done, then the hand-off: Take what every partition in
+// memory staged for this one (its own included) and Deliver what
+// arrives on the wire, Settle, and Release each taken outbox.
 type Partition struct {
 	*kernel
 	id    int
@@ -103,18 +112,17 @@ type Partition struct {
 	tally   Tally
 }
 
-// sendCombiner returns the combiner the kernel may fold with at send
-// time, or nil when every term must travel raw: any Combiner outside
-// canonical mode, only an ExactCombiner inside it.
-func sendCombiner(prog Program, canonical bool) Combiner {
-	if !canonical {
-		c, _ := prog.(Combiner)
-		return c
-	}
+// sendFold returns the fold the kernel may combine with at send time,
+// or 0 when every term must travel raw: any Combiner's outside
+// canonical mode, only an ExactCombiner's inside it.
+func sendFold(prog Program, canonical bool) Fold {
 	if c, ok := prog.(ExactCombiner); ok {
-		return c
+		return c.Fold()
 	}
-	return nil
+	if c, ok := prog.(Combiner); ok && !canonical {
+		return c.Fold()
+	}
+	return 0
 }
 
 // newKernel builds the shared state of parts partitions over g under
@@ -132,14 +140,17 @@ func newKernel(g *graph.Graph, prog Program, owner []int32, parts int, canonical
 		owned[o]++
 	}
 	k := &kernel{
-		g: g, prog: prog, comb: sendCombiner(prog, canonical), canonical: canonical, owner: owner,
+		g: g, prog: prog, fold: sendFold(prog, canonical), canonical: canonical, owner: owner,
 		parts:  make([]*Partition, parts),
 		aggs:   NewAggregates(prog),
 		values: make([]float64, n),
 		active: make([]bool, n),
 		queued: make([]bool, n),
 	}
-	if k.comb != nil {
+	if k.fold > Min {
+		return nil, fmt.Errorf("engine: %s declares unknown fold %d", prog.Name(), k.fold)
+	}
+	if k.fold != 0 {
 		k.inVal, k.inSet = make([]float64, n), make([]bool, n)
 	} else {
 		k.msgEnd, k.msgLen = make([]int32, n), make([]int32, n)
@@ -158,7 +169,7 @@ func newKernel(g *graph.Graph, prog Program, owner []int32, parts int, canonical
 		// can hold, so none grows in the superstep loop.
 		p.cur = make([]graph.VertexID, 0, owned[id])
 		p.next = make([]graph.VertexID, 0, owned[id])
-		if k.comb != nil {
+		if k.fold != 0 {
 			p.slots, p.staged = make([]slot, n), make([]graph.VertexID, 0, n)
 			for d := range p.out {
 				p.out[d] = outbox{make([]int32, 0, owned[d]), make([]float64, 0, owned[d])}
@@ -300,7 +311,7 @@ func (k *kernel) export(superstep int) *ckpt.Blob {
 			b.Aux = append(b.Aux, append([]byte(nil), k.aux.MarshalVertexAux(graph.VertexID(v))...))
 		}
 		var pending []float64
-		if k.comb != nil {
+		if k.fold != 0 {
 			if k.inSet[v] {
 				pending = k.inVal[v : v+1]
 			}
@@ -346,6 +357,24 @@ func (p *Partition) route(staged []graph.VertexID) []graph.VertexID {
 		}
 	}
 	return staged[:0]
+}
+
+// stage is Send to every vertex of dsts on the combiner path, with the
+// slot state in locals. It checks the ShipVia threshold after every
+// send, as Send does, so batches split at the same send.
+func (p *Partition) stage(dsts []graph.VertexID, val float64) {
+	slots, staged, fold, shipAt := p.slots, p.staged, p.fold, p.shipAt
+	for _, d := range dsts {
+		s := &slots[d]
+		if s.n == 0 {
+			staged = append(staged, d)
+		}
+		s.add(fold, val)
+		if len(staged) >= shipAt {
+			staged = p.route(staged)
+		}
+	}
+	p.staged = staged
 }
 
 // Ship hands whatever is staged for partition to to the ShipVia hook.
@@ -408,7 +437,7 @@ func (p *Partition) Begin(s int) int {
 // Compute runs the program on up to n more vertices of the worklist and
 // reports how many remain; when none do, it routes the staged sends.
 func (p *Partition) Compute(n int) int {
-	k, comb := p.kernel, p.comb != nil
+	k, comb := p.kernel, p.fold != 0
 	end := min(p.pos+n, len(p.cur))
 	for _, v := range p.cur[p.pos:end] {
 		k.queued[v] = false
@@ -456,16 +485,9 @@ func (p *Partition) Contribs() [][]float64 { return p.contrib }
 // barrier, queueing each vertex on its first message. A combiner folds
 // them at once; raw slices are kept, not copied, until Settle.
 func (p *Partition) Deliver(dst []int32, val []float64) {
-	if comb := p.comb; comb != nil {
-		inSet, inVal := p.inSet, p.inVal
+	if p.fold != 0 {
 		for i, d := range dst {
-			if inSet[d] {
-				inVal[d] = comb.Combine(inVal[d], val[i])
-			} else {
-				inSet[d] = true
-				inVal[d] = val[i]
-				p.enqueue(graph.VertexID(d))
-			}
+			p.receive(d, val[i])
 		}
 		return
 	}
@@ -479,10 +501,39 @@ func (p *Partition) Deliver(dst []int32, val []float64) {
 	p.pend = append(p.pend, outbox{dst, val})
 }
 
+// receive folds x into d's combiner inbox, queueing d on its first
+// message.
+func (p *Partition) receive(d int32, x float64) {
+	if p.inSet[d] {
+		p.inVal[d] = p.fold.apply(p.inVal[d], x)
+	} else {
+		p.inSet[d], p.inVal[d] = true, x
+		p.enqueue(graph.VertexID(d))
+	}
+}
+
+// Take is the in-memory hand-off of what from staged for the partition:
+// Deliver of from.Outbox(p.id). On the combiner path it folds each
+// listed slot straight into the inbox and closes it, leaving the outbox
+// empty; raw slices wait for Settle, and from.Release(p.id) after it.
+func (p *Partition) Take(from *Partition) {
+	o := &from.out[p.id]
+	if p.fold == 0 {
+		p.Deliver(o.dst, o.val)
+		return
+	}
+	for _, d := range o.dst {
+		s := &from.slots[d]
+		p.receive(d, s.val)
+		s.listed = false
+	}
+	o.dst = o.dst[:0]
+}
+
 // Settle ends the barrier: raw messages are counting-sorted into the
 // arena, each vertex's in delivery order.
 func (p *Partition) Settle() {
-	if p.comb == nil {
+	if p.fold == 0 {
 		total := int32(0)
 		for _, v := range p.dirty {
 			p.msgEnd[v] = total

@@ -31,7 +31,7 @@ var bundledPrograms = []func() Program{
 func bruteTallies(t *testing.T, g *graph.Graph, mk func() Program, cfg Config) []Tally {
 	t.Helper()
 	prog := mk()
-	folds := sendCombiner(prog, cfg.Canonical) != nil
+	folds := sendFold(prog, cfg.Canonical) != 0
 	if _, ok := prog.(Combiner); ok {
 		prog = &uncombined{prog}
 	}
