@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -150,96 +149,88 @@ func (r *Registry) HistogramCount(name string) uint64 {
 	return 0
 }
 
+// DropLabel removes the series labelled key=value from every counter
+// family keyed by key, e.g. a deleted job's per-job series.
+func (r *Registry) DropLabel(key, value string) {
+	r.mu.Lock()
+	for _, f := range r.families {
+		if f.label == key {
+			delete(f.vals, value)
+		}
+	}
+	r.mu.Unlock()
+}
+
 // WriteTo renders the registry in Prometheus text exposition format:
 // scalars (counters and gauges interleaved by name), then counter
-// families, then histograms, each block sorted by metric name.
+// families, then histograms, each block sorted by metric name. It
+// renders under the lock and writes after releasing it.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	var n int64
-	emit := func(format string, args ...any) error {
-		k, err := fmt.Fprintf(w, format, args...)
-		n += int64(k)
-		return err
-	}
-	emitHelp := func(name, kind string) error {
-		if help := r.help[name]; help != "" {
-			if err := emit("# HELP %s %s\n", name, help); err != nil {
-				return err
-			}
-		}
-		return emit("# TYPE %s %s\n", name, kind)
-	}
-
-	names := make([]string, 0, len(r.counters)+len(r.gauges))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	for name := range r.gauges {
-		names = append(names, name)
-	}
+	var b []byte
+	names := append(sortedKeys(r.counters), sortedKeys(r.gauges)...)
 	sort.Strings(names)
 	for _, name := range names {
 		kind, v := "counter", r.counters[name]
 		if gv, ok := r.gauges[name]; ok {
 			kind, v = "gauge", gv
 		}
-		if err := emitHelp(name, kind); err != nil {
-			return n, err
-		}
-		if err := emit("%s %s\n", name, fmtFloat(v)); err != nil {
-			return n, err
-		}
+		b = r.appendHeader(b, name, kind)
+		b = append(appendFloat(appendStrings(b, name, " "), v), '\n')
 	}
 
-	famNames := make([]string, 0, len(r.families))
-	for name := range r.families {
-		famNames = append(famNames, name)
-	}
-	sort.Strings(famNames)
-	for _, name := range famNames {
+	for _, name := range sortedKeys(r.families) {
 		f := r.families[name]
-		if err := emitHelp(name, "counter"); err != nil {
-			return n, err
-		}
-		vals := make([]string, 0, len(f.vals))
-		for lv := range f.vals {
-			vals = append(vals, lv)
-		}
-		sort.Strings(vals)
-		for _, lv := range vals {
-			// %q matches the exposition format's label escaping
-			// (backslash, double quote, newline).
-			if err := emit("%s{%s=%q} %s\n", name, f.label, lv, fmtFloat(f.vals[lv])); err != nil {
-				return n, err
-			}
+		b = r.appendHeader(b, name, "counter")
+		for _, lv := range sortedKeys(f.vals) {
+			// Go quoting matches the exposition format's label
+			// escaping (backslash, double quote, newline).
+			b = strconv.AppendQuote(appendStrings(b, name, "{", f.label, "="), lv)
+			b = append(appendFloat(append(b, "} "...), f.vals[lv]), '\n')
 		}
 	}
 
-	histNames := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		histNames = append(histNames, name)
-	}
-	sort.Strings(histNames)
-	for _, name := range histNames {
+	for _, name := range sortedKeys(r.hists) {
 		h := r.hists[name]
-		if err := emitHelp(name, "histogram"); err != nil {
-			return n, err
-		}
+		b = r.appendHeader(b, name, "histogram")
 		var cum uint64
 		for i, ub := range h.buckets {
 			cum += h.counts[i]
-			if err := emit("%s_bucket{le=\"%s\"} %d\n", name, fmtFloat(ub), cum); err != nil {
-				return n, err
-			}
+			b = appendFloat(appendStrings(b, name, `_bucket{le="`), ub)
+			b = append(strconv.AppendUint(append(b, `"} `...), cum, 10), '\n')
 		}
 		cum += h.counts[len(h.buckets)]
-		if err := emit("%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
-			name, cum, name, fmtFloat(h.sum), name, cum); err != nil {
-			return n, err
-		}
+		b = append(strconv.AppendUint(appendStrings(b, name, `_bucket{le="+Inf"} `), cum, 10), '\n')
+		b = append(appendFloat(appendStrings(b, name, "_sum "), h.sum), '\n')
+		b = append(strconv.AppendUint(appendStrings(b, name, "_count "), cum, 10), '\n')
 	}
-	return n, nil
+	r.mu.Unlock()
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// appendHeader appends a metric's HELP line, if any, and TYPE line.
+func (r *Registry) appendHeader(b []byte, name, kind string) []byte {
+	if help := r.help[name]; help != "" {
+		b = appendStrings(b, "# HELP ", name, " ", help, "\n")
+	}
+	return appendStrings(b, "# TYPE ", name, " ", kind, "\n")
+}
+
+func appendStrings(b []byte, parts ...string) []byte {
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func appendFloat(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }

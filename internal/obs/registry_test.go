@@ -164,3 +164,52 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		t.Errorf("histogram count = %d, want 4000", n)
 	}
 }
+
+// TestRegistryExpositionGolden pins the rendered text byte for byte:
+// HELP and TYPE lines, scalars interleaved by name, a counter family
+// whose label value needs escaping, and a cumulative histogram.
+func TestRegistryExpositionGolden(t *testing.T) {
+	r := NewRegistry()
+	r.SetHelp("hg_b_total", `Runs "done".`)
+	r.Add("hg_b_total", 3)
+	r.SetGauge("hg_a", 0.25)
+	r.Add("hg_big_total", 1e21)
+	r.SetHelp("hg_job_cost_usd_total", "Spend by job.")
+	r.AddLabeled("hg_job_cost_usd_total", "job", "job-1", 1.5)
+	r.AddLabeled("hg_job_cost_usd_total", "job", "we\"ird\\back\nline", 2)
+	r.SetHelp("hg_lat_seconds", "Latency.")
+	r.RegisterHistogram("hg_lat_seconds", []float64{0.5, 1})
+	for _, v := range []float64{0.25, 0.5, 4} {
+		r.Observe("hg_lat_seconds", v)
+	}
+	const want = `# TYPE hg_a gauge
+hg_a 0.25
+# HELP hg_b_total Runs "done".
+# TYPE hg_b_total counter
+hg_b_total 3
+# TYPE hg_big_total counter
+hg_big_total 1e+21
+# HELP hg_job_cost_usd_total Spend by job.
+# TYPE hg_job_cost_usd_total counter
+hg_job_cost_usd_total{job="job-1"} 1.5
+hg_job_cost_usd_total{job="we\"ird\\back\nline"} 2
+# HELP hg_lat_seconds Latency.
+# TYPE hg_lat_seconds histogram
+hg_lat_seconds_bucket{le="0.5"} 2
+hg_lat_seconds_bucket{le="1"} 2
+hg_lat_seconds_bucket{le="+Inf"} 3
+hg_lat_seconds_sum 4.75
+hg_lat_seconds_count 3
+`
+	var b strings.Builder
+	n, err := r.WriteTo(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+	if n != int64(len(want)) {
+		t.Errorf("WriteTo returned %d bytes, wrote %d", n, len(want))
+	}
+}

@@ -1,7 +1,9 @@
 package scheduler
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,8 +14,8 @@ import (
 )
 
 // checkBooks compares the controller's active counter, the active-jobs
-// gauge and the scheduling loop's pending set against a scan of the job
-// table.
+// gauge, the scheduling loop's pending set and the cached encodings of
+// done jobs against a scan of the job table.
 func checkBooks(t *testing.T, c *Controller, when string) {
 	t.Helper()
 	c.mu.Lock()
@@ -30,6 +32,7 @@ func checkBooks(t *testing.T, c *Controller, when string) {
 		if _, in := c.pending[id]; in != canDispatch {
 			t.Fatalf("%s: job %s in pending set = %t, can dispatch = %t", when, id, in, canDispatch)
 		}
+		checkSealLocked(t, c, e, when)
 	}
 	if len(c.pending) != pending {
 		t.Fatalf("%s: pending set holds %d jobs, the table %d that can dispatch", when, len(c.pending), pending)
@@ -39,6 +42,25 @@ func checkBooks(t *testing.T, c *Controller, when string) {
 	}
 	if g := c.metrics.Value(MetricJobsActive); g != float64(active) {
 		t.Fatalf("%s: active gauge %v, scan %d", when, g, active)
+	}
+}
+
+// checkSealLocked checks that a done entry carries the encoding of its
+// current status and a live one carries none; callers hold c.mu.
+func checkSealLocked(t *testing.T, c *Controller, e *jobEntry, when string) {
+	t.Helper()
+	if !e.done() {
+		if e.enc != nil {
+			t.Fatalf("%s: live job %s has a cached encoding", when, e.spec.ID)
+		}
+		return
+	}
+	fresh, err := json.Marshal(c.statusLocked(e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(e.enc, fresh) {
+		t.Fatalf("%s: job %s cached\n%s\nfresh\n%s", when, e.spec.ID, e.enc, fresh)
 	}
 }
 

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -391,6 +392,7 @@ func (c *Controller) Delete(id string) bool {
 	if ok {
 		c.removeLocked(e)
 		e.cancelled = true
+		c.metrics.DropLabel(jobLabel, id)
 		if c.gate != nil {
 			promos := c.gate.Release(id, now)
 			c.activatePromotionsLocked(promos, now)
@@ -421,11 +423,49 @@ func (c *Controller) List() []JobStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]JobStatus, 0, len(c.jobs))
-	for _, e := range c.jobs {
+	for _, e := range c.sortedLocked() {
 		out = append(out, c.statusLocked(e))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.ID < out[j].Spec.ID })
 	return out
+}
+
+// listJSON encodes List as a JSON array and a newline, the body of
+// GET /jobs: a done job adds the encoding it was given when it became
+// done, only live ones are encoded, and the array is built unlocked.
+func (c *Controller) listJSON() ([]byte, error) {
+	c.mu.Lock()
+	es := c.sortedLocked()
+	parts, size := make([][]byte, len(es)), len(es)+2
+	for i, e := range es {
+		var err error
+		if parts[i] = e.enc; parts[i] == nil {
+			parts[i], err = json.Marshal(c.statusLocked(e))
+		}
+		if err != nil {
+			c.mu.Unlock()
+			return nil, err
+		}
+		size += len(parts[i])
+	}
+	c.mu.Unlock()
+	b := append(make([]byte, 0, size), '[')
+	for i, p := range parts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, p...)
+	}
+	return append(b, "]\n"...), nil
+}
+
+// sortedLocked returns the table's entries by ID; callers hold c.mu.
+func (c *Controller) sortedLocked() []*jobEntry {
+	es := make([]*jobEntry, 0, len(c.jobs))
+	for _, e := range c.jobs {
+		es = append(es, e)
+	}
+	sort.Slice(es, func(i, j int) bool { return es[i].spec.ID < es[j].spec.ID })
+	return es
 }
 
 // History returns a copy of a job's retained run records.
@@ -482,6 +522,8 @@ func (c *Controller) insertLocked(e *jobEntry) {
 	if !e.done() {
 		c.active++
 		c.metrics.SetGauge(MetricJobsActive, float64(c.active))
+	} else {
+		e.enc, _ = json.Marshal(c.statusLocked(e))
 	}
 	c.refileLocked(e)
 }
@@ -628,12 +670,6 @@ func (c *Controller) execute(t task) {
 	c.metrics.Add(MetricDecisions, float64(rec.Decisions))
 	c.metrics.Add(MetricCostUSD, rec.Cost)
 	c.metrics.Add(MetricBaselineUSD, float64(baseline))
-	c.metrics.AddJob(MetricJobRuns, t.id, 1)
-	c.metrics.AddJob(MetricJobCostUSD, t.id, rec.Cost)
-	c.metrics.AddJob(MetricJobEvictions, t.id, float64(rec.Evictions))
-	if err == nil && (rec.MissedDeadline || !rec.Finished) {
-		c.metrics.AddJob(MetricJobMissed, t.id, 1)
-	}
 	if c.sink != nil {
 		ev := obs.Event{
 			Type:   obs.EvRun,
@@ -660,6 +696,14 @@ func (c *Controller) execute(t task) {
 		c.mu.Unlock()
 		return
 	}
+	// Per-job series are booked under c.mu after that check, so the
+	// series a Delete dropped do not come back.
+	c.metrics.AddJob(MetricJobRuns, t.id, 1)
+	c.metrics.AddJob(MetricJobCostUSD, t.id, rec.Cost)
+	c.metrics.AddJob(MetricJobEvictions, t.id, float64(rec.Evictions))
+	if err == nil && (rec.MissedDeadline || !rec.Finished) {
+		c.metrics.AddJob(MetricJobMissed, t.id, 1)
+	}
 	e.completed++
 	e.agg.observe(rec, baseline)
 	e.history = append(e.history, rec)
@@ -669,6 +713,7 @@ func (c *Controller) execute(t task) {
 	if e.done() {
 		c.active--
 		c.metrics.SetGauge(MetricJobsActive, float64(c.active))
+		e.enc, _ = json.Marshal(c.statusLocked(e))
 		c.logf("scheduler: %s completed all %d runs (norm cost %.2f×OD, %d missed)",
 			t.id, e.completed, e.agg.MeanNormCost, e.agg.Missed)
 		if c.gate != nil {

@@ -27,6 +27,8 @@ import (
 // admitted job, 202 for one parked in the wait queue (queuePos in the
 // body), 422 for an infeasible deadline (feasibility gap in the
 // body), and 429 when both the pool and the queue are full.
+//
+// JSON replies are compact, one value and a newline (`jq .` indents).
 func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", c.handleSubmit)
@@ -46,12 +48,11 @@ func (c *Controller) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON answers with v encoded as compact JSON and a newline.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -103,7 +104,13 @@ func (c *Controller) handleAdmission(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (c *Controller) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.List())
+	body, err := c.listJSON()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
 }
 
 func (c *Controller) handleGet(w http.ResponseWriter, r *http.Request) {

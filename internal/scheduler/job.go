@@ -22,24 +22,34 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 	return json.Marshal(time.Duration(d).String())
 }
 
-// UnmarshalJSON accepts a duration string or seconds-as-number.
+// UnmarshalJSON accepts a duration string or seconds-as-number. A
+// string decodes straight into a string, anything else through any.
 func (d *Duration) UnmarshalJSON(b []byte) error {
-	var v any
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	switch x := v.(type) {
-	case string:
-		dd, err := time.ParseDuration(x)
-		if err != nil {
-			return fmt.Errorf("scheduler: bad duration %q: %w", x, err)
+	var s string
+	if len(b) > 0 && b[0] == '"' {
+		if err := json.Unmarshal(b, &s); err != nil {
+			return err
 		}
-		*d = Duration(dd)
-	case float64:
-		*d = Duration(time.Duration(x * float64(time.Second)))
-	default:
-		return fmt.Errorf("scheduler: duration must be a string or seconds, got %T", v)
+	} else {
+		var v any
+		if err := json.Unmarshal(b, &v); err != nil {
+			return err
+		}
+		switch x := v.(type) {
+		case string:
+			s = x
+		case float64:
+			*d = Duration(time.Duration(x * float64(time.Second)))
+			return nil
+		default:
+			return fmt.Errorf("scheduler: duration must be a string or seconds, got %T", v)
+		}
 	}
+	dd, err := time.ParseDuration(s)
+	if err != nil {
+		return fmt.Errorf("scheduler: bad duration %q: %w", s, err)
+	}
+	*d = Duration(dd)
 	return nil
 }
 
@@ -203,6 +213,10 @@ type jobEntry struct {
 	deployment string
 	packConfig string
 	demand     float64
+
+	// enc is a done entry's status, encoded for GET /jobs once it is
+	// done and never changed after; nil while live or unencodable.
+	enc []byte
 }
 
 // exhausted reports whether every bounded recurrence has been

@@ -98,7 +98,10 @@ func (m *Metrics) ObserveRunSeconds(s float64) {
 	m.Observe(metricRunSeconds, s)
 }
 
+// jobLabel keys the per-job series; Delete drops a job's series by it.
+const jobLabel = "job"
+
 // AddJob increments one per-job series.
 func (m *Metrics) AddJob(name, jobID string, delta float64) {
-	m.AddLabeled(name, "job", jobID, delta)
+	m.AddLabeled(name, jobLabel, jobID, delta)
 }
