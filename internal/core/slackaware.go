@@ -231,7 +231,11 @@ func (t *ecTable) branch(cs *ConfigStats, h units.Seconds, w float64,
 	fUp := cs.evictionCDF(uptime)
 	for first := true; ; first = false {
 		useful := e.Useful(cs, State{WorkLeft: w, Deadline: h}, fresh)
-		if useful < minUseful {
+		// A kept chain whose interval finishes the work runs on however
+		// short that interval is: sending the residual to the last
+		// resort would bill a fresh boot and load for under a second of
+		// work, and make EC fall as work grows.
+		if useful < minUseful && (first || useful < units.Seconds(w*float64(cs.Exec))) {
 			if first {
 				return Infeasible
 			}
