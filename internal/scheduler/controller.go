@@ -429,6 +429,29 @@ func (c *Controller) List() []JobStatus {
 	return out
 }
 
+// encodedLocked is e's status as JSON: the encoding a done entry was
+// given when it became done, or a live one's encoded now. Callers hold
+// c.mu; the bytes are not to be modified.
+func (c *Controller) encodedLocked(e *jobEntry) ([]byte, error) {
+	if e.enc != nil {
+		return e.enc, nil
+	}
+	return json.Marshal(c.statusLocked(e))
+}
+
+// getJSON is Get encoded, the body of GET /jobs/{id} without its
+// newline (see encodedLocked).
+func (c *Controller) getJSON(id string) ([]byte, bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.jobs[id]
+	if !ok {
+		return nil, false, nil
+	}
+	b, err := c.encodedLocked(e)
+	return b, true, err
+}
+
 // listJSON encodes List as a JSON array and a newline, the body of
 // GET /jobs: a done job adds the encoding it was given when it became
 // done, only live ones are encoded, and the array is built unlocked.
@@ -438,10 +461,7 @@ func (c *Controller) listJSON() ([]byte, error) {
 	parts, size := make([][]byte, len(es)), len(es)+2
 	for i, e := range es {
 		var err error
-		if parts[i] = e.enc; parts[i] == nil {
-			parts[i], err = json.Marshal(c.statusLocked(e))
-		}
-		if err != nil {
+		if parts[i], err = c.encodedLocked(e); err != nil {
 			c.mu.Unlock()
 			return nil, err
 		}

@@ -113,13 +113,18 @@ func (c *Controller) handleList(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write(body)
 }
 
+// handleGet answers a done job with the bytes GET /jobs lists it with.
 func (c *Controller) handleGet(w http.ResponseWriter, r *http.Request) {
-	st, ok := c.Get(r.PathValue("id"))
-	if !ok {
+	body, ok, err := c.getJSON(r.PathValue("id"))
+	switch {
+	case !ok:
 		http.NotFound(w, r)
-		return
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, err)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(append(body[:len(body):len(body)], '\n'))
 	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 func (c *Controller) handleDelete(w http.ResponseWriter, r *http.Request) {

@@ -113,6 +113,82 @@ func TestListBodyMatchesList(t *testing.T) {
 	checkBooks(t, c, "restored table")
 }
 
+// TestGetServesDoneEncoding: GET /jobs/{id} answers a done job with
+// the bytes it was given when it became done — its element of GET
+// /jobs — and encodes a live job afresh on every read.
+func TestGetServesDoneEncoding(t *testing.T) {
+	vc := NewVirtualClock(epoch)
+	c := newGatedController(t, &estBackend{required: 500, demand: 0.6}, vc, cloud.NewDatastore(),
+		admission.Config{MaxDeployments: 2, QueueDepth: 4})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	submit := func(runs int) string {
+		t.Helper()
+		st, err := c.Submit(pagerankSpec(time.Hour, runs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Spec.ID
+	}
+	completed := func(id string, n int) {
+		t.Helper()
+		waitFor(t, fmt.Sprintf("%s to complete %d runs", id, n), func() bool {
+			st, _ := c.Get(id)
+			return st.Completed == n
+		})
+	}
+	done, live := submit(1), submit(0)
+	completed(done, 1)
+	completed(live, 1)
+
+	var list []json.RawMessage
+	if err := json.Unmarshal([]byte(getBody(t, srv, "/jobs")), &list); err != nil {
+		t.Fatal(err)
+	}
+	var listed string
+	for _, el := range list {
+		var st JobStatus
+		if err := json.Unmarshal(el, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Spec.ID == done {
+			listed = string(el)
+		}
+	}
+	if got := getBody(t, srv, "/jobs/"+done); got != listed+"\n" {
+		t.Fatalf("GET /jobs/%s\n%s\nwant its GET /jobs element\n%s", done, got, listed)
+	}
+	// The reply is the stored encoding itself, not one equal to it.
+	c.mu.Lock()
+	e := c.jobs[done]
+	stored := e.enc
+	e.enc = []byte(`{"stored":true}`)
+	c.mu.Unlock()
+	if got := getBody(t, srv, "/jobs/"+done); got != `{"stored":true}`+"\n" {
+		t.Fatalf("GET /jobs/%s = %s, want the stored encoding", done, got)
+	}
+	c.mu.Lock()
+	e.enc = stored
+	c.mu.Unlock()
+
+	// A live job has none: each read encodes its status as it is now.
+	checkLive := func(n int) {
+		t.Helper()
+		st, _ := c.Get(live)
+		want, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := getBody(t, srv, "/jobs/"+live); st.Completed != n || got != string(want)+"\n" {
+			t.Fatalf("GET /jobs/%s\n%s\nwant (%d runs)\n%s", live, got, n, want)
+		}
+	}
+	checkLive(1)
+	vc.Advance(time.Hour)
+	completed(live, 2)
+	checkLive(2)
+}
+
 // scrapeTotals returns the scrape's unlabelled *_total series and
 // whether any series carries the label job="id".
 func scrapeTotals(t *testing.T, srv *httptest.Server, id string) (map[string]string, bool) {
