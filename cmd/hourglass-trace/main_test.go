@@ -14,15 +14,15 @@ func Example_summary() {
 	}
 	// Output:
 	// runs        1
-	// cost        $3.2850
-	// deadline    met (completion t=2779s)
+	// cost        $3.3310
+	// deadline    met (completion t=2818s)
 	// evictions   1
 	// restarts    1 (0 watchdog trips)
 	// deploys     2
 	// checkpoints 6
 	// decisions   8
-	// io time     31s
-	// recovery    90s
+	// io time     70s
+	// recovery    129s
 	// standby     1 warnings, 0 warm cutovers, 1 misses
 	// ckpt bytes  38064 full, 0 delta
 }

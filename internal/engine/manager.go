@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -53,63 +54,69 @@ func (m *CheckpointManager) retrier() *cloud.Retrier {
 
 // retryStore is the manager's view of the store for one Save or Load:
 // every Put and Get is retried under the manager's policy — a Get whose
-// object fails its seal too, since a damaged read is often transient —
-// and the transfer plus backoff time of each, failed and corrupt
-// objects included, is added to spent, the virtual I/O time the caller
-// bills.
+// object fails its seal too, since a damaged read is often transient.
+// faults sums what the store's faults cost: the backoff between attempts
+// and the transfer of every attempt that failed, damaged reads included.
+// An attempt that succeeds is the transfer the caller prices as t_save or
+// t_load, so a clean store adds nothing.
 type retryStore struct {
 	cloud.BlobStore
 	retry *cloud.Retrier
 
-	mu    sync.Mutex
-	spent units.Seconds
+	mu     sync.Mutex
+	faults units.Seconds
 }
 
 func (m *CheckpointManager) store() *retryStore {
 	return &retryStore{BlobStore: m.Store, retry: m.retrier()}
 }
 
-func (s *retryStore) bill(t units.Seconds) units.Seconds {
+// attempt runs op under the retry policy and returns the transfer of
+// every attempt plus the backoff. A missing object is an answer, not a
+// fault.
+func (s *retryStore) attempt(op func() (units.Seconds, error)) (units.Seconds, error) {
+	var spent, failed units.Seconds
+	delay, err := s.retry.Do(func() error {
+		t, err := op()
+		spent += t
+		if err != nil && !errors.Is(err, cloud.ErrNotFound) {
+			failed += t
+		}
+		return err
+	})
 	s.mu.Lock()
-	s.spent += t
+	s.faults += failed + delay
 	s.mu.Unlock()
-	return t
+	return spent + delay, err
 }
 
 func (s *retryStore) Put(key string, data []byte) (units.Seconds, error) {
-	var xfer units.Seconds
-	delay, err := s.retry.Do(func() error {
-		t, err := s.BlobStore.Put(key, data)
-		xfer = t
-		return err
-	})
+	t, err := s.attempt(func() (units.Seconds, error) { return s.BlobStore.Put(key, data) })
 	if err != nil {
 		err = fmt.Errorf("engine: checkpoint upload %q: %w", key, err)
 	}
-	return s.bill(xfer + delay), err
+	return t, err
 }
 
 func (s *retryStore) Get(key string) ([]byte, units.Seconds, error) {
 	var blob []byte
-	var xfer units.Seconds
-	delay, err := s.retry.Do(func() error {
+	t, err := s.attempt(func() (units.Seconds, error) {
 		b, t, err := s.BlobStore.Get(key)
-		blob, xfer = b, t
-		if err == nil {
+		if blob = b; err == nil {
 			err = ckpt.Verify(b)
 		}
-		return err
+		return t, err
 	})
-	return blob, s.bill(xfer + delay), err
+	return blob, t, err
 }
 
 // Save uploads a snapshot as one full blob, seals it with a manifest
-// and advances the latest pointer, returning the virtual upload time
-// (retry backoff included). Transient store errors are retried; only
-// an exhausted retry budget fails the save. The returned time is
-// meaningful even on failure: it covers whatever uploads and backoff
-// delays were spent before giving up, so callers can bill the partial
-// progress.
+// and advances the latest pointer. Transient store errors are retried;
+// only an exhausted retry budget fails the save. It returns the virtual
+// seconds the store's faults cost the save — retry backoff and failed
+// attempts, 0 on a clean store — which the caller bills on top of the
+// save's price. The time is meaningful even on failure: it covers
+// every attempt and backoff spent before giving up.
 //
 // Only a snapshot that is one full blob, as Execution.Snapshot exports
 // it, is saved; any other is an error and writes nothing.
@@ -124,21 +131,22 @@ func (m *CheckpointManager) Save(s *Snapshot) (units.Seconds, error) {
 		err = ckpt.Commit(st, &ckpt.Manifest{Job: m.Job, Superstep: s.Superstep, Shards: 1,
 			Program: s.Program, BlobKeys: []string{key}, Parent: -1, Aggs: s.aggs})
 	}
-	return st.spent, err
+	return st.faults, err
 }
 
-// Load fetches the most recent checkpoint that validates, with its
-// download time. A corrupted or dangling latest checkpoint is skipped
-// in favour of the newest older one that validates (ckpt.Latest); only
-// a namespace with no restorable checkpoint at all returns
-// ckpt.ErrNoCheckpoint.
+// Load fetches the most recent checkpoint that validates, with the
+// seconds the store's faults cost the fetch, counted as Save counts
+// them. A corrupted or dangling latest checkpoint is skipped in favour
+// of the newest older one that validates (ckpt.Latest); only a
+// namespace with no restorable checkpoint at all returns
+// ckpt.ErrNoCheckpoint, with the faults spent finding that out.
 func (m *CheckpointManager) Load() (*Snapshot, units.Seconds, error) {
 	st := m.store()
 	c, err := ckpt.Latest(st, m.Job)
 	if err != nil {
-		return nil, 0, err
+		return nil, st.faults, err
 	}
-	return &Snapshot{Program: c.Program, Superstep: c.Superstep, blobs: c.Blobs, aggs: c.Aggs}, st.spent, nil
+	return &Snapshot{Program: c.Program, Superstep: c.Superstep, blobs: c.Blobs, aggs: c.Aggs}, st.faults, nil
 }
 
 // Clear removes every checkpoint object in the job's namespace (see

@@ -7,6 +7,7 @@ import (
 	"hourglass/internal/ckpt"
 	"hourglass/internal/cloud"
 	"hourglass/internal/faultinject"
+	"hourglass/internal/units"
 )
 
 func TestCheckpointManagerSaveLoad(t *testing.T) {
@@ -16,19 +17,21 @@ func TestCheckpointManagerSaveLoad(t *testing.T) {
 	if !errors.Is(err, ErrPaused) {
 		t.Fatal(err)
 	}
+	// A clean store's transfers are the save and the load the caller
+	// prices: no fault seconds on top.
 	up, err := m.Save(res.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if up <= 0 {
-		t.Errorf("upload time = %v", up)
+	if up != 0 {
+		t.Errorf("clean save reported %v of faults", up)
 	}
 	back, down, err := m.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if down <= 0 {
-		t.Errorf("download time = %v", down)
+	if down != 0 {
+		t.Errorf("clean load reported %v of faults", down)
 	}
 	if back.Superstep != res.Snapshot.Superstep || back.Program != "pagerank" {
 		t.Errorf("loaded snapshot mismatch: %+v", back)
@@ -67,6 +70,42 @@ func TestSaveRetriesTransientStoreErrors(t *testing.T) {
 	}
 	if st := store.Stats(); st.Errors == 0 {
 		t.Error("fault schedule injected nothing — test is vacuous")
+	}
+}
+
+// failFirstPut fails the first Put after spending latency on it.
+type failFirstPut struct {
+	cloud.BlobStore
+	latency units.Seconds
+	failed  bool
+}
+
+func (s *failFirstPut) Put(key string, data []byte) (units.Seconds, error) {
+	if !s.failed {
+		s.failed = true
+		return s.latency, errors.New("upload timed out")
+	}
+	return s.BlobStore.Put(key, data)
+}
+
+// A failed attempt's transfer is billed with the backoff after it: a
+// save whose first upload fails after L seconds reports at least L plus
+// the shortest first backoff (0.25 s: half the 0.5 s base, the least
+// the default half jitter draws).
+func TestSaveBillsFailedAttempts(t *testing.T) {
+	const latency = 7
+	m := &CheckpointManager{Store: &failFirstPut{BlobStore: cloud.NewDatastore(), latency: latency}, Job: "slow/pr"}
+	g := undirectedRMAT(8, 3)
+	res, err := Run(g, &PageRank{Iterations: 8}, Config{Workers: 2, StopAfter: 3})
+	if !errors.Is(err, ErrPaused) {
+		t.Fatal(err)
+	}
+	faults, err := m.Save(res.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if min := units.Seconds(latency + 0.25); faults < min {
+		t.Errorf("save reported %v of faults, want at least %v", faults, min)
 	}
 }
 

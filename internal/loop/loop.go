@@ -1,8 +1,8 @@
 // Package loop is the paper's Figure 2 loop — decide → deploy →
 // compute → checkpoint → (evict → re-decide)* — written once for every
 // executor. Drive runs it over a Substrate, which adds only what its
-// executor needs: reading the durable frontier, booting a deployment
-// and running it. internal/runtime has two substrates, an engine
+// executor needs: reading the durable frontier and running a
+// deployment. internal/runtime has two substrates, an engine
 // stepped under a watchdog and a coordinator over a shard worker set;
 // internal/sim has the virtual one of the trace-driven simulator,
 // which jumps each session straight to its next boundary. Every
@@ -10,7 +10,14 @@
 // what a decision costs, how a decision bounds the segment after it
 // (plan), how a segment and its save are billed against the eviction
 // (Session.close), how a live deployment is re-decided (consult), how a
-// deployment is billed, and how a finished job is reported.
+// deployment is billed (deploy), and how a finished job is reported.
+//
+// I/O has one price, the provisioner's (§5): every deployment that
+// boots machines loads for t_load, fresh or resuming a checkpoint (§6's
+// fast reload is inside t_load), and every save takes t_save. A
+// substrate adds only what its store's faults cost on top — retry
+// backoff and failed attempts — so injected faults show as their own
+// seconds, not as a different price.
 //
 // A session is not a segment: at each plan boundary the running
 // deployment stops at its superstep barrier while the loop bills the
@@ -89,14 +96,14 @@ type Choice struct {
 // A Substrate is what one executor runs its sessions on.
 type Substrate interface {
 	// Frontier reads the durable frontier: the superstep of the newest
-	// checkpoint a new deployment resumes (0 = none).
-	Frontier() (int, error)
-	// Boot bills a deployment of c resuming superstep durable — or
-	// adopts the warm standby that decided it — and returns its EvDeploy.
-	Boot(c Choice, durable int) (obs.Event, error)
-	// Run emits deploy once the deployment is up, then runs s over it
-	// until the job is computed or s stops. Every barrier reaches s on
-	// the calling goroutine.
+	// checkpoint a new deployment resumes (0 = none), and the seconds
+	// of I/O the store's faults cost reading it (0 on a clean store),
+	// which the deployment that follows pays on top of t_load.
+	Frontier() (durable int, faults units.Seconds, err error)
+	// Run readies the deployment of s's choice — booting it, or
+	// adopting the warm standby that decided it — and emits deploy once
+	// it is up, then runs s over it until the job is computed or s
+	// stops. Every barrier reaches s on the calling goroutine.
 	Run(s *Session, deploy obs.Event) error
 	// Clear removes the job's checkpoints once its output is durable.
 	Clear() error
@@ -296,32 +303,33 @@ func (l *Loop) plan(dec core.Decision, cs *core.ConfigStats, done int) (segSteps
 	return segSteps, checkpointing
 }
 
-// Deploy bills a fresh deployment of cs requested now — market wait,
-// boot and load seconds of I/O — and advances the clock to the ready
-// instant. It returns the EvDeploy for the substrate to emit once the
-// deployment is up; done is the superstep it resumes from.
-func (l *Loop) Deploy(cs *core.ConfigStats, load units.Seconds, done int) (obs.Event, error) {
-	start := l.T
-	avail, err := l.Env.Market.NextAvailable(cs.Config, start)
-	if err != nil {
-		return obs.Event{}, err
-	}
-	readyAt := avail + cs.Boot + load
-	if err := l.Spend(cs.Config, avail, readyAt, load); err != nil {
-		return obs.Event{}, err
-	}
-	l.T = readyAt
-	return l.DeployEvent(cs, start, done), nil
-}
-
-// DeployEvent is the EvDeploy of a deployment of cs requested at start,
-// ready now and resuming superstep done. One that resumes durable
+// deploy bills the deployment of c requested now, resuming superstep
+// done, and advances the clock to its ready instant. New machines pay
+// the market wait, t_boot and t_load of I/O, plus the faults seconds
+// the store's faults cost the reload. A warm cutover's boot and reload
+// were billed inside the warning window, overlapped with the doomed
+// session, and the clock is already the eviction instant: its span —
+// the recovery downtime — is zero. It returns the EvDeploy for the
+// substrate to emit once the deployment is up. One that resumes durable
 // progress (done > 0) is a recovery: its EvDeploy carries Reload, so
 // its whole span folds into RecoveryTime.
-func (l *Loop) DeployEvent(cs *core.ConfigStats, start units.Seconds, done int) obs.Event {
+func (l *Loop) deploy(c Choice, done int, faults units.Seconds) (obs.Event, error) {
+	cs, start := c.CS, l.T
+	if c.Warm == nil {
+		avail, err := l.Env.Market.NextAvailable(cs.Config, start)
+		if err != nil {
+			return obs.Event{}, err
+		}
+		io := cs.Load + faults
+		readyAt := avail + cs.Boot + io
+		if err := l.Spend(cs.Config, avail, readyAt, io); err != nil {
+			return obs.Event{}, err
+		}
+		l.T = readyAt
+	}
 	return obs.Event{Type: obs.EvDeploy, T: float64(start), Job: l.Env.Job.Name,
 		Config: l.ID(cs.Config), WorkLeft: l.WorkLeft(done),
-		DurSec: float64(l.T - start), Reload: done > 0}
+		DurSec: float64(l.T - start), Reload: done > 0}, nil
 }
 
 // BillUntil bills cs from the clock to end, io seconds of it I/O, and
@@ -376,7 +384,7 @@ func (l *Loop) Drive(ctx context.Context, sub Substrate, start, deadline units.S
 	l.evictor = Evictor{Market: l.Env.Market}
 	l.T, l.Deadline = start, deadline
 	for attempt := 0; ; attempt++ {
-		durable, err := sub.Frontier()
+		durable, faults, err := sub.Frontier()
 		if err != nil {
 			return l.rep, err
 		}
@@ -396,7 +404,7 @@ func (l *Loop) Drive(ctx context.Context, sub Substrate, start, deadline units.S
 			teardown(c.Warm)
 			return l.rep, err
 		}
-		if done, err := l.deployment(ctx, sub, *c, attempt, durable); err != nil || done {
+		if done, err := l.deployment(ctx, sub, *c, attempt, durable, faults); err != nil || done {
 			return l.rep, err
 		}
 	}
@@ -405,8 +413,8 @@ func (l *Loop) Drive(ctx context.Context, sub Substrate, start, deadline units.S
 // deployment deploys c from the durable frontier, runs its session and
 // folds the outcome into the report. It returns done=true when the job
 // finished.
-func (l *Loop) deployment(ctx context.Context, sub Substrate, c Choice, attempt, durable int) (bool, error) {
-	deploy, err := sub.Boot(c, durable)
+func (l *Loop) deployment(ctx context.Context, sub Substrate, c Choice, attempt, durable int, faults units.Seconds) (bool, error) {
+	deploy, err := l.deploy(c, durable, faults)
 	if err != nil {
 		teardown(c.Warm)
 		return false, err

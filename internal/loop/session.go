@@ -63,7 +63,7 @@ type Session struct {
 // seals, an EvSuperstep reaches its barrier.
 func (s *Session) Emit(e obs.Event) {
 	if e.Type == obs.EvCheckpoint {
-		s.close(e.Superstep, true, s.CS.Save, &e)
+		s.close(e.Superstep, true, 0, &e)
 		return
 	}
 	s.l.Emit(e)
@@ -81,7 +81,7 @@ func (s *Session) Barrier(x int) {
 		// The save requested at the last barrier never sealed (a blob
 		// write or the manifest failed): its time is billed, the
 		// durable frontier stays put.
-		s.close(s.saveAt, true, s.CS.Save, nil)
+		s.close(s.saveAt, true, 0, nil)
 	}
 	s.Done = x
 	if !s.Stopped && s.sb == nil && s.warnAt > 0 && s.Done >= s.warnAt {
@@ -109,31 +109,32 @@ func (s *Session) CheckpointAt(x int) bool {
 	return save
 }
 
-// Save closes the boundary of the save requested at superstep x, ioSave
-// seconds of I/O; sealed reports that its checkpoint sealed (false =
-// the save failed).
-func (s *Session) Save(x int, ioSave units.Seconds, sealed bool) {
+// Save closes the boundary of the save requested at superstep x: t_save
+// of I/O, plus the faults seconds the store's faults cost it; sealed
+// reports that its checkpoint sealed (false = the save failed).
+func (s *Session) Save(x int, faults units.Seconds, sealed bool) {
 	var ck *obs.Event
 	if sealed {
 		ck = &obs.Event{}
 	}
-	s.close(x, true, ioSave, ck)
+	s.close(x, true, faults, ck)
 }
 
 // close is the loop's boundary at superstep x: bill the compute since
-// the last boundary and, with save, the save of ioSave seconds after
-// it, racing the eviction; record the checkpoint sealed, if any — the
+// the last boundary and, with save, the save after it — t_save plus
+// faults seconds of I/O — racing the eviction; record the checkpoint sealed, if any — the
 // substrate's EvCheckpoint, stamped with the billed clock, the job, the
 // configuration and the work it leaves; then re-decide at the plan's
 // boundary, or stop at a tripping forced save, or re-derive the rest of
 // the segment from the clock. A checkpoint that lost its save to the
 // eviction is still recorded: it is sealed, and the next deployment
 // resumes it.
-func (s *Session) close(x int, save bool, ioSave units.Seconds, sealed *obs.Event) {
+func (s *Session) close(x int, save bool, faults units.Seconds, sealed *obs.Event) {
 	l := s.l
 	end, at, io := l.SegEnd(s.CS, x-s.Billed), Never, units.Seconds(0) // a bare segment cannot lose the race: its forecast fits
 	if save {
-		end, at, io = end+ioSave, s.NextEvict, ioSave
+		io = s.CS.Save + faults
+		end, at = end+io, s.NextEvict
 	}
 	lost, err := l.BillUntil(s.CS, end, at, s.Durable, io)
 	s.Billed, s.saveAt = x, 0

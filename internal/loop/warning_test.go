@@ -33,12 +33,8 @@ type fake struct {
 	warns   int
 }
 
-func (f *fake) Frontier() (int, error) { return f.durable, nil }
-func (f *fake) Clear() error           { return nil }
-
-func (f *fake) Boot(c Choice, durable int) (obs.Event, error) {
-	return f.Deploy(c.CS, c.CS.Load, durable)
-}
+func (f *fake) Frontier() (int, units.Seconds, error) { return f.durable, 0, nil }
+func (f *fake) Clear() error                          { return nil }
 
 func (f *fake) Run(s *Session, deploy obs.Event) error {
 	f.Emit(deploy)
@@ -53,7 +49,7 @@ func (f *fake) Run(s *Session, deploy obs.Event) error {
 		}
 		if s.CheckpointAt(x) {
 			f.durable = x
-			s.Save(x, s.CS.Save, true)
+			s.Save(x, 0, true)
 		}
 	}
 	return nil

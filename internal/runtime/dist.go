@@ -323,43 +323,18 @@ type distDriver struct {
 // Frontier implements loop.Substrate: a deployment resumes — and is
 // billed and planned from — the newest sealed checkpoint in the store.
 // Any error reads as no checkpoint, as it does to the session that
-// starts next.
-func (d *distDriver) Frontier() (int, error) {
+// starts next. The shards fetch their own blobs, so the coordinator
+// has no store faults to report.
+func (d *distDriver) Frontier() (int, units.Seconds, error) {
 	c, err := ckpt.Latest(d.opts.Store, d.opts.Job)
 	if err != nil {
-		return 0, nil
+		return 0, 0, nil
 	}
-	return c.Superstep, nil
-}
-
-// Boot implements loop.Substrate. A fresh process set bills wait + boot
-// + load; a warm cutover's boot and reload were paid inside the warning
-// window, overlapped with the doomed session: the standby was billed
-// through the eviction instant at adoption and the clock is already
-// that instant, so the deploy span — the recovery downtime — is zero.
-func (d *distDriver) Boot(c loop.Choice, durable int) (obs.Event, error) {
-	if c.Warm != nil {
-		return d.DeployEvent(c.CS, d.T, durable), nil
-	}
-	return d.Deploy(c.CS, load(d.Loop, c.CS, durable, 0, d.evenSplit(c.CS.Config.Count)), durable)
+	return c.Superstep, 0, nil
 }
 
 // Clear implements loop.Substrate.
 func (d *distDriver) Clear() error { return ckpt.Clear(d.opts.Store, d.opts.Job) }
-
-// evenSplit is the dist plane's per-worker vertex count: shards own
-// vertices round-robin, so shares are even to within one vertex.
-func (d *distDriver) evenSplit(workers int) []int64 {
-	vertices := int64(1) << d.opts.Graph.Scale
-	perWorker := make([]int64, workers)
-	for w := range perWorker {
-		perWorker[w] = vertices / int64(workers)
-		if int64(w) < vertices%int64(workers) {
-			perWorker[w]++
-		}
-	}
-	return perWorker
-}
 
 // launch opens a coordinator listener and boots a worker set that
 // dials it.

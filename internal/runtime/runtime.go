@@ -11,19 +11,20 @@
 // engine.CheckpointManager, the slack-aware provisioner picks the next
 // configuration given the remaining supersteps and remaining slack,
 // micro-partitions are re-clustered for the new worker count
-// (micro.Partitioning) with the parallel reload priced by
-// internal/simnet, and the run resumes under the new
-// engine.Config.Workers. Once the restart budget is spent the driver
+// (micro.Partitioning), and the run resumes under the new
+// engine.Config.Workers. The reload is billed as the provisioner priced
+// it: boot plus t_load, §6's fast reload included, and the seconds the
+// store's faults cost the checkpoint fetch on top. Once the restart budget is spent the driver
 // falls back to the last-resort on-demand configuration, the paper's §5
 // guarantee.
 //
 // The run loop, the session and the decide / plan / deploy / bill /
 // evict accounting are internal/loop's, shared with ExecuteDist and the
-// simulator: every executor runs the same session over its deployment
-// and closes each plan boundary at the same barrier. This file holds
-// what only the in-process substrate needs: the checkpoint reload, the
-// re-cluster, and the pump that steps the engine under the watchdog
-// and saves its barriers.
+// simulator: every executor runs the same session over its deployment,
+// bills its I/O at one price and closes each plan boundary at the same
+// barrier. This file holds what only the in-process substrate needs:
+// the checkpoint reload, the re-cluster, and the pump that steps the
+// engine under the watchdog and saves its barriers.
 //
 // Time is split across two clocks. Compute, boot, load and save are
 // *virtual* seconds priced by the perfmodel/market, so a multi-hour
@@ -46,7 +47,6 @@ import (
 	"hourglass/internal/loop"
 	"hourglass/internal/micro"
 	"hourglass/internal/obs"
-	"hourglass/internal/simnet"
 	"hourglass/internal/units"
 )
 
@@ -69,7 +69,9 @@ type Options struct {
 	// (required).
 	Part *micro.Partitioning
 	// Manager persists checkpoints across evictions (required). Its
-	// store may be fault-injected; Save/Load times are billed as I/O.
+	// store may be fault-injected: a save is billed t_save and a reload
+	// t_load, and the seconds the store's faults cost either (retry
+	// backoff, failed attempts) are billed as I/O on top.
 	Manager *engine.CheckpointManager
 	// TotalSupersteps is the expected superstep count of an
 	// uninterrupted run, the denominator of the work-left model w(t)
@@ -153,10 +155,6 @@ func (o *Options) validate() error {
 // acknowledge the watchdog before the driver abandons its goroutine.
 const watchdogGrace = 100 * time.Millisecond
 
-// bytesPerVertex sizes the parallel checkpoint reload flows simnet
-// prices.
-const bytesPerVertex = 64
-
 // output is the job output of a substrate's last completed session,
 // reported once the loop has made it durable.
 type output struct {
@@ -172,37 +170,13 @@ func (o output) report(sum obs.Summary) Report {
 	return rep
 }
 
-// load prices the I/O after boot of a deployment of cs resuming
-// superstep durable: the profiled input load on a fresh start or,
-// resuming a checkpoint, its fetch plus the §6 fast reload, priced with
-// simnet: every worker w pulls its perWorker[w] vertices from the
-// datastore in parallel.
-func load(l *loop.Loop, cs *core.ConfigStats, durable int, fetch units.Seconds, perWorker []int64) units.Seconds {
-	if durable == 0 {
-		return cs.Load
-	}
-	cluster, err := simnet.NewCluster(len(perWorker), simnet.DefaultConfig())
-	if err != nil {
-		l.Logf("runtime: reload pricing: %v", err)
-		return fetch
-	}
-	flows := make([]simnet.Flow, 0, len(perWorker))
-	for w, vertices := range perWorker {
-		flows = append(flows, simnet.Flow{Src: simnet.DatastoreNode, Dst: w,
-			Bytes: vertices * bytesPerVertex})
-	}
-	return fetch + cluster.SimulateFlows(flows)
-}
-
 // driver is the in-process substrate of one Execute call.
 type driver struct {
 	*loop.Loop
 	opts *Options
 	out  output
 
-	snap   *engine.Snapshot // the checkpoint frontier loaded (nil = none)
-	fetch  units.Seconds    // its download time
-	assign []int32          // vertex→worker map of the deployment
+	snap *engine.Snapshot // the checkpoint frontier loaded (nil = none)
 }
 
 // Execute runs the program to completion under injected evictions,
@@ -221,55 +195,44 @@ func Execute(ctx context.Context, opts Options, start, deadline units.Seconds) (
 
 // Frontier implements loop.Substrate: the newest valid checkpoint —
 // fetched with retries, CRC-checked and fallback-scanned by the manager
-// — or, in a fresh or GC'd-empty namespace, none.
-func (d *driver) Frontier() (int, error) {
-	snap, fetch, err := d.opts.Manager.Load()
+// — or, in a fresh or GC'd-empty namespace, none; and what the store's
+// faults cost the fetch.
+func (d *driver) Frontier() (int, units.Seconds, error) {
+	snap, faults, err := d.opts.Manager.Load()
 	if err != nil && !errors.Is(err, ckpt.ErrNoCheckpoint) {
-		return 0, fmt.Errorf("runtime: checkpoint reload: %w", err)
+		return 0, faults, fmt.Errorf("runtime: checkpoint reload: %w", err)
 	}
-	d.snap, d.fetch = snap, fetch
+	d.snap = snap
 	if snap == nil {
-		return 0, nil
+		return 0, faults, nil
 	}
-	return snap.Superstep, nil
-}
-
-// Boot implements loop.Substrate: it re-clusters the micro-partitions
-// for the new worker count and bills the deployment, pricing the
-// redistribution of the checkpoint to the new workers with simnet.
-func (d *driver) Boot(c loop.Choice, durable int) (obs.Event, error) {
-	workers := c.CS.Config.Count
-	assign, err := d.opts.Part.VertexAssignment(workers)
-	if err != nil {
-		return obs.Event{}, fmt.Errorf("runtime: re-cluster to %d workers: %w", workers, err)
-	}
-	d.assign = assign.Assign
-	perWorker := make([]int64, workers)
-	for _, w := range d.assign {
-		perWorker[w]++
-	}
-	return d.Deploy(c.CS, load(d.Loop, c.CS, durable, d.fetch, perWorker), durable)
+	return snap.Superstep, faults, nil
 }
 
 // Clear implements loop.Substrate.
 func (d *driver) Clear() error { return d.opts.Manager.Clear() }
 
-// Run implements loop.Substrate: it starts an engine run from the
+// Run implements loop.Substrate: it re-clusters the micro-partitions
+// for the deployment's worker count, starts an engine run from the
 // durable frontier — or from the input graph — and pumps it.
 func (d *driver) Run(s *loop.Session, deploy obs.Event) error {
+	workers := s.CS.Config.Count
+	assign, err := d.opts.Part.VertexAssignment(workers)
+	if err != nil {
+		return fmt.Errorf("runtime: re-cluster to %d workers: %w", workers, err)
+	}
 	d.Emit(deploy)
 	runCtx, cancel := context.WithCancel(s.Ctx)
 	defer cancel()
 	s.Cancel = cancel
 	last := &lastStep{}
 	cfg := engine.Config{
-		Workers:   s.CS.Config.Count,
-		Assign:    d.assign,
+		Workers:   workers,
+		Assign:    assign.Assign,
 		Canonical: d.opts.Canonical,
 		Sink:      last,
 	}
 	var x *engine.Execution
-	var err error
 	if d.snap == nil {
 		x, err = engine.Start(runCtx, d.opts.Graph, d.opts.NewProgram(), cfg)
 	} else {
@@ -322,16 +285,16 @@ func (d *driver) pump(s *loop.Session, x *engine.Execution, last *lastStep, canc
 }
 
 // save makes the barrier n of the live run durable and closes the
-// plan's boundary there. A save that fails (store faults) is billed for
-// the uploads and backoff it spent, and the durable frontier stays put:
-// a later eviction rolls back further, while the run itself continues
-// on its intact in-memory state.
+// plan's boundary there, billed t_save plus what the store's faults
+// cost it. A save that fails (store faults) is billed the same way, and
+// the durable frontier stays put: a later eviction rolls back further,
+// while the run itself continues on its intact in-memory state.
 func (d *driver) save(s *loop.Session, x *engine.Execution, n int) {
-	ioSave, err := d.opts.Manager.Save(x.Snapshot())
+	faults, err := d.opts.Manager.Save(x.Snapshot())
 	if err != nil {
 		d.Logf("runtime: job %q checkpoint at superstep %d failed: %v", d.Env.Job.Name, n, err)
 	}
-	s.Save(n, ioSave, err == nil)
+	s.Save(n, faults, err == nil)
 }
 
 // stepped is the outcome of one Step: the EvSuperstep of the superstep

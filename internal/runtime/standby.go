@@ -36,8 +36,7 @@ type standbyState struct {
 	loop.Choice
 	l       *loop.Loop
 	avail   units.Seconds // market availability of the standby set
-	readyAt units.Seconds // avail + boot + prefetch: earliest cutover
-	reload  units.Seconds // prefetch I/O priced into readyAt
+	readyAt units.Seconds // avail + t_boot + t_load: earliest cutover
 	ln      net.Listener
 	ws      WorkerSet
 	cancel  context.CancelFunc
@@ -73,8 +72,7 @@ func (d *distDriver) Warn(s *loop.Session) loop.Standby {
 		return sb
 	}
 	avail, err := d.Env.Market.NextAvailable(cs.Config, warnAt)
-	reload := load(d.Loop, cs, durable, 0, d.evenSplit(cs.Config.Count))
-	readyAt := avail + cs.Boot + reload
+	readyAt := avail + cs.Boot + cs.Load
 	// The standby outlives the doomed session's context by design: tie
 	// it to the run context and cancel at adoption or discard.
 	sbCtx, cancel := context.WithCancel(s.Ctx)
@@ -92,7 +90,7 @@ func (d *distDriver) Warn(s *loop.Session) loop.Standby {
 	d.Emit(obs.Event{Type: obs.EvStandby, T: float64(warnAt), Job: d.Env.Job.Name,
 		Config: cs.Config.ID(), WorkLeft: wl, Ready: true})
 	sb.Choice, sb.cancel = loop.Choice{Dec: dec, CS: cs}, cancel
-	sb.avail, sb.readyAt, sb.reload = avail, readyAt, reload
+	sb.avail, sb.readyAt = avail, readyAt
 	return sb
 }
 
@@ -119,7 +117,7 @@ func (sb *standbyState) Settle(s *loop.Session) (*loop.Choice, error) {
 		// raced the forecast): the standby never got ready.
 		return nil, sb.Discard(evTime)
 	}
-	if err := l.Spend(sb.CS.Config, sb.avail, evTime, sb.reload); err != nil {
+	if err := l.Spend(sb.CS.Config, sb.avail, evTime, sb.CS.Load); err != nil {
 		sb.Teardown()
 		return nil, err
 	}

@@ -86,17 +86,13 @@ func Decide(env *core.Env, prov core.Provisioner, st core.State, sink obs.Sink) 
 }
 
 // virtual is the simulator's substrate: a deployment computes nothing,
-// loads its profiled input and keeps its durable frontier in memory.
+// its store never fails and it keeps its durable frontier in memory.
 type virtual struct {
 	*loop.Loop
 	durable int // the superstep of the checkpoint sealed last
 }
 
-func (v *virtual) Frontier() (int, error) { return v.durable, nil }
-
-func (v *virtual) Boot(c loop.Choice, durable int) (obs.Event, error) {
-	return v.Deploy(c.CS, c.CS.Load, durable)
-}
+func (v *virtual) Frontier() (int, units.Seconds, error) { return v.durable, 0, nil }
 
 func (v *virtual) Clear() error { return nil }
 
@@ -121,15 +117,15 @@ func (v *virtual) Run(s *loop.Session, deploy obs.Event) error {
 	return nil
 }
 
-// save seals the checkpoint asked for at barrier x, billing t_save of
-// I/O. A plan save fails when the eviction lands first; the warning's
+// save seals the checkpoint asked for at barrier x; the loop bills its
+// t_save. A plan save fails when the eviction lands first; the warning's
 // forced save seals, because the warning covered it.
 func (v *virtual) save(s *loop.Session, x int) {
 	sealed := x == s.ForceAt || s.NextEvict >= v.SegEnd(s.CS, x-s.Billed)+s.CS.Save
 	if sealed {
 		v.durable = x
 	}
-	s.Save(x, s.CS.Save, sealed)
+	s.Save(x, 0, sealed)
 }
 
 // BatchResult aggregates a batch of randomised runs (the paper averages
