@@ -55,8 +55,8 @@ var gridJobs = []perfmodel.Job{perfmodel.JobSSSP, perfmodel.JobPageRank, perfmod
 // expectation over strictly more work (§5.2). Tolerance 5 %, the one the
 // sampled property holds to: SSSP keeps 8 of 159,399 pairs that fall, by
 // at most 1.04×. Each is the §5.3 approximation, which prices one
-// failure at the MTTF and reads its continuation from the nearest node,
-// not a cliff: before the residual fix, pairs fell by up to 1.43×.
+// failure at the MTTF and reads its continuation from the nearest node.
+// A pricing cliff shows as a fall of 1.2× or more.
 func TestECGridMonotoneInWork(t *testing.T) {
 	for _, job := range gridJobs {
 		t.Run(job.Name, func(t *testing.T) {

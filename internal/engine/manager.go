@@ -102,7 +102,8 @@ func (s *retryStore) Get(key string) ([]byte, units.Seconds, error) {
 	var blob []byte
 	t, err := s.attempt(func() (units.Seconds, error) {
 		b, t, err := s.BlobStore.Get(key)
-		if blob = b; err == nil {
+		blob = b
+		if err == nil {
 			err = ckpt.Verify(b)
 		}
 		return t, err

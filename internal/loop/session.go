@@ -122,11 +122,11 @@ func (s *Session) Save(x int, faults units.Seconds, sealed bool) {
 
 // close is the loop's boundary at superstep x: bill the compute since
 // the last boundary and, with save, the save after it — t_save plus
-// faults seconds of I/O — racing the eviction; record the checkpoint sealed, if any — the
-// substrate's EvCheckpoint, stamped with the billed clock, the job, the
-// configuration and the work it leaves; then re-decide at the plan's
-// boundary, or stop at a tripping forced save, or re-derive the rest of
-// the segment from the clock. A checkpoint that lost its save to the
+// faults seconds of I/O — racing the eviction; record the checkpoint
+// sealed, if any — the substrate's EvCheckpoint, stamped with the
+// billed clock, the job, the configuration and the work it leaves; then
+// re-decide at the plan's boundary, or stop at a tripping forced save,
+// or re-derive the rest of the segment from the clock. A checkpoint that lost its save to the
 // eviction is still recorded: it is sealed, and the next deployment
 // resumes it.
 func (s *Session) close(x int, save bool, faults units.Seconds, sealed *obs.Event) {

@@ -14,9 +14,9 @@
 // (micro.Partitioning), and the run resumes under the new
 // engine.Config.Workers. The reload is billed as the provisioner priced
 // it: boot plus t_load, §6's fast reload included, and the seconds the
-// store's faults cost the checkpoint fetch on top. Once the restart budget is spent the driver
-// falls back to the last-resort on-demand configuration, the paper's §5
-// guarantee.
+// store's faults cost the checkpoint fetch on top. Once the restart
+// budget is spent the driver falls back to the last-resort on-demand
+// configuration, the paper's §5 guarantee.
 //
 // The run loop, the session and the decide / plan / deploy / bill /
 // evict accounting are internal/loop's, shared with ExecuteDist and the
