@@ -216,7 +216,7 @@ func TestSlackAwareHugeHorizonIsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := env.ecTable(0)
+	tab := env.ecTable(0, 0)
 	if rows := len(tab.nodes) / (workCols + 1); rows > maxRows+1 {
 		t.Errorf("EC table has %d rows, want at most %d", rows, maxRows+1)
 	}

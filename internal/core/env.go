@@ -41,7 +41,8 @@ type ConfigStats struct {
 // market (current prices) and the eviction model (historical CDFs).
 //
 // The slack-aware strategy memoises expected costs on the Env (one
-// table per eviction-warning window, shared by every decision), so
+// table per eviction-warning window and work quantum, shared by every
+// decision), so
 // Stats must not change after the first decision; tune it, as the
 // checkpoint-interval ablation does, before deciding.
 type Env struct {
@@ -61,7 +62,14 @@ type Env struct {
 	OfflineCost units.USD
 
 	tablesMu sync.Mutex
-	tables   map[units.Seconds]*ecTable
+	tables   map[tableKey]*ecTable
+}
+
+// tableKey names an EC table: a quantised job's chains run whole
+// supersteps, so its prices are not a continuous job's.
+type tableKey struct {
+	warning units.Seconds
+	quantum float64
 }
 
 // NewEnv validates the configuration set, locates the last-resort
@@ -143,18 +151,19 @@ func dalyInterval(tSave, mttf units.Seconds) units.Seconds {
 	return units.Seconds(math.Sqrt(2 * float64(tSave) * float64(mttf)))
 }
 
-// ecTable returns the shared EC table for an eviction-warning window,
-// building it on first use.
-func (e *Env) ecTable(warning units.Seconds) *ecTable {
+// ecTable returns the shared EC table for an eviction-warning window
+// and work quantum, building it on first use.
+func (e *Env) ecTable(warning units.Seconds, quantum float64) *ecTable {
 	e.tablesMu.Lock()
 	defer e.tablesMu.Unlock()
-	t, ok := e.tables[warning]
+	k := tableKey{warning, quantum}
+	t, ok := e.tables[k]
 	if !ok {
 		if e.tables == nil {
-			e.tables = map[units.Seconds]*ecTable{}
+			e.tables = map[tableKey]*ecTable{}
 		}
-		t = newECTable(e, warning)
-		e.tables[warning] = t
+		t = newECTable(e, warning, quantum)
+		e.tables[k] = t
 	}
 	return t
 }
@@ -184,6 +193,10 @@ type State struct {
 	// Uptime is how long Current has been up (conditions the eviction
 	// CDF).
 	Uptime units.Seconds
+	// Quantum is the work in one superstep, 1/total supersteps, for a
+	// job that stops only at a superstep barrier (0 = continuous work).
+	// A quantised job's useful intervals are whole supersteps.
+	Quantum float64
 }
 
 // Horizon is the time remaining to the deadline.
@@ -198,14 +211,28 @@ func (e *Env) Slack(s State) units.Seconds {
 // Useful implements useful(c,t) = min(w·t_exec, slack − overhead,
 // t_ckpt), where overhead is t_fixed for a fresh deployment of c and
 // t_save when c keeps running (§5.1).
+//
+// With a quantum, each term counts whole supersteps on c, since a
+// deployment stops only at a barrier: the work left rounds up, the
+// slack − overhead a transient run may burn rounds down — less than one
+// superstep gives 0, so c is not viable — and t_ckpt rounds down to at
+// least one superstep, the finest cadence there is. The slack
+// invariant then holds at the barrier the plan stops at. Each rounding
+// forgives a millionth of a superstep, as the loop's plan does.
 func (e *Env) Useful(cs *ConfigStats, s State, fresh bool) units.Seconds {
 	overhead := cs.Save
 	if fresh {
 		overhead = cs.Fixed
 	}
 	remainExec := units.Seconds(s.WorkLeft * float64(cs.Exec))
-	u := units.Min(remainExec, e.Slack(s)-overhead)
-	return units.Min(u, cs.Ckpt)
+	room, ckpt := e.Slack(s)-overhead, cs.Ckpt
+	if q := s.Quantum; q > 0 {
+		step := q * float64(cs.Exec)
+		remainExec = units.Seconds(math.Ceil(s.WorkLeft/q-1e-6) * step)
+		room = units.Seconds(math.Floor(float64(room)/step+1e-6) * step)
+		ckpt = units.Seconds(math.Max(math.Floor(float64(ckpt)/step+1e-6), 1) * step)
+	}
+	return units.Min(units.Min(remainExec, room), ckpt)
 }
 
 // progress is ω_c·u/t_lrc_exec, the work fraction a useful interval u

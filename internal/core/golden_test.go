@@ -164,6 +164,16 @@ func goldenCases(t testing.TB, newP func(*Env) *SlackAware) []goldenCase {
 			})
 		}
 	}
+
+	// Quantised jobs plan whole supersteps, on tables of their own.
+	for _, job := range goldenJobs {
+		env := envs[job.Name]
+		for _, total := range []int{5, 11} {
+			s := slackStateAt(env, 0.5, 1000)
+			s.Quantum = 1 / float64(total)
+			decide(fmt.Sprintf("quantised %s steps=%d slack=0.5 at=1000", job.Name, total), env, newP(env), s)
+		}
+	}
 	return cases
 }
 

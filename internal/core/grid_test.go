@@ -27,7 +27,7 @@ func filledTable(t *testing.T, job perfmodel.Job) *ecTable {
 		return tab
 	}
 	env := testEnv(t, job)
-	tab := env.ecTable(0)
+	tab := env.ecTable(0, 0)
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
 	// Row by row, so each fill reads rows already filled below it.

@@ -65,7 +65,7 @@ func (p *SlackAware) Name() string { return "hourglass" }
 // live prices, availability and the current uptime, and only the
 // follow-up costs after an eviction come from the shared table.
 func (p *SlackAware) Decide(s State) (Decision, error) {
-	t := p.Env.ecTable(p.WarningWindow)
+	t := p.Env.ecTable(p.WarningWindow, s.Quantum)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	best := Decision{ExpectedCost: Infeasible}
@@ -119,15 +119,16 @@ func (p *SlackAware) Decide(s State) (Decision, error) {
 // average prices (the apples-to-apples quantity Figure 9 compares
 // against the exact integral).
 func (p *SlackAware) Evaluate(s State) units.USD {
-	t := p.Env.ecTable(p.WarningWindow)
+	t := p.Env.ecTable(p.WarningWindow, s.Quantum)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.best(s.Horizon(), s.WorkLeft, math.MaxInt)
 }
 
 // ecTable is EC(h, w) for a fresh decision with horizon h = deadline − t
-// and work w left, one per Env and eviction-warning window, filled
-// lazily and shared by every decision on the Env. Below the root the
+// and work w left, one per Env, eviction-warning window and work
+// quantum, filled lazily and shared by every decision on the Env. Below
+// the root the
 // §5.3 recursion depends only on h, w and the uptime, and the uptime of
 // a fresh choice is 0, so the table needs neither the absolute time nor
 // an uptime dimension: kept configurations walk their chain exactly
@@ -141,6 +142,7 @@ func (p *SlackAware) Evaluate(s State) units.USD {
 type ecTable struct {
 	env     *Env
 	warning units.Seconds
+	quantum float64 // State.Quantum of every node
 	bucket  units.Seconds
 
 	mu    sync.Mutex
@@ -149,8 +151,8 @@ type ecTable struct {
 
 // newECTable sizes the horizon grid by the job: 200 rows span a
 // zero-slack deadline, and never less than a minute each.
-func newECTable(env *Env, warning units.Seconds) *ecTable {
-	return &ecTable{env: env, warning: warning,
+func newECTable(env *Env, warning units.Seconds, quantum float64) *ecTable {
+	return &ecTable{env: env, warning: warning, quantum: quantum,
 		bucket: units.Max(60, (env.LRC.Fixed+env.LRC.Exec)/200)}
 }
 
@@ -230,7 +232,7 @@ func (t *ecTable) branch(cs *ConfigStats, h units.Seconds, w float64,
 	reach := 1.0
 	fUp := cs.evictionCDF(uptime)
 	for first := true; ; first = false {
-		useful := e.Useful(cs, State{WorkLeft: w, Deadline: h}, fresh)
+		useful := e.Useful(cs, State{WorkLeft: w, Deadline: h, Quantum: t.quantum}, fresh)
 		// A kept chain whose interval finishes the work runs on however
 		// short that interval is: sending the residual to the last
 		// resort would bill a fresh boot and load for under a second of

@@ -28,8 +28,11 @@
 //
 // Work is counted in whole supersteps of Total: w(t), the fraction the
 // provisioner consumes, is the share not yet computed, and a step on a
-// configuration takes its profiled Exec / Total virtual seconds. The
-// package links no engine: a substrate keeps its job's output itself.
+// configuration takes its profiled Exec / Total virtual seconds. Each
+// decision carries one superstep's work as its quantum, so the
+// provisioner plans whole supersteps and a segment never runs past the
+// useful interval it priced. The package links no engine: a substrate
+// keeps its job's output itself.
 package loop
 
 import (
@@ -43,6 +46,13 @@ import (
 	"hourglass/internal/obs"
 	"hourglass/internal/units"
 )
+
+// VirtualSteps is the superstep count of a job whose work is
+// continuous, as every simulated job's is: a power of two, so each
+// step's share of the work is exact, and fine enough that flooring a
+// segment to whole steps moves it by under 2^-30 of the job. Its
+// decisions carry no quantum.
+const VirtualSteps = 1 << 30
 
 // Never is the eviction instant of an interval nothing can evict.
 var Never = units.Seconds(math.Inf(1))
@@ -190,6 +200,18 @@ func (l *Loop) WorkLeft(doneSteps int) float64 {
 	return w
 }
 
+// State is the decision point at now with done supersteps durable: the
+// work left, the deadline and, unless the job counts VirtualSteps, the
+// work of one superstep as the quantum, since a deployment stops only
+// at a barrier.
+func (l *Loop) State(now units.Seconds, done int) core.State {
+	st := core.State{Now: now, WorkLeft: l.WorkLeft(done), Deadline: l.Deadline}
+	if l.Total != VirtualSteps {
+		st.Quantum = 1 / float64(l.Total)
+	}
+	return st
+}
+
 // StepTime is the virtual duration of one superstep on cs.
 func (l *Loop) StepTime(cs *core.ConfigStats) units.Seconds {
 	return units.Seconds(float64(cs.Exec) / float64(l.Total))
@@ -262,7 +284,7 @@ func (l *Loop) Decide(ctx context.Context, st core.State) (core.Decision, *core.
 // that deployment and its uptime. keep reports that the decision keeps
 // cur running in place.
 func (l *Loop) consult(ctx context.Context, cur *core.ConfigStats, bootAt units.Seconds, done int) (c Choice, keep bool, err error) {
-	st := core.State{Now: l.T, WorkLeft: l.WorkLeft(done), Deadline: l.Deadline}
+	st := l.State(l.T, done)
 	if cur != nil {
 		st.Current, st.Uptime = &cur.Config, l.T-bootAt
 	}

@@ -24,7 +24,6 @@ import (
 	"context"
 	"net"
 
-	"hourglass/internal/core"
 	"hourglass/internal/loop"
 	"hourglass/internal/obs"
 	"hourglass/internal/units"
@@ -66,7 +65,7 @@ func (d *distDriver) Warn(s *loop.Session) loop.Standby {
 	d.Emit(obs.Event{Type: obs.EvWarning, T: float64(warnAt), Job: d.Env.Job.Name,
 		Config: s.CS.Config.ID(), WorkLeft: wl, DurSec: float64(d.Warning)})
 
-	dec, cs, err := d.Decide(s.Ctx, core.State{Now: evProj, WorkLeft: wl, Deadline: d.Deadline})
+	dec, cs, err := d.Decide(s.Ctx, d.State(evProj, durable))
 	if err != nil {
 		d.standbyMiss(warnAt, "", err)
 		return sb

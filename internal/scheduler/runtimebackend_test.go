@@ -202,8 +202,8 @@ func waitCompleted(t *testing.T, ctrl *scheduler.Controller, id string, n int) s
 // decision, boot every deployment with exactly the decided
 // configuration's worker count, and fold back to the recorded cost
 // bit-exactly once the offline partitioning cost is added. The seeds
-// put three market evictions into the recurrence, and the re-decisions
-// move it from 8 workers to 4.
+// put market evictions into the recurrence, and the re-decisions move
+// it between 8 workers and 4.
 func TestControllerDistRecurrenceFollowsDecisions(t *testing.T) {
 	sys := backendTestSystem(t, 6)
 	sink := &switchSink{}
@@ -267,7 +267,11 @@ func TestControllerDistRecurrenceFollowsDecisions(t *testing.T) {
 		}
 		shardCounts = append(shardCounts, workers)
 	}
-	if rec.Evictions == 0 || shardCounts[0] == shardCounts[len(shardCounts)-1] {
+	resized := false
+	for i := 1; i < len(shardCounts); i++ {
+		resized = resized || shardCounts[i] != shardCounts[i-1]
+	}
+	if rec.Evictions == 0 || !resized {
 		t.Fatalf("%d evictions, worker counts %v: the scenario no longer changes the worker count", rec.Evictions, shardCounts)
 	}
 }
@@ -366,8 +370,11 @@ func TestRuntimeBackendCountsShardLosses(t *testing.T) {
 				Sys: backendTestSystem(t, 5), Dist: true, GraphScale: 8, Sink: sink, Logf: t.Logf,
 				ShardOpts: func(attempt, shard int) dist.ShardOptions {
 					var opts dist.ShardOptions
+					// Superstep 2 is the first a deployment resuming the
+					// checkpoint at 2 computes, so both losses land
+					// whatever the decisions at later boundaries.
 					if attempt < 2 && shard == 0 {
-						opts.DieAtSuperstep = 3
+						opts.DieAtSuperstep = 2
 					}
 					return opts
 				},

@@ -37,12 +37,6 @@ type RunResult = obs.Summary
 // (see loop.Evictor).
 type Evictor = loop.Evictor
 
-// virtualSteps is the superstep count of every simulated job: a power
-// of two, so each step's share of the work is exact, and fine enough
-// that flooring a segment to whole steps moves it by under 2^-30 of the
-// job.
-const virtualSteps = 1 << 30
-
 // Runner executes single simulations.
 type Runner struct {
 	Env *core.Env
@@ -74,7 +68,7 @@ func (r *Runner) Run(prov core.Provisioner, start, deadline units.Seconds) (RunR
 // daemon) can abandon an in-flight run without waiting it out.
 func (r *Runner) RunCtx(ctx context.Context, prov core.Provisioner, start, deadline units.Seconds) (RunResult, error) {
 	v := &virtual{Loop: &loop.Loop{Env: r.Env, Prov: prov, Sink: r.Sink,
-		Log: func(string, ...any) {}, Total: virtualSteps, Warning: r.WarningWindow}}
+		Log: func(string, ...any) {}, Total: loop.VirtualSteps, Warning: r.WarningWindow}}
 	return v.Drive(ctx, v, start, deadline)
 }
 
