@@ -290,8 +290,8 @@ func TestManagerRereadsDamagedReads(t *testing.T) {
 	if err != nil || snap.Superstep != 4 {
 		t.Fatalf("Load over damaged reads: %v, %v; want superstep 4", snap != nil, err)
 	}
-	if spent <= clean {
-		t.Fatalf("re-reads billed %v, not more than a clean load's %v", spent, clean)
+	if spent.Faults <= clean.Faults {
+		t.Fatalf("re-reads billed %v of faults, not more than a clean load's %v", spent.Faults, clean.Faults)
 	}
 }
 

@@ -45,6 +45,19 @@ type BlobStore interface {
 
 var _ BlobStore = (*Datastore)(nil)
 
+// StoreTime is what a checkpoint write or read took on a BlobStore: the
+// transfer of the attempts that succeeded, and what the store's faults
+// cost on top of it — retry backoff and every attempt that failed. The
+// zero value took no measurable time.
+type StoreTime struct{ Transfer, Faults units.Seconds }
+
+// Billed is the I/O of an operation priced at price: the price, or the
+// transfer when the store was slower than priced, plus the faults. A
+// clean store bills the price exactly.
+func (t StoreTime) Billed(price units.Seconds) units.Seconds {
+	return units.Max(price, t.Transfer) + t.Faults
+}
+
 // Datastore is the S3 stand-in: a durable blob store surviving full
 // cluster failures (the paper modifies Giraph to checkpoint to S3
 // rather than HDFS exactly for this reason, §7). Reads and writes

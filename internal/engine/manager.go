@@ -55,39 +55,41 @@ func (m *CheckpointManager) retrier() *cloud.Retrier {
 // retryStore is the manager's view of the store for one Save or Load:
 // every Put and Get is retried under the manager's policy — a Get whose
 // object fails its seal too, since a damaged read is often transient.
-// faults sums what the store's faults cost: the backoff between attempts
-// and the transfer of every attempt that failed, damaged reads included.
-// An attempt that succeeds is the transfer the caller prices as t_save or
-// t_load, so a clean store adds nothing.
+// took sums the transfer of every attempt that succeeded (a missing
+// object is an answer, not a fault) and, as faults, the backoff between
+// attempts and the transfer of every attempt that failed, damaged reads
+// included.
 type retryStore struct {
 	cloud.BlobStore
 	retry *cloud.Retrier
 
-	mu     sync.Mutex
-	faults units.Seconds
+	mu   sync.Mutex
+	took cloud.StoreTime
 }
 
 func (m *CheckpointManager) store() *retryStore {
 	return &retryStore{BlobStore: m.Store, retry: m.retrier()}
 }
 
-// attempt runs op under the retry policy and returns the transfer of
-// every attempt plus the backoff. A missing object is an answer, not a
-// fault.
+// attempt runs op under the retry policy, adds what it took to took,
+// and returns its whole time, as a BlobStore reports one.
 func (s *retryStore) attempt(op func() (units.Seconds, error)) (units.Seconds, error) {
-	var spent, failed units.Seconds
+	var took cloud.StoreTime
 	delay, err := s.retry.Do(func() error {
 		t, err := op()
-		spent += t
 		if err != nil && !errors.Is(err, cloud.ErrNotFound) {
-			failed += t
+			took.Faults += t
+		} else {
+			took.Transfer += t
 		}
 		return err
 	})
+	took.Faults += delay
 	s.mu.Lock()
-	s.faults += failed + delay
+	s.took.Transfer += took.Transfer
+	s.took.Faults += took.Faults
 	s.mu.Unlock()
-	return spent + delay, err
+	return took.Transfer + took.Faults, err
 }
 
 func (s *retryStore) Put(key string, data []byte) (units.Seconds, error) {
@@ -113,18 +115,19 @@ func (s *retryStore) Get(key string) ([]byte, units.Seconds, error) {
 
 // Save uploads a snapshot as one full blob, seals it with a manifest
 // and advances the latest pointer. Transient store errors are retried;
-// only an exhausted retry budget fails the save. It returns the virtual
-// seconds the store's faults cost the save — retry backoff and failed
-// attempts, 0 on a clean store — which the caller bills on top of the
-// save's price. The time is meaningful even on failure: it covers
-// every attempt and backoff spent before giving up.
+// only an exhausted retry budget fails the save. It returns what the
+// save took on the store, which the caller bills against t_save
+// (StoreTime.Billed): the transfer of the attempts that succeeded, and
+// the retry backoff and failed attempts on top. The time is meaningful
+// even on failure: it covers every attempt and backoff spent before
+// giving up.
 //
 // Only a snapshot that is one full blob, as Execution.Snapshot exports
 // it, is saved; any other is an error and writes nothing.
-func (m *CheckpointManager) Save(s *Snapshot) (units.Seconds, error) {
+func (m *CheckpointManager) Save(s *Snapshot) (cloud.StoreTime, error) {
 	b, err := s.blob()
 	if err != nil {
-		return 0, err
+		return cloud.StoreTime{}, err
 	}
 	st := m.store()
 	key := ckpt.BlobKey(m.Job, s.Superstep, 0)
@@ -132,22 +135,21 @@ func (m *CheckpointManager) Save(s *Snapshot) (units.Seconds, error) {
 		err = ckpt.Commit(st, &ckpt.Manifest{Job: m.Job, Superstep: s.Superstep, Shards: 1,
 			Program: s.Program, BlobKeys: []string{key}, Parent: -1, Aggs: s.aggs})
 	}
-	return st.faults, err
+	return st.took, err
 }
 
-// Load fetches the most recent checkpoint that validates, with the
-// seconds the store's faults cost the fetch, counted as Save counts
-// them. A corrupted or dangling latest checkpoint is skipped in favour
+// Load fetches the most recent checkpoint that validates, with what the
+// fetch took on the store, counted as Save counts it. A corrupted or dangling latest checkpoint is skipped in favour
 // of the newest older one that validates (ckpt.Latest); only a
 // namespace with no restorable checkpoint at all returns
-// ckpt.ErrNoCheckpoint, with the faults spent finding that out.
-func (m *CheckpointManager) Load() (*Snapshot, units.Seconds, error) {
+// ckpt.ErrNoCheckpoint, with the time spent finding that out.
+func (m *CheckpointManager) Load() (*Snapshot, cloud.StoreTime, error) {
 	st := m.store()
 	c, err := ckpt.Latest(st, m.Job)
 	if err != nil {
-		return nil, st.faults, err
+		return nil, st.took, err
 	}
-	return &Snapshot{Program: c.Program, Superstep: c.Superstep, blobs: c.Blobs, aggs: c.Aggs}, st.faults, nil
+	return &Snapshot{Program: c.Program, Superstep: c.Superstep, blobs: c.Blobs, aggs: c.Aggs}, st.took, nil
 }
 
 // Clear removes every checkpoint object in the job's namespace (see

@@ -124,7 +124,7 @@ func TestSaveReturnsPartialTimeOnFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("save succeeded against a write-denied store")
 	}
-	if spent <= 0 {
-		t.Fatalf("spent = %v: retry backoff not billed on failure", spent)
+	if spent.Faults <= 0 {
+		t.Fatalf("spent = %+v: retry backoff not billed on failure", spent)
 	}
 }

@@ -17,21 +17,20 @@ func TestCheckpointManagerSaveLoad(t *testing.T) {
 	if !errors.Is(err, ErrPaused) {
 		t.Fatal(err)
 	}
-	// A clean store's transfers are the save and the load the caller
-	// prices: no fault seconds on top.
+	// A clean store reports each transfer and no fault seconds.
 	up, err := m.Save(res.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if up != 0 {
-		t.Errorf("clean save reported %v of faults", up)
+	if up.Transfer <= 0 || up.Faults != 0 {
+		t.Errorf("clean save reported %+v, want a transfer and no faults", up)
 	}
 	back, down, err := m.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if down != 0 {
-		t.Errorf("clean load reported %v of faults", down)
+	if down.Transfer <= 0 || down.Faults != 0 {
+		t.Errorf("clean load reported %+v, want a transfer and no faults", down)
 	}
 	if back.Superstep != res.Snapshot.Superstep || back.Program != "pagerank" {
 		t.Errorf("loaded snapshot mismatch: %+v", back)
@@ -61,8 +60,8 @@ func TestSaveRetriesTransientStoreErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("save did not survive transient errors: %v", err)
 	}
-	if up <= 0 {
-		t.Errorf("upload time = %v", up)
+	if up.Transfer <= 0 || up.Faults <= 0 {
+		t.Errorf("retried save reported %+v, want a transfer and the backoff as faults", up)
 	}
 	back, _, err := m.Load()
 	if err != nil || back.Superstep != res.Snapshot.Superstep {
@@ -100,12 +99,12 @@ func TestSaveBillsFailedAttempts(t *testing.T) {
 	if !errors.Is(err, ErrPaused) {
 		t.Fatal(err)
 	}
-	faults, err := m.Save(res.Snapshot)
+	took, err := m.Save(res.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if min := units.Seconds(latency + 0.25); faults < min {
-		t.Errorf("save reported %v of faults, want at least %v", faults, min)
+	if min := units.Seconds(latency + 0.25); took.Faults < min {
+		t.Errorf("save reported %v of faults, want at least %v", took.Faults, min)
 	}
 }
 

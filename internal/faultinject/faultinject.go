@@ -52,7 +52,10 @@ type Policy struct {
 	// the object (a partial download).
 	PTruncate float64
 	// MaxLatency, when positive, adds a uniform [0, MaxLatency) virtual
-	// delay to each operation's reported transfer time.
+	// delay to each operation's reported transfer time. A checkpoint
+	// manager reports a failed attempt's time as a fault and a
+	// successful one's as the transfer, which the runtime bills where
+	// it is slower than the priced t_save or t_load.
 	MaxLatency units.Seconds
 	// MaxConsecutive bounds consecutive transient faults per key
 	// (0 = 3), so a retry loop with a larger attempt budget always

@@ -15,9 +15,11 @@
 // I/O has one price, the provisioner's (§5): every deployment that
 // boots machines loads for t_load, fresh or resuming a checkpoint (§6's
 // fast reload is inside t_load), and every save takes t_save. A
-// substrate adds only what its store's faults cost on top — retry
-// backoff and failed attempts — so injected faults show as their own
-// seconds, not as a different price.
+// substrate with a real store reports what each read and write took
+// there (cloud.StoreTime): a transfer slower than its price is billed
+// as measured, and what the store's faults cost — retry backoff and
+// failed attempts — is billed on top, so injected faults show as their
+// own seconds, not as a different price.
 //
 // A session is not a segment: at each plan boundary the running
 // deployment stops at its superstep barrier while the loop bills the
@@ -106,10 +108,10 @@ type Choice struct {
 // A Substrate is what one executor runs its sessions on.
 type Substrate interface {
 	// Frontier reads the durable frontier: the superstep of the newest
-	// checkpoint a new deployment resumes (0 = none), and the seconds
-	// of I/O the store's faults cost reading it (0 on a clean store),
-	// which the deployment that follows pays on top of t_load.
-	Frontier() (durable int, faults units.Seconds, err error)
+	// checkpoint a new deployment resumes (0 = none), and what reading
+	// it took on the store, which the deployment that follows bills
+	// against t_load (zero when the substrate measures none).
+	Frontier() (durable int, read cloud.StoreTime, err error)
 	// Run readies the deployment of s's choice — booting it, or
 	// adopting the warm standby that decided it — and emits deploy once
 	// it is up, then runs s over it until the job is computed or s
@@ -327,22 +329,22 @@ func (l *Loop) plan(dec core.Decision, cs *core.ConfigStats, done int) (segSteps
 
 // deploy bills the deployment of c requested now, resuming superstep
 // done, and advances the clock to its ready instant. New machines pay
-// the market wait, t_boot and t_load of I/O, plus the faults seconds
-// the store's faults cost the reload. A warm cutover's boot and reload
+// the market wait, t_boot and the reload's I/O: t_load, or the read's
+// slower transfer, plus its faults. A warm cutover's boot and reload
 // were billed inside the warning window, overlapped with the doomed
 // session, and the clock is already the eviction instant: its span —
 // the recovery downtime — is zero. It returns the EvDeploy for the
 // substrate to emit once the deployment is up. One that resumes durable
 // progress (done > 0) is a recovery: its EvDeploy carries Reload, so
 // its whole span folds into RecoveryTime.
-func (l *Loop) deploy(c Choice, done int, faults units.Seconds) (obs.Event, error) {
+func (l *Loop) deploy(c Choice, done int, read cloud.StoreTime) (obs.Event, error) {
 	cs, start := c.CS, l.T
 	if c.Warm == nil {
 		avail, err := l.Env.Market.NextAvailable(cs.Config, start)
 		if err != nil {
 			return obs.Event{}, err
 		}
-		io := cs.Load + faults
+		io := read.Billed(cs.Load)
 		readyAt := avail + cs.Boot + io
 		if err := l.Spend(cs.Config, avail, readyAt, io); err != nil {
 			return obs.Event{}, err
@@ -406,7 +408,7 @@ func (l *Loop) Drive(ctx context.Context, sub Substrate, start, deadline units.S
 	l.evictor = Evictor{Market: l.Env.Market}
 	l.T, l.Deadline = start, deadline
 	for attempt := 0; ; attempt++ {
-		durable, faults, err := sub.Frontier()
+		durable, read, err := sub.Frontier()
 		if err != nil {
 			return l.rep, err
 		}
@@ -426,7 +428,7 @@ func (l *Loop) Drive(ctx context.Context, sub Substrate, start, deadline units.S
 			teardown(c.Warm)
 			return l.rep, err
 		}
-		if done, err := l.deployment(ctx, sub, *c, attempt, durable, faults); err != nil || done {
+		if done, err := l.deployment(ctx, sub, *c, attempt, durable, read); err != nil || done {
 			return l.rep, err
 		}
 	}
@@ -435,8 +437,8 @@ func (l *Loop) Drive(ctx context.Context, sub Substrate, start, deadline units.S
 // deployment deploys c from the durable frontier, runs its session and
 // folds the outcome into the report. It returns done=true when the job
 // finished.
-func (l *Loop) deployment(ctx context.Context, sub Substrate, c Choice, attempt, durable int, faults units.Seconds) (bool, error) {
-	deploy, err := l.deploy(c, durable, faults)
+func (l *Loop) deployment(ctx context.Context, sub Substrate, c Choice, attempt, durable int, read cloud.StoreTime) (bool, error) {
+	deploy, err := l.deploy(c, durable, read)
 	if err != nil {
 		teardown(c.Warm)
 		return false, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"hourglass/internal/cloud"
 	"hourglass/internal/obs"
 	"hourglass/internal/units"
 )
@@ -63,7 +64,7 @@ type Session struct {
 // seals, an EvSuperstep reaches its barrier.
 func (s *Session) Emit(e obs.Event) {
 	if e.Type == obs.EvCheckpoint {
-		s.close(e.Superstep, true, 0, &e)
+		s.close(e.Superstep, true, cloud.StoreTime{}, &e)
 		return
 	}
 	s.l.Emit(e)
@@ -81,7 +82,7 @@ func (s *Session) Barrier(x int) {
 		// The save requested at the last barrier never sealed (a blob
 		// write or the manifest failed): its time is billed, the
 		// durable frontier stays put.
-		s.close(s.saveAt, true, 0, nil)
+		s.close(s.saveAt, true, cloud.StoreTime{}, nil)
 	}
 	s.Done = x
 	if !s.Stopped && s.sb == nil && s.warnAt > 0 && s.Done >= s.warnAt {
@@ -104,36 +105,36 @@ func (s *Session) CheckpointAt(x int) bool {
 	if save {
 		s.saveAt = x
 	} else if !s.Stopped && x == s.PlanEnd {
-		s.close(x, false, 0, nil)
+		s.close(x, false, cloud.StoreTime{}, nil)
 	}
 	return save
 }
 
-// Save closes the boundary of the save requested at superstep x: t_save
-// of I/O, plus the faults seconds the store's faults cost it; sealed
-// reports that its checkpoint sealed (false = the save failed).
-func (s *Session) Save(x int, faults units.Seconds, sealed bool) {
+// Save closes the boundary of the save requested at superstep x, billed
+// against t_save with what the write took on the store; sealed reports
+// that its checkpoint sealed (false = the save failed).
+func (s *Session) Save(x int, write cloud.StoreTime, sealed bool) {
 	var ck *obs.Event
 	if sealed {
 		ck = &obs.Event{}
 	}
-	s.close(x, true, faults, ck)
+	s.close(x, true, write, ck)
 }
 
 // close is the loop's boundary at superstep x: bill the compute since
-// the last boundary and, with save, the save after it — t_save plus
-// faults seconds of I/O — racing the eviction; record the checkpoint
-// sealed, if any — the substrate's EvCheckpoint, stamped with the
-// billed clock, the job, the configuration and the work it leaves; then
-// re-decide at the plan's boundary, or stop at a tripping forced save,
-// or re-derive the rest of the segment from the clock. A checkpoint that lost its save to the
-// eviction is still recorded: it is sealed, and the next deployment
-// resumes it.
-func (s *Session) close(x int, save bool, faults units.Seconds, sealed *obs.Event) {
+// the last boundary and, with save, the save after it — t_save, or the
+// write's slower transfer, plus its faults — racing the eviction; record
+// the checkpoint sealed, if any — the substrate's EvCheckpoint, stamped
+// with the billed clock, the job, the configuration and the work it
+// leaves; then re-decide at the plan's boundary, or stop at a tripping
+// forced save, or re-derive the rest of the segment from the clock. A
+// checkpoint that lost its save to the eviction is still recorded: it
+// is sealed, and the next deployment resumes it.
+func (s *Session) close(x int, save bool, write cloud.StoreTime, sealed *obs.Event) {
 	l := s.l
 	end, at, io := l.SegEnd(s.CS, x-s.Billed), Never, units.Seconds(0) // a bare segment cannot lose the race: its forecast fits
 	if save {
-		io = s.CS.Save + faults
+		io = write.Billed(s.CS.Save)
 		end, at = end+io, s.NextEvict
 	}
 	lost, err := l.BillUntil(s.CS, end, at, s.Durable, io)

@@ -33,8 +33,8 @@ type fake struct {
 	warns   int
 }
 
-func (f *fake) Frontier() (int, units.Seconds, error) { return f.durable, 0, nil }
-func (f *fake) Clear() error                          { return nil }
+func (f *fake) Frontier() (int, cloud.StoreTime, error) { return f.durable, cloud.StoreTime{}, nil }
+func (f *fake) Clear() error                            { return nil }
 
 func (f *fake) Run(s *Session, deploy obs.Event) error {
 	f.Emit(deploy)
@@ -49,7 +49,7 @@ func (f *fake) Run(s *Session, deploy obs.Event) error {
 		}
 		if s.CheckpointAt(x) {
 			f.durable = x
-			s.Save(x, 0, true)
+			s.Save(x, cloud.StoreTime{}, true)
 		}
 	}
 	return nil

@@ -135,20 +135,18 @@ func TestChaosEvictionSchedules(t *testing.T) {
 
 // TestChaosEvictionMidSave pins the eviction-during-checkpoint race
 // deterministically on the inputs of the exec_evict_mid_save golden
-// trajectory: saves slowed by store faults — every store operation
-// fails once, after up to 600 virtual seconds, and the retry succeeds —
-// at an offset where a price crossing lands inside one. (A slow
-// transfer that succeeds is inside t_save; only the faults are billed
-// on top of it.) The trace must show the
-// eviction after the segment's last superstep and before its save
-// completed, the checkpoint recorded all the same — it sealed in the
-// store, and the redeploy resumes it — and the run must still finish
+// trajectory: saves slowed by up to 600 virtual seconds, billed as the
+// store measured them once slower than t_save, at an offset where a
+// price crossing lands inside one. The trace must show the eviction
+// after the segment's last superstep and before its save completed,
+// the checkpoint recorded all the same — it sealed in the store, and
+// the redeploy resumes it — and the run must still finish
 // bit-identical.
 func TestChaosEvictionMidSave(t *testing.T) {
 	h := getHarness(t, "wcc")
 	rng := rand.New(rand.NewSource(904))
 	start := units.Seconds(rng.Float64() * float64(h.horizon-h.relDl))
-	store := faultinject.Wrap(cloud.NewDatastore(), faultinject.Policy{Seed: 77, MaxLatency: 600, PError: 1, MaxConsecutive: 1})
+	store := faultinject.Wrap(cloud.NewDatastore(), faultinject.Policy{Seed: 77, MaxLatency: 600})
 	sink := &listSink{}
 	opts := h.options(t, store, "midsave", h.provisioner(t))
 	opts.Sink = sink

@@ -324,13 +324,13 @@ type distDriver struct {
 // billed and planned from — the newest sealed checkpoint in the store.
 // Any error reads as no checkpoint, as it does to the session that
 // starts next. The shards fetch their own blobs, so the coordinator
-// has no store faults to report.
-func (d *distDriver) Frontier() (int, units.Seconds, error) {
+// measures no read: the reload is billed its price.
+func (d *distDriver) Frontier() (int, cloud.StoreTime, error) {
 	c, err := ckpt.Latest(d.opts.Store, d.opts.Job)
 	if err != nil {
-		return 0, 0, nil
+		return 0, cloud.StoreTime{}, nil
 	}
-	return c.Superstep, 0, nil
+	return c.Superstep, cloud.StoreTime{}, nil
 }
 
 // Clear implements loop.Substrate.

@@ -13,8 +13,9 @@
 // micro-partitions are re-clustered for the new worker count
 // (micro.Partitioning), and the run resumes under the new
 // engine.Config.Workers. The reload is billed as the provisioner priced
-// it: boot plus t_load, §6's fast reload included, and the seconds the
-// store's faults cost the checkpoint fetch on top. Once the restart
+// it: boot plus t_load, §6's fast reload included (or the fetch's
+// transfer, when the store was slower), and what the store's faults
+// cost the fetch on top. Once the restart
 // budget is spent the driver falls back to the last-resort on-demand
 // configuration, the paper's §5 guarantee.
 //
@@ -41,6 +42,7 @@ import (
 	"time"
 
 	"hourglass/internal/ckpt"
+	"hourglass/internal/cloud"
 	"hourglass/internal/core"
 	"hourglass/internal/engine"
 	"hourglass/internal/graph"
@@ -70,8 +72,9 @@ type Options struct {
 	Part *micro.Partitioning
 	// Manager persists checkpoints across evictions (required). Its
 	// store may be fault-injected: a save is billed t_save and a reload
-	// t_load, and the seconds the store's faults cost either (retry
-	// backoff, failed attempts) are billed as I/O on top.
+	// t_load, or the transfer when the store was slower, and what the
+	// store's faults cost either (retry backoff, failed attempts) is
+	// billed as I/O on top.
 	Manager *engine.CheckpointManager
 	// TotalSupersteps is the expected superstep count of an
 	// uninterrupted run, the denominator of the work-left model w(t)
@@ -195,18 +198,18 @@ func Execute(ctx context.Context, opts Options, start, deadline units.Seconds) (
 
 // Frontier implements loop.Substrate: the newest valid checkpoint —
 // fetched with retries, CRC-checked and fallback-scanned by the manager
-// — or, in a fresh or GC'd-empty namespace, none; and what the store's
-// faults cost the fetch.
-func (d *driver) Frontier() (int, units.Seconds, error) {
-	snap, faults, err := d.opts.Manager.Load()
+// — or, in a fresh or GC'd-empty namespace, none; and what the fetch
+// took on the store.
+func (d *driver) Frontier() (int, cloud.StoreTime, error) {
+	snap, read, err := d.opts.Manager.Load()
 	if err != nil && !errors.Is(err, ckpt.ErrNoCheckpoint) {
-		return 0, faults, fmt.Errorf("runtime: checkpoint reload: %w", err)
+		return 0, read, fmt.Errorf("runtime: checkpoint reload: %w", err)
 	}
 	d.snap = snap
 	if snap == nil {
-		return 0, faults, nil
+		return 0, read, nil
 	}
-	return snap.Superstep, faults, nil
+	return snap.Superstep, read, nil
 }
 
 // Clear implements loop.Substrate.
@@ -214,14 +217,16 @@ func (d *driver) Clear() error { return d.opts.Manager.Clear() }
 
 // Run implements loop.Substrate: it re-clusters the micro-partitions
 // for the deployment's worker count, starts an engine run from the
-// durable frontier — or from the input graph — and pumps it.
+// durable frontier — or from the input graph — and pumps it. The
+// deployment is billed already, so its EvDeploy goes out first, even
+// when the re-cluster fails.
 func (d *driver) Run(s *loop.Session, deploy obs.Event) error {
+	d.Emit(deploy)
 	workers := s.CS.Config.Count
 	assign, err := d.opts.Part.VertexAssignment(workers)
 	if err != nil {
 		return fmt.Errorf("runtime: re-cluster to %d workers: %w", workers, err)
 	}
-	d.Emit(deploy)
 	runCtx, cancel := context.WithCancel(s.Ctx)
 	defer cancel()
 	s.Cancel = cancel
@@ -285,16 +290,16 @@ func (d *driver) pump(s *loop.Session, x *engine.Execution, last *lastStep, canc
 }
 
 // save makes the barrier n of the live run durable and closes the
-// plan's boundary there, billed t_save plus what the store's faults
-// cost it. A save that fails (store faults) is billed the same way, and
+// plan's boundary there, billed against t_save with what the write took
+// on the store. A save that fails (store faults) is billed the same way, and
 // the durable frontier stays put: a later eviction rolls back further,
 // while the run itself continues on its intact in-memory state.
 func (d *driver) save(s *loop.Session, x *engine.Execution, n int) {
-	faults, err := d.opts.Manager.Save(x.Snapshot())
+	write, err := d.opts.Manager.Save(x.Snapshot())
 	if err != nil {
 		d.Logf("runtime: job %q checkpoint at superstep %d failed: %v", d.Env.Job.Name, n, err)
 	}
-	s.Save(n, faults, err == nil)
+	s.Save(n, write, err == nil)
 }
 
 // stepped is the outcome of one Step: the EvSuperstep of the superstep

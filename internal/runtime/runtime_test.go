@@ -213,6 +213,36 @@ func TestExecuteOnDemandUninterrupted(t *testing.T) {
 	assertBitIdentical(t, h.ref, rep.Values)
 }
 
+// TestExecuteReclusterFailureIsDeployed: a deployment whose worker
+// count the micro-partitioning cannot serve fails after it was billed,
+// and the trace still carries its EvDeploy, so the report folded from
+// the trace has the deploy that the bill is for.
+func TestExecuteReclusterFailureIsDeployed(t *testing.T) {
+	h := getHarness(t, "pagerank")
+	lrc := h.env.LRC.Config.Count
+	part, err := micro.Build(h.g, partition.Hash{}, lrc-1, partition.Multilevel{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &listSink{}
+	opts := h.options(t, cloud.NewDatastore(), "recluster/pagerank", &core.OnDemandOnly{Env: h.env})
+	opts.Part, opts.Sink = part, sink
+	rep, err := runtime.Execute(context.Background(), opts, 0, h.relDl)
+	if err == nil || !strings.Contains(err.Error(), "re-cluster") {
+		t.Fatalf("Execute = %v, want the re-cluster error", err)
+	}
+	events := sink.snapshot()
+	if rep.Cost <= 0 || rep.Reconfigs != 1 {
+		t.Fatalf("report cost %v, %d deploys: want the billed deploy", rep.Cost, rep.Reconfigs)
+	}
+	if got := obs.Summarize(events); got.Cost != rep.Cost || got.Reconfigs != rep.Reconfigs {
+		t.Fatalf("trace folds to cost %v, %d deploys; report has %v, %d", got.Cost, got.Reconfigs, rep.Cost, rep.Reconfigs)
+	}
+	if last := events[len(events)-1]; last.Type != obs.EvDeploy {
+		t.Fatalf("last event %s, want the failed deployment's EvDeploy", last.Type)
+	}
+}
+
 func TestExecuteSlackAwareFromColdMarket(t *testing.T) {
 	for _, app := range []string{"pagerank", "sssp", "wcc"} {
 		t.Run(app, func(t *testing.T) {

@@ -119,14 +119,13 @@ var trajectoryScenarios = []struct {
 		start := units.Seconds(rng.Float64() * float64(h.horizon-h.relDl))
 		return execScenario(t, sink, "wcc", faultinject.Wrap(cloud.NewDatastore(), chaosPolicy(seed)), start)
 	}},
-	// Saves slowed by store faults — every store operation fails once,
-	// after up to 600 virtual seconds, before it succeeds — at an offset
-	// where a price crossing lands inside one of them.
+	// Saves slowed by up to 600 virtual seconds, at an offset where a
+	// price crossing lands inside one of them.
 	{"exec_evict_mid_save", func(t *testing.T, sink obs.Sink) runtime.Report {
 		h := getHarness(t, "wcc")
 		rng := rand.New(rand.NewSource(904))
 		start := units.Seconds(rng.Float64() * float64(h.horizon-h.relDl))
-		store := faultinject.Wrap(cloud.NewDatastore(), faultinject.Policy{Seed: 77, MaxLatency: 600, PError: 1, MaxConsecutive: 1})
+		store := faultinject.Wrap(cloud.NewDatastore(), faultinject.Policy{Seed: 77, MaxLatency: 600})
 		return execScenario(t, sink, "wcc", store, start)
 	}},
 	// A worker of the 8-shard set dies at superstep 3; the driver

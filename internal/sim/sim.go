@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hourglass/internal/cloud"
 	"hourglass/internal/core"
 	"hourglass/internal/loop"
 	"hourglass/internal/obs"
@@ -86,7 +87,9 @@ type virtual struct {
 	durable int // the superstep of the checkpoint sealed last
 }
 
-func (v *virtual) Frontier() (int, units.Seconds, error) { return v.durable, 0, nil }
+func (v *virtual) Frontier() (int, cloud.StoreTime, error) {
+	return v.durable, cloud.StoreTime{}, nil
+}
 
 func (v *virtual) Clear() error { return nil }
 
@@ -119,7 +122,7 @@ func (v *virtual) save(s *loop.Session, x int) {
 	if sealed {
 		v.durable = x
 	}
-	s.Save(x, 0, sealed)
+	s.Save(x, cloud.StoreTime{}, sealed)
 }
 
 // BatchResult aggregates a batch of randomised runs (the paper averages
