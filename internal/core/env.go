@@ -220,19 +220,35 @@ func (e *Env) Slack(s State) units.Seconds {
 // invariant then holds at the barrier the plan stops at. Each rounding
 // forgives a millionth of a superstep, as the loop's plan does.
 func (e *Env) Useful(cs *ConfigStats, s State, fresh bool) units.Seconds {
+	if s.Quantum > 0 {
+		return e.usefulSteps(cs, s, fresh)
+	}
+	return e.useful(cs, s, fresh)
+}
+
+// useful is Useful for continuous work, small enough to inline into the
+// EC table's chains.
+func (e *Env) useful(cs *ConfigStats, s State, fresh bool) units.Seconds {
 	overhead := cs.Save
 	if fresh {
 		overhead = cs.Fixed
 	}
 	remainExec := units.Seconds(s.WorkLeft * float64(cs.Exec))
-	room, ckpt := e.Slack(s)-overhead, cs.Ckpt
-	if q := s.Quantum; q > 0 {
-		step := q * float64(cs.Exec)
-		remainExec = units.Seconds(math.Ceil(s.WorkLeft/q-1e-6) * step)
-		room = units.Seconds(math.Floor(float64(room)/step+1e-6) * step)
-		ckpt = units.Seconds(math.Max(math.Floor(float64(ckpt)/step+1e-6), 1) * step)
+	u := units.Min(remainExec, e.Slack(s)-overhead)
+	return units.Min(u, cs.Ckpt)
+}
+
+// usefulSteps is Useful for a quantised job, in whole supersteps on cs.
+func (e *Env) usefulSteps(cs *ConfigStats, s State, fresh bool) units.Seconds {
+	overhead := cs.Save
+	if fresh {
+		overhead = cs.Fixed
 	}
-	return units.Min(units.Min(remainExec, room), ckpt)
+	step := s.Quantum * float64(cs.Exec)
+	remainExec := math.Ceil(s.WorkLeft/s.Quantum-1e-6) * step
+	room := math.Floor(float64(e.Slack(s)-overhead)/step+1e-6) * step
+	ckpt := math.Max(math.Floor(float64(cs.Ckpt)/step+1e-6), 1) * step
+	return units.Seconds(math.Min(math.Min(remainExec, room), ckpt))
 }
 
 // progress is ω_c·u/t_lrc_exec, the work fraction a useful interval u

@@ -232,7 +232,11 @@ func (t *ecTable) branch(cs *ConfigStats, h units.Seconds, w float64,
 	reach := 1.0
 	fUp := cs.evictionCDF(uptime)
 	for first := true; ; first = false {
-		useful := e.Useful(cs, State{WorkLeft: w, Deadline: h, Quantum: t.quantum}, fresh)
+		st := State{WorkLeft: w, Deadline: h, Quantum: t.quantum}
+		useful := e.useful(cs, st, fresh)
+		if t.quantum > 0 {
+			useful = e.usefulSteps(cs, st, fresh)
+		}
 		// A kept chain whose interval finishes the work runs on however
 		// short that interval is: sending the residual to the last
 		// resort would bill a fresh boot and load for under a second of
