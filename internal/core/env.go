@@ -42,9 +42,8 @@ type ConfigStats struct {
 //
 // The slack-aware strategy memoises expected costs on the Env (one
 // table per eviction-warning window and work quantum, shared by every
-// decision), so
-// Stats must not change after the first decision; tune it, as the
-// checkpoint-interval ablation does, before deciding.
+// decision), so Stats must not change after the first decision; tune
+// it, as the checkpoint-interval ablation does, before deciding.
 type Env struct {
 	Job       perfmodel.Job
 	Model     *perfmodel.Model

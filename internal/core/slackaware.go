@@ -128,11 +128,11 @@ func (p *SlackAware) Evaluate(s State) units.USD {
 // ecTable is EC(h, w) for a fresh decision with horizon h = deadline − t
 // and work w left, one per Env, eviction-warning window and work
 // quantum, filled lazily and shared by every decision on the Env. Below
-// the root the
-// §5.3 recursion depends only on h, w and the uptime, and the uptime of
-// a fresh choice is 0, so the table needs neither the absolute time nor
-// an uptime dimension: kept configurations walk their chain exactly
-// (branch) and only fresh choices after an eviction read the table.
+// the root the §5.3 recursion depends only on h, w and the uptime, and
+// the uptime of a fresh choice is 0, so the table needs neither the
+// absolute time nor an uptime dimension: kept configurations walk their
+// chain exactly (branch) and only fresh choices after an eviction read
+// the table.
 //
 // Node (i, j) holds EC(i·bucket, j/workCols), priced at that point. A
 // node's failure branches read the nearest node on a strictly lower
@@ -232,6 +232,7 @@ func (t *ecTable) branch(cs *ConfigStats, h units.Seconds, w float64,
 	reach := 1.0
 	fUp := cs.evictionCDF(uptime)
 	for first := true; ; first = false {
+		// Useful, with its continuous form inlined.
 		st := State{WorkLeft: w, Deadline: h, Quantum: t.quantum}
 		useful := e.useful(cs, st, fresh)
 		if t.quantum > 0 {

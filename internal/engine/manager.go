@@ -139,10 +139,11 @@ func (m *CheckpointManager) Save(s *Snapshot) (cloud.StoreTime, error) {
 }
 
 // Load fetches the most recent checkpoint that validates, with what the
-// fetch took on the store, counted as Save counts it. A corrupted or dangling latest checkpoint is skipped in favour
-// of the newest older one that validates (ckpt.Latest); only a
-// namespace with no restorable checkpoint at all returns
-// ckpt.ErrNoCheckpoint, with the time spent finding that out.
+// fetch took on the store, counted as Save counts it. A corrupted or
+// dangling latest checkpoint is skipped in favour of the newest older
+// one that validates (ckpt.Latest); only a namespace with no restorable
+// checkpoint at all returns ckpt.ErrNoCheckpoint, with the time spent
+// finding that out.
 func (m *CheckpointManager) Load() (*Snapshot, cloud.StoreTime, error) {
 	st := m.store()
 	c, err := ckpt.Latest(st, m.Job)

@@ -30,10 +30,10 @@
 //
 // Work is counted in whole supersteps of Total: w(t), the fraction the
 // provisioner consumes, is the share not yet computed, and a step on a
-// configuration takes its profiled Exec / Total virtual seconds. Each
-// decision carries one superstep's work as its quantum, so the
-// provisioner plans whole supersteps and a segment never runs past the
-// useful interval it priced. The package links no engine: a substrate
+// configuration takes its profiled Exec / Total virtual seconds. Unless
+// the job counts VirtualSteps, each decision carries one superstep's
+// work as its quantum, so the provisioner plans whole supersteps and a
+// segment never runs past the useful interval it priced. The package links no engine: a substrate
 // keeps its job's output itself.
 package loop
 
