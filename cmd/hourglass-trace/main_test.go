@@ -21,7 +21,7 @@ func Example_summary() {
 	// deploys     2
 	// checkpoints 6
 	// decisions   8
-	// io time     70s
+	// io time     72s
 	// recovery    129s
 	// standby     1 warnings, 0 warm cutovers, 1 misses
 	// ckpt bytes  38064 full, 0 delta

@@ -25,7 +25,14 @@ func DefaultRMAT(scale int, seed int64) RMATParams {
 func RMAT(p RMATParams) *Graph {
 	n := 1 << p.Scale
 	m := n * p.EdgeFactor
-	rng := rand.New(rand.NewSource(p.Seed))
+	source := rand.NewSource(p.Seed)
+	rng := func() float64 { // rand.Rand.Float64 on source, draw for draw
+		for {
+			if f := float64(source.Int63()) / (1 << 63); f != 1 {
+				return f
+			}
+		}
+	}
 	opts := []BuilderOption{Dedup(), DropSelfLoops()}
 	if p.Undirected {
 		opts = append(opts, Undirected())
@@ -34,25 +41,26 @@ func RMAT(p RMATParams) *Graph {
 		opts = append(opts, Weighted())
 	}
 	b := NewBuilder(n, opts...)
+	b.edges = make([]Edge, 0, m)
 	ab := p.A + p.B
 	cNorm := p.C / (p.C + p.D)
 	aNorm := p.A / (p.A + p.B)
 	for i := 0; i < m; i++ {
 		src, dst := 0, 0
 		for bit := 1 << (p.Scale - 1); bit >= 1; bit >>= 1 {
-			r := rng.Float64()
+			r := rng()
 			if r > ab { // bottom half
 				src |= bit
-				if rng.Float64() > cNorm {
+				if rng() > cNorm {
 					dst |= bit
 				}
-			} else if rng.Float64() > aNorm {
+			} else if rng() > aNorm {
 				dst |= bit
 			}
 		}
 		w := float32(1)
 		if p.Weighted {
-			w = float32(1 - rng.Float64()) // (0, 1]
+			w = float32(1 - rng()) // (0, 1]
 		}
 		b.AddEdge(VertexID(src), VertexID(dst), w)
 	}

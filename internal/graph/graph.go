@@ -7,7 +7,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
 // VertexID identifies a vertex. Graphs are always contiguously numbered
@@ -75,8 +75,8 @@ func (g *Graph) EdgeWeights(v VertexID) []float32 {
 	return g.weights[g.offsets[v]:g.offsets[v+1]]
 }
 
-// ForEachEdge calls fn for every stored arc. Iteration is in CSR order:
-// sorted by source, then by insertion order of the builder.
+// ForEachEdge calls fn for every stored arc in CSR order: by source,
+// then by destination, ties in the builder's insertion order.
 func (g *Graph) ForEachEdge(fn func(src, dst VertexID, w float32)) {
 	n := VertexID(g.NumVertices())
 	for v := VertexID(0); v < n; v++ {
@@ -150,7 +150,8 @@ func Undirected() BuilderOption { return func(b *Builder) { b.undirected = true 
 // Weighted keeps per-edge weights; without it weights are dropped.
 func Weighted() BuilderOption { return func(b *Builder) { b.weighted = true } }
 
-// Dedup removes parallel edges (keeping the first occurrence's weight).
+// Dedup removes parallel arcs, keeping the first added (and its weight):
+// stable, so an undirected graph's two arcs of a pair weigh the same.
 func Dedup() BuilderOption { return func(b *Builder) { b.dedup = true } }
 
 // DropSelfLoops removes self loops at build time.
@@ -173,67 +174,98 @@ func (b *Builder) AddEdge(src, dst VertexID, w float32) {
 	b.edges = append(b.edges, Edge{src, dst, w})
 }
 
-// Build freezes the builder into a CSR graph. The builder can be
-// reused afterwards but the accumulated edges are retained.
+// Build freezes the builder into a CSR graph in O(n + m): two stable
+// counting sorts of the arcs, by destination and then by source straight
+// into the CSR arrays. Rows list arcs by destination, ties in insertion
+// order (an edge's own arc before its mirror), and Dedup keeps the first
+// of each run, so both arcs of an undirected pair carry the weight of the
+// first edge added between the two. The builder can be reused afterwards
+// but the accumulated edges are retained.
 func (b *Builder) Build() *Graph {
-	edges := b.edges
-	if b.dropLoops {
-		kept := edges[:0:0]
-		for _, e := range edges {
-			if e.Src != e.Dst {
-				kept = append(kept, e)
-			}
-		}
-		edges = kept
-	}
+	// Arc k is edge k>>shift, reversed when k&shift is set: an undirected
+	// builder reads each edge twice instead of copying its mirror.
+	shift := 0
 	if b.undirected {
-		mirrored := make([]Edge, 0, 2*len(edges))
-		for _, e := range edges {
-			mirrored = append(mirrored, e, Edge{e.Dst, e.Src, e.Weight})
+		shift = 1
+	}
+	arcs := len(b.edges) << shift
+	if arcs > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d arcs exceed the builder's int32 arc index", arcs))
+	}
+	g := &Graph{offsets: make([]int64, b.n+1), undirected: b.undirected}
+	next := make([]int64, b.n+1) // per destination, then per source: the next free slot
+	for k := 0; k < arcs; k++ {
+		if src, dst, keep := b.arc(k, shift); keep {
+			g.offsets[src+1]++
+			next[dst+1]++
 		}
-		edges = mirrored
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		return edges[i].Dst < edges[j].Dst
-	})
-	if b.dedup {
-		kept := edges[:0:0]
-		for i, e := range edges {
-			if i > 0 && e.Src == edges[i-1].Src && e.Dst == edges[i-1].Dst {
-				continue
-			}
-			kept = append(kept, e)
-		}
-		edges = kept
-	}
-
-	g := &Graph{
-		offsets:    make([]int64, b.n+1),
-		adj:        make([]VertexID, len(edges)),
-		undirected: b.undirected,
-	}
-	if b.weighted {
-		g.weights = make([]float32, len(edges))
-	}
-	for _, e := range edges {
-		g.offsets[e.Src+1]++
 	}
 	for v := 0; v < b.n; v++ {
 		g.offsets[v+1] += g.offsets[v]
+		next[v+1] += next[v]
 	}
-	cursor := make([]int64, b.n)
-	for _, e := range edges {
-		pos := g.offsets[e.Src] + cursor[e.Src]
-		g.adj[pos] = e.Dst
-		if g.weights != nil {
-			g.weights[pos] = e.Weight
+	byDst := make([]int32, g.offsets[b.n])
+	for k := 0; k < arcs; k++ {
+		if _, dst, keep := b.arc(k, shift); keep {
+			byDst[next[dst]] = int32(k)
+			next[dst]++
 		}
-		cursor[e.Src]++
+	}
+	copy(next, g.offsets)
+	g.adj = make([]VertexID, len(byDst))
+	if b.weighted {
+		g.weights = make([]float32, len(byDst))
+	}
+	for _, k := range byDst {
+		src, dst, _ := b.arc(int(k), shift)
+		g.adj[next[src]] = dst
+		if g.weights != nil {
+			g.weights[next[src]] = b.edges[k>>shift].Weight
+		}
+		next[src]++
+	}
+	if b.dedup {
+		g.dedup()
 	}
 	return g
+}
+
+// arc returns the endpoints of virtual arc k and whether the build
+// keeps it (not a dropped self loop).
+func (b *Builder) arc(k, shift int) (src, dst VertexID, keep bool) {
+	e := b.edges[k>>shift]
+	src, dst = e.Src, e.Dst
+	if k&shift != 0 {
+		src, dst = dst, src
+	}
+	return src, dst, src != dst || !b.dropLoops
+}
+
+// dedup drops, in place, every arc equal to the one before it in its
+// row, then reallocates the arrays to their exact length.
+func (g *Graph) dedup() {
+	w := int64(0)
+	for v := 0; v < g.NumVertices(); v++ {
+		start, end := g.offsets[v], g.offsets[v+1]
+		g.offsets[v] = w
+		for i := start; i < end; i++ {
+			if i > start && g.adj[i] == g.adj[w-1] {
+				continue
+			}
+			g.adj[w] = g.adj[i]
+			if g.weights != nil {
+				g.weights[w] = g.weights[i]
+			}
+			w++
+		}
+	}
+	g.offsets[g.NumVertices()] = w
+	if w < int64(len(g.adj)) {
+		g.adj = append(make([]VertexID, 0, w), g.adj[:w]...)
+		if g.weights != nil {
+			g.weights = append(make([]float32, 0, w), g.weights[:w]...)
+		}
+	}
 }
 
 // FromEdges is a convenience constructor building a graph directly

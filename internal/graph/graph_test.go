@@ -49,13 +49,9 @@ func TestBuilderDedupAndLoops(t *testing.T) {
 	if g.NumEdges() != 2 {
 		t.Fatalf("NumEdges = %d, want 2", g.NumEdges())
 	}
-	// First occurrence's weight wins after sort; both (0,1) copies sort
-	// adjacently and weight 1 sorts before... actually sort is by
-	// (src,dst) only, so either weight may be kept; assert it is one of
-	// the provided.
-	w := g.EdgeWeights(0)[0]
-	if w != 1 && w != 5 {
-		t.Errorf("weight = %v, want 1 or 5", w)
+	// Dedup keeps the first occurrence, in insertion order.
+	if w := g.EdgeWeights(0)[0]; w != 1 {
+		t.Errorf("weight = %v, want 1 (the first occurrence's)", w)
 	}
 }
 
@@ -246,15 +242,18 @@ func TestQuickCSRInvariants(t *testing.T) {
 	}
 }
 
-// Property: undirected graphs are symmetric.
+// Property: undirected graphs are symmetric, weights included: every
+// arc's reverse exists and carries the same weight.
 func TestQuickUndirectedSymmetry(t *testing.T) {
 	f := func(seed int64) bool {
 		p := DefaultRMAT(8, seed)
-		p.Undirected = true
+		p.Undirected, p.Weighted = true, true
 		g := RMAT(p)
 		for v := 0; v < g.NumVertices(); v++ {
-			for _, u := range g.Neighbors(VertexID(v)) {
-				if !contains(g.Neighbors(u), VertexID(v)) {
+			ws := g.EdgeWeights(VertexID(v))
+			for i, u := range g.Neighbors(VertexID(v)) {
+				j := index(g.Neighbors(u), VertexID(v))
+				if j < 0 || g.EdgeWeights(u)[j] != ws[i] {
 					return false
 				}
 			}
@@ -266,13 +265,14 @@ func TestQuickUndirectedSymmetry(t *testing.T) {
 	}
 }
 
-func contains(s []VertexID, v VertexID) bool {
-	for _, x := range s {
+// index is the position of v in s, or -1.
+func index(s []VertexID, v VertexID) int {
+	for i, x := range s {
 		if x == v {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 func TestSizeBytesMatchesArrays(t *testing.T) {

@@ -378,13 +378,16 @@ func (l *Loop) BillUntil(cs *core.ConfigStats, end, at units.Seconds, done int, 
 }
 
 // finish handles a session that computed the job to completion: bill
-// the output write, racing the eviction; once the output is durable,
-// clear the checkpoints and report the job done. done=false means the
-// eviction won (the result never became durable) and was recorded with
+// the output write, t_save of I/O, racing the eviction; once the output
+// is durable, clear the checkpoints and report the job done. done=false
+// means the eviction won (the result never became durable, and only the
+// part of the write before it is billed as I/O) and was recorded with
 // the session's durable supersteps durable.
 func (l *Loop) finish(s *Session, sub Substrate) (bool, error) {
 	cs := s.CS
-	if evicted, err := l.BillUntil(cs, l.SegEnd(cs, s.Done-s.Billed)+cs.Save, s.NextEvict, s.Durable, 0); err != nil || evicted {
+	write := l.SegEnd(cs, s.Done-s.Billed)
+	io := min(max(s.NextEvict-write, 0), cs.Save)
+	if evicted, err := l.BillUntil(cs, write+cs.Save, s.NextEvict, s.Durable, io); err != nil || evicted {
 		return false, err
 	}
 	if err := sub.Clear(); err != nil {

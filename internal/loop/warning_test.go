@@ -91,9 +91,8 @@ type recorder struct{ events []obs.Event }
 func (r *recorder) Emit(e obs.Event) { r.events = append(r.events, e) }
 
 // fakeEnv prices one spot configuration at fakeExec, fakeSave and
-// fakeReady on flat traces that spike above the bid for 100 s at
-// fakeEvict.
-func fakeEnv(t *testing.T) (*core.Env, *core.ConfigStats) {
+// fakeReady on flat traces that spike above the bid for 100 s at spike.
+func fakeEnv(t *testing.T, spike int) (*core.Env, *core.ConfigStats) {
 	t.Helper()
 	em, err := cloud.BuildEvictionModel(cloud.GenerateSet(cloud.Catalogue(), cloud.GenParams{Days: 1, Seed: 1}), 64)
 	if err != nil {
@@ -104,7 +103,7 @@ func fakeEnv(t *testing.T) (*core.Env, *core.ConfigStats) {
 		prices := make([]float64, int(units.Day))
 		for i := range prices {
 			prices[i] = 0.25 * float64(it.OnDemand)
-			if i >= fakeEvict && i < fakeEvict+100 {
+			if i >= spike && i < spike+100 {
 				prices[i] = 3 * float64(it.OnDemand)
 			}
 		}
@@ -146,7 +145,7 @@ func TestWarningForcesTheSaveAtTheInterruption(t *testing.T) {
 			evictAt: fakeReady + 2*step},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			env, spot := fakeEnv(t)
+			env, spot := fakeEnv(t, fakeEvict)
 			rec := &recorder{}
 			l := &Loop{Env: env, Prov: spotOnly{spot.Config}, Sink: rec, Log: t.Logf,
 				Total: fakeSteps, Warning: tc.warning}
@@ -202,5 +201,36 @@ func TestWarningForcesTheSaveAtTheInterruption(t *testing.T) {
 					resume.WorkLeft, resume.Reload, l.WorkLeft(tc.forced))
 			}
 		})
+	}
+}
+
+// An eviction inside the output write that would finish the job: the
+// write is billed as I/O up to the eviction, the job reruns, and the
+// output write that lands is billed t_save of I/O.
+func TestOutputWriteLostToEvictionBillsItsPart(t *testing.T) {
+	const into = 20 // the spike, this far into the first output write
+	env, spot := fakeEnv(t, fakeReady+fakeExec+into)
+	rec := &recorder{}
+	l := &Loop{Env: env, Prov: spotOnly{spot.Config}, Sink: rec, Log: t.Logf, Total: fakeSteps}
+	sum, err := l.Drive(context.Background(), &fake{Loop: l}, 0, units.Day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sum.Finished {
+		t.Fatal("the job did not finish")
+	}
+	var io []float64 // the I/O of each charge that ends a deployment
+	for i, e := range rec.events {
+		if e.Type == obs.EvSpend && i+1 < len(rec.events) {
+			if next := rec.events[i+1].Type; next == obs.EvEvict || next == obs.EvDone {
+				io = append(io, e.IOSec)
+			}
+		}
+	}
+	if want := []float64{into, fakeSave}; len(io) != 2 || io[0] != want[0] || io[1] != want[1] {
+		t.Errorf("output writes billed %v s of I/O, want %v", io, want)
+	}
+	if want := into + fakeSave + 2*spot.Load; sum.IOTime != want {
+		t.Errorf("IOTime %v, want %v (two loads, the lost write's part and t_save)", sum.IOTime, want)
 	}
 }

@@ -33,7 +33,8 @@ type Summary struct {
 	Completion     units.Seconds // virtual completion time of the last run
 	// IOTime sums the I/O seconds the spend records carry: input or
 	// checkpoint load after boot, every save (one that failed to seal
-	// included) and a warm standby's prefetch.
+	// included), the output write (its part before an eviction that
+	// interrupts it) and a warm standby's prefetch.
 	IOTime units.Seconds
 
 	// Engine activity.

@@ -12,12 +12,13 @@ import (
 // TestOnePrice: every executor bills I/O at the provisioner's price. On
 // a clean store each deployment that boots machines spans exactly the
 // market wait, t_boot and t_load, fresh or reloading, and each save
-// bills exactly t_save of I/O; a warm cutover spans nothing, and the
-// standby it adopts bills t_load. Under injected store faults the same
-// prices hold with a positive surcharge on top. It runs the seven golden
-// trajectories and one simulation of each job kind.
+// bills exactly t_save of I/O, the output write that finishes the job
+// included; a warm cutover spans nothing, and the standby it adopts
+// bills t_load. Under injected store faults the same prices hold with a
+// positive surcharge on top. It runs the seven golden trajectories and
+// one simulation of each job kind.
 func TestOnePrice(t *testing.T) {
-	var reloads, saves int
+	var reloads, saves, finals int
 	for _, sc := range trajectoryScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			sink := &listSink{}
@@ -28,7 +29,7 @@ func TestOnePrice(t *testing.T) {
 				app, faulty = "wcc", true
 			}
 			p := checkPrice(t, getHarness(t, app).env, sink.snapshot(), faulty)
-			reloads, saves = reloads+p.reloads, saves+p.saves
+			reloads, saves, finals = reloads+p.reloads, saves+p.saves, finals+p.finals
 		})
 	}
 	for _, app := range []string{"pagerank", "sssp", "wcc"} {
@@ -41,18 +42,21 @@ func TestOnePrice(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := checkPrice(t, h.env, sink.snapshot(), false)
-			reloads, saves = reloads+p.reloads, saves+p.saves
+			reloads, saves, finals = reloads+p.reloads, saves+p.saves, finals+p.finals
 		})
 	}
 	if reloads == 0 || saves == 0 {
 		t.Errorf("%d reloads and %d saves checked: the runs exercise neither price", reloads, saves)
 	}
+	if want := len(trajectoryScenarios) + 3; finals != want {
+		t.Errorf("%d output writes checked, want one per run (%d)", finals, want)
+	}
 }
 
 // priced is what checkPrice found in one trace.
 type priced struct {
-	reloads, saves int
-	surcharge      float64 // I/O seconds billed above the price
+	reloads, saves, finals int
+	surcharge              float64 // I/O seconds billed above the price
 }
 
 // checkPrice checks every deployment and every I/O charge of one traced
@@ -112,14 +116,31 @@ func checkPrice(t *testing.T, env *core.Env, events []obs.Event, faulty bool) pr
 			loads[billed{e.Config, float64(avail)}] = true
 		}
 	}
-	// The I/O charges: a deployment's or an adopted standby's load
-	// (billed just before its cutover), else a save.
+	// The output write: the last charge on the finishing configuration
+	// before the job is done.
+	final := -1
 	for i, e := range events {
-		if e.Type != obs.EvSpend || e.IOSec == 0 {
+		if e.Type != obs.EvDone || !e.Done {
+			continue
+		}
+		for j := i - 1; j >= 0; j-- {
+			if events[j].Type == obs.EvSpend && events[j].Config == e.Config {
+				final = j
+				break
+			}
+		}
+	}
+	// The I/O charges: the output write, a deployment's or an adopted
+	// standby's load (billed just before its cutover), else a save.
+	for i, e := range events {
+		if e.Type != obs.EvSpend || (e.IOSec == 0 && i != final) {
 			continue
 		}
 		cs := stats(e.Config)
 		switch {
+		case i == final:
+			p.finals++
+			over("output write", e.IOSec, float64(cs.Save))
 		case loads[billed{e.Config, e.T}]:
 			over("deploy load", e.IOSec, float64(cs.Load))
 		case i+1 < len(events) && events[i+1].Type == obs.EvCutover:

@@ -30,8 +30,8 @@ import (
 // RunResult reports one simulated job execution. It is the fold of the
 // run's event stream (obs.Summary): the runner keeps no other ledger,
 // so folding a recorded trace with obs.Summarize reproduces the result
-// exactly. IOTime sums the deploy loads and checkpoint saves;
-// RecoveryTime sums the reloading deploys.
+// exactly. IOTime sums the deploy loads, checkpoint saves and output
+// write; RecoveryTime sums the reloading deploys.
 type RunResult = obs.Summary
 
 // Evictor samples eviction times from the market's spot-price traces
